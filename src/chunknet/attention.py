@@ -44,25 +44,23 @@ def window_groups(stimulus: Pattern, cfg: AttentionConfig) -> list[list[Pattern]
 
     Position ``o`` covers tokens [o, min(o + span, end)); its fetches keep the
     right edge fixed and shrink from the left down to ``min_fetch`` tokens.
-    A window already emitted at an earlier position (tail truncation makes
-    later positions repeat suffixes) is not emitted again.
+    Window ends grow with the offset until one reaches the end of the
+    stimulus; every later position would only repeat suffixes of that
+    window, so the scan stops there and no window is emitted twice.
     """
     if not stimulus:
         raise AttentionError("cannot scan an empty stimulus")
-    n = len(stimulus)
-    seen: set[tuple[int, int]] = set()
+    modality, tokens = stimulus.modality, stimulus.tokens
+    n = len(tokens)
     groups: list[list[Pattern]] = []
     for offset in range(0, n, cfg.step):
         end = min(offset + cfg.span, n)
-        group: list[Pattern] = []
-        for start in range(offset, end - cfg.min_fetch + 1):
-            if (start, end) in seen:
-                continue
-            seen.add((start, end))
-            group.append(Pattern(stimulus.modality,
-                                 stimulus.tokens[start:end]))
+        group = [Pattern.derived(modality, tokens[start:end])
+                 for start in range(offset, end - cfg.min_fetch + 1)]
         if group:
             groups.append(group)
+        if end == n:
+            break
     return groups
 
 
@@ -193,5 +191,4 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
 def retrieve(net: DiscriminationNet, stimulus: Pattern) -> Pattern:
     """The most similar stored chunk: the recognised node's image
     (empty when nothing is recognised)."""
-    node = net.recognise(stimulus)
-    return Pattern(net.modality, node.image)
+    return net.image(net.recognise(stimulus).node_id)

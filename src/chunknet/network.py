@@ -10,7 +10,12 @@ descriptions of a chunk.
 Retrieval (``recognise``) sorts an input pattern down the tree: at each node,
 the first child (in insertion order) whose test link is a prefix of the
 remaining input consumes that prefix, until no child matches. The deepest node
-reached is returned; the root means "recognised as nothing".
+reached is returned; the root means "recognised as nothing". Each node indexes
+its children by the first token of their test links, so a step looks up the
+next input token and tries only the children listed under it, in insertion
+order. Every non-root test link is non-empty, so a child whose link is a
+prefix of the input starts with the input's next token: the lookup picks the
+same child a scan of all children would.
 
 Learning is a four-stage process per presented pattern:
 
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .patterns import Pattern, PatternError, difference, matches
+from .patterns import Pattern, PatternError, difference
 
 ROOT_ID = 0
 
@@ -62,6 +67,12 @@ class Node:
     naming_links: dict[int, int] = field(default_factory=dict)
     created_at: float = 0.0
     updated_at: float = 0.0
+    # Derived from the test links when the node is created or loaded: the
+    # length of its contents, and its children's ids keyed by the first
+    # token of their test links, in insertion order (kept with ``children``).
+    contents_length: int = 0
+    index: dict[str, list[int]] = field(default_factory=dict, repr=False,
+                                        compare=False)
 
 
 @dataclass(frozen=True)
@@ -113,21 +124,18 @@ class DiscriminationNet:
             node = self._nodes[node.parent]
         for test in reversed(chain):
             toks.extend(test)
-        return Pattern(self.modality, tuple(toks))
+        return Pattern.derived(self.modality, tuple(toks))
 
     def image(self, node_id: int) -> Pattern:
-        return Pattern(self.modality, self.node(node_id).image)
+        return Pattern.derived(self.modality, self.node(node_id).image)
 
     def chunk_size(self, node_id: int) -> int:
         """Primitive count of the chunk: its image when one has formed, its
-        contents otherwise. Root is 0. (A non-empty image is never shorter
-        than the contents, so this is the larger of the two descriptions.)"""
-        if node_id == ROOT_ID:
-            return 0
+        contents otherwise, read from the length stored on the node. Root
+        is 0. (A non-empty image is never shorter than the contents, so this
+        is the larger of the two descriptions.)"""
         node = self.node(node_id)
-        if node.image:
-            return len(node.image)
-        return len(self.contents(node_id))
+        return len(node.image) or node.contents_length
 
     def is_fully_learned(self, node_id: int) -> bool:
         """Gate used for naming-link formation: the image equals a pattern
@@ -143,7 +151,9 @@ class DiscriminationNet:
 
     def _new_node(self, parent: Node, test: tuple[str, ...],
                   image: tuple[str, ...], complete: bool) -> Node:
-        for cid in parent.children:
+        if not test:
+            raise NetworkError("a non-root test link must be non-empty")
+        for cid in parent.index.get(test[0], ()):
             if self._nodes[cid].test == test:
                 raise NetworkError(
                     f"duplicate sibling test link {test!r} under node "
@@ -153,10 +163,12 @@ class DiscriminationNet:
         node = Node(node_id=self._next_id, test=test, image=image,
                     image_complete=complete, parent=parent.node_id,
                     created_at=self.clock_seconds,
-                    updated_at=self.clock_seconds)
+                    updated_at=self.clock_seconds,
+                    contents_length=parent.contents_length + len(test))
         self._next_id += 1
         self._nodes[node.node_id] = node
         parent.children.append(node.node_id)
+        parent.index.setdefault(test[0], []).append(node.node_id)
         return node
 
     def _append_to_image(self, node: Node, token: str,
@@ -179,33 +191,36 @@ class DiscriminationNet:
         the root when nothing is recognised (including the empty pattern).
         """
         self._check_modality(p)
-        node = self.root
-        remaining = p.tokens
-        while True:
-            advanced = False
-            for cid in node.children:
-                child = self._nodes[cid]
-                if remaining[: len(child.test)] == child.test:
-                    node = child
-                    remaining = remaining[len(child.test):]
-                    advanced = True
+        nodes = self._nodes
+        node = nodes[ROOT_ID]
+        tokens = p.tokens
+        n = len(tokens)
+        pos = 0
+        while pos < n:
+            for cid in node.index.get(tokens[pos], ()):
+                test = nodes[cid].test
+                end = pos + len(test)
+                if tokens[pos:end] == test:
+                    node = nodes[cid]
+                    pos = end
                     break
-            if not advanced:
-                return node
+            else:
+                break
+        return node
 
     def _remainder_at(self, node: Node, p: Pattern) -> Pattern:
-        """Input left unconsumed once recognise(p) has reached ``node``."""
-        return difference(p, self.contents(node.node_id))
+        """Input left unconsumed once recognise(p) has reached ``node``,
+        whose contents are then a prefix of ``p``."""
+        return Pattern.derived(p.modality, p.tokens[node.contents_length:])
 
     # -- learning ---------------------------------------------------------
 
     def _image_matches(self, node: Node, p: Pattern) -> bool:
         # A complete image carries the end marker, so it only matches the
         # pattern it equals; an incomplete image matches any extension.
-        image = Pattern(self.modality, node.image)
         if node.image_complete:
-            return image.tokens == p.tokens
-        return matches(image, p)
+            return node.image == p.tokens
+        return p.tokens[: len(node.image)] == node.image
 
     def learn(self, p: Pattern) -> LearnEvent:
         """One pass of the four-stage learning process for ``p``."""
@@ -232,7 +247,7 @@ class DiscriminationNet:
            *original* node's image;
         4. otherwise the retrieved node's image is appended instead.
         """
-        d = difference(p, Pattern(self.modality, node.image))
+        d = difference(p, Pattern.derived(self.modality, node.image))
         if not d:
             # The image reproduces the whole presented pattern: nothing to
             # add, but the end marker is now warranted if still missing.

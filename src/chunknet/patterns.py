@@ -37,11 +37,22 @@ class Pattern:
             raise PatternError("pattern modality must be non-empty")
         if not isinstance(self.tokens, tuple):
             object.__setattr__(self, "tokens", tuple(self.tokens))
-        for tok in self.tokens:
-            if not tok:
-                raise PatternError("pattern tokens must be non-empty")
-            if any(ch.isspace() for ch in tok):
-                raise PatternError(f"pattern token contains whitespace: {tok!r}")
+        check_tokens(self.tokens)
+
+    @classmethod
+    def derived(cls, modality: str, tokens: tuple[str, ...]) -> "Pattern":
+        """A pattern over tokens that were already checked, built without
+        checking them again.
+
+        Only for token tuples the program derived from checked tokens: a
+        slice of a checked pattern, or a node's test link or image (snapshot
+        loading checks those). Input from outside the program goes through
+        the checking constructor.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "modality", modality)
+        object.__setattr__(p, "tokens", tokens)
+        return p
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -60,6 +71,24 @@ class Pattern:
     def from_line(cls, modality: str, line: str) -> "Pattern":
         """Inverse of :meth:`to_line`. Round-trips bit-exactly."""
         return cls(modality, tuple(line.split()))
+
+
+def check_tokens(tokens: tuple[str, ...]) -> None:
+    """Raise :class:`PatternError` unless every token is a non-empty string
+    without whitespace."""
+    try:
+        # Splitting the joined tokens gives them back exactly iff each one
+        # is non-empty and free of whitespace; only a failure needs the loop.
+        if " ".join(tokens).split() == list(tokens):
+            return
+    except TypeError:
+        pass
+    for tok in tokens:
+        if not isinstance(tok, str) or not tok:
+            raise PatternError(
+                f"pattern tokens must be non-empty strings, got {tok!r}")
+        if any(ch.isspace() for ch in tok):
+            raise PatternError(f"pattern token contains whitespace: {tok!r}")
 
 
 def make_pattern(modality: str, tokens: Iterable[str]) -> Pattern:
@@ -106,7 +135,7 @@ def difference(a: Pattern, b: Pattern) -> Pattern:
     result is ``a`` unchanged.
     """
     k = common_prefix_length(a, b)
-    return Pattern(a.modality, a.tokens[k:])
+    return Pattern.derived(a.modality, a.tokens[k:])
 
 
 def write_patterns(path, patterns: Iterable[Pattern]) -> None:

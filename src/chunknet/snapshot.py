@@ -6,6 +6,13 @@ input (tokenizer, attention parameters).
 Serialization is canonical (sorted keys, fixed separators, nodes by id), so
 identical models produce byte-identical files and a load/save round trip is
 exact. Files from other schema versions are rejected outright.
+
+Loading rebuilds what each node derives from its ancestors (contents length,
+first-token child index) from the ``children`` lists, and rejects a net that
+retrieval could not rely on: a missing root or node field, ``children`` lists
+that disagree with the ``parent`` fields or leave a node unreachable, an
+empty non-root test link, or a test or image token that is not a non-empty
+string free of whitespace.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .network import DiscriminationNet, MultiModalMemory, Node
+from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
+from .patterns import PatternError, check_tokens
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -62,15 +70,9 @@ def save_memory(path, memory: MultiModalMemory, meta: dict | None = None) -> Non
     Path(path).write_text(dump_memory(memory, meta), encoding="utf-8")
 
 
-def _load_net(doc: dict, memory: MultiModalMemory) -> DiscriminationNet:
-    net = DiscriminationNet(doc["modality"],
-                            memory.seconds_per_new_chunk,
-                            memory.seconds_per_update)
-    net.clock_seconds = doc["clock_seconds"]
-    nodes = {}
-    max_id = 0
-    for nd in doc["nodes"]:
-        node = Node(
+def _load_node(nd: dict, where: str) -> Node:
+    try:
+        return Node(
             node_id=nd["id"],
             test=tuple(nd["test"]),
             image=tuple(nd["image"]),
@@ -81,10 +83,75 @@ def _load_net(doc: dict, memory: MultiModalMemory) -> DiscriminationNet:
             created_at=nd["created_at"],
             updated_at=nd["updated_at"],
         )
+    except KeyError as exc:
+        raise SnapshotError(f"{where}: node {nd.get('id', '?')} is missing "
+                            f"field {exc}") from None
+
+
+def _link_children(nodes: dict[int, Node], where: str) -> None:
+    """Check the tree from the root down and set each node's contents
+    length and first-token child index."""
+    root = nodes.get(ROOT_ID)
+    if root is None or root.parent is not None:
+        raise SnapshotError(f"{where}: no root node (id {ROOT_ID} without "
+                            f"a parent)")
+    order = [root]
+    for parent in order:
+        pid = parent.node_id
+        for cid in parent.children:
+            child = nodes.get(cid)
+            if child is None:
+                raise SnapshotError(f"{where}: node {pid} lists child "
+                                    f"{cid!r}, which has no node")
+            if child.parent != pid:
+                raise SnapshotError(f"{where}: node {cid} is listed as a "
+                                    f"child of node {pid} but names parent "
+                                    f"{child.parent!r}")
+            if not child.test:
+                raise SnapshotError(f"{where}: node {cid} has an empty "
+                                    f"test link")
+            if child.contents_length:
+                # only a child reached already has a length
+                raise SnapshotError(f"{where}: node {cid} is listed twice "
+                                    f"as a child of node {pid}")
+            child.contents_length = parent.contents_length + len(child.test)
+            parent.index.setdefault(child.test[0], []).append(cid)
+            order.append(child)
+    if len(order) != len(nodes):
+        unreached = sorted(set(nodes) - {node.node_id for node in order})
+        raise SnapshotError(f"{where}: node(s) {unreached} cannot be "
+                            f"reached from the root")
+
+
+def _load_net(doc: dict, memory: MultiModalMemory) -> DiscriminationNet:
+    where = f"{doc['modality']!r} net"
+    net = DiscriminationNet(doc["modality"],
+                            memory.seconds_per_new_chunk,
+                            memory.seconds_per_update)
+    net.clock_seconds = doc["clock_seconds"]
+    nodes = {}
+    for nd in doc["nodes"]:
+        node = _load_node(nd, where)
+        if node.node_id in nodes:
+            raise SnapshotError(f"{where}: node id {node.node_id} is used "
+                                f"twice")
         nodes[node.node_id] = node
-        max_id = max(max_id, node.node_id)
+    # Patterns built from test links and images skip the token check, so
+    # check here, once per distinct token.
+    tokens = set()
+    try:
+        for node in nodes.values():
+            tokens.update(node.test)
+            tokens.update(node.image)
+        check_tokens(tuple(tokens))
+    except TypeError:
+        raise SnapshotError(f"{where}: pattern tokens must be strings") \
+            from None
+    except PatternError as exc:
+        raise SnapshotError(f"{where}: {exc}") from None
+    _link_children(nodes, where)
     net._nodes = nodes
-    net._next_id = max_id + 1
+    net._next_id = max(nodes) + 1
     return net
 
 

@@ -74,6 +74,20 @@ class TestCategorise:
                            "--input", str(stim))
         assert code == 4 and "no-activation" in err
 
+    def test_malformed_snapshot_exits_2(self, tmp_path, capsys):
+        model = self._model(tmp_path, capsys)
+        doc = json.loads(model.read_text())
+        root = doc["networks"]["visual"]["nodes"][0]
+        root["children"].append(999)
+        model.write_text(json.dumps(doc))
+        stim = tmp_path / "stim.txt"
+        stim.write_text("1 0", encoding="utf-8")
+        code, out_text, err = run(capsys, "categorise", "--model",
+                                  str(model), "--input", str(stim))
+        assert code == 2 and out_text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "999" in err
+
     def test_retrieve_prints_the_stored_chunk(self, tmp_path, capsys):
         model = self._model(tmp_path, capsys)
         stim = tmp_path / "stim.txt"

@@ -106,3 +106,96 @@ def test_missing_and_malformed_files(tmp_path):
 def test_dump_is_canonical():
     memory, _ = random_trained_memory(6)
     assert dump_memory(memory) == dump_memory(memory)
+
+
+def _nodes(doc):
+    return {nd["id"]: nd for nd in doc["networks"]["visual"]["nodes"]}
+
+
+def _drop_root(doc):
+    doc["networks"]["visual"]["nodes"] = [
+        nd for nd in doc["networks"]["visual"]["nodes"] if nd["id"] != 0]
+
+
+def _drop_field(doc):
+    del _nodes(doc)[1]["children"]
+
+
+def _dangling_child(doc):
+    _nodes(doc)[0]["children"].append(999)
+
+
+def _wrong_parent(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["parent"] = nodes[0]["children"][1]
+
+
+def _child_listed_twice(doc):
+    nodes = _nodes(doc)
+    nodes[0]["children"].append(nodes[0]["children"][0])
+
+
+def _unreachable_node(doc):
+    nodes = _nodes(doc)
+    nodes[0]["children"].pop()
+
+
+def _empty_test(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["test"] = []
+
+
+def _empty_test_token(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["test"] = [""]
+
+
+def _whitespace_image_token(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["image"] = ["p q"]
+
+
+def _non_string_token(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["image"] = [7]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_drop_root, "no root node", id="drop_root"),
+    pytest.param(_drop_field, "missing field 'children'", id="drop_field"),
+    pytest.param(_dangling_child, "child 999, which has no node",
+                 id="dangling_child"),
+    pytest.param(_wrong_parent, "names parent", id="wrong_parent"),
+    pytest.param(_child_listed_twice, "listed twice",
+                 id="child_listed_twice"),
+    pytest.param(_unreachable_node, "cannot be reached",
+                 id="unreachable_node"),
+    pytest.param(_empty_test, "empty test link", id="empty_test"),
+    pytest.param(_empty_test_token, "non-empty", id="empty_test_token"),
+    pytest.param(_whitespace_image_token, "whitespace",
+                 id="whitespace_image_token"),
+    pytest.param(_non_string_token, "strings", id="non_string_token"),
+])
+def test_malformed_nets_rejected(tmp_path, corrupt, message):
+    memory, _ = random_trained_memory(2)
+    assert len(memory.net("visual").root.children) >= 2
+    path = tmp_path / "model.json"
+    save_memory(path, memory)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SnapshotError, match=message):
+        load_memory(path)
+
+
+def test_load_rebuilds_lengths_and_index(tmp_path):
+    memory, _ = random_trained_memory(5)
+    path = tmp_path / "model.json"
+    save_memory(path, memory)
+    restored, _ = load_memory(path)
+    for net in memory.nets.values():
+        rnet = restored.net(net.modality)
+        for node in net.nodes():
+            rnode = rnet.node(node.node_id)
+            assert rnode.contents_length == node.contents_length
+            assert rnode.index == node.index
