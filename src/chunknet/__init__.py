@@ -6,8 +6,8 @@ vote, and ships the evaluation machinery (five comparison metrics, exact
 binomial significance) used to judge model-human fit.
 """
 
-from .attention import (AttentionConfig, Classification, accumulate,
-                        categorise, confidence, retrieve, window_fetches)
+from .attention import (AttentionConfig, Classification, categorise,
+                        confidence, retrieve)
 from .config import RunConfig, load_config
 from .corpus import DatasetManifest, Sample, load_manifest
 from .harness import SuiteResult, Trainer, TrainingRun, train
@@ -25,9 +25,9 @@ __all__ = [
     "AttentionConfig", "BinomialQuery", "Classification", "DatasetManifest",
     "DiscriminationNet", "LearnEvent", "MetricRow", "MultiModalMemory",
     "Node", "Pattern", "PredictionPair", "RunConfig", "Sample", "StmQueue",
-    "SuiteResult", "Trainer", "TrainingRun", "accumulate",
-    "binomial_at_least", "bonferroni", "categorise", "chance_probability",
-    "co_occupancy", "confidence", "difference", "equal", "extract_pair",
-    "load_config", "load_manifest", "load_memory", "matches", "retrieve",
-    "save_memory", "score_pair", "train", "window_fetches",
+    "SuiteResult", "Trainer", "TrainingRun", "binomial_at_least",
+    "bonferroni", "categorise", "chance_probability", "co_occupancy",
+    "confidence", "difference", "equal", "extract_pair", "load_config",
+    "load_manifest", "load_memory", "matches", "retrieve", "save_memory",
+    "score_pair", "train",
 ]

@@ -5,8 +5,9 @@ A stimulus is scanned by a window of at most ``span`` tokens that advances by
 down to ``min_fetch`` tokens. Every fetch is recognised against the trained
 network; per window position only the largest chunk retrieved gets to vote.
 A chunk votes for the labels it holds naming links to, contributing its size
-split across labels in proportion to the link counts. Votes normalise into
-confidence scores: C(label | stimulus) = activation_label / total activation.
+split across labels in proportion to the link counts (under multiplicative
+weighting, its size times each link count). Votes normalise into confidence
+scores: C(label | stimulus) = activation_label / total activation.
 
 This read side never mutates the network, so any number of stimuli can be
 classified concurrently against one frozen model.
@@ -14,7 +15,7 @@ classified concurrently against one frozen model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .network import ROOT_ID, DiscriminationNet, MultiModalMemory
 from .patterns import Pattern
@@ -64,26 +65,6 @@ def window_groups(stimulus: Pattern, cfg: AttentionConfig) -> list[list[Pattern]
     return groups
 
 
-def window_fetches(stimulus: Pattern, cfg: AttentionConfig) -> list[Pattern]:
-    """All fetches the attention window emits for a stimulus, in order."""
-    return [fetch for group in window_groups(stimulus, cfg) for fetch in group]
-
-
-@dataclass
-class ActivationTally:
-    """Per-label accumulated chunk activation for one stimulus."""
-
-    activations: dict[int, float] = field(default_factory=dict)  # label node id -> a_i
-
-    def add(self, label_node_id: int, amount: float) -> None:
-        self.activations[label_node_id] = \
-            self.activations.get(label_node_id, 0.0) + amount
-
-    @property
-    def total(self) -> float:
-        return sum(self.activations.values())
-
-
 @dataclass(frozen=True)
 class Classification:
     """Ranked (label, confidence) list; empty with the marker set when no
@@ -96,12 +77,6 @@ class Classification:
     def top(self) -> str | None:
         return self.entries[0][0] if self.entries else None
 
-    @property
-    def top2(self) -> tuple[str | None, str | None]:
-        first = self.entries[0][0] if len(self.entries) >= 1 else None
-        second = self.entries[1][0] if len(self.entries) >= 2 else None
-        return first, second
-
     def confidence(self, label: str) -> float:
         for name, conf in self.entries:
             if name == label:
@@ -109,46 +84,19 @@ class Classification:
         return 0.0
 
 
-def _contribute(net: DiscriminationNet, tally: ActivationTally, node_id) -> None:
-    node = net.node(node_id)
-    if not node.naming_links:
-        return
-    size = net.chunk_size(node_id)
-    total_links = sum(node.naming_links.values())
-    for label_id, count in node.naming_links.items():
-        tally.add(label_id, size * (count / total_links))
-
-
-def _contribute_multiplicative(net, tally, node_id) -> None:
-    node = net.node(node_id)
-    size = net.chunk_size(node_id)
-    for label_id, count in node.naming_links.items():
-        tally.add(label_id, size * count)
-
-
-def accumulate(net: DiscriminationNet, tally: ActivationTally,
-               fetch: Pattern) -> None:
-    """Recognise one fetch and let the retrieved chunk vote.
-
-    Chunks without naming links (and the root) contribute nothing.
-    """
-    node = net.recognise(fetch)
-    if node.node_id == ROOT_ID:
-        return
-    _contribute(net, tally, node.node_id)
-
-
-def confidence(tally: ActivationTally, memory: MultiModalMemory) -> Classification:
-    """Normalise a tally into ranked confidences, C(c_i|x) = a_i / sum(a_k).
+def confidence(activations: dict[int, float],
+               memory: MultiModalMemory) -> Classification:
+    """Normalise label activations (label node id -> a_i) into ranked
+    confidences, C(c_i|x) = a_i / sum(a_k).
 
     Ties are broken by label-chunk creation order (node id), oldest first,
     so results are reproducible; the tied scores remain visible in the output
     rather than being hidden.
     """
-    total = tally.total
+    total = sum(activations.values())
     if total <= 0.0:
         return Classification(entries=(), no_activation=True)
-    ranked = sorted(tally.activations.items(),
+    ranked = sorted(activations.items(),
                     key=lambda item: (-item[1], item[0]))
     entries = tuple((memory.label_name(label_id), a / total)
                     for label_id, a in ranked)
@@ -165,15 +113,18 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     bigger chunks are rewarded, smaller knowledge structures are penalised,
     and nested sub-chunks of one span never double-vote. Chunks without
     links are not voters and never block a position.
+
+    The winner adds ``size * (count / total)`` to each label it links to:
+    ``total`` is its link count under ``proportional`` weighting, so its
+    size is split across labels, and 1 under ``multiplicative`` weighting.
     """
-    net = memory.net(stimulus.modality)
-    tally = ActivationTally()
-    contribute = (_contribute if link_weighting == "proportional"
-                  else _contribute_multiplicative)
     if link_weighting not in ("proportional", "multiplicative"):
         raise AttentionError(f"unknown link weighting {link_weighting!r}")
+    proportional = link_weighting == "proportional"
+    net = memory.net(stimulus.modality)
+    activations: dict[int, float] = {}
     for group in window_groups(stimulus, cfg):
-        best_id = None
+        best = None
         best_size = 0
         for fetch in group:
             node = net.recognise(fetch)
@@ -182,10 +133,14 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
             size = net.chunk_size(node.node_id)
             if size > best_size:
                 best_size = size
-                best_id = node.node_id
-        if best_id is not None:
-            contribute(net, tally, best_id)
-    return confidence(tally, memory)
+                best = node
+        if best is not None:
+            links = best.naming_links
+            total = sum(links.values()) if proportional else 1
+            for label_id, count in links.items():
+                activations[label_id] = (activations.get(label_id, 0.0)
+                                         + best_size * (count / total))
+    return confidence(activations, memory)
 
 
 def retrieve(net: DiscriminationNet, stimulus: Pattern) -> Pattern:

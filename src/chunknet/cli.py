@@ -27,7 +27,7 @@ from .patterns import Pattern
 from .snapshot import SNAPSHOT_SCHEMA_VERSION, SnapshotError, load_memory, \
     save_memory
 from .stm import StmQueue
-from .suites import SUITE_NAMES, run_named_suite
+from .suites import SUITES
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,6 +67,22 @@ def _print_result_table(result) -> None:
           f"(chance baseline {result.chance_baseline:g})")
 
 
+def _train_model(manifest, config, shuffle=None):
+    """A new memory trained on the manifest, the training run, and the
+    snapshot meta that categorise and retrieve read back."""
+    memory = MultiModalMemory(
+        seconds_per_new_chunk=config.seconds_per_new_chunk,
+        seconds_per_update=config.seconds_per_update)
+    run = train(memory, manifest, config, shuffle=shuffle)
+    meta = {
+        "manifest": manifest.name,
+        "tokenizer": manifest.tokenizer,
+        "attention_span": manifest.attention_span or config.attention_span,
+        "config": config.to_dict(),
+    }
+    return memory, run, meta
+
+
 def cmd_train(args) -> int:
     try:
         config = load_config(args.config,
@@ -76,23 +92,14 @@ def cmd_train(args) -> int:
     except (ConfigError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    memory = MultiModalMemory(
-        seconds_per_new_chunk=config.seconds_per_new_chunk,
-        seconds_per_update=config.seconds_per_update)
     try:
-        run = train(memory, manifest, config,
-                    shuffle=False if args.no_shuffle else None)
+        memory, run, meta = _train_model(
+            manifest, config, shuffle=False if args.no_shuffle else None)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "manifest": manifest.name,
-        "tokenizer": manifest.tokenizer,
-        "attention_span": manifest.attention_span or config.attention_span,
-        "config": config.to_dict(),
-    }
     save_memory(out_dir / "model.json", memory, meta)
     (out_dir / "training.json").write_text(
         json.dumps(run.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -113,15 +120,26 @@ def _load_model(path):
     return memory, meta, config
 
 
+def _load_query(args):
+    """The model, its meta and config, and the ``--input`` stimulus of a
+    categorise or retrieve command; raises the errors that exit 2."""
+    memory, meta, config = _load_model(args.model)
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{args.input} is not UTF-8 text: {exc}") from None
+    stream = tokenize(meta.get("tokenizer", "words"), text)
+    if not stream.tokens:
+        raise CorpusError(f"{args.input} holds no tokens")
+    return memory, meta, config, Pattern("visual", tuple(stream.tokens))
+
+
 def cmd_categorise(args) -> int:
     try:
-        memory, meta, config = _load_model(args.model)
-        text = Path(args.input).read_text(encoding="utf-8")
-        stream = tokenize(meta.get("tokenizer", "words"), text)
+        memory, meta, config, stimulus = _load_query(args)
     except (SnapshotError, CorpusError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    stimulus = Pattern("visual", tuple(stream.tokens))
     cfg = attention_config(config,
                            span_override=meta.get("attention_span"))
     cls = categorise(memory, stimulus, cfg,
@@ -137,13 +155,10 @@ def cmd_categorise(args) -> int:
 
 def cmd_retrieve(args) -> int:
     try:
-        memory, meta, _ = _load_model(args.model)
-        text = Path(args.input).read_text(encoding="utf-8")
-        stream = tokenize(meta.get("tokenizer", "words"), text)
+        memory, _, _, stimulus = _load_query(args)
     except (SnapshotError, CorpusError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    stimulus = Pattern("visual", tuple(stream.tokens))
     chunk = retrieve(memory.net("visual"), stimulus)
     print(chunk.to_line())
     return EXIT_OK
@@ -161,7 +176,7 @@ def cmd_run_suite(args) -> int:
         return EXIT_INPUT
     if args.suite:
         try:
-            report = run_named_suite(args.suite, out_dir, config)
+            report = SUITES[args.suite](out_dir, config)
         except TrainingError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
@@ -188,20 +203,13 @@ def cmd_run_suite(args) -> int:
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    memory = MultiModalMemory(
-        seconds_per_new_chunk=config.seconds_per_new_chunk,
-        seconds_per_update=config.seconds_per_update)
     try:
-        run = train(memory, manifest, config)
+        memory, run, meta = _train_model(manifest, config)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     result = evaluate_manifest(memory, manifest, config)
-    save_memory(out_dir / "model.json", memory,
-                {"manifest": manifest.name, "tokenizer": manifest.tokenizer,
-                 "attention_span": manifest.attention_span
-                 or config.attention_span,
-                 "config": config.to_dict()})
+    save_memory(out_dir / "model.json", memory, meta)
     _write_result_csv(out_dir / "results.csv", result)
     (out_dir / "run.json").write_text(
         json.dumps({"manifest": manifest.name,
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-suite",
                        help="run a built-in suite or a manifest end to end")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--suite", choices=SUITE_NAMES)
+    group.add_argument("--suite", choices=SUITES)
     group.add_argument("--manifest")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)

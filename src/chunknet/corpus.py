@@ -62,10 +62,6 @@ def tokenize_chars(text: str) -> TokenStream:
     return TokenStream(tokens=[ch for ch in text if not ch.isspace()])
 
 
-def tokenize_logic_bits(text: str) -> TokenStream:
-    return tokenize_chars(text)
-
-
 def tokenize_music_frames(text: str) -> TokenStream:
     tokens: list[str] = []
     measure_starts = [0]
@@ -114,7 +110,7 @@ def tokenize_chess_rows(text: str) -> TokenStream:
 TOKENIZERS = {
     "words": tokenize_words,
     "chars": tokenize_chars,
-    "logic_bits": tokenize_logic_bits,
+    "logic_bits": tokenize_chars,
     "music_frames": tokenize_music_frames,
     "chess_rows": tokenize_chess_rows,
 }
@@ -138,6 +134,9 @@ class SplitSpec:
     def __post_init__(self):
         if self.unit not in ("words", "rows", "measures", "whole"):
             raise CorpusError(f"unknown split unit {self.unit!r}")
+        if type(self.size) is not int:
+            raise CorpusError(f"split size must be an integer, got "
+                              f"{self.size!r}")
         if self.unit != "whole" and self.size < 1:
             raise CorpusError(f"split size must be >= 1, got {self.size}")
 
@@ -210,6 +209,8 @@ def load_manifest(path) -> DatasetManifest:
         raise CorpusError(f"manifest not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CorpusError(f"manifest is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise CorpusError("manifest must be a JSON object")
 
     problems: list[str] = []
     if raw.get("schema_version") != MANIFEST_SCHEMA_VERSION:
@@ -224,7 +225,7 @@ def load_manifest(path) -> DatasetManifest:
     split = None
     try:
         split = SplitSpec(unit=split_raw.get("unit", "whole"),
-                          size=int(split_raw.get("size", 0)))
+                          size=split_raw.get("size", 0))
     except CorpusError as exc:
         problems.append(str(exc))
 
@@ -247,9 +248,12 @@ def load_manifest(path) -> DatasetManifest:
         categories.append(Category(label, training, test))
     if not categories:
         problems.append("manifest has no categories")
+    span = raw.get("attention_span")
+    if span is not None and (type(span) is not int or span < 2):
+        problems.append(f"attention_span must be an integer >= 2, got "
+                        f"{span!r}")
     if problems:
         raise CorpusError("; ".join(problems))
-    span = raw.get("attention_span")
     return DatasetManifest(name=name, tokenizer=tokenizer, split=split,
                            categories=categories,
                            attention_span=span, path=path)

@@ -114,16 +114,6 @@ def _log_pmf(n: int, i: int, log_p: float, log_q: float) -> float:
     return log_comb + i * log_p + (n - i) * log_q
 
 
-def binomial_exactly(query: BinomialQuery) -> float:
-    """Point probability of exactly k successes in n trials."""
-    n, k, p = query.n, query.k, query.p
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    return math.exp(_log_pmf(n, k, math.log(p), math.log1p(-p)))
-
-
 def binomial_at_least(query: BinomialQuery) -> float:
     """Exact upper-tail binomial probability, summed stably in log space."""
     n, k, p = query.n, query.k, query.p
@@ -137,17 +127,6 @@ def binomial_at_least(query: BinomialQuery) -> float:
     log_q = math.log1p(-p)
     terms = [math.exp(_log_pmf(n, i, log_p, log_q)) for i in range(k, n + 1)]
     return min(1.0, math.fsum(terms))
-
-
-def binomial_at_least_exact(n: int, k: int, p: Fraction) -> Fraction:
-    """Big-rational reference evaluation of the same tail (oracle route)."""
-    if not 0 <= k <= n:
-        raise MetricsError(f"need 0 <= k <= n, got k={k} n={n}")
-    q = 1 - p
-    total = Fraction(0)
-    for i in range(k, n + 1):
-        total += math.comb(n, i) * p ** i * q ** (n - i)
-    return total
 
 
 def bonferroni(alpha: float, hypothesis_count: int) -> float:

@@ -13,7 +13,6 @@ modalities is a usage error, never a silent False.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class PatternError(ValueError):
@@ -67,11 +66,6 @@ class Pattern:
         """Canonical one-line text form: tokens joined by single spaces."""
         return " ".join(self.tokens)
 
-    @classmethod
-    def from_line(cls, modality: str, line: str) -> "Pattern":
-        """Inverse of :meth:`to_line`. Round-trips bit-exactly."""
-        return cls(modality, tuple(line.split()))
-
 
 def check_tokens(tokens: tuple[str, ...]) -> None:
     """Raise :class:`PatternError` unless every token is a non-empty string
@@ -89,10 +83,6 @@ def check_tokens(tokens: tuple[str, ...]) -> None:
                 f"pattern tokens must be non-empty strings, got {tok!r}")
         if any(ch.isspace() for ch in tok):
             raise PatternError(f"pattern token contains whitespace: {tok!r}")
-
-
-def make_pattern(modality: str, tokens: Iterable[str]) -> Pattern:
-    return Pattern(modality, tuple(tokens))
 
 
 def _require_same_modality(a: Pattern, b: Pattern) -> None:
@@ -136,19 +126,3 @@ def difference(a: Pattern, b: Pattern) -> Pattern:
     """
     k = common_prefix_length(a, b)
     return Pattern.derived(a.modality, a.tokens[k:])
-
-
-def write_patterns(path, patterns: Iterable[Pattern]) -> None:
-    """One pattern per line; modality is carried out-of-band (manifest)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in patterns:
-            fh.write(p.to_line() + "\n")
-
-
-def read_patterns(path, modality: str) -> list[Pattern]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            out.append(Pattern.from_line(modality, line))
-    return out

@@ -9,10 +9,11 @@ exact. Files from other schema versions are rejected outright.
 
 Loading rebuilds what each node derives from its ancestors (contents length,
 first-token child index) from the ``children`` lists, and rejects a net that
-retrieval could not rely on: a missing root or node field, ``children`` lists
-that disagree with the ``parent`` fields or leave a node unreachable, an
-empty non-root test link, or a test or image token that is not a non-empty
-string free of whitespace.
+retrieval could not rely on: a missing root, a missing node field or one of
+the wrong JSON type, ``children`` lists that disagree with the ``parent``
+fields or leave a node unreachable, an empty non-root test link, a test or
+image token that is not a non-empty string free of whitespace, or a naming
+link to a node the label net does not hold.
 """
 
 from __future__ import annotations
@@ -70,8 +71,19 @@ def save_memory(path, memory: MultiModalMemory, meta: dict | None = None) -> Non
     Path(path).write_text(dump_memory(memory, meta), encoding="utf-8")
 
 
+# The JSON type of each node field that loading relies on, compared exactly
+# so that JSON true is not taken for an id. ``parent`` is checked against
+# the ``children`` lists; the timestamps are only written back.
+_NODE_FIELDS = (("id", int), ("test", list), ("image", list),
+                ("complete", bool), ("children", list), ("links", dict))
+
+
 def _load_node(nd: dict, where: str) -> Node:
     try:
+        for name, kind in _NODE_FIELDS:
+            if type(nd[name]) is not kind:
+                raise SnapshotError(f"{where}: node {nd['id']!r} field "
+                                    f"{name!r} holds {nd[name]!r}")
         return Node(
             node_id=nd["id"],
             test=tuple(nd["test"]),
@@ -123,7 +135,8 @@ def _link_children(nodes: dict[int, Node], where: str) -> None:
                             f"reached from the root")
 
 
-def _load_net(doc: dict, memory: MultiModalMemory) -> DiscriminationNet:
+def _load_net(doc: dict, memory: MultiModalMemory,
+              link_targets: set[int]) -> DiscriminationNet:
     where = f"{doc['modality']!r} net"
     net = DiscriminationNet(doc["modality"],
                             memory.seconds_per_new_chunk,
@@ -143,6 +156,7 @@ def _load_net(doc: dict, memory: MultiModalMemory) -> DiscriminationNet:
         for node in nodes.values():
             tokens.update(node.test)
             tokens.update(node.image)
+            link_targets.update(node.naming_links)
         check_tokens(tuple(tokens))
     except TypeError:
         raise SnapshotError(f"{where}: pattern tokens must be strings") \
@@ -172,6 +186,12 @@ def load_memory(path) -> tuple[MultiModalMemory, dict]:
         label_modality=doc["label_modality"],
         seconds_per_new_chunk=doc["seconds_per_new_chunk"],
         seconds_per_update=doc["seconds_per_update"])
+    link_targets: set[int] = set()
     for modality, net_doc in doc["networks"].items():
-        memory.nets[modality] = _load_net(net_doc, memory)
+        memory.nets[modality] = _load_net(net_doc, memory, link_targets)
+    label_net = memory.nets.get(memory.label_modality)
+    labels = set(label_net._nodes) - {ROOT_ID} if label_net else set()
+    if not link_targets <= labels:
+        raise SnapshotError(f"naming links point at unknown label node(s) "
+                            f"{sorted(link_targets - labels)}")
     return memory, doc.get("meta", {})

@@ -23,8 +23,6 @@ from .harness import SuiteResult, TrainingRun, attention_config, \
 from .network import MultiModalMemory
 from .patterns import Pattern
 
-SUITE_NAMES = ("xor", "five-four", "occlusion", "synthetic")
-
 # Truth table for the two-bit exclusive-or task.
 XOR_ROWS = [("0 0", "F"), ("0 1", "T"), ("1 0", "T"), ("1 1", "F")]
 
@@ -342,13 +340,10 @@ def run_synthetic(out_dir: Path, config: RunConfig) -> SuiteReport:
     return SuiteReport("synthetic", training, result, checks, extras)
 
 
-def run_named_suite(name: str, out_dir: Path, config: RunConfig) -> SuiteReport:
-    if name == "xor":
-        return run_xor(out_dir, config)
-    if name == "five-four":
-        return run_five_four(out_dir, config)
-    if name == "occlusion":
-        return run_occlusion(out_dir, config)
-    if name == "synthetic":
-        return run_synthetic(out_dir, config)
-    raise ValueError(f"unknown suite {name!r}; know {SUITE_NAMES}")
+# Built-in suite name -> runner, in the order ``run-suite --help`` lists.
+SUITES = {
+    "xor": run_xor,
+    "five-four": run_five_four,
+    "occlusion": run_occlusion,
+    "synthetic": run_synthetic,
+}

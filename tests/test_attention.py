@@ -4,10 +4,8 @@ import random
 
 import pytest
 
-from chunknet.attention import (ActivationTally, AttentionConfig,
-                                AttentionError, accumulate, categorise,
-                                confidence, retrieve, window_fetches,
-                                window_groups)
+from chunknet.attention import (AttentionConfig, AttentionError, categorise,
+                                confidence, retrieve, window_groups)
 from chunknet.network import DiscriminationNet, MultiModalMemory
 from chunknet.patterns import Pattern
 
@@ -18,6 +16,11 @@ def P(*tokens):
 
 def L(token):
     return Pattern("verbal", (token,))
+
+
+def window_fetches(stimulus, cfg):
+    """Every fetch the attention window emits, in order."""
+    return [fetch for group in window_groups(stimulus, cfg) for fetch in group]
 
 
 class TestWindowFetches:
@@ -115,20 +118,12 @@ def build_memory(links):
 
 
 class TestAccumulate:
+    """How the chunks retrieved by ``categorise`` add up their votes."""
+
     def test_root_fetch_adds_nothing(self):
         memory = build_memory([(P("1", "0"), "T", 1)])
-        tally = ActivationTally()
-        accumulate(memory.net("visual"), tally, P("9", "9"))
-        assert tally.activations == {}
-
-    def test_weighted_by_size_and_link_share(self):
-        memory = build_memory([(P("1", "0"), "T", 3)])
-        net = memory.net("visual")
-        tally = ActivationTally()
-        accumulate(net, tally, P("1", "0"))
-        label_id = net.recognise(P("1", "0")).naming_links
-        assert list(tally.activations.values()) == [2.0]  # size 2 x 3/3
-        assert set(tally.activations) == set(label_id)
+        cls = categorise(memory, P("9", "9"), AttentionConfig())
+        assert cls.no_activation and cls.entries == ()
 
     def test_link_share_splits_proportionally(self):
         memory = build_memory([(P("1", "0"), "T", 3)])
@@ -139,11 +134,8 @@ class TestAccumulate:
         node = net.recognise(P("1", "0"))
         f_node = verbal.recognise(L("F"))
         memory.add_naming_link("visual", node.node_id, f_node.node_id)
-        tally = ActivationTally()
-        accumulate(net, tally, P("1", "0"))
-        by_label = {memory.label_name(k): v
-                    for k, v in tally.activations.items()}
-        assert by_label == {"T": 2 * 3 / 4, "F": 2 * 1 / 4}
+        cls = categorise(memory, P("1", "0"), AttentionConfig())
+        assert cls.entries == (("T", 3 / 4), ("F", 1 / 4))
 
     def test_larger_chunk_outvotes_fragment(self):
         # chunks: the whole word (label A) and its three-letter fragment
@@ -170,13 +162,10 @@ class TestConfidence:
                                (P("b", "b"), "Beethoven", 1),
                                (P("c", "c"), "Bach", 1)])
         verbal = memory.label_net
-        tally = ActivationTally()
         ids = {memory.label_name(n.node_id): n.node_id
                for n in verbal.nodes() if n.node_id != 0}
-        tally.add(ids["Mozart"], 6.0)
-        tally.add(ids["Beethoven"], 3.0)
-        tally.add(ids["Bach"], 1.0)
-        cls = confidence(tally, memory)
+        cls = confidence({ids["Mozart"]: 6.0, ids["Beethoven"]: 3.0,
+                          ids["Bach"]: 1.0}, memory)
         assert cls.entries == (("Mozart", 0.6), ("Beethoven", 0.3),
                                ("Bach", 0.1))
 
@@ -187,7 +176,7 @@ class TestConfidence:
 
     def test_zero_tally_is_no_activation_marker(self):
         memory = build_memory([(P("1", "0"), "T", 1)])
-        cls = confidence(ActivationTally(), memory)
+        cls = confidence({}, memory)
         assert cls.no_activation and cls.entries == ()
         assert cls.top is None
 
@@ -197,26 +186,21 @@ class TestConfidence:
                                (P("c", "c"), "C", 1)])
         ids = [n.node_id for n in memory.label_net.nodes() if n.node_id != 0]
         for _ in range(2000):
-            tally = ActivationTally()
-            for label_id in ids:
-                tally.add(label_id, rng.random() * rng.choice([0.01, 1, 50]))
-            cls = confidence(tally, memory)
+            activations = {label_id: rng.random() * rng.choice([0.01, 1, 50])
+                           for label_id in ids}
+            cls = confidence(activations, memory)
             assert abs(sum(c for _, c in cls.entries) - 1.0) < 1e-9
             lam = rng.uniform(0.1, 90.0)
-            scaled = ActivationTally()
-            for label_id, a in tally.activations.items():
-                scaled.add(label_id, a * lam)
-            cls2 = confidence(scaled, memory)
+            cls2 = confidence({label_id: a * lam
+                               for label_id, a in activations.items()},
+                              memory)
             assert [l for l, _ in cls.entries] == [l for l, _ in cls2.entries]
 
     def test_tie_order_follows_label_creation(self):
         memory = build_memory([(P("x", "x"), "T", 1), (P("y", "y"), "F", 1)])
         ids = {memory.label_name(n.node_id): n.node_id
                for n in memory.label_net.nodes() if n.node_id != 0}
-        tally = ActivationTally()
-        tally.add(ids["F"], 1.0)
-        tally.add(ids["T"], 1.0)
-        cls = confidence(tally, memory)
+        cls = confidence({ids["F"]: 1.0, ids["T"]: 1.0}, memory)
         assert [l for l, _ in cls.entries] == ["T", "F"]  # T created first
 
 
@@ -251,6 +235,56 @@ class TestCategorise:
                 letters.insert(rng.randint(0, len(letters)), "z")
             cls = categorise(memory, P(*letters), AttentionConfig(span=20))
             assert cls.top == label
+
+
+def two_position_memory():
+    """Chunks voting at two window positions of "a b c d e" (span 3, step
+    3): "a b c" (size 3, links T:1 F:1) beats its own fragment "b c" (size
+    2, links F:5) at the first position, and "d e" (size 2, links T:3)
+    votes at the second."""
+    memory = MultiModalMemory()
+    visual = memory.net("visual")
+    verbal = memory.label_net
+    for label in ("T", "F"):
+        for _ in range(2):
+            verbal.learn(L(label))
+    for tokens, links in [(("a", "b", "c"), {"T": 1, "F": 1}),
+                          (("b", "c"), {"F": 5}),
+                          (("d", "e"), {"T": 3})]:
+        node = visual._new_node(visual.root, tokens, tokens, True)
+        for label, count in links.items():
+            label_id = verbal.recognise(L(label)).node_id
+            for _ in range(count):
+                memory.add_naming_link("visual", node.node_id, label_id)
+    return memory
+
+
+class TestLinkWeighting:
+    STIMULUS = P("a", "b", "c", "d", "e")
+    CFG = AttentionConfig(span=3, step=3)
+
+    def test_two_window_positions(self):
+        groups = window_groups(self.STIMULUS, self.CFG)
+        assert [[f.tokens for f in g] for g in groups] == [
+            [("a", "b", "c"), ("b", "c")], [("d", "e")]]
+
+    @pytest.mark.parametrize("weighting, entries", [
+        # each winner adds size * (count / its link total):
+        # T = 3 * 1/2 + 2 * 3/3 = 3.5, F = 3 * 1/2 = 1.5, of 5
+        ("proportional", (("T", 0.7), ("F", 0.3))),
+        # each winner adds size * count:
+        # T = 3 * 1 + 2 * 3 = 9, F = 3 * 1 = 3, of 12
+        ("multiplicative", (("T", 0.75), ("F", 0.25))),
+    ])
+    def test_hand_computed_confidences(self, weighting, entries):
+        cls = categorise(two_position_memory(), self.STIMULUS, self.CFG,
+                         link_weighting=weighting)
+        assert cls.entries == entries
+
+    def test_unknown_weighting_is_usage_error(self):
+        with pytest.raises(AttentionError):
+            categorise(two_position_memory(), self.STIMULUS, self.CFG,
+                       link_weighting="additive")
 
 
 class TestRetrieve:

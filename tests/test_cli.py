@@ -5,6 +5,8 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from chunknet.cli import main
 from chunknet.suites import build_xor_manifest
 
@@ -87,6 +89,22 @@ class TestCategorise:
         assert code == 2 and out_text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "999" in err
+
+    @pytest.mark.parametrize("command", ["categorise", "retrieve"])
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b" \n", "holds no tokens", id="empty"),
+        pytest.param(b"1 \xff 0", "not UTF-8", id="not_utf8"),
+    ])
+    def test_unusable_input_exits_2(self, tmp_path, capsys, command,
+                                    content, message):
+        model = self._model(tmp_path, capsys)
+        stim = tmp_path / "stim.txt"
+        stim.write_bytes(content)
+        code, out_text, err = run(capsys, command, "--model", str(model),
+                                  "--input", str(stim))
+        assert code == 2 and out_text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_retrieve_prints_the_stored_chunk(self, tmp_path, capsys):
         model = self._model(tmp_path, capsys)

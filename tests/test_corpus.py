@@ -187,3 +187,28 @@ class TestManifest:
         doc["tokenizer"] = "phonemes"
         with pytest.raises(CorpusError, match="tokenizer"):
             load_manifest(write_manifest_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        pytest.param(lambda doc: {**doc, "split": {"unit": "words",
+                                                   "size": "x"}},
+                     "split size must be an integer", id="split_size_text"),
+        pytest.param(lambda doc: [doc], "must be a JSON object",
+                     id="top_level_list"),
+        pytest.param(lambda doc: {**doc, "attention_span": 1},
+                     "attention_span must be an integer >= 2", id="span_1"),
+        pytest.param(lambda doc: {**doc, "attention_span": "20"},
+                     "attention_span must be an integer >= 2",
+                     id="span_text"),
+        pytest.param(lambda doc: {**doc, "attention_span": 2.5},
+                     "attention_span must be an integer >= 2",
+                     id="span_fraction"),
+    ])
+    def test_malformed_fields_rejected(self, tmp_path, corrupt, message):
+        doc = corrupt(valid_doc(tmp_path))
+        with pytest.raises(CorpusError, match=message):
+            load_manifest(write_manifest_doc(tmp_path, doc))
+
+    def test_integer_attention_span_kept(self, tmp_path):
+        doc = {**valid_doc(tmp_path), "attention_span": 2}
+        manifest = load_manifest(write_manifest_doc(tmp_path, doc))
+        assert manifest.attention_span == 2

@@ -12,7 +12,6 @@ import pytest
 from chunknet.attention import Classification
 from chunknet.metrics import (METRIC_NAMES, BinomialQuery, MetricsError,
                               PredictionPair, binomial_at_least,
-                              binomial_at_least_exact, binomial_exactly,
                               bonferroni, chance_probability, extract_pair,
                               score_pair, significance_report, sum_rows)
 
@@ -100,6 +99,16 @@ class TestExtractPair:
             extract_pair(Classification(entries=(), no_activation=True))
 
 
+def binomial_at_least_exact(n, k, p):
+    """Reference for ``binomial_at_least``: the same tail summed in exact
+    rational arithmetic."""
+    q = 1 - p
+    total = Fraction(0)
+    for i in range(k, n + 1):
+        total += math.comb(n, i) * p ** i * q ** (n - i)
+    return total
+
+
 class TestBinomial:
     def test_trivial_values(self):
         assert abs(binomial_at_least(BinomialQuery(1, 1, 0.5)) - 0.5) < 1e-12
@@ -123,10 +132,6 @@ class TestBinomial:
 
     def test_exact_small_oracle_is_rational(self):
         assert binomial_at_least_exact(2, 1, Fraction(1, 2)) == Fraction(3, 4)
-
-    def test_point_probability(self):
-        q = BinomialQuery(4, 2, 0.5)
-        assert math.isclose(binomial_exactly(q), 6 / 16)
 
     def test_query_validation(self):
         with pytest.raises(MetricsError):

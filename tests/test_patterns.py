@@ -5,7 +5,7 @@ import random
 import pytest
 
 from chunknet.patterns import (Pattern, PatternError, difference, equal,
-                               matches, read_patterns, write_patterns)
+                               matches)
 
 
 def P(*tokens):
@@ -122,20 +122,3 @@ def test_brute_force_oracle_10000_pairs():
         assert matches(a, b) == matches_oracle(a, b)
         assert difference(a, b).tokens == tuple(difference_oracle(a, b))
 
-
-def test_serialization_round_trip(tmp_path):
-    patterns = [P("A", "B"), P(), P("x1", "y2", "z3")]
-    path = tmp_path / "patterns.txt"
-    write_patterns(path, patterns)
-    loaded = read_patterns(path, "visual")
-    assert loaded == patterns
-    # byte-exact: writing the loaded list reproduces the file
-    path2 = tmp_path / "again.txt"
-    write_patterns(path2, loaded)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_from_line_round_trip():
-    line = "A3C4E4 B2 A3"
-    p = Pattern.from_line("visual", line)
-    assert p.to_line() == line

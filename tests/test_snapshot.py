@@ -160,6 +160,30 @@ def _non_string_token(doc):
     nodes[nodes[0]["children"][0]]["image"] = [7]
 
 
+def _children_not_a_list(doc):
+    _nodes(doc)[0]["children"] = 5
+
+
+def _test_is_a_string(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["test"] = "ab"
+
+
+def _complete_not_a_bool(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["complete"] = "yes"
+
+
+def _link_to_unknown_label(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["links"]["999"] = 1
+
+
+def _link_to_label_root(doc):
+    nodes = _nodes(doc)
+    nodes[nodes[0]["children"][0]]["links"]["0"] = 1
+
+
 @pytest.mark.parametrize("corrupt, message", [
     pytest.param(_drop_root, "no root node", id="drop_root"),
     pytest.param(_drop_field, "missing field 'children'", id="drop_field"),
@@ -175,6 +199,16 @@ def _non_string_token(doc):
     pytest.param(_whitespace_image_token, "whitespace",
                  id="whitespace_image_token"),
     pytest.param(_non_string_token, "strings", id="non_string_token"),
+    pytest.param(_children_not_a_list, "field 'children' holds 5",
+                 id="children_not_a_list"),
+    pytest.param(_test_is_a_string, "field 'test' holds 'ab'",
+                 id="test_is_a_string"),
+    pytest.param(_complete_not_a_bool, "field 'complete' holds 'yes'",
+                 id="complete_not_a_bool"),
+    pytest.param(_link_to_unknown_label, r"label node\(s\) \[999\]",
+                 id="link_to_unknown_label"),
+    pytest.param(_link_to_label_root, r"label node\(s\) \[0\]",
+                 id="link_to_label_root"),
 ])
 def test_malformed_nets_rejected(tmp_path, corrupt, message):
     memory, _ = random_trained_memory(2)
