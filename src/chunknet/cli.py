@@ -26,7 +26,6 @@ from .network import MultiModalMemory
 from .patterns import Pattern
 from .snapshot import SNAPSHOT_SCHEMA_VERSION, SnapshotError, load_memory, \
     save_memory
-from .stm import StmQueue
 from .suites import SUITES
 
 EXIT_OK = 0
@@ -67,6 +66,17 @@ def _print_result_table(result) -> None:
           f"(chance baseline {result.chance_baseline:g})")
 
 
+def _load_manifest(path, config):
+    """The manifest at ``path``, checked against the run config before any
+    training starts; raises CorpusError."""
+    manifest = load_manifest(path)
+    span = manifest.attention_span
+    if span is not None and span < config.min_fetch:
+        raise CorpusError(f"manifest attention_span {span} is below the "
+                          f"config's min_fetch {config.min_fetch}")
+    return manifest
+
+
 def _train_model(manifest, config, shuffle=None):
     """A new memory trained on the manifest, the training run, and the
     snapshot meta that categorise and retrieve read back."""
@@ -88,7 +98,7 @@ def cmd_train(args) -> int:
         config = load_config(args.config,
                              overrides={"seed": args.seed}
                              if args.seed is not None else None)
-        manifest = load_manifest(args.manifest)
+        manifest = _load_manifest(args.manifest, config)
     except (ConfigError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -126,6 +136,9 @@ def _load_query(args):
     memory, meta, config = _load_model(args.model)
     try:
         text = Path(args.input).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"cannot read {args.input}: {exc.strerror}") \
+            from None
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{args.input} is not UTF-8 text: {exc}") from None
     stream = tokenize(meta.get("tokenizer", "words"), text)
@@ -137,7 +150,7 @@ def _load_query(args):
 def cmd_categorise(args) -> int:
     try:
         memory, meta, config, stimulus = _load_query(args)
-    except (SnapshotError, CorpusError, ConfigError, FileNotFoundError) as exc:
+    except (SnapshotError, CorpusError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     cfg = attention_config(config,
@@ -156,7 +169,7 @@ def cmd_categorise(args) -> int:
 def cmd_retrieve(args) -> int:
     try:
         memory, _, _, stimulus = _load_query(args)
-    except (SnapshotError, CorpusError, ConfigError, FileNotFoundError) as exc:
+    except (SnapshotError, CorpusError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     chunk = retrieve(memory.net("visual"), stimulus)
@@ -199,7 +212,7 @@ def cmd_run_suite(args) -> int:
         return EXIT_OK
     # manifest mode: train on the manifest, then classify its test files
     try:
-        manifest = load_manifest(args.manifest)
+        manifest = _load_manifest(args.manifest, config)
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -293,7 +306,7 @@ def cmd_eval_metrics(args) -> int:
 
 def cmd_inspect(args) -> int:
     try:
-        memory, meta, config = _load_model(args.model)
+        memory, meta, _ = _load_model(args.model)
     except (SnapshotError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -318,15 +331,6 @@ def cmd_inspect(args) -> int:
                     for k, v in sorted(node.naming_links.items()))
                 print(f"  #{node.node_id} contents=[{contents}] "
                       f"image=[{image}] {flags} links=[{link_str}]")
-    if args.stm_demo:
-        # Illustrates queue behaviour against this model's visual net.
-        net = memory.net("visual")
-        queue = StmQueue("visual", config.stm_size)
-        for node in net.nodes()[1:config.stm_size + 2]:
-            queue.push(node.node_id)
-        print("stm demo (head first):")
-        for line in queue.dump(net):
-            print(" ", line)
     return EXIT_OK
 
 
@@ -390,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--nodes", action="store_true",
                    help="dump the full node table")
-    p.add_argument("--stm-demo", action="store_true",
-                   help="show a short-term memory dump for this model")
     p.set_defaults(func=cmd_inspect)
     return parser
 

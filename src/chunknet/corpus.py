@@ -207,6 +207,12 @@ def load_manifest(path) -> DatasetManifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CorpusError(f"manifest not found: {path}") from None
+    except OSError as exc:
+        raise CorpusError(f"cannot read manifest {path}: "
+                          f"{exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"manifest {path} is not UTF-8 text: "
+                          f"{exc}") from None
     except json.JSONDecodeError as exc:
         raise CorpusError(f"manifest is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -218,32 +224,56 @@ def load_manifest(path) -> DatasetManifest:
             f"unsupported manifest schema_version {raw.get('schema_version')!r}"
             f" (expected {MANIFEST_SCHEMA_VERSION})")
     name = raw.get("name") or path.stem
+    if type(name) is not str:
+        problems.append(f"name must be a string, got {name!r}")
     tokenizer = raw.get("tokenizer", "")
-    if tokenizer not in TOKENIZERS:
+    if type(tokenizer) is not str or tokenizer not in TOKENIZERS:
         problems.append(f"unknown tokenizer {tokenizer!r}")
     split_raw = raw.get("split", {})
     split = None
-    try:
-        split = SplitSpec(unit=split_raw.get("unit", "whole"),
-                          size=split_raw.get("size", 0))
-    except CorpusError as exc:
-        problems.append(str(exc))
+    if type(split_raw) is not dict:
+        problems.append(f"split must be a JSON object, got {split_raw!r}")
+    else:
+        try:
+            split = SplitSpec(unit=split_raw.get("unit", "whole"),
+                              size=split_raw.get("size", 0))
+        except CorpusError as exc:
+            problems.append(str(exc))
 
     categories: list[Category] = []
     seen_labels: set[str] = set()
-    for entry in raw.get("categories", []):
+    entries = raw.get("categories", [])
+    if type(entries) is not list:
+        problems.append(f"categories must be a list, got {entries!r}")
+        entries = []
+    for entry in entries:
+        if type(entry) is not dict:
+            problems.append(f"category {entry!r} is not a JSON object")
+            continue
         label = entry.get("label", "")
-        if not label or any(ch.isspace() for ch in label):
+        if type(label) is not str or not label or \
+                any(ch.isspace() for ch in label):
             problems.append(f"bad category label {label!r}")
-        if label in seen_labels:
+        elif label in seen_labels:
             problems.append(f"duplicate category label {label!r}")
-        seen_labels.add(label)
-        training = [path.parent / f for f in entry.get("training_files", [])]
-        test = [path.parent / f for f in entry.get("test_files", [])]
-        if not training:
+        else:
+            seen_labels.add(label)
+        files = {}
+        for key in ("training_files", "test_files"):
+            names = entry.get(key, [])
+            if type(names) is list and \
+                    all(type(name) is str for name in names):
+                files[key] = [path.parent / name for name in names]
+            else:
+                problems.append(f"category {label!r} {key} must be a list "
+                                f"of file names, got {names!r}")
+        training = files.get("training_files")
+        test = files.get("test_files", [])
+        if training == []:
             problems.append(f"category {label!r} has no training files")
+        training = training or []
         for f in training + test:
-            if not f.exists():
+            if not f.is_file():
                 problems.append(f"missing file: {f}")
         categories.append(Category(label, training, test))
     if not categories:

@@ -63,16 +63,21 @@ class Node:
     image: tuple[str, ...]
     image_complete: bool = False
     parent: int | None = None
-    children: list[int] = field(default_factory=list)
     naming_links: dict[int, int] = field(default_factory=dict)
     created_at: float = 0.0
     updated_at: float = 0.0
     # Derived from the test links when the node is created or loaded: the
     # length of its contents, and its children's ids keyed by the first
-    # token of their test links, in insertion order (kept with ``children``).
+    # token of their test links, in insertion order.
     contents_length: int = 0
-    index: dict[str, list[int]] = field(default_factory=dict, repr=False,
-                                        compare=False)
+    index: dict[str, tuple[int, ...]] = field(default_factory=dict,
+                                              repr=False)
+
+    @property
+    def children(self) -> list[int]:
+        """Child ids in creation order, read from ``index``: a parent's
+        children are created with increasing ids."""
+        return sorted(cid for ids in self.index.values() for cid in ids)
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,8 @@ class DiscriminationNet:
                     contents_length=parent.contents_length + len(test))
         self._next_id += 1
         self._nodes[node.node_id] = node
-        parent.children.append(node.node_id)
-        parent.index.setdefault(test[0], []).append(node.node_id)
+        parent.index[test[0]] = parent.index.get(test[0], ()) + \
+            (node.node_id,)
         return node
 
     def _append_to_image(self, node: Node, token: str,

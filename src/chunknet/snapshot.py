@@ -7,19 +7,34 @@ Serialization is canonical (sorted keys, fixed separators, nodes by id), so
 identical models produce byte-identical files and a load/save round trip is
 exact. Files from other schema versions are rejected outright.
 
-Loading rebuilds what each node derives from its ancestors (contents length,
-first-token child index) from the ``children`` lists, and rejects a net that
-retrieval could not rely on: a missing root, a missing node field or one of
-the wrong JSON type, ``children`` lists that disagree with the ``parent``
-fields or leave a node unreachable, an empty non-root test link, a test or
-image token that is not a non-empty string free of whitespace, or a naming
-link to a node the label net does not hold.
+Loading builds each net in one pass over its node table, then walks the
+tree from the root along the ``children`` lists to rebuild what each node
+derives from its ancestors (contents length, first-token child index). Nodes
+do not store ``children``: it is read back from the index, in ascending id
+order, so a file whose lists are in any other order is rejected, as is any
+net that retrieval could not rely on: a document, net or node that is not a
+JSON object, a missing field or one of the wrong JSON type, ``children``
+lists that disagree with the ``parent`` fields or leave a node unreachable,
+an empty non-root test link, two siblings with the same test link, a test
+or image token that is not a non-empty string free of whitespace, or a
+naming link whose key is not a label node id of the label net or whose count
+is not a positive integer.
+
+Python's cyclic garbage collector is paused from parsing until the last
+node is built, and left as the caller had it. A load allocates tens of
+thousands of containers that all survive, which would otherwise set off
+dozens of young collections per load and a full one every few loads. Pausing is safe because the loaded
+memory holds no reference cycles: parents, children and link targets are
+integer ids, and the parsed document is freed by reference counting.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import reprlib
 from pathlib import Path
+from typing import NoReturn
 
 from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
 from .patterns import PatternError, check_tokens
@@ -38,7 +53,7 @@ def _node_doc(node: Node) -> dict:
         "image": list(node.image),
         "complete": node.image_complete,
         "parent": node.parent,
-        "children": list(node.children),
+        "children": node.children,
         "links": {str(k): node.naming_links[k]
                   for k in sorted(node.naming_links)},
         "created_at": node.created_at,
@@ -71,38 +86,129 @@ def save_memory(path, memory: MultiModalMemory, meta: dict | None = None) -> Non
     Path(path).write_text(dump_memory(memory, meta), encoding="utf-8")
 
 
-# The JSON type of each node field that loading relies on, compared exactly
-# so that JSON true is not taken for an id. ``parent`` is checked against
-# the ``children`` lists; the timestamps are only written back.
-_NODE_FIELDS = (("id", int), ("test", list), ("image", list),
-                ("complete", bool), ("children", list), ("links", dict))
+_NUMBER = (int, float)
+
+# The fields of each JSON object in a snapshot and their JSON types, compared
+# by ``type(...) in`` so that JSON true is not taken for a number. The node
+# loop in :func:`_load_net` checks the same types inline.
+_DOC_FIELDS = (("label_modality", (str,)),
+               ("seconds_per_new_chunk", _NUMBER),
+               ("seconds_per_update", _NUMBER), ("networks", (dict,)),
+               ("meta", (dict,)))
+_NET_FIELDS = (("modality", (str,)), ("clock_seconds", _NUMBER),
+               ("nodes", (list,)))
+_NODE_FIELDS = (("id", (int,)), ("test", (list,)), ("image", (list,)),
+                ("complete", (bool,)), ("parent", (int, type(None))),
+                ("children", (list,)), ("links", (dict,)),
+                ("created_at", _NUMBER), ("updated_at", _NUMBER))
 
 
-def _load_node(nd: dict, where: str) -> Node:
-    try:
-        for name, kind in _NODE_FIELDS:
-            if type(nd[name]) is not kind:
-                raise SnapshotError(f"{where}: node {nd['id']!r} field "
-                                    f"{name!r} holds {nd[name]!r}")
-        return Node(
-            node_id=nd["id"],
-            test=tuple(nd["test"]),
-            image=tuple(nd["image"]),
-            image_complete=nd["complete"],
-            parent=nd["parent"],
-            children=list(nd["children"]),
-            naming_links={int(k): v for k, v in nd["links"].items()},
-            created_at=nd["created_at"],
-            updated_at=nd["updated_at"],
-        )
-    except KeyError as exc:
-        raise SnapshotError(f"{where}: node {nd.get('id', '?')} is missing "
-                            f"field {exc}") from None
+def _fields(doc, where: str, fields) -> list:
+    """The values of ``fields`` in ``doc``, each checked for its type."""
+    if type(doc) is not dict:
+        raise SnapshotError(f"{where} is not a JSON object: "
+                            f"{reprlib.repr(doc)}") from None
+    values = []
+    for name, kinds in fields:
+        if name not in doc:
+            raise SnapshotError(f"{where} is missing field {name!r}") \
+                from None
+        value = doc[name]
+        if type(value) not in kinds:
+            raise SnapshotError(f"{where} field {name!r} holds "
+                                f"{reprlib.repr(value)}") from None
+        values.append(value)
+    return values
 
 
-def _link_children(nodes: dict[int, Node], where: str) -> None:
-    """Check the tree from the root down and set each node's contents
+def _node_error(node_docs: list, where: str) -> NoReturn:
+    """Raise the exact error for the first node that the loop in
+    :func:`_load_net` could not build."""
+    seen = set()
+    for position, nd in enumerate(node_docs):
+        node = f"{where}: node {nd.get('id', '?')}" if type(nd) is dict \
+            else f"{where}: entry {position} of the node table"
+        node_id, test, image, *_, links, _, _ = _fields(nd, node,
+                                                        _NODE_FIELDS)
+        if node_id in seen:
+            raise SnapshotError(f"{where}: node id {node_id} is used "
+                                f"twice") from None
+        seen.add(node_id)
+        for key, count in links.items():
+            try:
+                valid = str(int(key)) == key and type(count) is int \
+                    and count > 0
+            except ValueError:
+                valid = False
+            if not valid:
+                raise SnapshotError(
+                    f"{node} has the naming link {reprlib.repr(key)}: "
+                    f"{reprlib.repr(count)}; a link needs a node id and a "
+                    f"positive count") from None
+        try:
+            set(test + image)
+        except TypeError:
+            raise SnapshotError(f"{where}: pattern tokens must be "
+                                f"strings") from None
+    raise SnapshotError(f"{where}: malformed node table") from None
+
+
+def _load_net(modality: str, doc, memory: MultiModalMemory,
+              link_targets: set[int]) -> DiscriminationNet:
+    """Build one net in a single pass over its node table, then walk the
+    tree from the root down, checking it and setting each node's contents
     length and first-token child index."""
+    where = f"{modality!r} net"
+    doc_modality, clock, node_docs = _fields(doc, where, _NET_FIELDS)
+    if doc_modality != modality:
+        raise SnapshotError(f"{where} is stored as modality "
+                            f"{doc_modality!r}")
+    nodes: dict[int, Node] = {}
+    child_lists: dict[int, list] = {}     # as the file lists them
+    tokens: set[str] = set()
+    # Any failure leaves the loop for _node_error, which finds the node and
+    # the exact problem.
+    try:
+        for nd in node_docs:
+            node_id = nd["id"]
+            test = nd["test"]
+            image = nd["image"]
+            complete = nd["complete"]
+            parent = nd["parent"]
+            kids = nd["children"]
+            links = nd["links"]
+            created = nd["created_at"]
+            updated = nd["updated_at"]
+            if type(node_id) is not int or type(test) is not list \
+                    or type(image) is not list or type(complete) is not bool \
+                    or (type(parent) is not int and parent is not None) \
+                    or type(kids) is not list or type(links) is not dict \
+                    or type(created) not in _NUMBER \
+                    or type(updated) not in _NUMBER or node_id in nodes:
+                raise ValueError
+            naming = {}
+            for key, count in links.items():
+                label = int(key)
+                if str(label) != key or type(count) is not int or count < 1:
+                    raise ValueError
+                naming[label] = count
+            link_targets.update(naming)
+            test = tuple(test)
+            image = tuple(image)
+            tokens.update(test)
+            tokens.update(image)
+            nodes[node_id] = Node(node_id, test, image, complete, parent,
+                                  naming, created, updated)
+            child_lists[node_id] = kids
+    except (KeyError, TypeError, ValueError):
+        _node_error(node_docs, where)
+    # Patterns built from test links and images skip the token check, so
+    # check here, once per distinct token.
+    try:
+        check_tokens(tuple(tokens))
+    except PatternError as exc:
+        raise SnapshotError(f"{where}: {exc}") from None
+
     root = nodes.get(ROOT_ID)
     if root is None or root.parent is not None:
         raise SnapshotError(f"{where}: no root node (id {ROOT_ID} without "
@@ -110,8 +216,10 @@ def _link_children(nodes: dict[int, Node], where: str) -> None:
     order = [root]
     for parent in order:
         pid = parent.node_id
-        for cid in parent.children:
-            child = nodes.get(cid)
+        index = parent.index
+        previous = -1
+        for cid in child_lists[pid]:
+            child = nodes.get(cid) if type(cid) is int else None
             if child is None:
                 raise SnapshotError(f"{where}: node {pid} lists child "
                                     f"{cid!r}, which has no node")
@@ -119,51 +227,37 @@ def _link_children(nodes: dict[int, Node], where: str) -> None:
                 raise SnapshotError(f"{where}: node {cid} is listed as a "
                                     f"child of node {pid} but names parent "
                                     f"{child.parent!r}")
-            if not child.test:
+            test = child.test
+            if not test:
                 raise SnapshotError(f"{where}: node {cid} has an empty "
                                     f"test link")
             if child.contents_length:
                 # only a child reached already has a length
                 raise SnapshotError(f"{where}: node {cid} is listed twice "
                                     f"as a child of node {pid}")
-            child.contents_length = parent.contents_length + len(child.test)
-            parent.index.setdefault(child.test[0], []).append(cid)
+            if cid <= previous:
+                raise SnapshotError(f"{where}: the children of node {pid} "
+                                    f"are not in ascending id order")
+            previous = cid
+            siblings = index.get(test[0])
+            if siblings is None:
+                index[test[0]] = (cid,)
+            else:
+                for sid in siblings:
+                    if nodes[sid].test == test:
+                        raise SnapshotError(
+                            f"{where}: sibling nodes {sid} and {cid} have "
+                            f"the same test link")
+                index[test[0]] = siblings + (cid,)
+            child.contents_length = parent.contents_length + len(test)
             order.append(child)
     if len(order) != len(nodes):
         unreached = sorted(set(nodes) - {node.node_id for node in order})
         raise SnapshotError(f"{where}: node(s) {unreached} cannot be "
                             f"reached from the root")
-
-
-def _load_net(doc: dict, memory: MultiModalMemory,
-              link_targets: set[int]) -> DiscriminationNet:
-    where = f"{doc['modality']!r} net"
-    net = DiscriminationNet(doc["modality"],
-                            memory.seconds_per_new_chunk,
+    net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
-    net.clock_seconds = doc["clock_seconds"]
-    nodes = {}
-    for nd in doc["nodes"]:
-        node = _load_node(nd, where)
-        if node.node_id in nodes:
-            raise SnapshotError(f"{where}: node id {node.node_id} is used "
-                                f"twice")
-        nodes[node.node_id] = node
-    # Patterns built from test links and images skip the token check, so
-    # check here, once per distinct token.
-    tokens = set()
-    try:
-        for node in nodes.values():
-            tokens.update(node.test)
-            tokens.update(node.image)
-            link_targets.update(node.naming_links)
-        check_tokens(tuple(tokens))
-    except TypeError:
-        raise SnapshotError(f"{where}: pattern tokens must be strings") \
-            from None
-    except PatternError as exc:
-        raise SnapshotError(f"{where}: {exc}") from None
-    _link_children(nodes, where)
+    net.clock_seconds = clock
     net._nodes = nodes
     net._next_id = max(nodes) + 1
     return net
@@ -172,26 +266,46 @@ def _load_net(doc: dict, memory: MultiModalMemory,
 def load_memory(path) -> tuple[MultiModalMemory, dict]:
     """Returns the rebuilt memory and the snapshot's meta block."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise SnapshotError(f"snapshot not found: {path}") from None
+    except OSError as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: "
+                            f"{exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"snapshot {path} is not UTF-8 text: "
+                            f"{exc}") from None
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_doc(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load_doc(text: str) -> tuple[MultiModalMemory, dict]:
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"snapshot is not valid JSON: {exc}") from None
-    version = doc.get("schema_version")
-    if version != SNAPSHOT_SCHEMA_VERSION:
+    version = doc.get("schema_version") if type(doc) is dict else None
+    if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
         raise SnapshotError(
             f"snapshot schema_version {version!r} is not supported "
             f"(this build reads version {SNAPSHOT_SCHEMA_VERSION})")
-    memory = MultiModalMemory(
-        label_modality=doc["label_modality"],
-        seconds_per_new_chunk=doc["seconds_per_new_chunk"],
-        seconds_per_update=doc["seconds_per_update"])
+    label_modality, per_chunk, per_update, networks, meta = _fields(
+        {"meta": {}, **doc}, "snapshot", _DOC_FIELDS)
+    memory = MultiModalMemory(label_modality=label_modality,
+                              seconds_per_new_chunk=per_chunk,
+                              seconds_per_update=per_update)
     link_targets: set[int] = set()
-    for modality, net_doc in doc["networks"].items():
-        memory.nets[modality] = _load_net(net_doc, memory, link_targets)
-    label_net = memory.nets.get(memory.label_modality)
+    for modality, net_doc in networks.items():
+        memory.nets[modality] = _load_net(modality, net_doc, memory,
+                                          link_targets)
+    label_net = memory.nets.get(label_modality)
     labels = set(label_net._nodes) - {ROOT_ID} if label_net else set()
     if not link_targets <= labels:
         raise SnapshotError(f"naming links point at unknown label node(s) "
                             f"{sorted(link_targets - labels)}")
-    return memory, doc.get("meta", {})
+    return memory, meta

@@ -53,15 +53,6 @@ class StmQueue:
     def clear(self) -> None:
         self._slots.clear()
 
-    def dump(self, net: DiscriminationNet) -> list[str]:
-        """Debug view, head first: id, contents, and learned state."""
-        out = []
-        for node_id in self._slots:
-            contents = net.contents(node_id).to_line()
-            state = "complete" if net.is_fully_learned(node_id) else "partial"
-            out.append(f"{node_id}\t{contents}\t{state}")
-        return out
-
 
 def co_occupancy(visual_q: StmQueue, verbal_q: StmQueue,
                  visual_net: DiscriminationNet,

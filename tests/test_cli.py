@@ -106,6 +106,38 @@ class TestCategorise:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("command", ["categorise", "retrieve"])
+    def test_input_directory_exits_2(self, tmp_path, capsys, command):
+        model = self._model(tmp_path, capsys)
+        code, out_text, err = run(capsys, command, "--model", str(model),
+                                  "--input", str(tmp_path))
+        assert code == 2 and out_text == ""
+        assert err.startswith("error: cannot read ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["categorise", "retrieve",
+                                         "inspect"])
+    @pytest.mark.parametrize("case, message", [
+        pytest.param("not_utf8", "is not UTF-8 text", id="not_utf8"),
+        pytest.param("directory", "cannot read snapshot", id="directory"),
+    ])
+    def test_unreadable_model_exits_2(self, tmp_path, capsys, command, case,
+                                      message):
+        model = self._model(tmp_path, capsys)
+        if case == "not_utf8":
+            model.write_bytes(model.read_bytes() + b"\xff")
+        else:
+            model = model.parent
+        stim = tmp_path / "stim.txt"
+        stim.write_text("1 0", encoding="utf-8")
+        argv = [command, "--model", str(model)]
+        if command != "inspect":
+            argv += ["--input", str(stim)]
+        code, out_text, err = run(capsys, *argv)
+        assert code == 2 and out_text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_retrieve_prints_the_stored_chunk(self, tmp_path, capsys):
         model = self._model(tmp_path, capsys)
         stim = tmp_path / "stim.txt"
@@ -189,11 +221,9 @@ class TestInspect:
         out = tmp_path / "run"
         run(capsys, "train", "--manifest", str(manifest), "--out", str(out))
         code, out_text, _ = run(capsys, "inspect", "--model",
-                                str(out / "model.json"), "--nodes",
-                                "--stm-demo")
+                                str(out / "model.json"), "--nodes")
         assert code == 0
         assert "[visual] nodes=5" in out_text
-        assert "stm demo" in out_text
 
     def test_old_snapshot_rejected(self, tmp_path, capsys):
         manifest = build_xor_manifest(tmp_path / "corpus")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chunknet.cli import main
 from chunknet.corpus import (CorpusError, SplitSpec, load_manifest,
                              load_test_items, load_training_samples,
                              split_samples, tokenize, tokenize_chess_rows,
@@ -202,6 +203,33 @@ class TestManifest:
         pytest.param(lambda doc: {**doc, "attention_span": 2.5},
                      "attention_span must be an integer >= 2",
                      id="span_fraction"),
+        pytest.param(lambda doc: {**doc, "split": 5},
+                     "split must be a JSON object, got 5",
+                     id="split_not_an_object"),
+        pytest.param(lambda doc: {**doc, "categories": ["A"]},
+                     "category 'A' is not a JSON object",
+                     id="category_a_string"),
+        pytest.param(lambda doc: {**doc, "categories": {"A": 1}},
+                     "categories must be a list",
+                     id="categories_an_object"),
+        pytest.param(lambda doc: {**doc, "categories": [
+            {**doc["categories"][0], "training_files": "a.txt"}]},
+                     "training_files must be a list of file names, got "
+                     "'a.txt'$", id="training_files_a_string"),
+        pytest.param(lambda doc: {**doc, "categories": [
+            {**doc["categories"][0], "test_files": [3]}]},
+                     r"test_files must be a list of file names, got \[3\]",
+                     id="test_file_not_a_name"),
+        pytest.param(lambda doc: {**doc, "categories": [
+            {**doc["categories"][0], "label": ["A"]}]},
+                     r"bad category label \['A'\]", id="label_a_list"),
+        pytest.param(lambda doc: {**doc, "tokenizer": ["words"]},
+                     "unknown tokenizer", id="tokenizer_a_list"),
+        pytest.param(lambda doc: {**doc, "name": 5},
+                     "name must be a string", id="name_a_number"),
+        pytest.param(lambda doc: {**doc, "categories": [
+            {**doc["categories"][0], "training_files": ["."]}]},
+                     "missing file", id="training_file_a_directory"),
     ])
     def test_malformed_fields_rejected(self, tmp_path, corrupt, message):
         doc = corrupt(valid_doc(tmp_path))
@@ -212,3 +240,32 @@ class TestManifest:
         doc = {**valid_doc(tmp_path), "attention_span": 2}
         manifest = load_manifest(write_manifest_doc(tmp_path, doc))
         assert manifest.attention_span == 2
+
+    @pytest.mark.parametrize("command", ["train", "run-suite"])
+    def test_span_below_min_fetch_rejected_before_training(self, tmp_path,
+                                                           capsys, command):
+        doc = {**valid_doc(tmp_path), "attention_span": 2}
+        manifest = write_manifest_doc(tmp_path, doc)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_fetch": 3}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(manifest), "--config",
+                str(config), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: manifest attention_span 2 is below the "
+                       "config's min_fetch 3\n")
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b"{\xff}", "is not UTF-8 text", id="not_utf8"),
+        pytest.param(None, "cannot read manifest", id="directory"),
+    ])
+    def test_unreadable_manifest_rejected(self, tmp_path, content, message):
+        path = tmp_path / "manifest.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(CorpusError, match=message):
+            load_manifest(path)

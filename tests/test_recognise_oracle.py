@@ -77,7 +77,7 @@ def test_siblings_sharing_a_first_token_keep_insertion_order():
     a = net._new_node(net.root, ("a",), ("a",), True)
     net._new_node(a, ("c", "a"), ("a", "c", "a"), True)
     net._new_node(net.root, ("a", "c"), ("a", "c"), True)
-    assert net.root.index == {"a": [ab.node_id, a.node_id, 4]}
+    assert net.root.index == {"a": (ab.node_id, a.node_id, 4)}
     probes = [Pattern("visual", tokens)
               for n in range(5)
               for tokens in itertools.product("abc", repeat=n)]

@@ -124,10 +124,3 @@ def test_position_pairing_scans_matching_slots():
     with pytest.raises(StmError):
         co_occupancy(vq, bq, visual, verbal, pairing="bogus")
 
-
-def test_dump_lists_head_first():
-    visual, _, vis_node, _ = _nets_with_chunks()
-    q = StmQueue("visual", 5)
-    q.push(vis_node.node_id)
-    lines = q.dump(visual)
-    assert len(lines) == 1 and "complete" in lines[0]
