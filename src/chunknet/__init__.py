@@ -15,7 +15,7 @@ from .metrics import (BinomialQuery, MetricRow, PredictionPair,
                       binomial_at_least, bonferroni, chance_probability,
                       extract_pair, score_pair)
 from .network import DiscriminationNet, LearnEvent, MultiModalMemory, Node
-from .patterns import Pattern, difference, equal, matches
+from .patterns import Pattern, difference
 from .snapshot import load_memory, save_memory
 from .stm import StmQueue, co_occupancy
 
@@ -27,7 +27,7 @@ __all__ = [
     "Node", "Pattern", "PredictionPair", "RunConfig", "Sample", "StmQueue",
     "SuiteResult", "Trainer", "TrainingRun", "binomial_at_least",
     "bonferroni", "categorise", "chance_probability", "co_occupancy",
-    "confidence", "difference", "equal", "extract_pair", "load_config",
-    "load_manifest", "load_memory", "matches", "retrieve", "save_memory",
+    "confidence", "difference", "extract_pair", "load_config",
+    "load_manifest", "load_memory", "retrieve", "save_memory",
     "score_pair", "train",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .attention import categorise, retrieve
 from .config import ConfigError, load_config
-from .corpus import CorpusError, load_manifest, tokenize
+from .corpus import TOKENIZERS, CorpusError, load_manifest, tokenize
 from .harness import TrainingError, attention_config, evaluate_manifest, \
     train
 from .metrics import (METRIC_NAMES, MetricsError, PredictionPair, score_pair,
@@ -99,12 +99,11 @@ def cmd_train(args) -> int:
                              overrides={"seed": args.seed}
                              if args.seed is not None else None)
         manifest = _load_manifest(args.manifest, config)
+        memory, run, meta = _train_model(
+            manifest, config, shuffle=False if args.no_shuffle else None)
     except (ConfigError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        memory, run, meta = _train_model(
-            manifest, config, shuffle=False if args.no_shuffle else None)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -125,8 +124,25 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path):
+    """The memory, meta block and run config of a snapshot. Raises
+    SnapshotError unless each meta field the commands read is absent or
+    usable, and ConfigError for a stored config that does not load."""
     memory, meta = load_memory(path)
-    config = load_config(None, overrides=meta.get("config") or {})
+    stored = meta.get("config", {})
+    if type(stored) is not dict:
+        raise SnapshotError(f"snapshot meta field 'config' holds {stored!r}; "
+                            f"it must be a JSON object")
+    config = load_config(None, overrides=stored)
+    tokenizer = meta.get("tokenizer", "words")
+    if type(tokenizer) is not str or tokenizer not in TOKENIZERS:
+        raise SnapshotError(f"snapshot meta field 'tokenizer' holds "
+                            f"{tokenizer!r}, which is not a tokenizer")
+    span = meta.get("attention_span")
+    if span is not None and \
+            (type(span) is not int or span < config.min_fetch):
+        raise SnapshotError(f"snapshot meta field 'attention_span' holds "
+                            f"{span!r}; it must be an integer of at least "
+                            f"min_fetch {config.min_fetch}")
     return memory, meta, config
 
 
@@ -213,15 +229,14 @@ def cmd_run_suite(args) -> int:
     # manifest mode: train on the manifest, then classify its test files
     try:
         manifest = _load_manifest(args.manifest, config)
+        memory, run, meta = _train_model(manifest, config)
+        result = evaluate_manifest(memory, manifest, config)
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        memory, run, meta = _train_model(manifest, config)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    result = evaluate_manifest(memory, manifest, config)
     save_memory(out_dir / "model.json", memory, meta)
     _write_result_csv(out_dir / "results.csv", result)
     (out_dir / "run.json").write_text(

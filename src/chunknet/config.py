@@ -52,11 +52,6 @@ class RunConfig:
         if self.max_epochs < 1 or self.node_ceiling_factor < 1:
             raise ConfigError("max_epochs and node_ceiling_factor must be >= 1")
 
-    def replace(self, **kwargs) -> "RunConfig":
-        data = asdict(self)
-        data.update(kwargs)
-        return RunConfig(**data)
-
     def to_dict(self) -> dict:
         return asdict(self)
 

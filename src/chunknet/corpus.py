@@ -315,14 +315,23 @@ def write_manifest(path, name: str, tokenizer: str, split: SplitSpec,
                     encoding="utf-8")
 
 
+def _read_listed(file: Path) -> str:
+    """The text of a data file the manifest lists; raises CorpusError."""
+    try:
+        return file.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"cannot read {file}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{file} is not UTF-8 text: {exc}") from None
+
+
 def load_training_samples(manifest: DatasetManifest) -> list[Sample]:
     """All labelled sample pairs, in manifest order (the canonical order)."""
     samples: list[Sample] = []
     for category in manifest.categories:
         label = Pattern(VERBAL_MODALITY, (category.label,))
         for file in category.training_files:
-            stream = tokenize(manifest.tokenizer,
-                              file.read_text(encoding="utf-8"))
+            stream = tokenize(manifest.tokenizer, _read_listed(file))
             for body in split_samples(stream, manifest.split):
                 if not body:
                     continue
@@ -337,8 +346,7 @@ def load_test_items(manifest: DatasetManifest) -> list[TestItem]:
     items: list[TestItem] = []
     for category in manifest.categories:
         for file in category.test_files:
-            stream = tokenize(manifest.tokenizer,
-                              file.read_text(encoding="utf-8"))
+            stream = tokenize(manifest.tokenizer, _read_listed(file))
             if not stream.tokens:
                 raise CorpusError(f"test file is empty: {file}")
             items.append(TestItem(

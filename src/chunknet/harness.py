@@ -78,12 +78,10 @@ class SuiteResult:
 
 @dataclass
 class Trainer:
-    """One training session owning its model, queues and feature switches."""
+    """One training session owning its model and queues."""
 
     memory: MultiModalMemory
     config: RunConfig
-    stm_enabled: bool = True
-    naming_links_enabled: bool = True
     _queues: dict[str, StmQueue] = field(default_factory=dict)
     _rng: random.Random | None = None
 
@@ -91,18 +89,6 @@ class Trainer:
         if modality not in self._queues:
             self._queues[modality] = StmQueue(modality, self.config.stm_size)
         return self._queues[modality]
-
-    def ablate(self, feature: str) -> "Trainer":
-        """Disable a feature for subsequent training; recognition and
-        already-formed links are untouched."""
-        if feature == "stm":
-            return Trainer(self.memory, self.config, stm_enabled=False,
-                           naming_links_enabled=self.naming_links_enabled)
-        if feature == "naming_links":
-            return Trainer(self.memory, self.config,
-                           stm_enabled=self.stm_enabled,
-                           naming_links_enabled=False)
-        raise ValueError(f"unknown ablation feature {feature!r}")
 
     def _learn_gated(self, modality: str, pattern) -> LearnEvent:
         net = self.memory.net(modality)
@@ -118,18 +104,17 @@ class Trainer:
         form a naming link on gated co-occupancy."""
         ev_visual = self._learn_gated(sample.visual.modality, sample.visual)
         ev_label = self._learn_gated(sample.label.modality, sample.label)
-        if self.stm_enabled:
-            visual_q = self.queue(sample.visual.modality)
-            verbal_q = self.queue(sample.label.modality)
-            visual_q.push(ev_visual.node_id)
-            verbal_q.push(ev_label.node_id)
-            pair = co_occupancy(visual_q, verbal_q,
-                                self.memory.net(sample.visual.modality),
-                                self.memory.net(sample.label.modality),
-                                pairing=self.config.stm_pairing)
-            if pair is not None and self.naming_links_enabled:
-                self.memory.add_naming_link(sample.visual.modality,
-                                            pair[0], pair[1])
+        visual_q = self.queue(sample.visual.modality)
+        verbal_q = self.queue(sample.label.modality)
+        visual_q.push(ev_visual.node_id)
+        verbal_q.push(ev_label.node_id)
+        pair = co_occupancy(visual_q, verbal_q,
+                            self.memory.net(sample.visual.modality),
+                            self.memory.net(sample.label.modality),
+                            pairing=self.config.stm_pairing)
+        if pair is not None:
+            self.memory.add_naming_link(sample.visual.modality,
+                                        pair[0], pair[1])
         return ev_visual, ev_label
 
     def train(self, samples: list[Sample], seed: int | None = None,

@@ -3,8 +3,9 @@
 Every capability of the system (recognition, learning, classification) reduces
 to three operations on ordered sequences of opaque tokens: exact equality,
 prefix matching, and the suffix left over once the longest common prefix is
-removed. Order is significant throughout: "dog bites man" and "man bites dog"
-are different patterns.
+removed. The first two are plain comparisons of ``Pattern.tokens`` tuples;
+the third is :func:`difference`. Order is significant throughout: "dog bites
+man" and "man bites dog" are different patterns.
 
 Patterns are modality-scoped (visual, verbal, ...). Comparing patterns across
 modalities is a usage error, never a silent False.
@@ -44,9 +45,10 @@ class Pattern:
         checking them again.
 
         Only for token tuples the program derived from checked tokens: a
-        slice of a checked pattern, or a node's test link or image (snapshot
-        loading checks those). Input from outside the program goes through
-        the checking constructor.
+        slice of a checked pattern, or a node's test link or image. Snapshot
+        loading splits those from single-space-joined text, which gives
+        non-empty tokens free of whitespace by construction. Input from
+        outside the program goes through the checking constructor.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "modality", modality)
@@ -85,44 +87,19 @@ def check_tokens(tokens: tuple[str, ...]) -> None:
             raise PatternError(f"pattern token contains whitespace: {tok!r}")
 
 
-def _require_same_modality(a: Pattern, b: Pattern) -> None:
-    if a.modality != b.modality:
-        raise PatternError(
-            f"modality mismatch: {a.modality!r} vs {b.modality!r}"
-        )
-
-
-def equal(a: Pattern, b: Pattern) -> bool:
-    """True iff the two sequences are identical element-wise and in length."""
-    _require_same_modality(a, b)
-    return a.tokens == b.tokens
-
-
-def matches(a: Pattern, b: Pattern) -> bool:
-    """True iff ``a`` is a (possibly equal) prefix of ``b``.
-
-    The empty pattern matches everything; a longer pattern never matches a
-    shorter one.
-    """
-    _require_same_modality(a, b)
-    return b.tokens[: len(a.tokens)] == a.tokens
-
-
-def common_prefix_length(a: Pattern, b: Pattern) -> int:
-    _require_same_modality(a, b)
-    n = 0
-    for x, y in zip(a.tokens, b.tokens):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 def difference(a: Pattern, b: Pattern) -> Pattern:
     """``a`` with its longest common prefix with ``b`` removed.
 
     difference(a, a) is empty; when the patterns share no leading tokens the
     result is ``a`` unchanged.
     """
-    k = common_prefix_length(a, b)
+    if a.modality != b.modality:
+        raise PatternError(
+            f"modality mismatch: {a.modality!r} vs {b.modality!r}"
+        )
+    k = 0
+    for x, y in zip(a.tokens, b.tokens):
+        if x != y:
+            break
+        k += 1
     return Pattern.derived(a.modality, a.tokens[k:])

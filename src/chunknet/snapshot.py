@@ -1,31 +1,36 @@
 """Versioned model snapshots: a self-describing JSON file holding every
-network's node table (ids, tests, images, completeness flags, naming-link
-counts, child order, timestamps) and the settings needed to classify new
-input (tokenizer, attention parameters).
+network's node table and the settings needed to classify new input
+(tokenizer, attention parameters).
+
+Each net's ``nodes`` is a list of rows
+``[parent, test, image, complete, links, created_at, updated_at]``. The row
+index is the node id: ids are dense, because nodes are never deleted, and a
+parent is always created before its children. ``test`` and ``image`` are
+their tokens joined by single spaces; tokens are non-empty and hold no
+whitespace, so splitting gives them back. Children are not written: each
+node's ``parent`` defines the tree.
 
 Serialization is canonical (sorted keys, fixed separators, nodes by id), so
 identical models produce byte-identical files and a load/save round trip is
-exact. Files from other schema versions are rejected outright.
+exact. Files from other schema versions are rejected outright; a model saved
+by an older build is retrained with ``chunknet train``.
 
-Loading builds each net in one pass over its node table, then walks the
-tree from the root along the ``children`` lists to rebuild what each node
-derives from its ancestors (contents length, first-token child index). Nodes
-do not store ``children``: it is read back from the index, in ascending id
-order, so a file whose lists are in any other order is rejected, as is any
-net that retrieval could not rely on: a document, net or node that is not a
-JSON object, a missing field or one of the wrong JSON type, ``children``
-lists that disagree with the ``parent`` fields or leave a node unreachable,
-an empty non-root test link, two siblings with the same test link, a test
-or image token that is not a non-empty string free of whitespace, or a
-naming link whose key is not a label node id of the label net or whose count
-is not a positive integer.
+Loading builds each net in one forward pass over its rows. Row 0 is the root,
+with a null parent; every other row names a parent that comes before it,
+which rules out cycles and unreachable nodes, and lets each node's contents
+length and its parent's first-token child index be set as the row is read.
+Also rejected: a document, net or row of the wrong JSON type or size, a
+field of the wrong JSON type, an empty non-root test link, two siblings with
+the same test link, and a naming link whose key is not a label node id of
+the label net or whose count is not a positive integer.
 
 Python's cyclic garbage collector is paused from parsing until the last
 node is built, and left as the caller had it. A load allocates tens of
 thousands of containers that all survive, which would otherwise set off
-dozens of young collections per load and a full one every few loads. Pausing is safe because the loaded
-memory holds no reference cycles: parents, children and link targets are
-integer ids, and the parsed document is freed by reference counting.
+dozens of young collections per load and a full one every few loads.
+Pausing is safe because the loaded memory holds no reference cycles:
+parents, children and link targets are integer ids, and the parsed document
+is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -37,35 +42,22 @@ from pathlib import Path
 from typing import NoReturn
 
 from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
-from .patterns import PatternError, check_tokens
 
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 
 class SnapshotError(ValueError):
     pass
 
 
-def _node_doc(node: Node) -> dict:
-    return {
-        "id": node.node_id,
-        "test": list(node.test),
-        "image": list(node.image),
-        "complete": node.image_complete,
-        "parent": node.parent,
-        "children": node.children,
-        "links": {str(k): node.naming_links[k]
-                  for k in sorted(node.naming_links)},
-        "created_at": node.created_at,
-        "updated_at": node.updated_at,
-    }
-
-
 def _net_doc(net: DiscriminationNet) -> dict:
     return {
         "modality": net.modality,
         "clock_seconds": net.clock_seconds,
-        "nodes": [_node_doc(n) for n in net.nodes()],
+        "nodes": [[n.parent, " ".join(n.test), " ".join(n.image),
+                   n.image_complete,
+                   {str(k): n.naming_links[k] for k in sorted(n.naming_links)},
+                   n.created_at, n.updated_at] for n in net.nodes()],
     }
 
 
@@ -88,19 +80,18 @@ def save_memory(path, memory: MultiModalMemory, meta: dict | None = None) -> Non
 
 _NUMBER = (int, float)
 
-# The fields of each JSON object in a snapshot and their JSON types, compared
-# by ``type(...) in`` so that JSON true is not taken for a number. The node
-# loop in :func:`_load_net` checks the same types inline.
+# The fields of each JSON object or row in a snapshot and their JSON types,
+# compared by ``type(...) in`` so that JSON true is not taken for a number.
+# The row loop in :func:`_load_net` checks the same types inline.
 _DOC_FIELDS = (("label_modality", (str,)),
                ("seconds_per_new_chunk", _NUMBER),
                ("seconds_per_update", _NUMBER), ("networks", (dict,)),
                ("meta", (dict,)))
 _NET_FIELDS = (("modality", (str,)), ("clock_seconds", _NUMBER),
                ("nodes", (list,)))
-_NODE_FIELDS = (("id", (int,)), ("test", (list,)), ("image", (list,)),
-                ("complete", (bool,)), ("parent", (int, type(None))),
-                ("children", (list,)), ("links", (dict,)),
-                ("created_at", _NUMBER), ("updated_at", _NUMBER))
+_ROW_FIELDS = (("parent", (int, type(None))), ("test", (str,)),
+               ("image", (str,)), ("complete", (bool,)), ("links", (dict,)),
+               ("created_at", _NUMBER), ("updated_at", _NUMBER))
 
 
 def _fields(doc, where: str, fields) -> list:
@@ -121,145 +112,102 @@ def _fields(doc, where: str, fields) -> list:
     return values
 
 
-def _node_error(node_docs: list, where: str) -> NoReturn:
-    """Raise the exact error for the first node that the loop in
-    :func:`_load_net` could not build."""
-    seen = set()
-    for position, nd in enumerate(node_docs):
-        node = f"{where}: node {nd.get('id', '?')}" if type(nd) is dict \
-            else f"{where}: entry {position} of the node table"
-        node_id, test, image, *_, links, _, _ = _fields(nd, node,
-                                                        _NODE_FIELDS)
-        if node_id in seen:
-            raise SnapshotError(f"{where}: node id {node_id} is used "
-                                f"twice") from None
-        seen.add(node_id)
-        for key, count in links.items():
-            try:
-                valid = str(int(key)) == key and type(count) is int \
-                    and count > 0
-            except ValueError:
-                valid = False
-            if not valid:
-                raise SnapshotError(
-                    f"{node} has the naming link {reprlib.repr(key)}: "
-                    f"{reprlib.repr(count)}; a link needs a node id and a "
-                    f"positive count") from None
+def _naming_links(where: str, node_id: int, links: dict) -> dict[int, int]:
+    """A row's naming links keyed by label node id."""
+    naming = {}
+    for key, count in links.items():
         try:
-            set(test + image)
-        except TypeError:
-            raise SnapshotError(f"{where}: pattern tokens must be "
-                                f"strings") from None
-    raise SnapshotError(f"{where}: malformed node table") from None
+            label = int(key)
+        except ValueError:
+            label = None
+        if str(label) != key or type(count) is not int or count < 1:
+            raise SnapshotError(
+                f"{where}: node {node_id} has the naming link "
+                f"{reprlib.repr(key)}: {reprlib.repr(count)}; a link needs a "
+                f"node id and a positive count") from None
+        naming[label] = count
+    return naming
+
+
+def _row_error(where: str, node_id: int, row, nodes: dict) -> NoReturn:
+    """Raise the exact error for row ``node_id``, which the loop in
+    :func:`_load_net` could not build on the rows before it, ``nodes``."""
+    node = f"{where}: node {node_id}"
+    if type(row) is not list or len(row) > len(_ROW_FIELDS):
+        raise SnapshotError(f"{node} is not a list of {len(_ROW_FIELDS)} "
+                            f"fields: {reprlib.repr(row)}") from None
+    names = [name for name, _ in _ROW_FIELDS]
+    parent, test, _, _, links, _, _ = _fields(dict(zip(names, row)), node,
+                                              _ROW_FIELDS)
+    _naming_links(where, node_id, links)
+    test = tuple(test.split())
+    if node_id == ROOT_ID:
+        raise SnapshotError(f"{where}: no root node (row {ROOT_ID} needs a "
+                            f"null parent and an empty test link)") from None
+    if parent is None or not 0 <= parent < node_id:
+        raise SnapshotError(f"{node} names parent {parent!r}; a parent must "
+                            f"be an earlier node") from None
+    if not test:
+        raise SnapshotError(f"{node} has an empty test link") from None
+    sibling = next(sid for sid in nodes[parent].index[test[0]]
+                   if nodes[sid].test == test)
+    raise SnapshotError(f"{where}: sibling nodes {sibling} and {node_id} "
+                        f"have the same test link") from None
 
 
 def _load_net(modality: str, doc, memory: MultiModalMemory,
               link_targets: set[int]) -> DiscriminationNet:
-    """Build one net in a single pass over its node table, then walk the
-    tree from the root down, checking it and setting each node's contents
-    length and first-token child index."""
+    """Build one net in a single forward pass over its rows."""
     where = f"{modality!r} net"
-    doc_modality, clock, node_docs = _fields(doc, where, _NET_FIELDS)
+    doc_modality, clock, rows = _fields(doc, where, _NET_FIELDS)
     if doc_modality != modality:
         raise SnapshotError(f"{where} is stored as modality "
                             f"{doc_modality!r}")
+    if not rows:
+        raise SnapshotError(f"{where}: no root node (the node table is "
+                            f"empty)")
     nodes: dict[int, Node] = {}
-    child_lists: dict[int, list] = {}     # as the file lists them
-    tokens: set[str] = set()
-    # Any failure leaves the loop for _node_error, which finds the node and
-    # the exact problem.
+    # Any failure leaves the loop for _row_error, which names the problem.
     try:
-        for nd in node_docs:
-            node_id = nd["id"]
-            test = nd["test"]
-            image = nd["image"]
-            complete = nd["complete"]
-            parent = nd["parent"]
-            kids = nd["children"]
-            links = nd["links"]
-            created = nd["created_at"]
-            updated = nd["updated_at"]
-            if type(node_id) is not int or type(test) is not list \
-                    or type(image) is not list or type(complete) is not bool \
-                    or (type(parent) is not int and parent is not None) \
-                    or type(kids) is not list or type(links) is not dict \
+        for node_id, row in enumerate(rows):
+            # A seven-item string or object unpacks too, but its items are
+            # strings, which fail the check on ``complete``.
+            parent, test, image, complete, links, created, updated = row
+            if type(test) is not str or type(image) is not str \
+                    or type(complete) is not bool or type(links) is not dict \
                     or type(created) not in _NUMBER \
-                    or type(updated) not in _NUMBER or node_id in nodes:
+                    or type(updated) not in _NUMBER:
                 raise ValueError
-            naming = {}
-            for key, count in links.items():
-                label = int(key)
-                if str(label) != key or type(count) is not int or count < 1:
+            naming = _naming_links(where, node_id, links) if links else {}
+            test = tuple(test.split())
+            node = Node(node_id, test, tuple(image.split()), complete,
+                        parent, naming, created, updated)
+            if node_id:
+                if type(parent) is not int or not 0 <= parent < node_id \
+                        or not test:
                     raise ValueError
-                naming[label] = count
+                up = nodes[parent]
+                index = up.index
+                siblings = index.get(test[0])
+                if siblings is None:
+                    index[test[0]] = (node_id,)
+                else:
+                    for sid in siblings:
+                        if nodes[sid].test == test:
+                            raise ValueError
+                    index[test[0]] = siblings + (node_id,)
+                node.contents_length = up.contents_length + len(test)
+            elif parent is not None or test:
+                raise ValueError
             link_targets.update(naming)
-            test = tuple(test)
-            image = tuple(image)
-            tokens.update(test)
-            tokens.update(image)
-            nodes[node_id] = Node(node_id, test, image, complete, parent,
-                                  naming, created, updated)
-            child_lists[node_id] = kids
-    except (KeyError, TypeError, ValueError):
-        _node_error(node_docs, where)
-    # Patterns built from test links and images skip the token check, so
-    # check here, once per distinct token.
-    try:
-        check_tokens(tuple(tokens))
-    except PatternError as exc:
-        raise SnapshotError(f"{where}: {exc}") from None
-
-    root = nodes.get(ROOT_ID)
-    if root is None or root.parent is not None:
-        raise SnapshotError(f"{where}: no root node (id {ROOT_ID} without "
-                            f"a parent)")
-    order = [root]
-    for parent in order:
-        pid = parent.node_id
-        index = parent.index
-        previous = -1
-        for cid in child_lists[pid]:
-            child = nodes.get(cid) if type(cid) is int else None
-            if child is None:
-                raise SnapshotError(f"{where}: node {pid} lists child "
-                                    f"{cid!r}, which has no node")
-            if child.parent != pid:
-                raise SnapshotError(f"{where}: node {cid} is listed as a "
-                                    f"child of node {pid} but names parent "
-                                    f"{child.parent!r}")
-            test = child.test
-            if not test:
-                raise SnapshotError(f"{where}: node {cid} has an empty "
-                                    f"test link")
-            if child.contents_length:
-                # only a child reached already has a length
-                raise SnapshotError(f"{where}: node {cid} is listed twice "
-                                    f"as a child of node {pid}")
-            if cid <= previous:
-                raise SnapshotError(f"{where}: the children of node {pid} "
-                                    f"are not in ascending id order")
-            previous = cid
-            siblings = index.get(test[0])
-            if siblings is None:
-                index[test[0]] = (cid,)
-            else:
-                for sid in siblings:
-                    if nodes[sid].test == test:
-                        raise SnapshotError(
-                            f"{where}: sibling nodes {sid} and {cid} have "
-                            f"the same test link")
-                index[test[0]] = siblings + (cid,)
-            child.contents_length = parent.contents_length + len(test)
-            order.append(child)
-    if len(order) != len(nodes):
-        unreached = sorted(set(nodes) - {node.node_id for node in order})
-        raise SnapshotError(f"{where}: node(s) {unreached} cannot be "
-                            f"reached from the root")
+            nodes[node_id] = node
+    except (TypeError, ValueError):
+        _row_error(where, node_id, row, nodes)
     net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
     net.clock_seconds = clock
     net._nodes = nodes
-    net._next_id = max(nodes) + 1
+    net._next_id = len(nodes)
     return net
 
 
@@ -293,7 +241,8 @@ def _load_doc(text: str) -> tuple[MultiModalMemory, dict]:
     if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
         raise SnapshotError(
             f"snapshot schema_version {version!r} is not supported "
-            f"(this build reads version {SNAPSHOT_SCHEMA_VERSION})")
+            f"(this build reads version {SNAPSHOT_SCHEMA_VERSION}); retrain "
+            f"the model with 'chunknet train'")
     label_modality, per_chunk, per_update, networks, meta = _fields(
         {"meta": {}, **doc}, "snapshot", _DOC_FIELDS)
     memory = MultiModalMemory(label_modality=label_modality,

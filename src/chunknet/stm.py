@@ -3,8 +3,7 @@
 Capacity is counted in chunks, not primitives. The most recent entry sits at
 the head; overflow evicts the oldest. When fully learned chunks co-occupy the
 queues of two modalities, the trainer turns that co-occupancy into a naming
-link; with STM disconnected, recognition keeps working but no further
-categorical learning is possible.
+link.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ class StmQueue:
         if len(self._slots) > self.capacity:
             return self._slots.pop()
         return None
-
-    def clear(self) -> None:
-        self._slots.clear()
 
 
 def co_occupancy(visual_q: StmQueue, verbal_q: StmQueue,

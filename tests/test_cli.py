@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from chunknet.cli import main
 from chunknet.suites import build_xor_manifest
+from test_snapshot import V1_SNAPSHOT
 
 
 def run(capsys, *argv):
@@ -79,8 +81,7 @@ class TestCategorise:
     def test_malformed_snapshot_exits_2(self, tmp_path, capsys):
         model = self._model(tmp_path, capsys)
         doc = json.loads(model.read_text())
-        root = doc["networks"]["visual"]["nodes"][0]
-        root["children"].append(999)
+        doc["networks"]["visual"]["nodes"][1][0] = 999    # parent of node 1
         model.write_text(json.dumps(doc))
         stim = tmp_path / "stim.txt"
         stim.write_text("1 0", encoding="utf-8")
@@ -235,3 +236,135 @@ class TestInspect:
         code, _, err = run(capsys, "inspect", "--model",
                            str(out / "model.json"))
         assert code == 2 and "schema_version" in err
+
+
+# -- every bad input: its exit code and one error line -----------------------
+
+def _xor_manifest(tmp_path):
+    return build_xor_manifest(tmp_path / "corpus")
+
+
+def _xor_model(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", str(_xor_manifest(tmp_path)),
+                 "--out", str(out)]) == 0
+    return out / "model.json"
+
+
+def _query(tmp_path, model, command="categorise", stimulus=b"1 0"):
+    argv = [command, "--model", str(model)]
+    if command != "inspect":
+        stim = tmp_path / "stim.txt"
+        stim.write_bytes(stimulus)
+        argv += ["--input", str(stim)]
+    return argv
+
+
+def _model_edit(change, command="categorise"):
+    """A query on a trained xor model whose document ``change`` edits."""
+    def setup(tmp_path):
+        model = _xor_model(tmp_path)
+        doc = json.loads(model.read_text())
+        change(doc)
+        model.write_text(json.dumps(doc))
+        return _query(tmp_path, model, command)
+    return setup
+
+
+def _meta(field, value, command="categorise"):
+    return _model_edit(lambda doc: doc["meta"].update({field: value}),
+                       command)
+
+
+def _bad_input(stimulus):
+    def setup(tmp_path):
+        return _query(tmp_path, _xor_model(tmp_path), stimulus=stimulus)
+    return setup
+
+
+def _input_directory(tmp_path):
+    return ["categorise", "--model", str(_xor_model(tmp_path)),
+            "--input", str(tmp_path)]
+
+
+def _bad_manifest(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{", encoding="utf-8")
+    return ["train", "--manifest", str(manifest), "--out", str(tmp_path)]
+
+
+def _bad_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"stm_sizes": 5}', encoding="utf-8")
+    return ["train", "--manifest", str(_xor_manifest(tmp_path)),
+            "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+def _v1_snapshot(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(V1_SNAPSHOT), encoding="utf-8")
+    return _query(tmp_path, model)
+
+
+def _non_utf8_data_file(name, command):
+    def setup(tmp_path):
+        manifest = _xor_manifest(tmp_path)
+        with open(manifest.parent / name, "ab") as fh:
+            fh.write(b"\xff\n")
+        return [command, "--manifest", str(manifest), "--out",
+                str(tmp_path / "o")]
+    return setup
+
+
+def _set_parent(doc):
+    doc["networks"]["visual"]["nodes"][1][0] = 999
+
+
+@pytest.mark.parametrize("setup, code, message", [
+    pytest.param(_bad_manifest, 2, "manifest is not valid JSON",
+                 id="bad_manifest"),
+    pytest.param(_bad_config, 2, "stm_sizes", id="bad_config"),
+    pytest.param(_model_edit(_set_parent), 2, "node 1 names parent 999",
+                 id="v2_snapshot_bad_parent"),
+    pytest.param(_v1_snapshot, 2, "retrain the model", id="v1_snapshot"),
+    pytest.param(_meta("config", 5), 2, "'config' holds 5",
+                 id="meta_config_a_number"),
+    pytest.param(_meta("config", 5, "retrieve"), 2, "'config' holds 5",
+                 id="meta_config_a_number_retrieve"),
+    pytest.param(_meta("config", 5, "inspect"), 2, "'config' holds 5",
+                 id="meta_config_a_number_inspect"),
+    pytest.param(_meta("config", {"stm_size": "x"}), 2, "not supported",
+                 id="meta_config_bad_value"),
+    pytest.param(_meta("tokenizer", ["words"]), 2,
+                 r"'tokenizer' holds \['words'\]", id="meta_tokenizer_a_list"),
+    pytest.param(_meta("tokenizer", "phonemes"), 2,
+                 "'tokenizer' holds 'phonemes'", id="meta_tokenizer_unknown"),
+    pytest.param(_meta("attention_span", "x"), 2,
+                 "'attention_span' holds 'x'", id="meta_span_text"),
+    pytest.param(_meta("attention_span", 1), 2,
+                 "'attention_span' holds 1", id="meta_span_1"),
+    pytest.param(_meta("attention_span", 0), 2,
+                 "'attention_span' holds 0", id="meta_span_0"),
+    pytest.param(_meta("attention_span", True), 2,
+                 "'attention_span' holds True", id="meta_span_true"),
+    pytest.param(_non_utf8_data_file("T_train.txt", "train"), 2,
+                 "T_train.txt is not UTF-8 text", id="train_file_not_utf8"),
+    pytest.param(_non_utf8_data_file("T_train.txt", "run-suite"), 2,
+                 "T_train.txt is not UTF-8 text",
+                 id="train_file_not_utf8_run_suite"),
+    pytest.param(_non_utf8_data_file("test_10.txt", "run-suite"), 2,
+                 "test_10.txt is not UTF-8 text",
+                 id="test_file_not_utf8_run_suite"),
+    pytest.param(_bad_input(b" \n"), 2, "holds no tokens", id="input_empty"),
+    pytest.param(_bad_input(b"1 \xff 0"), 2, "not UTF-8", id="input_not_utf8"),
+    pytest.param(_input_directory, 2, "cannot read", id="input_directory"),
+])
+def test_exit_code_table(tmp_path, capsys, setup, code, message):
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert re.search(message, captured.err)

@@ -3,12 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunknet.cli import main
 from chunknet.corpus import (CorpusError, SplitSpec, load_manifest,
                              load_test_items, load_training_samples,
                              split_samples, tokenize, tokenize_chess_rows,
                              tokenize_music_frames, tokenize_words)
+from chunknet.suites import build_xor_manifest
+from test_snapshot import _JSON_VALUES, _json_kind
 
 GOLDEN_WORDS = (
     "the quick brown fox",
@@ -269,3 +273,45 @@ class TestManifest:
             path.write_bytes(content)
         with pytest.raises(CorpusError, match=message):
             load_manifest(path)
+
+
+# -- every mutation of a valid manifest loads or raises CorpusError ----------
+
+def _manifest_sites(doc):
+    """(container, key) for every value of the xor manifest a mutation may
+    drop or replace with a value of another JSON kind."""
+    sites = [(doc, key) for key in doc]
+    sites += [(doc["split"], key) for key in doc["split"]]
+    for i, category in enumerate(doc["categories"]):
+        sites.append((doc["categories"], i))
+        sites += [(category, key) for key in category]
+        sites += [(category[key], j)
+                  for key in ("training_files", "test_files")
+                  for j in range(len(category[key]))]
+    return sites
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_mutated_manifests_load_or_raise_corpus_error(tmp_path_factory,
+                                                      data):
+    corpus = tmp_path_factory.getbasetemp() / "xor-corpus"
+    manifest = corpus / "manifest.json"
+    if not manifest.exists():
+        build_xor_manifest(corpus)
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    container, key = data.draw(st.sampled_from(_manifest_sites(doc)))
+    if data.draw(st.booleans()):
+        del container[key]
+    else:
+        kind = _json_kind(container[key])
+        container[key] = data.draw(_JSON_VALUES.filter(
+            lambda v: _json_kind(v) != kind))
+    mutated = corpus / "mutated.json"
+    mutated.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        loaded = load_manifest(mutated)
+        load_training_samples(loaded)
+        load_test_items(loaded)
+    except CorpusError:
+        pass

@@ -1,4 +1,4 @@
-"""Training loop: convergence, determinism, event accounting, ablation."""
+"""Training loop: convergence, determinism, event accounting."""
 
 import pytest
 
@@ -102,58 +102,6 @@ def test_chunk_probability_zero_never_learns_but_counts_epochs():
     # with the gate closed every epoch is a zero-event epoch
     assert run.converged and run.epoch_count == 1
     assert trainer.memory.net("visual").node_count == 1
-
-
-class TestAblation:
-    def _trained(self):
-        trainer = fresh_trainer()
-        trainer.train(XOR_SAMPLES, seed=0)
-        return trainer
-
-    def _link_table(self, memory):
-        return {(n.node_id, k): v
-                for n in memory.net("visual").nodes()
-                for k, v in n.naming_links.items()}
-
-    def test_unknown_feature_rejected(self):
-        with pytest.raises(ValueError):
-            self._trained().ablate("telepathy")
-
-    def test_ablated_training_freezes_the_link_table(self):
-        trainer = self._trained()
-        before = self._link_table(trainer.memory)
-        new_samples = [sample("000", "Z"), sample("111", "Z")]
-        for feature in ("stm", "naming_links"):
-            ablated = trainer.ablate(feature)
-            ablated.train(new_samples, seed=1)
-            after = self._link_table(trainer.memory)
-            # existing links unchanged; new labelled data added none for the
-            # new label nodes
-            for key, count in before.items():
-                assert after[key] == count
-            new_label_ids = {
-                n.node_id for n in trainer.memory.label_net.nodes()
-                if n.image == ("Z",)}
-            assert not any(k[1] in new_label_ids for k in after)
-
-    def test_recognition_identical_before_and_after_ablation(self):
-        trainer = self._trained()
-        visual = trainer.memory.net("visual")
-        probes = [Pattern("visual", tuple(t)) for t in
-                  ("00", "01", "10", "11", "0", "1")]
-        before = [visual.recognise(p).node_id for p in probes]
-        trainer.ablate("stm")
-        after = [visual.recognise(p).node_id for p in probes]
-        assert before == after
-
-    def test_categorise_still_works_on_previously_learned_labels(self):
-        from chunknet.attention import AttentionConfig, categorise
-        trainer = self._trained()
-        ablated = trainer.ablate("stm")
-        ablated.train([sample("000", "Z")], seed=2)
-        cls = categorise(trainer.memory, Pattern("visual", ("1", "0")),
-                         AttentionConfig())
-        assert cls.top == "T"
 
 
 def test_manifest_train_and_evaluate(tmp_path):

@@ -22,6 +22,18 @@ from chunknet.snapshot import (SnapshotError, dump_memory, load_memory,
                                save_memory)
 
 
+# A schema v1 document: nodes as objects that also list their children.
+V1_SNAPSHOT = {
+    "schema_version": 1, "label_modality": "verbal",
+    "seconds_per_new_chunk": 10.0, "seconds_per_update": 2.0, "meta": {},
+    "networks": {"visual": {"modality": "visual", "clock_seconds": 0.0,
+                            "nodes": [{"id": 0, "test": [], "image": [],
+                                       "complete": False, "parent": None,
+                                       "children": [], "links": {},
+                                       "created_at": 0.0,
+                                       "updated_at": 0.0}]}}}
+
+
 def random_trained_memory(seed):
     rng = random.Random(seed)
     labels = ["A", "B", "C"][: rng.randint(2, 3)]
@@ -100,6 +112,14 @@ def test_other_schema_versions_rejected(tmp_path):
         load_memory(path)
 
 
+def test_v1_snapshot_asks_for_retraining(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(V1_SNAPSHOT))
+    with pytest.raises(SnapshotError, match="schema_version 1 is not "
+                       "supported .*retrain the model with 'chunknet train'"):
+        load_memory(path)
+
+
 def test_missing_and_malformed_files(tmp_path):
     with pytest.raises(SnapshotError, match="not found"):
         load_memory(tmp_path / "nope.json")
@@ -114,119 +134,111 @@ def test_dump_is_canonical():
     assert dump_memory(memory) == dump_memory(memory)
 
 
-def _nodes(doc):
-    return {nd["id"]: nd for nd in doc["networks"]["visual"]["nodes"]}
+def _rows(doc):
+    return doc["networks"]["visual"]["nodes"]
+
+
+def _root_children(doc):
+    """Ids of the root's children: the rows whose parent is row 0."""
+    return [i for i, row in enumerate(_rows(doc)) if row[0] == 0]
+
+
+def _first_child(doc):
+    return _rows(doc)[_root_children(doc)[0]]
 
 
 def _drop_root(doc):
-    doc["networks"]["visual"]["nodes"] = [
-        nd for nd in doc["networks"]["visual"]["nodes"] if nd["id"] != 0]
+    del _rows(doc)[0]
+
+
+def _root_with_a_parent(doc):
+    _rows(doc)[0][0] = 0
 
 
 def _drop_field(doc):
-    del _nodes(doc)[1]["children"]
+    _rows(doc)[1].pop()
 
 
 def _dangling_child(doc):
-    _nodes(doc)[0]["children"].append(999)
+    # a child whose parent row does not exist
+    _rows(doc)[1][0] = 999
 
 
 def _wrong_parent(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["parent"] = nodes[0]["children"][1]
+    # a node cannot be its own parent
+    _rows(doc)[1][0] = 1
 
 
-def _child_listed_twice(doc):
-    nodes = _nodes(doc)
-    nodes[0]["children"].append(nodes[0]["children"][0])
+def _negative_parent(doc):
+    _rows(doc)[1][0] = -1
 
 
 def _unreachable_node(doc):
-    nodes = _nodes(doc)
-    nodes[0]["children"].pop()
+    # two nodes naming each other as parent form a cycle off the tree
+    rows = _rows(doc)
+    rows[1][0], rows[2][0] = 2, 1
 
 
 def _empty_test(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["test"] = []
+    _first_child(doc)[1] = ""
 
 
-def _empty_test_token(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["test"] = [""]
-
-
-def _whitespace_image_token(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["image"] = ["p q"]
+def _whitespace_test(doc):
+    _first_child(doc)[1] = " \t "
 
 
 def _non_string_token(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["image"] = [7]
+    _first_child(doc)[2] = [7]
 
 
-def _children_not_a_list(doc):
-    _nodes(doc)[0]["children"] = 5
-
-
-def _test_is_a_string(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["test"] = "ab"
+def _test_is_a_list(doc):
+    _first_child(doc)[1] = ["a", "b"]
 
 
 def _complete_not_a_bool(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["complete"] = "yes"
+    _first_child(doc)[3] = "yes"
 
 
 def _link_to_unknown_label(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["links"]["999"] = 1
+    _first_child(doc)[4]["999"] = 1
 
 
 def _link_to_label_root(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["links"]["0"] = 1
+    _first_child(doc)[4]["0"] = 1
 
 
 def _link_key_not_an_id(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["links"]["x"] = 1
+    _first_child(doc)[4]["x"] = 1
 
 
 def _link_count_zero(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["links"]["1"] = 0
+    _first_child(doc)[4]["1"] = 0
 
 
 def _link_count_text(doc):
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["links"]["1"] = "a"
+    _first_child(doc)[4]["1"] = "a"
 
 
 def _networks_a_list(doc):
     doc["networks"] = []
 
 
-def _node_not_an_object(doc):
-    doc["networks"]["visual"]["nodes"].append(5)
+def _node_not_a_list(doc):
+    _rows(doc).append(5)
+
+
+def _empty_node_table(doc):
+    _rows(doc).clear()
 
 
 def _siblings_share_a_test(doc):
-    nodes = _nodes(doc)
-    first, second = nodes[0]["children"][:2]
-    nodes[second]["test"] = nodes[first]["test"]
-
-
-def _children_out_of_order(doc):
-    _nodes(doc)[0]["children"].reverse()
+    first, second = _root_children(doc)[:2]
+    _rows(doc)[second][1] = _rows(doc)[first][1]
 
 
 def _parent_false(doc):
     # false == 0, so only the type check tells it from the root's id
-    nodes = _nodes(doc)
-    nodes[nodes[0]["children"][0]]["parent"] = False
+    _rows(doc)[_root_children(doc)[0]][0] = False
 
 
 def _schema_version_true(doc):
@@ -235,23 +247,23 @@ def _schema_version_true(doc):
 
 @pytest.mark.parametrize("corrupt, message", [
     pytest.param(_drop_root, "no root node", id="drop_root"),
-    pytest.param(_drop_field, "missing field 'children'", id="drop_field"),
-    pytest.param(_dangling_child, "child 999, which has no node",
+    pytest.param(_root_with_a_parent, "no root node",
+                 id="root_with_a_parent"),
+    pytest.param(_drop_field, "node 1 is missing field 'updated_at'",
+                 id="drop_field"),
+    pytest.param(_dangling_child, "node 1 names parent 999",
                  id="dangling_child"),
-    pytest.param(_wrong_parent, "names parent", id="wrong_parent"),
-    pytest.param(_child_listed_twice, "listed twice",
-                 id="child_listed_twice"),
-    pytest.param(_unreachable_node, "cannot be reached",
+    pytest.param(_wrong_parent, "node 1 names parent 1", id="wrong_parent"),
+    pytest.param(_negative_parent, "node 1 names parent -1",
+                 id="negative_parent"),
+    pytest.param(_unreachable_node, "node 1 names parent 2",
                  id="unreachable_node"),
     pytest.param(_empty_test, "empty test link", id="empty_test"),
-    pytest.param(_empty_test_token, "non-empty", id="empty_test_token"),
-    pytest.param(_whitespace_image_token, "whitespace",
-                 id="whitespace_image_token"),
-    pytest.param(_non_string_token, "strings", id="non_string_token"),
-    pytest.param(_children_not_a_list, "field 'children' holds 5",
-                 id="children_not_a_list"),
-    pytest.param(_test_is_a_string, "field 'test' holds 'ab'",
-                 id="test_is_a_string"),
+    pytest.param(_whitespace_test, "empty test link", id="whitespace_test"),
+    pytest.param(_non_string_token, r"field 'image' holds \[7\]",
+                 id="non_string_token"),
+    pytest.param(_test_is_a_list, r"field 'test' holds \['a', 'b'\]",
+                 id="test_is_a_list"),
     pytest.param(_complete_not_a_bool, "field 'complete' holds 'yes'",
                  id="complete_not_a_bool"),
     pytest.param(_link_to_unknown_label, r"label node\(s\) \[999\]",
@@ -266,12 +278,11 @@ def _schema_version_true(doc):
                  id="link_count_text"),
     pytest.param(_networks_a_list, r"field 'networks' holds \[\]",
                  id="networks_a_list"),
-    pytest.param(_node_not_an_object, "of the node table is not a JSON "
-                 "object: 5", id="node_not_an_object"),
+    pytest.param(_node_not_a_list, "is not a list of 7 fields: 5",
+                 id="node_not_a_list"),
+    pytest.param(_empty_node_table, "no root node", id="empty_node_table"),
     pytest.param(_siblings_share_a_test, "have the same test link",
                  id="siblings_share_a_test"),
-    pytest.param(_children_out_of_order, "not in ascending id order",
-                 id="children_out_of_order"),
     pytest.param(_parent_false, "field 'parent' holds False",
                  id="parent_false"),
     pytest.param(_schema_version_true, "schema_version True",
@@ -280,6 +291,7 @@ def _schema_version_true(doc):
 def test_malformed_nets_rejected(tmp_path, corrupt, message):
     memory, _ = random_trained_memory(2)
     assert len(memory.net("visual").root.children) >= 2
+    assert memory.net("visual").node_count >= 3
     path = tmp_path / "model.json"
     save_memory(path, memory)
     doc = json.loads(path.read_text())
@@ -415,19 +427,16 @@ _JSON_VALUES = st.one_of(
 
 def _mutation_sites(doc):
     """(container, key, can_drop) for every value a mutation may replace or
-    drop; ``meta`` is free-form and is only replaced as a whole."""
+    drop; ``meta`` is free-form and is only replaced as a whole. Whole rows
+    are not dropped: the rows after a dropped one may still form a tree."""
     sites = [(doc, key, key != "meta") for key in doc]
     for net in doc["networks"].values():
         sites.append((doc["networks"], net["modality"], False))
         sites += [(net, key, True) for key in net]
-        for i, nd in enumerate(net["nodes"]):
-            sites.append((net["nodes"], i, True))
-            sites += [(nd, key, True) for key in nd]
-            sites += [(nd["links"], key, False) for key in nd["links"]]
-            sites += [(nd["children"], j, True)
-                      for j in range(len(nd["children"]))]
-            sites += [(nd[field], j, False) for field in ("test", "image")
-                      for j in range(len(nd[field]))]
+        for i, row in enumerate(net["nodes"]):
+            sites.append((net["nodes"], i, False))
+            sites += [(row, j, True) for j in range(len(row))]
+            sites += [(row[4], key, False) for key in row[4]]
     return sites
 
 
@@ -438,14 +447,13 @@ _FUZZ_TEXT = dump_memory(random_trained_memory(2)[0], {"note": "x"})
 @given(st.data())
 def test_mutated_snapshots_raise_snapshot_error(tmp_path_factory, data):
     doc = json.loads(_FUZZ_TEXT)
-    action = data.draw(st.sampled_from(["drop", "swap", "reorder"]))
-    if action == "reorder":
-        lists = [nd["children"] for net in doc["networks"].values()
-                 for nd in net["nodes"] if len(nd["children"]) >= 2]
-        children = data.draw(st.sampled_from(lists))
-        order = data.draw(st.permutations(children)
-                          .filter(lambda p: p != children))
-        children[:] = order
+    action = data.draw(st.sampled_from(["drop", "swap", "parent"]))
+    if action == "parent":
+        # a parent at or after its own row; null is the root's alone
+        rows = data.draw(st.sampled_from(
+            [net["nodes"] for net in doc["networks"].values()]))
+        node_id = data.draw(st.integers(0, len(rows) - 1))
+        rows[node_id][0] = data.draw(st.integers(node_id, len(rows) + 2))
     else:
         sites = [site for site in _mutation_sites(doc)
                  if action == "swap" or site[2]]
