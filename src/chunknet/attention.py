@@ -2,8 +2,9 @@
 
 A stimulus is scanned by a window of at most ``span`` tokens that advances by
 ``step`` tokens and, before each advance, progressively shrinks from the front
-down to ``min_fetch`` tokens. Every fetch is recognised against the trained
-network; per window position only the largest chunk retrieved gets to vote.
+down to ``min_fetch`` tokens. Each fetch is an index range of the stimulus's
+one token tuple, sorted through the trained network in place; per window
+position only the largest chunk retrieved gets to vote.
 A chunk votes for the labels it holds naming links to, contributing its size
 split across labels in proportion to the link counts (under multiplicative
 weighting, its size times each link count). Votes normalise into confidence
@@ -40,24 +41,22 @@ class AttentionConfig:
                 f"span={self.span}")
 
 
-def window_groups(stimulus: Pattern, cfg: AttentionConfig) -> list[list[Pattern]]:
-    """Fetches grouped by window position, in emission order.
+def window_groups(stimulus: Pattern, cfg: AttentionConfig) -> list[range]:
+    """Fetch starts grouped by window position, in emission order.
 
-    Position ``o`` covers tokens [o, min(o + span, end)); its fetches keep the
-    right edge fixed and shrink from the left down to ``min_fetch`` tokens.
+    Position ``o`` covers tokens [o, min(o + span, n)); its group is the range
+    of fetch starts that keep that right edge and leave ``min_fetch`` tokens.
     Window ends grow with the offset until one reaches the end of the
     stimulus; every later position would only repeat suffixes of that
     window, so the scan stops there and no window is emitted twice.
     """
     if not stimulus:
         raise AttentionError("cannot scan an empty stimulus")
-    modality, tokens = stimulus.modality, stimulus.tokens
-    n = len(tokens)
-    groups: list[list[Pattern]] = []
+    n = len(stimulus)
+    groups: list[range] = []
     for offset in range(0, n, cfg.step):
         end = min(offset + cfg.span, n)
-        group = [Pattern.derived(modality, tokens[start:end])
-                 for start in range(offset, end - cfg.min_fetch + 1)]
+        group = range(offset, end - cfg.min_fetch + 1)
         if group:
             groups.append(group)
         if end == n:
@@ -124,10 +123,11 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     net = memory.net(stimulus.modality)
     activations: dict[int, float] = {}
     for group in window_groups(stimulus, cfg):
+        end = min(group.start + cfg.span, len(stimulus))
         best = None
         best_size = 0
-        for fetch in group:
-            node = net.recognise(fetch)
+        for start in group:
+            node = net.recognise(stimulus, start, end)
             if node.node_id == ROOT_ID or not node.naming_links:
                 continue
             size = net.chunk_size(node.node_id)

@@ -17,12 +17,12 @@ from pathlib import Path
 from . import __version__
 from .attention import categorise, retrieve
 from .config import ConfigError, load_config
-from .corpus import TOKENIZERS, CorpusError, load_manifest, tokenize
+from .corpus import TOKENIZERS, CorpusError, load_manifest, \
+    load_test_items, tokenize
 from .harness import TrainingError, attention_config, evaluate_manifest, \
-    train
+    new_memory, train
 from .metrics import (METRIC_NAMES, MetricsError, PredictionPair, score_pair,
                       significance_report, sum_rows)
-from .network import MultiModalMemory
 from .patterns import Pattern
 from .snapshot import SNAPSHOT_SCHEMA_VERSION, SnapshotError, load_memory, \
     save_memory
@@ -80,9 +80,7 @@ def _load_manifest(path, config):
 def _train_model(manifest, config, shuffle=None):
     """A new memory trained on the manifest, the training run, and the
     snapshot meta that categorise and retrieve read back."""
-    memory = MultiModalMemory(
-        seconds_per_new_chunk=config.seconds_per_new_chunk,
-        seconds_per_update=config.seconds_per_update)
+    memory = new_memory(config)
     run = train(memory, manifest, config, shuffle=shuffle)
     meta = {
         "manifest": manifest.name,
@@ -126,13 +124,16 @@ def cmd_train(args) -> int:
 def _load_model(path):
     """The memory, meta block and run config of a snapshot. Raises
     SnapshotError unless each meta field the commands read is absent or
-    usable, and ConfigError for a stored config that does not load."""
+    usable."""
     memory, meta = load_memory(path)
     stored = meta.get("config", {})
     if type(stored) is not dict:
         raise SnapshotError(f"snapshot meta field 'config' holds {stored!r}; "
                             f"it must be a JSON object")
-    config = load_config(None, overrides=stored)
+    try:
+        config = load_config(None, overrides=stored)
+    except ConfigError as exc:
+        raise SnapshotError(f"snapshot meta field 'config': {exc}") from None
     tokenizer = meta.get("tokenizer", "words")
     if type(tokenizer) is not str or tokenizer not in TOKENIZERS:
         raise SnapshotError(f"snapshot meta field 'tokenizer' holds "
@@ -166,7 +167,7 @@ def _load_query(args):
 def cmd_categorise(args) -> int:
     try:
         memory, meta, config, stimulus = _load_query(args)
-    except (SnapshotError, CorpusError, ConfigError) as exc:
+    except (SnapshotError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     cfg = attention_config(config,
@@ -185,7 +186,7 @@ def cmd_categorise(args) -> int:
 def cmd_retrieve(args) -> int:
     try:
         memory, _, _, stimulus = _load_query(args)
-    except (SnapshotError, CorpusError, ConfigError) as exc:
+    except (SnapshotError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     chunk = retrieve(memory.net("visual"), stimulus)
@@ -226,11 +227,13 @@ def cmd_run_suite(args) -> int:
         if args.check and not report.all_checks_pass:
             return EXIT_FAIL
         return EXIT_OK
-    # manifest mode: train on the manifest, then classify its test files
+    # manifest mode: read the test files, train on the manifest, then
+    # classify the test files
     try:
         manifest = _load_manifest(args.manifest, config)
+        items = load_test_items(manifest)
         memory, run, meta = _train_model(manifest, config)
-        result = evaluate_manifest(memory, manifest, config)
+        result = evaluate_manifest(memory, manifest, config, items)
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -322,7 +325,7 @@ def cmd_eval_metrics(args) -> int:
 def cmd_inspect(args) -> int:
     try:
         memory, meta, _ = _load_model(args.model)
-    except (SnapshotError, ConfigError) as exc:
+    except SnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(f"snapshot schema v{SNAPSHOT_SCHEMA_VERSION}; "

@@ -10,12 +10,19 @@ chunk formation probability 1; 10 simulated seconds to create a chunk and
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     pass
+
+
+# The value types each field annotation accepts, and how a message names
+# them: a bool is not an int, and an int is accepted where a float is.
+FIELD_TYPES = {"int": ((int,), "an integer"), "str": ((str,), "a string"),
+               "float": ((int, float), "a number"),
+               "bool": ((bool,), "true or false")}
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,12 @@ class RunConfig:
     link_weighting: str = "proportional"  # proportional | multiplicative
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepted, kind = FIELD_TYPES[f.type]
+            if type(value) not in accepted:
+                raise ConfigError(f"config field {f.name!r} must be {kind}, "
+                                  f"got {value!r}")
         if not 2 <= self.stm_size <= 9:
             raise ConfigError(f"stm_size must be in [2, 9], got {self.stm_size}")
         if not 0.0 <= self.chunk_probability <= 1.0:
@@ -77,5 +90,6 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         data.update(overrides)
     try:
         return RunConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    except (TypeError, ConfigError) as exc:
+        where = f"{path}: " if path is not None else ""
+        raise ConfigError(f"{where}{exc}") from None

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 from .attention import AttentionConfig, Classification, categorise
 from .config import RunConfig
-from .corpus import (DatasetManifest, Sample, TestItem, load_test_items,
-                     load_training_samples)
+from .corpus import DatasetManifest, Sample, TestItem, load_training_samples
 from .network import (CREATED_NODE, FAMILIARISED, NO_CHANGE, LearnEvent,
                       MultiModalMemory)
 from .stm import StmQueue, co_occupancy
@@ -172,6 +171,13 @@ class Trainer:
         return run
 
 
+def new_memory(config: RunConfig) -> MultiModalMemory:
+    """An empty memory whose nets charge the config's simulated costs."""
+    return MultiModalMemory(
+        seconds_per_new_chunk=config.seconds_per_new_chunk,
+        seconds_per_update=config.seconds_per_update)
+
+
 def train(memory: MultiModalMemory, manifest: DatasetManifest,
           config: RunConfig, seed: int | None = None,
           shuffle: bool | None = None) -> TrainingRun:
@@ -212,8 +218,9 @@ def run_suite(memory: MultiModalMemory, items: list[TestItem],
 
 
 def evaluate_manifest(memory: MultiModalMemory, manifest: DatasetManifest,
-                      config: RunConfig) -> SuiteResult:
-    items = load_test_items(manifest)
+                      config: RunConfig,
+                      items: list[TestItem]) -> SuiteResult:
+    """Classify the manifest's test items, read before training."""
     labels = [c.label for c in manifest.categories]
     cfg = attention_config(config, manifest)
     return run_suite(memory, items, labels, cfg,

@@ -7,14 +7,15 @@ reached). The concatenation of test links on the root-to-node path is the
 node's *contents*; contents and image are the extrinsic and intrinsic
 descriptions of a chunk.
 
-Retrieval (``recognise``) sorts an input pattern down the tree: at each node,
-the first child (in insertion order) whose test link is a prefix of the
-remaining input consumes that prefix, until no child matches. The deepest node
-reached is returned; the root means "recognised as nothing". Each node indexes
-its children by the first token of their test links, so a step looks up the
-next input token and tries only the children listed under it, in insertion
-order. Every non-root test link is non-empty, so a child whose link is a
-prefix of the input starts with the input's next token: the lookup picks the
+Retrieval (``recognise``) sorts a span ``tokens[start:end]`` of an input
+pattern down the tree, in place: at each node, the first child (in insertion
+order) whose test link fits in the span and equals the next tokens consumes
+them, until no child matches. The deepest node reached is returned; the root
+means "recognised as nothing". A whole pattern, an attention fetch and a
+discrimination's remainder are all spans of one token tuple, so this is the
+only tree walk. Each node indexes its children by the first token of their
+test links, so a step tries only the children listed under the next token, in
+insertion order; as every non-root test link is non-empty, that picks the
 same child a scan of all children would.
 
 Learning is a four-stage process per presented pattern:
@@ -189,34 +190,31 @@ class DiscriminationNet:
 
     # -- retrieval --------------------------------------------------------
 
-    def recognise(self, p: Pattern) -> Node:
-        """Sort a pattern through the tree; never mutates the net.
+    def recognise(self, p: Pattern, start: int = 0,
+                  end: int | None = None) -> Node:
+        """Sort the span ``p.tokens[start:end]`` through the tree; never
+        mutates the net.
 
-        Returns the deepest node whose path of test links prefixes the input,
-        the root when nothing is recognised (including the empty pattern).
+        Returns the deepest node whose path of test links prefixes the span,
+        the root when nothing is recognised (including an empty span).
         """
         self._check_modality(p)
         nodes = self._nodes
         node = nodes[ROOT_ID]
         tokens = p.tokens
-        n = len(tokens)
-        pos = 0
-        while pos < n:
+        end = len(tokens) if end is None else end
+        pos = start
+        while pos < end:
             for cid in node.index.get(tokens[pos], ()):
                 test = nodes[cid].test
-                end = pos + len(test)
-                if tokens[pos:end] == test:
+                stop = pos + len(test)
+                if stop <= end and tokens[pos:stop] == test:
                     node = nodes[cid]
-                    pos = end
+                    pos = stop
                     break
             else:
                 break
         return node
-
-    def _remainder_at(self, node: Node, p: Pattern) -> Pattern:
-        """Input left unconsumed once recognise(p) has reached ``node``,
-        whose contents are then a prefix of ``p``."""
-        return Pattern.derived(p.modality, p.tokens[node.contents_length:])
 
     # -- learning ---------------------------------------------------------
 
@@ -275,29 +273,30 @@ class DiscriminationNet:
     def discriminate(self, node: Node, p: Pattern) -> LearnEvent:
         """Add one new node below ``node`` (or a new primitive at the root).
 
-        The unconsumed remainder of the pattern at ``node`` is sorted through
-        the net. Root retrieved: the remainder's first token becomes a new
-        root primitive. A node with an empty image: the remainder is
-        familiarised into it. A node with a filled image: a new child of
-        ``node`` is created whose test link is that image with the end marker
-        dropped (falling back to the retrieved node's contents when the image
-        has grown past the remainder), and whose image is the new node's own
-        path of tests.
+        The remainder of the pattern after ``node``'s contents is sorted
+        through the net in place. Root retrieved: the remainder's first token
+        becomes a new root primitive. A node with an empty image: the
+        remainder is familiarised into it. A node with a filled image: a new
+        child of ``node`` is created whose test link is that image with the
+        end marker dropped (falling back to the retrieved node's contents when
+        the image has grown past the remainder), and whose image is the new
+        node's own path of tests.
         """
-        d = self._remainder_at(node, p)
-        if not d:
+        start = node.contents_length
+        if start >= len(p):
             # Pattern already fully encoded by this node's path; its image
             # has simply grown past the pattern. Nothing new to store.
             return LearnEvent(NO_CHANGE, node.node_id, 0.0)
-        ret = self.recognise(d)
+        ret = self.recognise(p, start)
         if ret.node_id == ROOT_ID:
-            new = self._new_node(self.root, (d.tokens[0],), (), False)
+            new = self._new_node(self.root, (p.tokens[start],), (), False)
             return LearnEvent(CREATED_NODE, new.node_id,
                               self.seconds_per_new_chunk)
         if not ret.image:
-            return self.familiarise(ret, d)
+            return self.familiarise(
+                ret, Pattern.derived(p.modality, p.tokens[start:]))
         test = ret.image
-        if d.tokens[: len(test)] != test:
+        if p.tokens[start:start + len(test)] != test:
             # Retrieved image is not a prefix of the remainder (it grew past
             # the recognised contents); the contents are, always.
             test = self.contents(ret.node_id).tokens

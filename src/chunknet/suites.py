@@ -17,9 +17,9 @@ from pathlib import Path
 from .attention import categorise
 from .config import RunConfig
 from .corpus import Category, SplitSpec, TestItem, load_manifest, \
-    write_manifest
+    load_test_items, write_manifest
 from .harness import SuiteResult, TrainingRun, attention_config, \
-    evaluate_manifest, run_suite, train
+    evaluate_manifest, new_memory, run_suite, train
 from .network import MultiModalMemory
 from .patterns import Pattern
 
@@ -86,11 +86,10 @@ def build_xor_manifest(corpus_dir: Path) -> Path:
 
 def run_xor(out_dir: Path, config: RunConfig) -> SuiteReport:
     manifest = load_manifest(build_xor_manifest(out_dir / "corpus"))
-    memory = MultiModalMemory(
-        seconds_per_new_chunk=config.seconds_per_new_chunk,
-        seconds_per_update=config.seconds_per_update)
+    items = load_test_items(manifest)
+    memory = new_memory(config)
     training = train(memory, manifest, config)
-    result = evaluate_manifest(memory, manifest, config)
+    result = evaluate_manifest(memory, manifest, config, items)
     exact = all(row.correct and
                 abs(row.classification.confidence(row.true_label) - 1.0) < 1e-9
                 for row in result.rows)
@@ -119,9 +118,7 @@ def _train_five_four(out_dir: Path, config: RunConfig,
                      seed: int | None = None,
                      shuffle: bool = False) -> tuple[MultiModalMemory, TrainingRun]:
     manifest = load_manifest(build_five_four_manifest(out_dir / "corpus"))
-    memory = MultiModalMemory(
-        seconds_per_new_chunk=config.seconds_per_new_chunk,
-        seconds_per_update=config.seconds_per_update)
+    memory = new_memory(config)
     training = train(memory, manifest, config, seed=seed, shuffle=shuffle)
     return memory, training
 
@@ -220,11 +217,10 @@ def generate_occlusions(word: str, count: int, rng: random.Random,
 def run_occlusion(out_dir: Path, config: RunConfig,
                   generated: int = 100) -> SuiteReport:
     manifest = load_manifest(build_occlusion_manifest(out_dir / "corpus"))
-    memory = MultiModalMemory(
-        seconds_per_new_chunk=config.seconds_per_new_chunk,
-        seconds_per_update=config.seconds_per_update)
+    items = load_test_items(manifest)
+    memory = new_memory(config)
     training = train(memory, manifest, config)
-    result = evaluate_manifest(memory, manifest, config)
+    result = evaluate_manifest(memory, manifest, config, items)
 
     rng = random.Random(config.seed)
     cfg = attention_config(config)
@@ -320,11 +316,10 @@ def run_synthetic(out_dir: Path, config: RunConfig) -> SuiteReport:
 
     manifest = load_manifest(
         generate_synthetic_corpus(out_dir / "corpus", config.seed))
-    memory = MultiModalMemory(
-        seconds_per_new_chunk=config.seconds_per_new_chunk,
-        seconds_per_update=config.seconds_per_update)
+    items = load_test_items(manifest)
+    memory = new_memory(config)
     training = train(memory, manifest, config)
-    result = evaluate_manifest(memory, manifest, config)
+    result = evaluate_manifest(memory, manifest, config, items)
 
     threshold = bonferroni(0.05, 5)
     tail = binomial_at_least(BinomialQuery(

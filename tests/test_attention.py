@@ -18,35 +18,50 @@ def L(token):
     return Pattern("verbal", (token,))
 
 
+def window_spans(stimulus, cfg):
+    """Every fetch the attention window emits, in order, as the (start, end)
+    index range of the stimulus that ``categorise`` recognises: a group's
+    window ends at min(group.start + span, len(stimulus))."""
+    n = len(stimulus)
+    return [(start, min(group.start + cfg.span, n))
+            for group in window_groups(stimulus, cfg) for start in group]
+
+
 def window_fetches(stimulus, cfg):
-    """Every fetch the attention window emits, in order."""
-    return [fetch for group in window_groups(stimulus, cfg) for fetch in group]
+    """The tokens of every fetch, in order."""
+    return [stimulus.tokens[start:end]
+            for start, end in window_spans(stimulus, cfg)]
 
 
 class TestWindowFetches:
     def test_shrink_then_advance(self):
         # five tokens, span 3, step 3: full window, its shrink, then the
         # truncated tail window
-        fetches = window_fetches(P("p1", "p2", "p3", "p4", "p5"),
-                                 AttentionConfig(span=3, step=3))
-        assert [f.tokens for f in fetches] == [
+        stimulus = P("p1", "p2", "p3", "p4", "p5")
+        cfg = AttentionConfig(span=3, step=3)
+        assert window_groups(stimulus, cfg) == [range(0, 2), range(3, 4)]
+        assert window_spans(stimulus, cfg) == [(0, 3), (1, 3), (3, 5)]
+        assert window_fetches(stimulus, cfg) == [
             ("p1", "p2", "p3"), ("p2", "p3"), ("p4", "p5")]
 
     def test_short_stimulus_truncates(self):
-        fetches = window_fetches(P("p1", "p2"), AttentionConfig(span=3))
-        assert [f.tokens for f in fetches] == [("p1", "p2")]
+        stimulus = P("p1", "p2")
+        cfg = AttentionConfig(span=3)
+        assert window_groups(stimulus, cfg) == [range(0, 1)]
+        assert window_fetches(stimulus, cfg) == [("p1", "p2")]
 
     def test_single_token_yields_nothing(self):
-        assert window_fetches(P("p1"), AttentionConfig()) == []
+        assert window_groups(P("p1"), AttentionConfig()) == []
 
     def test_empty_stimulus_is_usage_error(self):
         with pytest.raises(AttentionError):
-            window_fetches(P(), AttentionConfig())
+            window_groups(P(), AttentionConfig())
 
     def test_occluded_word_contains_the_full_word_fetch(self):
         stimulus = P(*"zzLiverpool")
-        fetches = window_fetches(stimulus, AttentionConfig(span=11))
-        assert tuple("Liverpool") in [f.tokens for f in fetches]
+        cfg = AttentionConfig(span=11)
+        assert (2, 11) in window_spans(stimulus, cfg)
+        assert tuple("Liverpool") in window_fetches(stimulus, cfg)
 
     def test_each_window_emitted_exactly_once(self):
         rng = random.Random(5)
@@ -55,14 +70,13 @@ class TestWindowFetches:
             cfg = AttentionConfig(span=rng.randrange(2, 8),
                                   step=rng.randrange(1, 4))
             stimulus = P(*(f"t{i}" for i in range(n)))
-            seen = set()
             for group in window_groups(stimulus, cfg):
-                for fetch in group:
-                    assert cfg.min_fetch <= len(fetch) <= cfg.span
-                    key = fetch.tokens
-                    # positions are recoverable: tokens are unique
-                    assert key not in seen
-                    seen.add(key)
+                assert isinstance(group, range) and group.step == 1
+            spans = window_spans(stimulus, cfg)
+            for start, end in spans:
+                assert 0 <= start and end <= n
+                assert cfg.min_fetch <= end - start <= cfg.span
+            assert len(set(spans)) == len(spans)
 
     def test_groups_follow_the_offset_formula(self):
         # oracle: for offset o the span ends at min(o+span, n) and starts
@@ -77,12 +91,16 @@ class TestWindowFetches:
             emitted = set()
             for offset in range(0, n, cfg.step):
                 end = min(offset + cfg.span, n)
+                group = []
                 for start in range(offset, end - cfg.min_fetch + 1):
                     if (start, end) not in emitted:
                         emitted.add((start, end))
-                        expected.append(stimulus.tokens[start:end])
-            got = [f.tokens for f in window_fetches(stimulus, cfg)]
-            assert got == expected
+                        group.append((start, end))
+                if group:
+                    expected.append(group)
+            groups = window_groups(stimulus, cfg)
+            assert [[(start, min(g.start + cfg.span, n)) for start in g]
+                    for g in groups] == expected
 
     def test_config_validation(self):
         with pytest.raises(AttentionError):
@@ -236,6 +254,23 @@ class TestCategorise:
             cls = categorise(memory, P(*letters), AttentionConfig(span=20))
             assert cls.top == label
 
+    def test_a_chunk_longer_than_the_window_is_not_fetched(self):
+        # span 2: the first window is "a b", so the fetch there recognises
+        # "a b" (label F), not the longer sibling "a b c" (label T) that runs
+        # past the window's end
+        memory = MultiModalMemory()
+        visual = memory.net("visual")
+        verbal = memory.label_net
+        for label in ("T", "F"):
+            for _ in range(2):
+                verbal.learn(L(label))
+        for tokens, label in [(("a", "b", "c"), "T"), (("a", "b"), "F")]:
+            node = visual._new_node(visual.root, tokens, tokens, True)
+            memory.add_naming_link("visual", node.node_id,
+                                   verbal.recognise(L(label)).node_id)
+        cls = categorise(memory, P("a", "b", "c"), AttentionConfig(span=2))
+        assert cls.entries == (("F", 1.0),)
+
 
 def two_position_memory():
     """Chunks voting at two window positions of "a b c d e" (span 3, step
@@ -264,9 +299,10 @@ class TestLinkWeighting:
     CFG = AttentionConfig(span=3, step=3)
 
     def test_two_window_positions(self):
-        groups = window_groups(self.STIMULUS, self.CFG)
-        assert [[f.tokens for f in g] for g in groups] == [
-            [("a", "b", "c"), ("b", "c")], [("d", "e")]]
+        assert window_groups(self.STIMULUS, self.CFG) == [range(0, 2),
+                                                          range(3, 4)]
+        assert window_fetches(self.STIMULUS, self.CFG) == [
+            ("a", "b", "c"), ("b", "c"), ("d", "e")]
 
     @pytest.mark.parametrize("weighting, entries", [
         # each winner adds size * (count / its link total):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chunknet import cli
 from chunknet.cli import main
 from chunknet.suites import build_xor_manifest
 from test_snapshot import V1_SNAPSHOT
@@ -293,11 +294,13 @@ def _bad_manifest(tmp_path):
     return ["train", "--manifest", str(manifest), "--out", str(tmp_path)]
 
 
-def _bad_config(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text('{"stm_sizes": 5}', encoding="utf-8")
-    return ["train", "--manifest", str(_xor_manifest(tmp_path)),
-            "--config", str(config), "--out", str(tmp_path / "out")]
+def _config_file(text, command="train"):
+    def setup(tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        return [command, "--manifest", str(_xor_manifest(tmp_path)),
+                "--config", str(config), "--out", str(tmp_path / "out")]
+    return setup
 
 
 def _v1_snapshot(tmp_path):
@@ -323,7 +326,8 @@ def _set_parent(doc):
 @pytest.mark.parametrize("setup, code, message", [
     pytest.param(_bad_manifest, 2, "manifest is not valid JSON",
                  id="bad_manifest"),
-    pytest.param(_bad_config, 2, "stm_sizes", id="bad_config"),
+    pytest.param(_config_file('{"stm_sizes": 5}'), 2, "stm_sizes",
+                 id="bad_config"),
     pytest.param(_model_edit(_set_parent), 2, "node 1 names parent 999",
                  id="v2_snapshot_bad_parent"),
     pytest.param(_v1_snapshot, 2, "retrain the model", id="v1_snapshot"),
@@ -333,8 +337,36 @@ def _set_parent(doc):
                  id="meta_config_a_number_retrieve"),
     pytest.param(_meta("config", 5, "inspect"), 2, "'config' holds 5",
                  id="meta_config_a_number_inspect"),
-    pytest.param(_meta("config", {"stm_size": "x"}), 2, "not supported",
-                 id="meta_config_bad_value"),
+    pytest.param(_config_file('{"stm_size": "x"}'), 2,
+                 "config.json: config field 'stm_size' must be an integer, "
+                 "got 'x'", id="config_text_for_int"),
+    pytest.param(_config_file('{"max_epochs": 2.5}', "run-suite"), 2,
+                 "config.json: config field 'max_epochs' must be an integer, "
+                 "got 2.5", id="config_float_for_int"),
+    pytest.param(_config_file('{"seed": true}'), 2,
+                 "config.json: config field 'seed' must be an integer, "
+                 "got True", id="config_bool_for_int"),
+    pytest.param(_config_file('{"shuffle": "no"}'), 2,
+                 "config.json: config field 'shuffle' must be true or false, "
+                 "got 'no'", id="config_text_for_bool"),
+    pytest.param(_config_file('{"seconds_per_update": "2"}'), 2,
+                 "config.json: config field 'seconds_per_update' must be a "
+                 "number, got '2'", id="config_text_for_float"),
+    pytest.param(_config_file('{"stm_pairing": 1}'), 2,
+                 "config.json: config field 'stm_pairing' must be a string, "
+                 "got 1", id="config_int_for_str"),
+    pytest.param(_meta("config", {"stm_size": "x"}), 2,
+                 "meta field 'config': config field 'stm_size' must be an "
+                 "integer, got 'x'", id="meta_config_bad_value"),
+    pytest.param(_meta("config", {"max_epochs": 2.5}, "inspect"), 2,
+                 "meta field 'config': config field 'max_epochs' must be an "
+                 "integer, got 2.5", id="meta_config_float_for_int"),
+    pytest.param(_meta("config", {"shuffle": "no"}, "retrieve"), 2,
+                 "meta field 'config': config field 'shuffle' must be true "
+                 "or false, got 'no'", id="meta_config_text_for_bool"),
+    pytest.param(_meta("config", {"link_weighting": None}), 2,
+                 "meta field 'config': config field 'link_weighting' must be "
+                 "a string, got None", id="meta_config_null_for_str"),
     pytest.param(_meta("tokenizer", ["words"]), 2,
                  r"'tokenizer' holds \['words'\]", id="meta_tokenizer_a_list"),
     pytest.param(_meta("tokenizer", "phonemes"), 2,
@@ -368,3 +400,25 @@ def test_exit_code_table(tmp_path, capsys, setup, code, message):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert re.search(message, captured.err)
+
+
+def test_int_config_values_load_where_numbers_are_expected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"chunk_probability": 1, "seconds_per_update": 3}',
+                      encoding="utf-8")
+    code, _, err = run(capsys, "run-suite", "--suite", "xor", "--config",
+                       str(config), "--out", str(tmp_path / "out"), "--check")
+    assert code == 0 and err == ""
+
+
+def test_bad_test_file_exits_2_before_training(tmp_path, capsys,
+                                               monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the test files "
+                             "were read")
+    monkeypatch.setattr(cli, "train", no_training)
+    argv = _non_utf8_data_file("test_10.txt", "run-suite")(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "test_10.txt is not UTF-8" in err
+    assert not (tmp_path / "o" / "model.json").exists()

@@ -3,7 +3,7 @@
 import pytest
 
 from chunknet.config import RunConfig
-from chunknet.corpus import Sample, load_manifest
+from chunknet.corpus import Sample, load_manifest, load_test_items
 from chunknet.harness import Trainer, TrainingError, evaluate_manifest, train
 from chunknet.network import MultiModalMemory
 from chunknet.patterns import Pattern
@@ -106,10 +106,11 @@ def test_chunk_probability_zero_never_learns_but_counts_epochs():
 
 def test_manifest_train_and_evaluate(tmp_path):
     manifest = load_manifest(build_xor_manifest(tmp_path / "corpus"))
+    items = load_test_items(manifest)
     memory = MultiModalMemory()
     config = RunConfig()
     run = train(memory, manifest, config)
     assert run.converged
-    result = evaluate_manifest(memory, manifest, config)
+    result = evaluate_manifest(memory, manifest, config, items)
     assert result.correct_count == result.total == 4
     assert result.chance_baseline == 2.0  # 4 tests over 2 labels

@@ -1,5 +1,8 @@
 """Differential tests: the indexed ``recognise`` against a linear scan of
-every child, on random nets, before and after a snapshot round trip."""
+every child, on random nets, before and after a snapshot round trip; the
+span walk against the same scan of a copied slice; and ``categorise``, which
+walks index ranges of one stimulus, against a per-fetch reference that
+copies every fetch into its own pattern."""
 
 import itertools
 import tempfile
@@ -8,7 +11,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunknet.network import DiscriminationNet, MultiModalMemory
+from chunknet.attention import AttentionConfig, categorise, confidence
+from chunknet.config import RunConfig
+from chunknet.corpus import Sample
+from chunknet.harness import Trainer
+from chunknet.network import ROOT_ID, DiscriminationNet, MultiModalMemory
 from chunknet.patterns import Pattern
 from chunknet.snapshot import load_memory, save_memory
 
@@ -83,3 +90,91 @@ def test_siblings_sharing_a_first_token_keep_insertion_order():
               for tokens in itertools.product("abc", repeat=n)]
     assert_matches_oracle(net, probes)
     assert net.recognise(Pattern("visual", ("a", "c", "a"))).node_id == 3
+
+
+@st.composite
+def nets_and_spans(draw):
+    memory, probes = draw(nets_and_probes())
+    spans = []
+    for probe in probes:
+        n = len(probe)
+        start = draw(st.integers(0, n))
+        end = draw(st.one_of(st.none(), st.integers(start, n)))
+        spans.append((probe, start, end))
+    return memory.net("visual"), spans
+
+
+@settings(deadline=None, database=None)
+@given(nets_and_spans())
+def test_span_walk_matches_linear_scan_of_the_slice(case):
+    net, spans = case
+    for p, start, end in spans:
+        piece = Pattern(p.modality, p.tokens[start:end])
+        assert net.recognise(p, start, end) is linear_recognise(net, piece)
+
+
+def per_fetch_categorise(memory, stimulus, cfg, link_weighting):
+    """Reference classifier: every fetch is copied out of the stimulus into
+    its own pattern and sorted by the linear scan, window by window."""
+    net = memory.net(stimulus.modality)
+    tokens = stimulus.tokens
+    n = len(tokens)
+    activations = {}
+    for offset in range(0, n, cfg.step):
+        end = min(offset + cfg.span, n)
+        best = None
+        for start in range(offset, end - cfg.min_fetch + 1):
+            fetch = Pattern(stimulus.modality, tokens[start:end])
+            node = linear_recognise(net, fetch)
+            if node.node_id == ROOT_ID or not node.naming_links:
+                continue
+            if best is None or net.chunk_size(node.node_id) > \
+                    net.chunk_size(best.node_id):
+                best = node
+        if best is not None:
+            size = net.chunk_size(best.node_id)
+            links = best.naming_links
+            total = sum(links.values()) \
+                if link_weighting == "proportional" else 1
+            for label_id, count in links.items():
+                activations[label_id] = (activations.get(label_id, 0.0)
+                                         + size * (count / total))
+        if end == n:
+            break
+    return confidence(activations, memory)
+
+
+@st.composite
+def models_and_stimuli(draw):
+    # Stimuli string trained patterns together with noise, and windows are
+    # short, so learned chunks often run past a window's end.
+    alphabet = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    bodies = draw(st.lists(token_lists(alphabet, 1), min_size=1, max_size=8))
+    samples = [Sample(Pattern("visual", tuple(tokens)),
+                      Pattern("verbal", (draw(st.sampled_from("TF")),)))
+               for tokens in bodies]
+    trainer = Trainer(MultiModalMemory(), RunConfig())
+    for _ in range(draw(st.integers(1, 10))):
+        for sample in samples:
+            trainer.present(sample)
+    span = draw(st.integers(2, 6))
+    cfg = AttentionConfig(span=span, step=draw(st.integers(1, 4)),
+                          min_fetch=draw(st.integers(2, span)))
+    pieces = st.one_of(st.sampled_from(bodies),
+                       token_lists(alphabet + ["z"], 1))
+    stimuli = [Pattern("visual", tuple(token for piece in parts
+                                       for token in piece))
+               for parts in draw(st.lists(st.lists(pieces, min_size=1,
+                                                   max_size=4),
+                                          min_size=1, max_size=8))]
+    weighting = draw(st.sampled_from(["proportional", "multiplicative"]))
+    return trainer.memory, cfg, stimuli, weighting
+
+
+@settings(deadline=None, database=None)
+@given(models_and_stimuli())
+def test_categorise_matches_per_fetch_reference(case):
+    memory, cfg, stimuli, weighting = case
+    for stimulus in stimuli:
+        assert categorise(memory, stimulus, cfg, weighting) == \
+            per_fetch_categorise(memory, stimulus, cfg, weighting)
