@@ -4,7 +4,11 @@ A stimulus is scanned by a window of at most ``span`` tokens that advances by
 ``step`` tokens and, before each advance, progressively shrinks from the front
 down to ``min_fetch`` tokens. Each fetch is an index range of the stimulus's
 one token tuple, sorted through the trained network in place; per window
-position only the largest chunk retrieved gets to vote.
+position only the largest chunk retrieved gets to vote. A fetch start is
+covered by up to ``span - min_fetch + 1`` window positions, so each start is
+walked once without the window bound, and walked again, bounded, only for a
+window whose end that first path passes.
+
 A chunk votes for the labels it holds naming links to, contributing its size
 split across labels in proportion to the link counts (under multiplicative
 weighting, its size times each link count). Votes normalise into confidence
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import ROOT_ID, DiscriminationNet, MultiModalMemory
+from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
 from .patterns import Pattern
 
 
@@ -116,18 +120,39 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     The winner adds ``size * (count / total)`` to each label it links to:
     ``total`` is its link count under ``proportional`` weighting, so its
     size is split across labels, and 1 under ``multiplicative`` weighting.
+
+    In a stimulus longer than the span, each fetch start is walked once per
+    call without a bound, the first time a window asks for it. When that
+    path stops inside a window's end, its node is exactly what the bounded
+    walk returns: every step on it fits, every sibling tried before a step
+    failed without the bound and so fails with it, and the last node has no
+    child that matches even unbounded. When the path passes the end, the
+    fetch is walked again from the root under the bound; cutting the path
+    back to an ancestor that fits would miss a later, shorter sibling that
+    fits too. A shorter stimulus is one window position, so each of its
+    fetches is walked once, bounded.
     """
     if link_weighting not in ("proportional", "multiplicative"):
         raise AttentionError(f"unknown link weighting {link_weighting!r}")
     proportional = link_weighting == "proportional"
     net = memory.net(stimulus.modality)
     activations: dict[int, float] = {}
+    # Fetch start -> its unbounded walk. A stimulus no longer than the span
+    # is one window position, which asks for no start twice.
+    walks: dict[int, Node] | None = {} if len(stimulus) > cfg.span else None
     for group in window_groups(stimulus, cfg):
         end = min(group.start + cfg.span, len(stimulus))
         best = None
         best_size = 0
         for start in group:
-            node = net.recognise(stimulus, start, end)
+            if walks is None:
+                node = net.recognise(stimulus, start, end)
+            else:
+                node = walks.get(start)
+                if node is None:
+                    node = walks[start] = net.recognise(stimulus, start)
+                if start + node.contents_length > end:
+                    node = net.recognise(stimulus, start, end)
             if node.node_id == ROOT_ID or not node.naming_links:
                 continue
             size = net.chunk_size(node.node_id)

@@ -10,6 +10,7 @@ chunk formation probability 1; 10 simulated seconds to create a chunk and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -64,9 +65,20 @@ class RunConfig:
             raise ConfigError(f"unknown link_weighting {self.link_weighting!r}")
         if self.max_epochs < 1 or self.node_ceiling_factor < 1:
             raise ConfigError("max_epochs and node_ceiling_factor must be >= 1")
+        for name in ("seconds_per_new_chunk", "seconds_per_update"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"config field {name!r} must be a finite "
+                                  f"number >= 0, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def reject_constant(name: str):
+    """``parse_constant`` hook for ``json.loads``: ``NaN``, ``Infinity``
+    and ``-Infinity`` are not JSON, so a file holding one is refused."""
+    raise ValueError(f"{name} is not a JSON value")
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -74,10 +86,11 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     data: dict = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8"),
+                             parse_constant=reject_constant)
         except FileNotFoundError:
             raise ConfigError(f"config not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")

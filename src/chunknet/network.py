@@ -16,7 +16,11 @@ discrimination's remainder are all spans of one token tuple, so this is the
 only tree walk. Each node indexes its children by the first token of their
 test links, so a step tries only the children listed under the next token, in
 insertion order; as every non-root test link is non-empty, that picks the
-same child a scan of all children would.
+same child a scan of all children would. Bounding a span only ever rejects
+more test links, so a walk of ``tokens[start:]`` whose node's contents fit
+inside ``end`` is also the walk of ``tokens[start:end]``; attention reuses
+one unbounded walk per fetch start across its window positions that way,
+and re-walks bounded from the root only when the path runs past ``end``.
 
 Learning is a four-stage process per presented pattern:
 

@@ -41,6 +41,7 @@ import reprlib
 from pathlib import Path
 from typing import NoReturn
 
+from .config import reject_constant
 from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
 
 SNAPSHOT_SCHEMA_VERSION = 2
@@ -234,8 +235,8 @@ def load_memory(path) -> tuple[MultiModalMemory, dict]:
 
 def _load_doc(text: str) -> tuple[MultiModalMemory, dict]:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except ValueError as exc:
         raise SnapshotError(f"snapshot is not valid JSON: {exc}") from None
     version = doc.get("schema_version") if type(doc) is dict else None
     if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:

@@ -8,6 +8,7 @@ from chunknet.attention import (AttentionConfig, AttentionError, categorise,
                                 confidence, retrieve, window_groups)
 from chunknet.network import DiscriminationNet, MultiModalMemory
 from chunknet.patterns import Pattern
+from test_recognise_oracle import per_fetch_categorise
 
 
 def P(*tokens):
@@ -270,6 +271,37 @@ class TestCategorise:
                                    verbal.recognise(L(label)).node_id)
         cls = categorise(memory, P("a", "b", "c"), AttentionConfig(span=2))
         assert cls.entries == (("F", 1.0),)
+
+    def test_a_walk_past_the_window_end_is_redone_from_the_root(self):
+        # Under "x", the first sibling "a b c" (label T) runs past the first
+        # window's end, while the later sibling "a" and its child "b"
+        # (label F) fit. Reusing the unbounded walk would vote T; cutting it
+        # back to its ancestor "x" (label X) would vote X.
+        memory = MultiModalMemory()
+        visual = memory.net("visual")
+        verbal = memory.label_net
+        for label in ("T", "F", "X"):
+            for _ in range(2):
+                verbal.learn(L(label))
+        x = visual._new_node(visual.root, ("x",), ("x",), True)
+        xabc = visual._new_node(x, ("a", "b", "c"), ("x", "a", "b", "c"),
+                                True)
+        xa = visual._new_node(x, ("a",), ("x", "a"), True)
+        xab = visual._new_node(xa, ("b",), ("x", "a", "b"), True)
+        for node, label in [(x, "X"), (xabc, "T"), (xab, "F")]:
+            memory.add_naming_link("visual", node.node_id,
+                                   verbal.recognise(L(label)).node_id)
+        cases = [(P("x", "a", "b", "c"), 3, "F"),
+                 (P("x", "a", "b", "c"), 4, "T"),   # one window position
+                 (P("x", "a", "b", "c", "c"), 4, "T"),
+                 # the same start in a new stimulus is walked afresh
+                 (P("x", "a", "b", "d", "d"), 4, "F")]
+        for stimulus, span, label in cases:
+            cfg = AttentionConfig(span=span)
+            cls = categorise(memory, stimulus, cfg)
+            assert cls.entries == ((label, 1.0),)
+            assert cls == per_fetch_categorise(memory, stimulus, cfg,
+                                               "proportional")
 
 
 def two_position_memory():

@@ -297,7 +297,7 @@ def _bad_manifest(tmp_path):
 def _config_file(text, command="train"):
     def setup(tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(text, encoding="utf-8")
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
         return [command, "--manifest", str(_xor_manifest(tmp_path)),
                 "--config", str(config), "--out", str(tmp_path / "out")]
     return setup
@@ -355,6 +355,33 @@ def _set_parent(doc):
     pytest.param(_config_file('{"stm_pairing": 1}'), 2,
                  "config.json: config field 'stm_pairing' must be a string, "
                  "got 1", id="config_int_for_str"),
+    pytest.param(_config_file('{"seconds_per_update": -5}'), 2,
+                 "config.json: config field 'seconds_per_update' must be a "
+                 "finite number >= 0, got -5", id="config_negative_seconds"),
+    pytest.param(_config_file('{"seconds_per_new_chunk": 1e999}'), 2,
+                 "config.json: config field 'seconds_per_new_chunk' must be a "
+                 "finite number >= 0, got inf", id="config_seconds_overflow"),
+    pytest.param(_config_file('{"seconds_per_new_chunk": NaN}'), 2,
+                 "config is not valid JSON: NaN is not a JSON value",
+                 id="config_nan"),
+    pytest.param(_config_file('{"seconds_per_update": -Infinity}',
+                              "run-suite"), 2,
+                 "config is not valid JSON: -Infinity is not a JSON value",
+                 id="config_minus_infinity"),
+    pytest.param(_config_file(b'{"seed": 1}\xff'), 2,
+                 "config is not valid JSON: 'utf-8' codec",
+                 id="config_not_utf8"),
+    pytest.param(_meta("config", {"seconds_per_update": -1}, "inspect"), 2,
+                 "meta field 'config': config field 'seconds_per_update' must "
+                 "be a finite number >= 0, got -1",
+                 id="meta_config_negative_seconds"),
+    pytest.param(_meta("config", {"seconds_per_new_chunk": float("nan")}), 2,
+                 "snapshot is not valid JSON: NaN is not a JSON value",
+                 id="meta_config_nan"),
+    pytest.param(_meta("config", {"seconds_per_update": float("inf")},
+                       "retrieve"), 2,
+                 "snapshot is not valid JSON: Infinity is not a JSON value",
+                 id="meta_config_infinity"),
     pytest.param(_meta("config", {"stm_size": "x"}), 2,
                  "meta field 'config': config field 'stm_size' must be an "
                  "integer, got 'x'", id="meta_config_bad_value"),

@@ -171,8 +171,46 @@ def models_and_stimuli(draw):
     return trainer.memory, cfg, stimuli, weighting
 
 
+@st.composite
+def built_models_and_stimuli(draw):
+    # Random trees of linked nodes whose siblings share a first token with
+    # tests of different lengths, and stimuli strung from their images: an
+    # unbounded walk often passes a window's end where a later, shorter
+    # sibling fits.
+    memory = MultiModalMemory()
+    visual = memory.net("visual")
+    verbal = memory.label_net
+    labels = [verbal._new_node(verbal.root, (name,), (name,), True).node_id
+              for name in "TF"]
+    nodes = [visual.root]
+    for _ in range(draw(st.integers(1, 12))):
+        parent = draw(st.sampled_from(nodes))
+        test = tuple(draw(st.lists(st.sampled_from("ab"), min_size=1,
+                                   max_size=3)))
+        if any(visual.node(cid).test == test
+               for cid in parent.index.get(test[0], ())):
+            continue
+        image = visual.contents(parent.node_id).tokens + test
+        node = visual._new_node(parent, test, image, True)
+        for label in draw(st.lists(st.sampled_from(labels), max_size=3)):
+            memory.add_naming_link("visual", node.node_id, label)
+        nodes.append(node)
+    span = draw(st.integers(2, 6))
+    cfg = AttentionConfig(span=span, step=draw(st.integers(1, 3)),
+                          min_fetch=draw(st.integers(2, span)))
+    pieces = st.one_of(st.sampled_from([node.image for node in nodes[1:]]),
+                       token_lists(["a", "b"], 1))
+    stimuli = [Pattern("visual", tuple(token for piece in parts
+                                       for token in piece))
+               for parts in draw(st.lists(st.lists(pieces, min_size=1,
+                                                   max_size=4),
+                                          min_size=1, max_size=4))]
+    weighting = draw(st.sampled_from(["proportional", "multiplicative"]))
+    return memory, cfg, stimuli, weighting
+
+
 @settings(deadline=None, database=None)
-@given(models_and_stimuli())
+@given(st.one_of(models_and_stimuli(), built_models_and_stimuli()))
 def test_categorise_matches_per_fetch_reference(case):
     memory, cfg, stimuli, weighting = case
     for stimulus in stimuli:
