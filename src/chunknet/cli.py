@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -66,6 +67,20 @@ def _print_result_table(result) -> None:
           f"(chance baseline {result.chance_baseline:g})")
 
 
+def _out_dir(path: str) -> Path | None:
+    """The ``--out`` directory, created before any work so that a path
+    naming a file fails fast; None, after printing the error, when it cannot
+    be created."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {path}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return None
+    return out_dir
+
+
 def _load_manifest(path, config):
     """The manifest at ``path``, checked against the run config before any
     training starts; raises CorpusError."""
@@ -92,6 +107,9 @@ def _train_model(manifest, config, shuffle=None):
 
 
 def cmd_train(args) -> int:
+    out_dir = _out_dir(args.out)
+    if out_dir is None:
+        return EXIT_INPUT
     try:
         config = load_config(args.config,
                              overrides={"seed": args.seed}
@@ -105,8 +123,6 @@ def cmd_train(args) -> int:
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_memory(out_dir / "model.json", memory, meta)
     (out_dir / "training.json").write_text(
         json.dumps(run.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -195,8 +211,9 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_run_suite(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
+    if out_dir is None:
+        return EXIT_INPUT
     try:
         config = load_config(args.config,
                              overrides={"seed": args.seed}
@@ -258,49 +275,63 @@ def cmd_run_suite(args) -> int:
 
 def _read_pairs_csv(path):
     """Rows of (participant, item, human pair, model pair) from a CSV with
-    the human_top/human_second/model_top/model_second columns."""
+    the human_top/human_second/model_top/model_second columns; raises
+    MetricsError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise MetricsError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise MetricsError(f"{path} is not UTF-8 text: {exc}") from None
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"human_top", "model_top"}
-        if reader.fieldnames is None or \
-                not needed.issubset(reader.fieldnames):
-            raise MetricsError(
-                f"{path}: need columns human_top/model_top "
-                f"(optionally human_second/model_second)")
-        for record in reader:
-            human = PredictionPair(record["human_top"],
-                                   record.get("human_second") or None)
-            model = PredictionPair(record["model_top"],
-                                   record.get("model_second") or None)
-            rows.append((record.get("participant", ""),
-                         record.get("excerpt") or record.get("item", ""),
-                         human, model))
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    needed = {"human_top", "model_top"}
+    if reader.fieldnames is None or \
+            not needed.issubset(reader.fieldnames):
+        raise MetricsError(
+            f"{path}: need columns human_top/model_top "
+            f"(optionally human_second/model_second)")
+    for record in reader:
+        human = PredictionPair(record["human_top"],
+                               record.get("human_second") or None)
+        model = PredictionPair(record["model_top"],
+                               record.get("model_second") or None)
+        rows.append((record.get("participant", ""),
+                     record.get("excerpt") or record.get("item", ""),
+                     human, model))
     if not rows:
         raise MetricsError(f"{path}: no comparison rows")
     return rows
 
 
 def cmd_eval_metrics(args) -> int:
+    out_dir = _out_dir(args.out)
+    if out_dir is None:
+        return EXIT_INPUT
     try:
+        if args.labels < 2:
+            raise MetricsError(f"--labels must be at least 2, "
+                               f"got {args.labels}")
+        if args.trials is not None and args.trials < 1:
+            raise MetricsError(f"--trials must be at least 1, "
+                               f"got {args.trials}")
         pairs = _read_pairs_csv(args.pairs)
-    except (MetricsError, FileNotFoundError, KeyError) as exc:
+        scored = [(participant, item, score_pair(human, model))
+                  for participant, item, human, model in pairs]
+        totals = sum_rows([row for _, _, row in scored])
+        n = len(scored) if args.trials is None else args.trials
+        lines = significance_report(totals, n=n, label_count=args.labels,
+                                    rule=args.rule)
+    except (MetricsError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scored = [(participant, item, score_pair(human, model))
-              for participant, item, human, model in pairs]
     with open(out_dir / "metrics.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["participant", "item", *METRIC_NAMES])
         for participant, item, row in scored:
             writer.writerow([participant, item, *row.as_tuple()])
-    totals = sum_rows([row for _, _, row in scored])
-    n = args.trials if args.trials else len(scored)
-    lines = significance_report(totals, n=n, label_count=args.labels,
-                                rule=args.rule)
     with open(out_dir / "significance.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)

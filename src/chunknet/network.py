@@ -11,8 +11,9 @@ Retrieval (``recognise``) sorts a span ``tokens[start:end]`` of an input
 pattern down the tree, in place: at each node, the first child (in insertion
 order) whose test link fits in the span and equals the next tokens consumes
 them, until no child matches. The deepest node reached is returned; the root
-means "recognised as nothing". A whole pattern, an attention fetch and a
-discrimination's remainder are all spans of one token tuple, so this is the
+means "recognised as nothing". A whole pattern, an attention fetch, a
+discrimination's remainder and a familiarisation's difference (the pattern
+after the image it extends) are all spans of one token tuple, so this is the
 only tree walk. Each node indexes its children by the first token of their
 test links, so a step tries only the children listed under the next token, in
 insertion order; as every non-root test link is non-empty, that picks the
@@ -242,8 +243,10 @@ class DiscriminationNet:
     def familiarise(self, node: Node, p: Pattern) -> LearnEvent:
         """Add information to an existing chunk (at most one primitive).
 
-        The difference between the pattern and the node's image is sorted
-        through the net; four outcomes:
+        The difference between the pattern and the node's image is the rest
+        of the pattern from index ``k``, the length of their common prefix;
+        it is sorted through the net in place, as the span ``p.tokens[k:]``,
+        and never copied. Four outcomes:
 
         1. no difference: nothing to do;
         2. the root is retrieved: a new primitive is created for the
@@ -253,24 +256,36 @@ class DiscriminationNet:
            be appended to): the difference's first token is appended to the
            *original* node's image;
         4. otherwise the retrieved node's image is appended instead.
+
+        ``learn`` familiarises only a node whose image prefixes the pattern,
+        and ``discriminate`` only one whose image is empty, so ``k`` is the
+        image's length, confirmed by one slice compare. A direct call whose
+        image does not prefix the pattern finds ``k`` with
+        :func:`~chunknet.patterns.difference`.
         """
-        d = difference(p, Pattern.derived(self.modality, node.image))
-        if not d:
+        self._check_modality(p)
+        tokens = p.tokens
+        k = len(node.image)
+        if tokens[:k] != node.image:
+            k = len(tokens) - len(
+                difference(p, Pattern.derived(self.modality, node.image)))
+        if k >= len(tokens):
             # The image reproduces the whole presented pattern: nothing to
             # add, but the end marker is now warranted if still missing.
-            if node.image == p.tokens and not node.image_complete:
+            if node.image == tokens and not node.image_complete:
                 node.image_complete = True
             return LearnEvent(NO_CHANGE, node.node_id, 0.0)
-        ret = self.recognise(d)
+        ret = self.recognise(p, k)
         if ret.node_id == ROOT_ID:
-            new = self._new_node(self.root, (d.tokens[0],), (), False)
+            new = self._new_node(self.root, (tokens[k],), (), False)
             return LearnEvent(CREATED_NODE, new.node_id,
                               self.seconds_per_new_chunk)
-        if not ret.image or ret.image_complete or len(ret.image) > len(d):
-            self._append_to_image(node, d.tokens[0], p)
+        if not ret.image or ret.image_complete or \
+                len(ret.image) > len(tokens) - k:
+            self._append_to_image(node, tokens[k], p)
             return LearnEvent(FAMILIARISED, node.node_id,
                               self.seconds_per_update)
-        self._append_to_image(ret, d.tokens[0],
+        self._append_to_image(ret, tokens[k],
                               p if ret.node_id == node.node_id else None)
         return LearnEvent(FAMILIARISED, ret.node_id, self.seconds_per_update)
 

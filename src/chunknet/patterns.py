@@ -3,9 +3,13 @@
 Every capability of the system (recognition, learning, classification) reduces
 to three operations on ordered sequences of opaque tokens: exact equality,
 prefix matching, and the suffix left over once the longest common prefix is
-removed. The first two are plain comparisons of ``Pattern.tokens`` tuples;
-the third is :func:`difference`. Order is significant throughout: "dog bites
-man" and "man bites dog" are different patterns.
+removed. The first two are plain comparisons of ``Pattern.tokens`` tuples.
+The third is an index into the presented pattern: learning familiarises a
+node only when its image prefixes the pattern, so the difference starts at
+the image's length and is walked in place. :func:`difference` copies it out
+and serves only a direct ``familiarise`` call whose image does not
+prefix the pattern. Order is significant throughout: "dog bites man" and
+"man bites dog" are different patterns.
 
 Patterns are modality-scoped (visual, verbal, ...). Comparing patterns across
 modalities is a usage error, never a silent False.

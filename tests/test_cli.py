@@ -319,6 +319,39 @@ def _non_utf8_data_file(name, command):
     return setup
 
 
+def _pairs(data, *options):
+    """An eval-metrics run on a pairs file holding ``data``."""
+    def setup(tmp_path):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_bytes(data)
+        return ["eval-metrics", "--pairs", str(pairs), "--out",
+                str(tmp_path / "eval"), *options]
+    return setup
+
+
+IDENTICAL_PAIRS = (b"human_top,human_second,model_top,model_second\n"
+                   b"Bach,Mozart,Bach,Mozart\nBach,Mozart,Bach,Mozart\n")
+
+
+def _pairs_directory(tmp_path):
+    return ["eval-metrics", "--pairs", str(tmp_path), "--out",
+            str(tmp_path / "eval")]
+
+
+def _out_file(command):
+    """A ``command`` run whose ``--out`` names an existing file."""
+    def setup(tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        if command == "eval-metrics":
+            return [command, "--pairs", fixture_path(), "--out", str(out)]
+        if command == "run-suite":
+            return [command, "--suite", "xor", "--out", str(out)]
+        return [command, "--manifest", str(_xor_manifest(tmp_path)),
+                "--out", str(out)]
+    return setup
+
+
 def _set_parent(doc):
     doc["networks"]["visual"]["nodes"][1][0] = 999
 
@@ -417,6 +450,27 @@ def _set_parent(doc):
     pytest.param(_bad_input(b" \n"), 2, "holds no tokens", id="input_empty"),
     pytest.param(_bad_input(b"1 \xff 0"), 2, "not UTF-8", id="input_not_utf8"),
     pytest.param(_input_directory, 2, "cannot read", id="input_directory"),
+    pytest.param(_pairs(b"human_top,model_top\n\xff,B\n"), 2,
+                 "pairs.csv is not UTF-8 text", id="pairs_not_utf8"),
+    pytest.param(_pairs_directory, 2, "cannot read .*: Is a directory",
+                 id="pairs_directory"),
+    pytest.param(_pairs(IDENTICAL_PAIRS, "--labels", "1"), 2,
+                 "--labels must be at least 2, got 1", id="labels_1"),
+    pytest.param(_pairs(IDENTICAL_PAIRS, "--trials", "-3"), 2,
+                 "--trials must be at least 1, got -3", id="trials_negative"),
+    pytest.param(_pairs(IDENTICAL_PAIRS, "--trials", "0"), 2,
+                 "--trials must be at least 1, got 0", id="trials_0"),
+    pytest.param(_pairs(IDENTICAL_PAIRS, "--trials", "1"), 2,
+                 "need 0 <= k <= n, got k=2 n=1", id="trials_below_a_total"),
+    pytest.param(_out_file("train"), 2,
+                 "cannot create output directory .*taken: File exists",
+                 id="out_file_train"),
+    pytest.param(_out_file("run-suite"), 2,
+                 "cannot create output directory .*taken: File exists",
+                 id="out_file_run_suite"),
+    pytest.param(_out_file("eval-metrics"), 2,
+                 "cannot create output directory .*taken: File exists",
+                 id="out_file_eval_metrics"),
 ])
 def test_exit_code_table(tmp_path, capsys, setup, code, message):
     argv = setup(tmp_path)
@@ -449,3 +503,12 @@ def test_bad_test_file_exits_2_before_training(tmp_path, capsys,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "test_10.txt is not UTF-8" in err
     assert not (tmp_path / "o" / "model.json").exists()
+
+
+def test_out_file_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before --out was checked")
+    monkeypatch.setattr(cli, "train", no_training)
+    code, out, err = run(capsys, *_out_file("train")(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot create output directory")

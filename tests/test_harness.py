@@ -1,10 +1,15 @@
 """Training loop: convergence, determinism, event accounting."""
 
+import hashlib
+import random
+
 import pytest
 
 from chunknet.config import RunConfig
-from chunknet.corpus import Sample, load_manifest, load_test_items
-from chunknet.harness import Trainer, TrainingError, evaluate_manifest, train
+from chunknet.corpus import (Category, Sample, SplitSpec, load_manifest,
+                             load_test_items, write_manifest)
+from chunknet.harness import (Trainer, TrainingError, evaluate_manifest,
+                              new_memory, train)
 from chunknet.network import MultiModalMemory
 from chunknet.patterns import Pattern
 from chunknet.snapshot import dump_memory
@@ -114,3 +119,42 @@ def test_manifest_train_and_evaluate(tmp_path):
     result = evaluate_manifest(memory, manifest, config, items)
     assert result.correct_count == result.total == 4
     assert result.chance_baseline == 2.0  # 4 tests over 2 labels
+
+
+def _phrase_corpus(corpus_dir, seed=3, words=600):
+    """Two categories whose training streams are strung from a small seeded
+    book of recurring phrases, so training familiarises and discriminates
+    many times over prefixes that share and extend each other."""
+    rng = random.Random(seed)
+    categories = []
+    for label in ("alpha", "beta"):
+        own = [f"{label[0]}{i:02d}" for i in range(30)]
+        phrases = [[rng.choice(own) for _ in range(rng.randint(3, 7))]
+                   for _ in range(12)]
+        tokens = []
+        while len(tokens) < words:
+            tokens.extend(rng.choice(phrases))
+            if rng.random() < 0.3:
+                tokens.append(f"s{rng.randrange(10)}")
+        train_file = corpus_dir / f"{label}_train.txt"
+        train_file.write_text(" ".join(tokens[:words]) + "\n",
+                              encoding="utf-8")
+        categories.append(Category(label, [train_file], []))
+    path = corpus_dir / "manifest.json"
+    write_manifest(path, "phrases", "words", SplitSpec("words", 12),
+                   categories)
+    return load_manifest(path)
+
+
+def test_phrase_corpus_training_fingerprint(tmp_path):
+    # Recorded before learning walked index ranges of the presented
+    # pattern; any change to what learning stores shows here.
+    config = RunConfig()
+    memory = new_memory(config)
+    run = train(memory, _phrase_corpus(tmp_path), config)
+    assert run.converged
+    assert run.learn_events == {"created_node": 278, "familiarised": 1608,
+                                "no_change": 4114}
+    digest = hashlib.sha256(dump_memory(memory).encode()).hexdigest()
+    assert digest == ("67a621f5e5b58211a438210195161950"
+                      "fbcdb5354108dd5041da7d1a51cb76c9")
