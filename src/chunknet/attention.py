@@ -121,38 +121,35 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     ``total`` is its link count under ``proportional`` weighting, so its
     size is split across labels, and 1 under ``multiplicative`` weighting.
 
-    In a stimulus longer than the span, each fetch start is walked once per
-    call without a bound, the first time a window asks for it. When that
-    path stops inside a window's end, its node is exactly what the bounded
-    walk returns: every step on it fits, every sibling tried before a step
-    failed without the bound and so fails with it, and the last node has no
-    child that matches even unbounded. When the path passes the end, the
-    fetch is walked again from the root under the bound; cutting the path
-    back to an ancestor that fits would miss a later, shorter sibling that
-    fits too. A shorter stimulus is one window position, so each of its
-    fetches is walked once, bounded.
+    Each fetch start is walked once per call without a bound, the first
+    time a window asks for it. When that path stops inside a window's end,
+    its node is exactly what the bounded walk returns: every step on it
+    fits, every sibling tried before a step failed without the bound and so
+    fails with it, and the last node has no child that matches even
+    unbounded. When the path passes the end, the fetch is walked again from
+    the root under the bound; cutting the path back to an ancestor that fits
+    would miss a later, shorter sibling that fits too. A stimulus no longer
+    than the span is one window position, ending where the stimulus ends,
+    so no path passes that end and nothing is walked twice.
     """
     if link_weighting not in ("proportional", "multiplicative"):
         raise AttentionError(f"unknown link weighting {link_weighting!r}")
     proportional = link_weighting == "proportional"
     net = memory.net(stimulus.modality)
     activations: dict[int, float] = {}
-    # Fetch start -> its unbounded walk. A stimulus no longer than the span
-    # is one window position, which asks for no start twice.
-    walks: dict[int, Node] | None = {} if len(stimulus) > cfg.span else None
+    # Fetch start -> its unbounded walk, shared by every window position
+    # that covers the start.
+    walks: dict[int, Node] = {}
     for group in window_groups(stimulus, cfg):
         end = min(group.start + cfg.span, len(stimulus))
         best = None
         best_size = 0
         for start in group:
-            if walks is None:
+            node = walks.get(start)
+            if node is None:
+                node = walks[start] = net.recognise(stimulus, start)
+            if start + node.contents_length > end:
                 node = net.recognise(stimulus, start, end)
-            else:
-                node = walks.get(start)
-                if node is None:
-                    node = walks[start] = net.recognise(stimulus, start)
-                if start + node.contents_length > end:
-                    node = net.recognise(stimulus, start, end)
             if node.node_id == ROOT_ID or not node.naming_links:
                 continue
             size = net.chunk_size(node.node_id)

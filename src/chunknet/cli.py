@@ -4,6 +4,9 @@ Commands: train, categorise, retrieve, run-suite, eval-metrics, inspect.
 Exit codes: 0 success; 2 bad input (manifest, config, file formats);
 3 training did not converge; 4 no activation for the given stimulus;
 1 failed --check assertions or internal errors.
+
+The commands raise their errors; ``main`` is the one place an error becomes
+an exit code and a single ``error:`` line.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .attention import categorise, retrieve
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, read_text
 from .corpus import TOKENIZERS, CorpusError, load_manifest, \
     load_test_items, tokenize
 from .harness import TrainingError, attention_config, evaluate_manifest, \
@@ -67,18 +70,23 @@ def _print_result_table(result) -> None:
           f"(chance baseline {result.chance_baseline:g})")
 
 
-def _out_dir(path: str) -> Path | None:
+def _out_dir(path: str) -> Path:
     """The ``--out`` directory, created before any work so that a path
-    naming a file fails fast; None, after printing the error, when it cannot
-    be created."""
+    naming a file fails fast; raises ConfigError when it cannot be
+    created."""
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory {path}: "
-              f"{exc.strerror}", file=sys.stderr)
-        return None
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror}") from None
     return out_dir
+
+
+def _run_config(args):
+    """The ``--config`` file, or the defaults, with ``--seed`` applied."""
+    return load_config(args.config, overrides={"seed": args.seed}
+                       if args.seed is not None else None)
 
 
 def _load_manifest(path, config):
@@ -108,21 +116,10 @@ def _train_model(manifest, config, shuffle=None):
 
 def cmd_train(args) -> int:
     out_dir = _out_dir(args.out)
-    if out_dir is None:
-        return EXIT_INPUT
-    try:
-        config = load_config(args.config,
-                             overrides={"seed": args.seed}
-                             if args.seed is not None else None)
-        manifest = _load_manifest(args.manifest, config)
-        memory, run, meta = _train_model(
-            manifest, config, shuffle=False if args.no_shuffle else None)
-    except (ConfigError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    config = _run_config(args)
+    manifest = _load_manifest(args.manifest, config)
+    memory, run, meta = _train_model(
+        manifest, config, shuffle=False if args.no_shuffle else None)
     save_memory(out_dir / "model.json", memory, meta)
     (out_dir / "training.json").write_text(
         json.dumps(run.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -167,13 +164,7 @@ def _load_query(args):
     """The model, its meta and config, and the ``--input`` stimulus of a
     categorise or retrieve command; raises the errors that exit 2."""
     memory, meta, config = _load_model(args.model)
-    try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {args.input}: {exc.strerror}") \
-            from None
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{args.input} is not UTF-8 text: {exc}") from None
+    text = read_text(args.input, CorpusError, "input")
     stream = tokenize(meta.get("tokenizer", "words"), text)
     if not stream.tokens:
         raise CorpusError(f"{args.input} holds no tokens")
@@ -181,11 +172,7 @@ def _load_query(args):
 
 
 def cmd_categorise(args) -> int:
-    try:
-        memory, meta, config, stimulus = _load_query(args)
-    except (SnapshotError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    memory, meta, config, stimulus = _load_query(args)
     cfg = attention_config(config,
                            span_override=meta.get("attention_span"))
     cls = categorise(memory, stimulus, cfg,
@@ -200,11 +187,7 @@ def cmd_categorise(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    try:
-        memory, _, _, stimulus = _load_query(args)
-    except (SnapshotError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    memory, _, _, stimulus = _load_query(args)
     chunk = retrieve(memory.net("visual"), stimulus)
     print(chunk.to_line())
     return EXIT_OK
@@ -212,21 +195,9 @@ def cmd_retrieve(args) -> int:
 
 def cmd_run_suite(args) -> int:
     out_dir = _out_dir(args.out)
-    if out_dir is None:
-        return EXIT_INPUT
-    try:
-        config = load_config(args.config,
-                             overrides={"seed": args.seed}
-                             if args.seed is not None else None)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    config = _run_config(args)
     if args.suite:
-        try:
-            report = SUITES[args.suite](out_dir, config)
-        except TrainingError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+        report = SUITES[args.suite](out_dir, config)
         _write_result_csv(out_dir / "results.csv", report.result)
         (out_dir / "run.json").write_text(
             json.dumps({"suite": report.name,
@@ -246,17 +217,10 @@ def cmd_run_suite(args) -> int:
         return EXIT_OK
     # manifest mode: read the test files, train on the manifest, then
     # classify the test files
-    try:
-        manifest = _load_manifest(args.manifest, config)
-        items = load_test_items(manifest)
-        memory, run, meta = _train_model(manifest, config)
-        result = evaluate_manifest(memory, manifest, config, items)
-    except CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    manifest = _load_manifest(args.manifest, config)
+    items = load_test_items(manifest)
+    memory, run, meta = _train_model(manifest, config)
+    result = evaluate_manifest(memory, manifest, config, items)
     save_memory(out_dir / "model.json", memory, meta)
     _write_result_csv(out_dir / "results.csv", result)
     (out_dir / "run.json").write_text(
@@ -276,14 +240,9 @@ def cmd_run_suite(args) -> int:
 def _read_pairs_csv(path):
     """Rows of (participant, item, human pair, model pair) from a CSV with
     the human_top/human_second/model_top/model_second columns; raises
-    MetricsError."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MetricsError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise MetricsError(f"{path} is not UTF-8 text: {exc}") from None
+    MetricsError, also for a row whose human_top or model_top is empty or
+    missing."""
+    text = read_text(path, MetricsError, "pairs file")
     rows = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
     needed = {"human_top", "model_top"}
@@ -293,6 +252,9 @@ def _read_pairs_csv(path):
             f"{path}: need columns human_top/model_top "
             f"(optionally human_second/model_second)")
     for record in reader:
+        if not record["human_top"] or not record["model_top"]:
+            raise MetricsError(f"{path} line {reader.line_num}: human_top "
+                               f"or model_top is empty")
         human = PredictionPair(record["human_top"],
                                record.get("human_second") or None)
         model = PredictionPair(record["model_top"],
@@ -307,25 +269,17 @@ def _read_pairs_csv(path):
 
 def cmd_eval_metrics(args) -> int:
     out_dir = _out_dir(args.out)
-    if out_dir is None:
-        return EXIT_INPUT
-    try:
-        if args.labels < 2:
-            raise MetricsError(f"--labels must be at least 2, "
-                               f"got {args.labels}")
-        if args.trials is not None and args.trials < 1:
-            raise MetricsError(f"--trials must be at least 1, "
-                               f"got {args.trials}")
-        pairs = _read_pairs_csv(args.pairs)
-        scored = [(participant, item, score_pair(human, model))
-                  for participant, item, human, model in pairs]
-        totals = sum_rows([row for _, _, row in scored])
-        n = len(scored) if args.trials is None else args.trials
-        lines = significance_report(totals, n=n, label_count=args.labels,
-                                    rule=args.rule)
-    except (MetricsError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.labels < 2:
+        raise MetricsError(f"--labels must be at least 2, got {args.labels}")
+    if args.trials is not None and args.trials < 1:
+        raise MetricsError(f"--trials must be at least 1, got {args.trials}")
+    pairs = _read_pairs_csv(args.pairs)
+    scored = [(participant, item, score_pair(human, model))
+              for participant, item, human, model in pairs]
+    totals = sum_rows([row for _, _, row in scored])
+    n = len(scored) if args.trials is None else args.trials
+    lines = significance_report(totals, n=n, label_count=args.labels,
+                                rule=args.rule)
     with open(out_dir / "metrics.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -354,11 +308,7 @@ def cmd_eval_metrics(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        memory, meta, _ = _load_model(args.model)
-    except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    memory, meta, _ = _load_model(args.model)
     print(f"snapshot schema v{SNAPSHOT_SCHEMA_VERSION}; "
           f"tokenizer {meta.get('tokenizer')}; "
           f"label modality {memory.label_modality}")
@@ -448,8 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and map its errors to exit codes: bad input exits 2,
+    a training run that does not converge exits 3, each with one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, CorpusError, MetricsError, SnapshotError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except TrainingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -81,15 +81,28 @@ def reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
+def read_text(path, error: type[Exception], what: str = "file") -> str:
+    """The UTF-8 text of the input file at ``path``; raises ``error`` with
+    one line naming ``what`` the file is when it is missing, unreadable or
+    not UTF-8. Every input the package reads comes through here."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Read a JSON config file; absent file fields keep their defaults."""
     data: dict = {}
     if path is not None:
+        # Read outside the JSON ``try``: a ConfigError is a ValueError.
+        text = read_text(path, ConfigError, "config")
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"),
-                             parse_constant=reject_constant)
-        except FileNotFoundError:
-            raise ConfigError(f"config not found: {path}") from None
+            raw = json.loads(text, parse_constant=reject_constant)
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):

@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .config import read_text
 from .patterns import Pattern
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -203,16 +204,9 @@ class TestItem:
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
+    text = read_text(path, CorpusError, "manifest")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CorpusError(f"manifest not found: {path}") from None
-    except OSError as exc:
-        raise CorpusError(f"cannot read manifest {path}: "
-                          f"{exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"manifest {path} is not UTF-8 text: "
-                          f"{exc}") from None
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"manifest is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -315,23 +309,14 @@ def write_manifest(path, name: str, tokenizer: str, split: SplitSpec,
                     encoding="utf-8")
 
 
-def _read_listed(file: Path) -> str:
-    """The text of a data file the manifest lists; raises CorpusError."""
-    try:
-        return file.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {file}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{file} is not UTF-8 text: {exc}") from None
-
-
 def load_training_samples(manifest: DatasetManifest) -> list[Sample]:
     """All labelled sample pairs, in manifest order (the canonical order)."""
     samples: list[Sample] = []
     for category in manifest.categories:
         label = Pattern(VERBAL_MODALITY, (category.label,))
         for file in category.training_files:
-            stream = tokenize(manifest.tokenizer, _read_listed(file))
+            text = read_text(file, CorpusError, "training file")
+            stream = tokenize(manifest.tokenizer, text)
             for body in split_samples(stream, manifest.split):
                 if not body:
                     continue
@@ -346,7 +331,8 @@ def load_test_items(manifest: DatasetManifest) -> list[TestItem]:
     items: list[TestItem] = []
     for category in manifest.categories:
         for file in category.test_files:
-            stream = tokenize(manifest.tokenizer, _read_listed(file))
+            text = read_text(file, CorpusError, "test file")
+            stream = tokenize(manifest.tokenizer, text)
             if not stream.tokens:
                 raise CorpusError(f"test file is empty: {file}")
             items.append(TestItem(

@@ -16,7 +16,7 @@ ranked confidences, the predicted label and a correct flag per item.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .attention import AttentionConfig, Classification, categorise
 from .config import RunConfig
@@ -44,17 +44,7 @@ class TrainingRun:
     diagnostics: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "epoch_count": self.epoch_count,
-            "learn_events": dict(self.learn_events),
-            "simulated_time_seconds": self.simulated_time_seconds,
-            "converged": self.converged,
-            "node_counts": dict(self.node_counts),
-            "naming_link_total": self.naming_link_total,
-            "epoch_event_counts": list(self.epoch_event_counts),
-            "diagnostics": list(self.diagnostics),
-        }
+        return asdict(self)
 
 
 @dataclass

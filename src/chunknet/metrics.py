@@ -18,9 +18,9 @@ scored pair.
 Significance of a metric total k over n comparisons uses the exact binomial
 tail P(at least k successes) at the metric's chance probability, with a
 Bonferroni-adjusted threshold across the five hypotheses. Chance
-probabilities are computed by exact enumeration of a random-prediction model
-(independent uniform choice per slot by default; uniform over ordered
-distinct pairs as an alternative).
+probabilities are exact match counts, in closed form, over the outcomes of a
+random-prediction model (independent uniform choice per slot by default;
+uniform over ordered distinct pairs as an alternative).
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def binomial_at_least(query: BinomialQuery) -> float:
         return 1.0
     log_p = math.log(p)
     log_q = math.log1p(-p)
-    terms = [math.exp(_log_pmf(n, i, log_p, log_q)) for i in range(k, n + 1)]
-    return min(1.0, math.fsum(terms))
+    return min(1.0, math.fsum(math.exp(_log_pmf(n, i, log_p, log_q))
+                              for i in range(k, n + 1)))
 
 
 def bonferroni(alpha: float, hypothesis_count: int) -> float:
@@ -137,37 +137,34 @@ def bonferroni(alpha: float, hypothesis_count: int) -> float:
 
 # -- chance model -------------------------------------------------------------
 
-def _random_model_pairs(label_count: int, rule: str):
-    """All equally likely model predictions under the chosen convention."""
-    labels = [f"L{i}" for i in range(label_count)]
-    if rule == "independent_uniform":
-        # Top and second drawn independently; a doubled draw collapses to a
-        # top-only prediction.
-        for a in labels:
-            for b in labels:
-                yield PredictionPair(a, None if a == b else b)
-    elif rule == "distinct_pairs":
-        for a in labels:
-            for b in labels:
-                if a != b:
-                    yield PredictionPair(a, b)
-    else:
-        raise MetricsError(f"unknown enumeration rule {rule!r}")
-
-
 def chance_probability(metric: str, label_count: int,
                        rule: str = "independent_uniform") -> Fraction:
     """Exact per-trial match probability of a metric for a random model
-    prediction against a fixed two-label human prediction."""
+    prediction against a fixed two-label human prediction (a, b).
+
+    Under ``independent_uniform`` top and second are drawn independently
+    from L labels, and a doubled draw collapses to a top-only prediction:
+    L² outcomes. Under ``distinct_pairs`` the model names two different
+    labels: L(L-1) outcomes. Either way one outcome is (a, b) itself and two
+    hold the set {a, b}; a ``single_match`` misses only when both draws
+    avoid a and b.
+    """
     if metric not in METRIC_NAMES:
         raise MetricsError(f"unknown metric {metric!r}")
     if label_count < 2:
         raise MetricsError("need at least two labels")
-    human = PredictionPair("L0", "L1")
-    outcomes = list(_random_model_pairs(label_count, rule))
-    hits = sum(getattr(score_pair(human, model), metric)
-               for model in outcomes)
-    return Fraction(hits, len(outcomes))
+    n = label_count
+    if rule == "independent_uniform":
+        outcomes, tops, misses = n * n, n, (n - 2) ** 2
+        one_top = 2 * n - 1         # top a, or second a after another top
+    elif rule == "distinct_pairs":
+        outcomes, tops, misses = n * (n - 1), n - 1, (n - 2) * (n - 3)
+        one_top = 2 * (n - 1)
+    else:
+        raise MetricsError(f"unknown enumeration rule {rule!r}")
+    hits = {"identical": 1, "both_match": 2, "tops_match": tops,
+            "one_matches_top": one_top, "single_match": outcomes - misses}
+    return Fraction(hits[metric], outcomes)
 
 
 @dataclass

@@ -41,7 +41,7 @@ import reprlib
 from pathlib import Path
 from typing import NoReturn
 
-from .config import reject_constant
+from .config import read_text, reject_constant
 from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
 
 SNAPSHOT_SCHEMA_VERSION = 2
@@ -214,16 +214,7 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
 
 def load_memory(path) -> tuple[MultiModalMemory, dict]:
     """Returns the rebuilt memory and the snapshot's meta block."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise SnapshotError(f"snapshot not found: {path}") from None
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: "
-                            f"{exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise SnapshotError(f"snapshot {path} is not UTF-8 text: "
-                            f"{exc}") from None
+    text = read_text(path, SnapshotError, "snapshot")
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -303,6 +303,13 @@ def _config_file(text, command="train"):
     return setup
 
 
+def _config_directory(command):
+    def setup(tmp_path):
+        return [command, "--manifest", str(_xor_manifest(tmp_path)),
+                "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+    return setup
+
+
 def _v1_snapshot(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(V1_SNAPSHOT), encoding="utf-8")
@@ -333,9 +340,19 @@ IDENTICAL_PAIRS = (b"human_top,human_second,model_top,model_second\n"
                    b"Bach,Mozart,Bach,Mozart\nBach,Mozart,Bach,Mozart\n")
 
 
+def _missing_input(tmp_path):
+    return ["categorise", "--model", str(_xor_model(tmp_path)),
+            "--input", str(tmp_path / "missing.txt")]
+
+
 def _pairs_directory(tmp_path):
     return ["eval-metrics", "--pairs", str(tmp_path), "--out",
             str(tmp_path / "eval")]
+
+
+def _missing_pairs(tmp_path):
+    return ["eval-metrics", "--pairs", str(tmp_path / "missing.csv"),
+            "--out", str(tmp_path / "eval")]
 
 
 def _out_file(command):
@@ -402,8 +419,14 @@ def _set_parent(doc):
                  "config is not valid JSON: -Infinity is not a JSON value",
                  id="config_minus_infinity"),
     pytest.param(_config_file(b'{"seed": 1}\xff'), 2,
-                 "config is not valid JSON: 'utf-8' codec",
+                 r"config .*config\.json is not UTF-8 text",
                  id="config_not_utf8"),
+    pytest.param(_config_directory("train"), 2,
+                 "cannot read config .*: Is a directory",
+                 id="config_directory_train"),
+    pytest.param(_config_directory("run-suite"), 2,
+                 "cannot read config .*: Is a directory",
+                 id="config_directory_run_suite"),
     pytest.param(_meta("config", {"seconds_per_update": -1}, "inspect"), 2,
                  "meta field 'config': config field 'seconds_per_update' must "
                  "be a finite number >= 0, got -1",
@@ -450,10 +473,23 @@ def _set_parent(doc):
     pytest.param(_bad_input(b" \n"), 2, "holds no tokens", id="input_empty"),
     pytest.param(_bad_input(b"1 \xff 0"), 2, "not UTF-8", id="input_not_utf8"),
     pytest.param(_input_directory, 2, "cannot read", id="input_directory"),
+    pytest.param(_missing_input, 2, r"input not found: .*missing\.txt",
+                 id="input_missing"),
     pytest.param(_pairs(b"human_top,model_top\n\xff,B\n"), 2,
                  "pairs.csv is not UTF-8 text", id="pairs_not_utf8"),
     pytest.param(_pairs_directory, 2, "cannot read .*: Is a directory",
                  id="pairs_directory"),
+    pytest.param(_missing_pairs, 2, r"pairs file not found: .*missing\.csv",
+                 id="pairs_missing"),
+    pytest.param(_pairs(b"human_top,model_top\n,\n,\n"), 2,
+                 "pairs.csv line 2: human_top or model_top is empty",
+                 id="pairs_blank_rows"),
+    pytest.param(_pairs(b"human_top,model_top\nBach,Bach\n,Bach\n"), 2,
+                 "pairs.csv line 3: human_top or model_top is empty",
+                 id="pairs_blank_human_top"),
+    pytest.param(_pairs(IDENTICAL_PAIRS + b"Bach\n"), 2,
+                 "pairs.csv line 4: human_top or model_top is empty",
+                 id="pairs_short_row"),
     pytest.param(_pairs(IDENTICAL_PAIRS, "--labels", "1"), 2,
                  "--labels must be at least 2, got 1", id="labels_1"),
     pytest.param(_pairs(IDENTICAL_PAIRS, "--trials", "-3"), 2,

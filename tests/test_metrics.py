@@ -149,7 +149,36 @@ class TestBonferroni:
             bonferroni(0.05, 0)
 
 
+def _random_model_pairs(label_count, rule):
+    """All equally likely model predictions under the chosen convention:
+    the enumeration the closed-form counts are checked against."""
+    labels = [f"L{i}" for i in range(label_count)]
+    if rule == "independent_uniform":
+        # Top and second drawn independently; a doubled draw collapses to a
+        # top-only prediction.
+        for a in labels:
+            for b in labels:
+                yield PredictionPair(a, None if a == b else b)
+    else:
+        for a in labels:
+            for b in labels:
+                if a != b:
+                    yield PredictionPair(a, b)
+
+
 class TestChanceProbability:
+    @pytest.mark.parametrize("rule", ["independent_uniform",
+                                      "distinct_pairs"])
+    def test_closed_form_equals_enumeration(self, rule):
+        human = PredictionPair("L0", "L1")
+        for label_count in range(2, 41):
+            outcomes = list(_random_model_pairs(label_count, rule))
+            for metric in METRIC_NAMES:
+                hits = sum(getattr(score_pair(human, model), metric)
+                           for model in outcomes)
+                assert chance_probability(metric, label_count, rule) == \
+                    Fraction(hits, len(outcomes)), (metric, label_count)
+
     def test_independent_uniform_values(self):
         assert chance_probability("identical", 4) == Fraction(1, 16)
         assert chance_probability("tops_match", 4) == Fraction(1, 4)
