@@ -13,7 +13,7 @@ from .corpus import DatasetManifest, Sample, load_manifest
 from .harness import SuiteResult, Trainer, TrainingRun, train
 from .metrics import (BinomialQuery, MetricRow, PredictionPair,
                       binomial_at_least, bonferroni, chance_probability,
-                      extract_pair, score_pair)
+                      score_pair)
 from .network import DiscriminationNet, LearnEvent, MultiModalMemory, Node
 from .patterns import Pattern, difference
 from .snapshot import load_memory, save_memory
@@ -27,7 +27,7 @@ __all__ = [
     "Node", "Pattern", "PredictionPair", "RunConfig", "Sample", "StmQueue",
     "SuiteResult", "Trainer", "TrainingRun", "binomial_at_least",
     "bonferroni", "categorise", "chance_probability", "co_occupancy",
-    "confidence", "difference", "extract_pair", "load_config",
+    "confidence", "difference", "load_config",
     "load_manifest", "load_memory", "retrieve", "save_memory",
     "score_pair", "train",
 ]

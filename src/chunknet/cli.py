@@ -21,10 +21,9 @@ from pathlib import Path
 from . import __version__
 from .attention import categorise, retrieve
 from .config import ConfigError, load_config, read_text
-from .corpus import TOKENIZERS, CorpusError, load_manifest, \
-    load_test_items, tokenize
-from .harness import TrainingError, attention_config, evaluate_manifest, \
-    new_memory, train
+from .corpus import TOKENIZERS, CorpusError, load_manifest, tokenize
+from .harness import TrainingError, attention_config, new_memory, train, \
+    train_and_evaluate
 from .metrics import (METRIC_NAMES, MetricsError, PredictionPair, score_pair,
                       significance_report, sum_rows)
 from .patterns import Pattern
@@ -39,27 +38,29 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_NO_ACTIVATION = 4
 
 
-def _fmt_conf(value: float) -> str:
-    return f"{value:.6f}"
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
-def _write_result_csv(path: Path, result) -> None:
-    """One row per test item: id, one confidence column per label, the
-    predicted label, and a correct flag."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_run(out_dir: Path, result, doc: dict, output_format: str) -> None:
+    """A run-suite run's results.csv (one row per test item: id, one
+    confidence column per label, the predicted label, and a correct flag)
+    and its run.json, ``doc``; ``--format table`` prints the rows too."""
+    with open(out_dir / "results.csv", "w", newline="",
+              encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["item", *result.labels, "predicted", "correct"])
         for row in result.rows:
-            confs = [_fmt_conf(row.classification.confidence(lbl))
+            confs = [f"{row.classification.confidence(lbl):.6f}"
                      for lbl in result.labels]
             writer.writerow([row.item_id, *confs,
                              row.predicted or "no-activation",
                              str(row.correct).lower()])
-
-
-def _print_result_table(result) -> None:
-    header = ["item", *result.labels, "predicted", "ok"]
-    print("\t".join(header))
+    _write_json(out_dir / "run.json", doc)
+    if output_format != "table":
+        return
+    print("\t".join(["item", *result.labels, "predicted", "ok"]))
     for row in result.rows:
         confs = [f"{row.classification.confidence(lbl):.3f}"
                  for lbl in result.labels]
@@ -100,33 +101,27 @@ def _load_manifest(path, config):
     return manifest
 
 
-def _train_model(manifest, config, shuffle=None):
-    """A new memory trained on the manifest, the training run, and the
-    snapshot meta that categorise and retrieve read back."""
-    memory = new_memory(config)
-    run = train(memory, manifest, config, shuffle=shuffle)
-    meta = {
+def _snapshot_meta(manifest, config) -> dict:
+    """The snapshot meta that categorise and retrieve read back."""
+    return {
         "manifest": manifest.name,
         "tokenizer": manifest.tokenizer,
         "attention_span": manifest.attention_span or config.attention_span,
         "config": config.to_dict(),
     }
-    return memory, run, meta
 
 
 def cmd_train(args) -> int:
     out_dir = _out_dir(args.out)
     config = _run_config(args)
     manifest = _load_manifest(args.manifest, config)
-    memory, run, meta = _train_model(
-        manifest, config, shuffle=False if args.no_shuffle else None)
-    save_memory(out_dir / "model.json", memory, meta)
-    (out_dir / "training.json").write_text(
-        json.dumps(run.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    (out_dir / "config.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    memory = new_memory(config)
+    run = train(memory, manifest, config,
+                shuffle=False if args.no_shuffle else None)
+    save_memory(out_dir / "model.json", memory,
+                _snapshot_meta(manifest, config))
+    _write_json(out_dir / "training.json", run.to_dict())
+    _write_json(out_dir / "config.json", config.to_dict())
     print(f"converged after {run.epoch_count} epochs; "
           f"nodes {run.node_counts}; "
           f"simulated {run.simulated_time_seconds:g} s")
@@ -198,16 +193,11 @@ def cmd_run_suite(args) -> int:
     config = _run_config(args)
     if args.suite:
         report = SUITES[args.suite](out_dir, config)
-        _write_result_csv(out_dir / "results.csv", report.result)
-        (out_dir / "run.json").write_text(
-            json.dumps({"suite": report.name,
-                        "training": report.training.to_dict(),
-                        "checks": report.checks,
-                        "extras": report.extras},
-                       indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf-8")
-        if args.format == "table":
-            _print_result_table(report.result)
+        _write_run(out_dir, report.result,
+                   {"suite": report.name,
+                    "training": report.training.to_dict(),
+                    "checks": report.checks, "extras": report.extras},
+                   args.format)
         for name, ok in report.checks.items():
             print(f"check {name}: {'pass' if ok else 'FAIL'}")
         for key, value in report.extras.items():
@@ -215,24 +205,17 @@ def cmd_run_suite(args) -> int:
         if args.check and not report.all_checks_pass:
             return EXIT_FAIL
         return EXIT_OK
-    # manifest mode: read the test files, train on the manifest, then
-    # classify the test files
+    # manifest mode: the test files are read before training starts
     manifest = _load_manifest(args.manifest, config)
-    items = load_test_items(manifest)
-    memory, run, meta = _train_model(manifest, config)
-    result = evaluate_manifest(memory, manifest, config, items)
-    save_memory(out_dir / "model.json", memory, meta)
-    _write_result_csv(out_dir / "results.csv", result)
-    (out_dir / "run.json").write_text(
-        json.dumps({"manifest": manifest.name,
-                    "training": run.to_dict(),
-                    "correct": result.correct_count,
-                    "total": result.total,
-                    "chance_baseline": result.chance_baseline},
-                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if args.format == "table":
-        _print_result_table(result)
-    else:
+    memory, run, result = train_and_evaluate(manifest, config)
+    save_memory(out_dir / "model.json", memory,
+                _snapshot_meta(manifest, config))
+    _write_run(out_dir, result,
+               {"manifest": manifest.name, "training": run.to_dict(),
+                "correct": result.correct_count, "total": result.total,
+                "chance_baseline": result.chance_baseline},
+               args.format)
+    if args.format != "table":
         print(f"correct {result.correct_count}/{result.total}")
     return EXIT_OK
 
@@ -241,7 +224,7 @@ def _read_pairs_csv(path):
     """Rows of (participant, item, human pair, model pair) from a CSV with
     the human_top/human_second/model_top/model_second columns; raises
     MetricsError, also for a row whose human_top or model_top is empty or
-    missing."""
+    missing, or whose second choice repeats its top, naming its line."""
     text = read_text(path, MetricsError, "pairs file")
     rows = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
@@ -255,10 +238,14 @@ def _read_pairs_csv(path):
         if not record["human_top"] or not record["model_top"]:
             raise MetricsError(f"{path} line {reader.line_num}: human_top "
                                f"or model_top is empty")
-        human = PredictionPair(record["human_top"],
-                               record.get("human_second") or None)
-        model = PredictionPair(record["model_top"],
-                               record.get("model_second") or None)
+        try:
+            human = PredictionPair(record["human_top"],
+                                   record.get("human_second") or None)
+            model = PredictionPair(record["model_top"],
+                                   record.get("model_second") or None)
+        except MetricsError as exc:
+            raise MetricsError(f"{path} line {reader.line_num}: {exc}") \
+                from None
         rows.append((record.get("participant", ""),
                      record.get("excerpt") or record.get("item", ""),
                      human, model))

@@ -11,6 +11,8 @@ image update.
 
 Evaluation classifies each test item against the frozen model and tabulates
 ranked confidences, the predicted label and a correct flag per item.
+``train_and_evaluate`` is the one train-and-classify path of a manifest:
+``run-suite --manifest`` and the built-in suites with test files call it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 from .attention import AttentionConfig, Classification, categorise
 from .config import RunConfig
-from .corpus import DatasetManifest, Sample, TestItem, load_training_samples
+from .corpus import DatasetManifest, Sample, TestItem, load_test_items, \
+    load_training_samples
 from .network import (CREATED_NODE, FAMILIARISED, NO_CHANGE, LearnEvent,
                       MultiModalMemory)
 from .stm import StmQueue, co_occupancy
@@ -177,14 +180,9 @@ def train(memory: MultiModalMemory, manifest: DatasetManifest,
 
 
 def attention_config(config: RunConfig,
-                     manifest: DatasetManifest | None = None,
                      span_override: int | None = None) -> AttentionConfig:
-    span = config.attention_span
-    if manifest is not None and manifest.attention_span:
-        span = manifest.attention_span
-    if span_override:
-        span = span_override
-    return AttentionConfig(span=span, step=config.attention_step,
+    return AttentionConfig(span=span_override or config.attention_span,
+                           step=config.attention_step,
                            min_fetch=config.min_fetch)
 
 
@@ -207,11 +205,15 @@ def run_suite(memory: MultiModalMemory, items: list[TestItem],
                        chance_baseline=baseline, labels=list(labels))
 
 
-def evaluate_manifest(memory: MultiModalMemory, manifest: DatasetManifest,
-                      config: RunConfig,
-                      items: list[TestItem]) -> SuiteResult:
-    """Classify the manifest's test items, read before training."""
-    labels = [c.label for c in manifest.categories]
-    cfg = attention_config(config, manifest)
-    return run_suite(memory, items, labels, cfg,
-                     link_weighting=config.link_weighting)
+def train_and_evaluate(manifest: DatasetManifest, config: RunConfig
+                       ) -> tuple[MultiModalMemory, TrainingRun, SuiteResult]:
+    """Read the manifest's test items, train a new memory on the manifest,
+    then classify the items at the manifest's attention span. A bad test
+    file fails before any training starts."""
+    items = load_test_items(manifest)
+    memory = new_memory(config)
+    run = train(memory, manifest, config)
+    cfg = attention_config(config, span_override=manifest.attention_span)
+    result = run_suite(memory, items, [c.label for c in manifest.categories],
+                       cfg, link_weighting=config.link_weighting)
+    return memory, run, result

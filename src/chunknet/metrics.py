@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, takewhile
 
-from .attention import Classification
 
 METRIC_NAMES = ("identical", "both_match", "tops_match",
                 "one_matches_top", "single_match")
@@ -79,20 +79,6 @@ def score_pair(human: PredictionPair, model: PredictionPair) -> MetricRow:
     )
 
 
-def extract_pair(classification: Classification) -> PredictionPair:
-    """Top-2 labels of a classification; the second is omitted when only one
-    label carries positive confidence. Unclassifiable items are an error."""
-    if classification.no_activation or not classification.entries:
-        raise MetricsError("classification carries no activation")
-    positive = [(name, conf) for name, conf in classification.entries
-                if conf > 0.0]
-    if not positive:
-        raise MetricsError("classification carries no positive confidence")
-    top = positive[0][0]
-    second = positive[1][0] if len(positive) >= 2 else None
-    return PredictionPair(top=top, second=second)
-
-
 # -- binomial significance ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -115,7 +101,11 @@ def _log_pmf(n: int, i: int, log_p: float, log_q: float) -> float:
 
 
 def binomial_at_least(query: BinomialQuery) -> float:
-    """Exact upper-tail binomial probability, summed stably in log space."""
+    """Exact upper-tail binomial probability, summed stably in log space.
+    The pmf falls away from its mode, so the sum runs from ``max(k, mode)``
+    up to ``n`` and down to ``k``, each way only until a term underflows to
+    0.0; ``math.fsum`` is exact in any order, so nothing changes but the
+    cost, which no longer grows with ``n``."""
     n, k, p = query.n, query.k, query.p
     if k == 0:
         return 1.0
@@ -125,8 +115,13 @@ def binomial_at_least(query: BinomialQuery) -> float:
         return 1.0
     log_p = math.log(p)
     log_q = math.log1p(-p)
-    return min(1.0, math.fsum(math.exp(_log_pmf(n, i, log_p, log_q))
-                              for i in range(k, n + 1)))
+    start = max(k, min(n, math.floor((n + 1) * p)))
+
+    def terms(indices):
+        return takewhile(bool, (math.exp(_log_pmf(n, i, log_p, log_q))
+                                for i in indices))
+    return min(1.0, math.fsum(chain(terms(range(start, n + 1)),
+                                    terms(range(start - 1, k - 1, -1)))))
 
 
 def bonferroni(alpha: float, hypothesis_count: int) -> float:

@@ -102,9 +102,9 @@ class DiscriminationNet:
         self.seconds_per_new_chunk = seconds_per_new_chunk
         self.seconds_per_update = seconds_per_update
         self.clock_seconds = 0.0
-        root = Node(node_id=ROOT_ID, test=(), image=())
-        self._nodes: dict[int, Node] = {ROOT_ID: root}
-        self._next_id = 1
+        # Indexed by node id: ids are dense, in creation order, and a node
+        # is never deleted.
+        self._nodes: list[Node] = [Node(node_id=ROOT_ID, test=(), image=())]
 
     # -- plumbing ---------------------------------------------------------
 
@@ -118,12 +118,14 @@ class DiscriminationNet:
 
     def node(self, node_id: int) -> Node:
         try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise NetworkError(f"unknown node id {node_id}") from None
+            if node_id >= 0:
+                return self._nodes[node_id]
+        except (IndexError, TypeError):
+            pass
+        raise NetworkError(f"unknown node id {node_id}")
 
     def nodes(self) -> list[Node]:
-        return [self._nodes[i] for i in sorted(self._nodes)]
+        return list(self._nodes)
 
     def contents(self, node_id: int) -> Pattern:
         """Concatenated test links on the root-to-node path."""
@@ -171,13 +173,12 @@ class DiscriminationNet:
                     f"{parent.node_id}"
                 )
         self.clock_seconds += self.seconds_per_new_chunk
-        node = Node(node_id=self._next_id, test=test, image=image,
+        node = Node(node_id=len(self._nodes), test=test, image=image,
                     image_complete=complete, parent=parent.node_id,
                     created_at=self.clock_seconds,
                     updated_at=self.clock_seconds,
                     contents_length=parent.contents_length + len(test))
-        self._next_id += 1
-        self._nodes[node.node_id] = node
+        self._nodes.append(node)
         parent.index[test[0]] = parent.index.get(test[0], ()) + \
             (node.node_id,)
         return node

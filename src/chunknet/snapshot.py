@@ -130,7 +130,7 @@ def _naming_links(where: str, node_id: int, links: dict) -> dict[int, int]:
     return naming
 
 
-def _row_error(where: str, node_id: int, row, nodes: dict) -> NoReturn:
+def _row_error(where: str, node_id: int, row, nodes: list) -> NoReturn:
     """Raise the exact error for row ``node_id``, which the loop in
     :func:`_load_net` could not build on the rows before it, ``nodes``."""
     node = f"{where}: node {node_id}"
@@ -167,7 +167,7 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
     if not rows:
         raise SnapshotError(f"{where}: no root node (the node table is "
                             f"empty)")
-    nodes: dict[int, Node] = {}
+    nodes: list[Node] = []
     # Any failure leaves the loop for _row_error, which names the problem.
     try:
         for node_id, row in enumerate(rows):
@@ -201,14 +201,13 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
             elif parent is not None or test:
                 raise ValueError
             link_targets.update(naming)
-            nodes[node_id] = node
+            nodes.append(node)
     except (TypeError, ValueError):
         _row_error(where, node_id, row, nodes)
     net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
     net.clock_seconds = clock
     net._nodes = nodes
-    net._next_id = len(nodes)
     return net
 
 
@@ -245,8 +244,9 @@ def _load_doc(text: str) -> tuple[MultiModalMemory, dict]:
         memory.nets[modality] = _load_net(modality, net_doc, memory,
                                           link_targets)
     label_net = memory.nets.get(label_modality)
-    labels = set(label_net._nodes) - {ROOT_ID} if label_net else set()
-    if not link_targets <= labels:
+    labels = range(1, label_net.node_count if label_net else 0)
+    unknown = sorted(t for t in link_targets if t not in labels)
+    if unknown:
         raise SnapshotError(f"naming links point at unknown label node(s) "
-                            f"{sorted(link_targets - labels)}")
+                            f"{unknown}")
     return memory, meta

@@ -3,9 +3,11 @@ binary faces task, occluded city names, and a desk-scale synthetic
 two-category text corpus.
 
 Each suite writes its corpus files and manifest into the run directory, then
-drives the ordinary manifest pipeline (so the suites exercise exactly what a
-user-supplied dataset would), classifies the test items, and reports anchor
-checks that a --check run turns into the exit status.
+trains and classifies through ``harness.train_and_evaluate``, the path
+``run-suite --manifest`` takes, so the suites exercise exactly what a
+user-supplied dataset would. Five-four has no test files: it trains from its
+one loaded manifest and classifies the faces directly. Each suite reports
+anchor checks that a --check run turns into the exit status.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from pathlib import Path
 from .attention import categorise
 from .config import RunConfig
 from .corpus import Category, SplitSpec, TestItem, load_manifest, \
-    load_test_items, write_manifest
+    write_manifest
 from .harness import SuiteResult, TrainingRun, attention_config, \
-    evaluate_manifest, new_memory, run_suite, train
+    new_memory, run_suite, train, train_and_evaluate
 from .network import MultiModalMemory
 from .patterns import Pattern
 
@@ -44,6 +46,9 @@ OCCLUSION_TESTS = {
     "A": ["Liverpooz", "Lizerzool", "zLiverpool", "zzzzLzverzool"],
     "B": ["Manchestez", "Mazchezter", "zManchester", "zzzzMznczester"],
 }
+# Generated occlusions classified on top of the listed ones, split evenly
+# between the words.
+GENERATED_OCCLUSIONS = 100
 
 
 @dataclass
@@ -86,10 +91,7 @@ def build_xor_manifest(corpus_dir: Path) -> Path:
 
 def run_xor(out_dir: Path, config: RunConfig) -> SuiteReport:
     manifest = load_manifest(build_xor_manifest(out_dir / "corpus"))
-    items = load_test_items(manifest)
-    memory = new_memory(config)
-    training = train(memory, manifest, config)
-    result = evaluate_manifest(memory, manifest, config, items)
+    _, training, result = train_and_evaluate(manifest, config)
     exact = all(row.correct and
                 abs(row.classification.confidence(row.true_label) - 1.0) < 1e-9
                 for row in result.rows)
@@ -114,15 +116,6 @@ def build_five_four_manifest(corpus_dir: Path) -> Path:
     return manifest_path
 
 
-def _train_five_four(out_dir: Path, config: RunConfig,
-                     seed: int | None = None,
-                     shuffle: bool = False) -> tuple[MultiModalMemory, TrainingRun]:
-    manifest = load_manifest(build_five_four_manifest(out_dir / "corpus"))
-    memory = new_memory(config)
-    training = train(memory, manifest, config, seed=seed, shuffle=shuffle)
-    return memory, training
-
-
 def classify_transfer(memory: MultiModalMemory, config: RunConfig) -> dict[str, str]:
     cfg = attention_config(config)
     out = {}
@@ -143,29 +136,25 @@ def run_five_four(out_dir: Path, config: RunConfig,
     (agreement is reported, never thresholded: presentation order changes
     the outcome and no canonical order is prescribed for the full table).
     """
-    memory, training = _train_five_four(out_dir, config, shuffle=False)
+    manifest = load_manifest(build_five_four_manifest(out_dir / "corpus"))
+    memory = new_memory(config)
+    training = train(memory, manifest, config, shuffle=False)
     transfer = classify_transfer(memory, config)
 
     tally: dict[str, dict[str, int]] = {f: {} for f in FIVE_FOUR_TRANSFER}
     for seed in range(sweep_seeds):
-        sweep_memory, _ = _train_five_four(out_dir, config, seed=seed,
-                                           shuffle=True)
+        sweep_memory = new_memory(config)
+        train(sweep_memory, manifest, config, seed=seed, shuffle=True)
         for face, label in classify_transfer(sweep_memory, config).items():
             tally[face][label] = tally[face].get(label, 0) + 1
-    modal = {}
-    for face, counts in tally.items():
-        modal[face] = max(sorted(counts), key=lambda k: counts[k]) \
-            if counts else "?"
+    modal = {face: max(sorted(counts), key=counts.get) if counts else "?"
+             for face, counts in tally.items()}
     agreement = sum(modal[f] == FIVE_FOUR_REFERENCE[f]
                     for f in FIVE_FOUR_TRANSFER)
 
     # Evaluate the training faces themselves as a sanity table.
-    manifest = load_manifest(out_dir / "corpus" / "manifest.json")
-    items = []
-    for label, faces in FIVE_FOUR_TRAINING.items():
-        for face in faces:
-            items.append(TestItem(item_id=face, true_label=label,
-                                  stimulus=Pattern("visual", tuple(face))))
+    items = [TestItem(face, label, Pattern("visual", tuple(face)))
+             for label, faces in FIVE_FOUR_TRAINING.items() for face in faces]
     result = run_suite(memory, items, ["A", "B"], attention_config(config),
                        link_weighting=config.link_weighting)
 
@@ -196,50 +185,43 @@ def build_occlusion_manifest(corpus_dir: Path) -> Path:
     return manifest_path
 
 
-def generate_occlusions(word: str, count: int, rng: random.Random,
-                        max_noise_share: float = 0.5) -> list[str]:
-    """Occluded variants: noise characters unknown to the net replace or pad
-    letters, never more than the given share of the result, and the full
-    letter subsequence of the original word is preserved in order."""
+def generate_occlusions(word: str, count: int,
+                        rng: random.Random) -> list[str]:
+    """Occluded variants: between one and ``len(word)`` noise characters
+    unknown to the net are inserted at random positions, so noise is never
+    more than half of the result, and the letters of the word are kept in
+    order."""
     noise_alphabet = "z"
     out = []
     for _ in range(count):
         letters = list(word)
-        max_noise = int(len(letters) * max_noise_share / (1 - max_noise_share))
-        n_noise = rng.randint(1, max(1, max_noise))
-        for _ in range(n_noise):
+        for _ in range(rng.randint(1, len(word))):
             pos = rng.randint(0, len(letters))
             letters.insert(pos, rng.choice(noise_alphabet))
         out.append("".join(letters))
     return out
 
 
-def run_occlusion(out_dir: Path, config: RunConfig,
-                  generated: int = 100) -> SuiteReport:
+def run_occlusion(out_dir: Path, config: RunConfig) -> SuiteReport:
     manifest = load_manifest(build_occlusion_manifest(out_dir / "corpus"))
-    items = load_test_items(manifest)
-    memory = new_memory(config)
-    training = train(memory, manifest, config)
-    result = evaluate_manifest(memory, manifest, config, items)
+    memory, training, result = train_and_evaluate(manifest, config)
 
     rng = random.Random(config.seed)
-    cfg = attention_config(config)
-    gen_total = 0
-    gen_correct = 0
-    per_word = generated // len(OCCLUSION_WORDS)
-    for word, label in OCCLUSION_WORDS.items():
-        for occluded in generate_occlusions(word, per_word, rng):
-            stimulus = Pattern("visual", tuple(occluded))
-            cls = categorise(memory, stimulus, cfg,
-                             link_weighting=config.link_weighting)
-            gen_total += 1
-            gen_correct += int(cls.top == label)
+    per_word = GENERATED_OCCLUSIONS // len(OCCLUSION_WORDS)
+    items = [TestItem(occluded, label, Pattern("visual", tuple(occluded)))
+             for word, label in OCCLUSION_WORDS.items()
+             for occluded in generate_occlusions(word, per_word, rng)]
+    generated = run_suite(memory, items, result.labels,
+                          attention_config(config),
+                          link_weighting=config.link_weighting)
 
     checks = {
         "listed_occlusions_8_of_8": result.correct_count == result.total == 8,
-        "generated_occlusions_95pct": gen_correct >= 0.95 * gen_total,
+        "generated_occlusions_95pct":
+            generated.correct_count >= 0.95 * generated.total,
     }
-    extras = {"generated_total": gen_total, "generated_correct": gen_correct}
+    extras = {"generated_total": generated.total,
+              "generated_correct": generated.correct_count}
     return SuiteReport("occlusion", training, result, checks, extras)
 
 
@@ -250,11 +232,9 @@ def _synthetic_vocab(prefix: str, size: int) -> list[str]:
 
 
 def generate_synthetic_corpus(corpus_dir: Path, seed: int,
-                              stream_bytes: int = 10_000,
-                              test_samples: int = 20,
-                              test_tokens: int = 60) -> Path:
-    """Two training streams, plus held-out test samples per category from
-    the same distributions.
+                              stream_bytes: int = 10_000) -> Path:
+    """Two training streams, plus 20 held-out test samples of 60 tokens per
+    category from the same distributions.
 
     Every word is four characters, so a word and the space or newline after
     it take five bytes. Each training stream is ``stream_bytes`` rounded down
@@ -296,8 +276,8 @@ def generate_synthetic_corpus(corpus_dir: Path, seed: int,
         train_file = corpus_dir / f"{label}_train.txt"
         _write(train_file, " ".join(tokens) + "\n")
         test_files = []
-        for i in range(test_samples):
-            sample = emit(phrases, test_tokens)
+        for i in range(20):
+            sample = emit(phrases, 60)
             test_file = corpus_dir / f"{label}_test_{i:02d}.txt"
             _write(test_file, " ".join(sample) + "\n")
             test_files.append(test_file)
@@ -316,10 +296,7 @@ def run_synthetic(out_dir: Path, config: RunConfig) -> SuiteReport:
 
     manifest = load_manifest(
         generate_synthetic_corpus(out_dir / "corpus", config.seed))
-    items = load_test_items(manifest)
-    memory = new_memory(config)
-    training = train(memory, manifest, config)
-    result = evaluate_manifest(memory, manifest, config, items)
+    _, training, result = train_and_evaluate(manifest, config)
 
     threshold = bonferroni(0.05, 5)
     tail = binomial_at_least(BinomialQuery(

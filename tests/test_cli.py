@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from chunknet import cli
+from chunknet import cli, harness
 from chunknet.cli import main
-from chunknet.suites import build_xor_manifest
+from chunknet.suites import build_xor_manifest, generate_synthetic_corpus
 from test_snapshot import V1_SNAPSHOT
 
 
@@ -177,6 +177,41 @@ class TestRunSuite:
             blobs.append(((out / "results.csv").read_bytes(),
                           (out / "run.json").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_manifest_attention_span_reaches_classification(self, tmp_path,
+                                                            capsys):
+        manifest = generate_synthetic_corpus(tmp_path / "corpus", seed=1)
+        code, _, _ = run(capsys, "run-suite", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "span20"))
+        assert code == 0
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["attention_span"] = 4
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "span4"
+        code, _, _ = run(capsys, "run-suite", "--manifest", str(manifest),
+                         "--out", str(out))
+        assert code == 0
+        rows, default = (
+            list(csv.DictReader(path.read_text(encoding="utf-8")
+                                .splitlines()))
+            for path in (out / "results.csv",
+                         tmp_path / "span20" / "results.csv"))
+        assert rows != default  # the span changes some classification
+        labels = ("alpha", "beta")
+        for row in rows:
+            stimulus = manifest.parent / f"{row['item']}.txt"
+            code, out_text, _ = run(capsys, "categorise", "--model",
+                                    str(out / "model.json"),
+                                    "--input", str(stimulus))
+            printed = dict(line.split() for line in out_text.splitlines())
+            if row["predicted"] == "no-activation":
+                assert code == 4 and printed == {}
+                continue
+            assert code == 0
+            assert out_text.split()[0] == row["predicted"]
+            for label in labels:
+                assert abs(float(printed.get(label, 0.0))
+                           - float(row[label])) <= 5e-4 + 1e-9
 
 
 class TestEvalMetrics:
@@ -490,6 +525,9 @@ def _set_parent(doc):
     pytest.param(_pairs(IDENTICAL_PAIRS + b"Bach\n"), 2,
                  "pairs.csv line 4: human_top or model_top is empty",
                  id="pairs_short_row"),
+    pytest.param(_pairs(IDENTICAL_PAIRS + b"Bach,Bach,Bach,Mozart\n"), 2,
+                 "pairs.csv line 4: second choice must differ from the top "
+                 "choice", id="pairs_second_repeats_top"),
     pytest.param(_pairs(IDENTICAL_PAIRS, "--labels", "1"), 2,
                  "--labels must be at least 2, got 1", id="labels_1"),
     pytest.param(_pairs(IDENTICAL_PAIRS, "--trials", "-3"), 2,
@@ -533,7 +571,8 @@ def test_bad_test_file_exits_2_before_training(tmp_path, capsys,
     def no_training(*args, **kwargs):
         raise AssertionError("training started before the test files "
                              "were read")
-    monkeypatch.setattr(cli, "train", no_training)
+    # manifest mode trains through harness.train_and_evaluate
+    monkeypatch.setattr(harness, "train", no_training)
     argv = _non_utf8_data_file("test_10.txt", "run-suite")(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -7,9 +7,9 @@ import pytest
 
 from chunknet.config import RunConfig
 from chunknet.corpus import (Category, Sample, SplitSpec, load_manifest,
-                             load_test_items, write_manifest)
-from chunknet.harness import (Trainer, TrainingError, evaluate_manifest,
-                              new_memory, train)
+                             write_manifest)
+from chunknet.harness import (Trainer, TrainingError, new_memory, train,
+                              train_and_evaluate)
 from chunknet.network import MultiModalMemory
 from chunknet.patterns import Pattern
 from chunknet.snapshot import dump_memory
@@ -111,12 +111,9 @@ def test_chunk_probability_zero_never_learns_but_counts_epochs():
 
 def test_manifest_train_and_evaluate(tmp_path):
     manifest = load_manifest(build_xor_manifest(tmp_path / "corpus"))
-    items = load_test_items(manifest)
-    memory = MultiModalMemory()
-    config = RunConfig()
-    run = train(memory, manifest, config)
+    memory, run, result = train_and_evaluate(manifest, RunConfig())
     assert run.converged
-    result = evaluate_manifest(memory, manifest, config, items)
+    assert memory.net("visual").node_count == 5
     assert result.correct_count == result.total == 4
     assert result.chance_baseline == 2.0  # 4 tests over 2 labels
 

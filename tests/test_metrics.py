@@ -9,10 +9,10 @@ from importlib import resources
 
 import pytest
 
-from chunknet.attention import Classification
+from chunknet import metrics
 from chunknet.metrics import (METRIC_NAMES, BinomialQuery, MetricsError,
                               PredictionPair, binomial_at_least,
-                              bonferroni, chance_probability, extract_pair,
+                              bonferroni, chance_probability,
                               score_pair, significance_report, sum_rows)
 
 
@@ -76,29 +76,6 @@ class TestScorePair:
         assert score_pair(pair("B", "C"), pair("A", "B")).one_matches_top == 1
 
 
-class TestExtractPair:
-    def test_top_two_by_confidence(self):
-        cls = Classification(entries=(("Mozart", 0.6), ("Beethoven", 0.3),
-                                      ("Bach", 0.1)), no_activation=False)
-        assert extract_pair(cls) == pair("Mozart", "Beethoven")
-
-    def test_singleton_when_only_one_positive(self):
-        cls = Classification(entries=(("X", 1.0),), no_activation=False)
-        assert extract_pair(cls) == pair("X")
-        cls2 = Classification(entries=(("X", 1.0), ("Y", 0.0)),
-                              no_activation=False)
-        assert extract_pair(cls2) == pair("X")
-
-    def test_tie_keeps_the_classifier_order(self):
-        cls = Classification(entries=(("T", 0.5), ("F", 0.5)),
-                             no_activation=False)
-        assert extract_pair(cls) == pair("T", "F")
-
-    def test_no_activation_is_an_error(self):
-        with pytest.raises(MetricsError):
-            extract_pair(Classification(entries=(), no_activation=True))
-
-
 def binomial_at_least_exact(n, k, p):
     """Reference for ``binomial_at_least``: the same tail summed in exact
     rational arithmetic."""
@@ -107,6 +84,22 @@ def binomial_at_least_exact(n, k, p):
     for i in range(k, n + 1):
         total += math.comb(n, i) * p ** i * q ** (n - i)
     return total
+
+
+def binomial_at_least_full(query):
+    """Reference for ``binomial_at_least``: every term from k to n summed
+    in log space, including the terms that underflow to 0.0."""
+    n, k, p = query.n, query.k, query.p
+    if k == 0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    log_p = math.log(p)
+    log_q = math.log1p(-p)
+    return min(1.0, math.fsum(math.exp(metrics._log_pmf(n, i, log_p, log_q))
+                              for i in range(k, n + 1)))
 
 
 class TestBinomial:
@@ -129,6 +122,33 @@ class TestBinomial:
             got = binomial_at_least(BinomialQuery(n, k, float(p)))
             want = float(binomial_at_least_exact(n, k, p))
             assert abs(got - want) < 1e-12, (n, k, p)
+
+    def test_equals_the_full_sum(self):
+        rng = random.Random(12)
+        cases = [(n, k, p) for n in (1, 2, 7, 122, 20_000)
+                 for k in {1, n // 3, n // 2, n}
+                 for p in (1e-9, 1 / 16, 0.5, 3 / 4, 1 - 1e-9)]
+        for _ in range(400):
+            n = rng.randint(1, 3000)
+            cases.append((n, rng.randint(1, n), rng.random()))
+        for n, k, p in cases:
+            query = BinomialQuery(n, k, p)
+            assert binomial_at_least(query) == \
+                binomial_at_least_full(query), (n, k, p)
+
+    @pytest.mark.parametrize("p", [1 / 16, 3 / 4])
+    def test_cost_does_not_grow_with_n(self, monkeypatch, p):
+        calls = 0
+        log_pmf = metrics._log_pmf
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return log_pmf(*args)
+        monkeypatch.setattr(metrics, "_log_pmf", counted)
+        assert abs(binomial_at_least(BinomialQuery(1_000_000, 1, p))
+                   - 1.0) < 1e-8
+        assert calls <= 100_000
 
     def test_exact_small_oracle_is_rational(self):
         assert binomial_at_least_exact(2, 1, Fraction(1, 2)) == Fraction(3, 4)

@@ -258,6 +258,15 @@ class TestNamingLinks:
             memory.add_naming_link("visual", visual_node.node_id, 999)
 
 
+def test_node_ids_are_positions_and_unknown_ids_are_refused():
+    net = trained(P("A", "B"), repeats=3)
+    assert [n.node_id for n in net.nodes()] == list(range(net.node_count))
+    assert net.node(net.node_count - 1) is net.nodes()[-1]
+    for bad in (-1, -net.node_count, net.node_count, 999, "1", None):
+        with pytest.raises(NetworkError, match="unknown node id"):
+            net.node(bad)
+
+
 def test_node_dataclass_defaults():
     node = Node(node_id=5, test=("A",), image=())
     assert node.children == [] and node.naming_links == {}

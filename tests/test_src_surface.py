@@ -15,9 +15,6 @@ PACKAGE = Path(chunknet.__file__).parent
 USED_OUTSIDE_SRC = {
     # derived view of a node's index; the benchmark reads the root fan-out
     "Node.children",
-    # the library's bridge from a Classification to the PredictionPair the
-    # metrics score; the CLI reads pairs from CSV instead
-    "metrics.extract_pair",
 }
 
 
