@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from chunknet.cli import main
 from chunknet.config import RunConfig
 from chunknet.corpus import (Category, Sample, SplitSpec, load_manifest,
                              write_manifest)
@@ -155,3 +156,64 @@ def test_phrase_corpus_training_fingerprint(tmp_path):
     digest = hashlib.sha256(dump_memory(memory).encode()).hexdigest()
     assert digest == ("67a621f5e5b58211a438210195161950"
                       "fbcdb5354108dd5041da7d1a51cb76c9")
+
+
+def _phrase_stimuli(corpus_dir):
+    """A fixed stimulus set for the phrase-corpus model: spans of each
+    training stream, some longer than the attention span of 20; the same
+    spans occluded by unknown tokens inserted between their words; both
+    streams interleaved word by word; a span of one stream followed by a
+    longer span of the other, so both labels vote; and tokens the net never
+    saw."""
+    streams = [(corpus_dir / f"{label}_train.txt").read_text(
+        encoding="utf-8").split() for label in ("alpha", "beta")]
+    rng = random.Random(11)
+    stimuli = []
+    for tokens in streams:
+        for start, length in ((0, 5), (40, 12), (100, 21), (200, 35),
+                              (350, 60)):
+            span = tokens[start:start + length]
+            occluded = list(span)
+            for _ in range(max(1, length // 4)):
+                occluded.insert(rng.randint(0, len(occluded)),
+                                f"z{rng.randrange(5)}")
+            stimuli += [span, occluded]
+    stimuli.append([t for pair in zip(streams[0][500:515],
+                                      streams[1][500:515]) for t in pair])
+    for length in (6, 12, 25):
+        stimuli.append(streams[0][450:450 + length]
+                       + streams[1][450:450 + 2 * length])
+    stimuli.append(["z0", "z1", "z2"])
+    return [" ".join(s) for s in stimuli]
+
+
+@pytest.fixture(scope="module")
+def phrase_model(tmp_path_factory):
+    corpus_dir = tmp_path_factory.mktemp("corpus")
+    _phrase_corpus(corpus_dir)
+    out = tmp_path_factory.mktemp("run")
+    assert main(["train", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--out", str(out)]) == 0
+    return out / "model.json", _phrase_stimuli(corpus_dir)
+
+
+# sha256 prefix of each query's exit code and stdout, over the stimulus set;
+# recorded before the CLI parser was shared and the snapshot load promoted
+# what it built out of the young generation.
+QUERY_HASHES = {"categorise": "60310aa9421bcc18",
+                "retrieve": "d8e9a1fbf02df242"}
+
+
+@pytest.mark.parametrize("command", sorted(QUERY_HASHES))
+def test_phrase_corpus_query_outputs(tmp_path, capsys, phrase_model,
+                                     command):
+    model, stimuli = phrase_model
+    record = []
+    for i, text in enumerate(stimuli):
+        stim = tmp_path / f"stim{i}.txt"
+        stim.write_text(text + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main([command, "--model", str(model), "--input", str(stim)])
+        record.append(f"{code}\n{capsys.readouterr().out}")
+    digest = hashlib.sha256("\x00".join(record).encode()).hexdigest()[:16]
+    assert digest == QUERY_HASHES[command]
