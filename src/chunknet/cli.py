@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -320,7 +321,13 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``chunknet`` parser, built once per process and shared by every
+    ``main`` call, so that a call leaves no parser behind as cyclic garbage.
+    Each subcommand's ``cmd_*`` function is bound when the parser is built;
+    the module-level names those functions call (``categorise``,
+    ``load_memory``, ``train``, ...) are still looked up at call time."""
     parser = argparse.ArgumentParser(
         prog="chunknet",
         description="Chunking discrimination-network concept learner")

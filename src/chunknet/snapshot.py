@@ -27,10 +27,20 @@ the label net or whose count is not a positive integer.
 Python's cyclic garbage collector is paused from parsing until the last
 node is built, and left as the caller had it. A load allocates tens of
 thousands of containers that all survive, which would otherwise set off
-dozens of young collections per load and a full one every few loads.
-Pausing is safe because the loaded memory holds no reference cycles:
-parents, children and link targets are integer ids, and the parsed document
-is freed by reference counting.
+dozens of young collections per load and a full one every few loads. A
+load that succeeds then promotes, while the collector is still paused,
+every tracked object into the oldest generation (``gc.freeze()`` then
+``gc.unfreeze()``, two list splices) and so resets the young count: no
+young collection traverses the loaded nodes and index dicts afterwards.
+Both are safe because the loaded memory holds no reference cycles: parents,
+children and link targets are integer ids, the parsed document is freed by
+reference counting, and so is the memory when the caller drops it.
+Promotion also moves the caller's young objects to the oldest generation;
+any reference cycle among them then waits for a full collection, so a
+caller that loads in a loop should leave no cyclic garbage (``chunknet``
+builds its argument parser once per process for this), and objects a
+caller froze with ``gc.freeze()`` are unfrozen. A failed load promotes
+nothing, since the frames its traceback holds may form cycles.
 """
 
 from __future__ import annotations
@@ -217,7 +227,10 @@ def load_memory(path) -> tuple[MultiModalMemory, dict]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _load_doc(text)
+        loaded = _load_doc(text)
+        gc.freeze()
+        gc.unfreeze()
+        return loaded
     finally:
         if collecting:
             gc.enable()

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour and exit codes."""
 
 import csv
+import gc
 import json
 import re
 from importlib import resources
@@ -148,6 +149,78 @@ class TestCategorise:
                                 "--input", str(stim))
         assert code == 0
         assert out_text.strip() in ("1 0", "1 0 ".strip())
+
+    def test_calls_leave_no_garbage_and_no_objects_behind(self, tmp_path,
+                                                          capsys):
+        model = self._model(tmp_path, capsys)
+        stim = tmp_path / "stim.txt"
+        stim.write_text("1 0", encoding="utf-8")
+        argv = ["categorise", "--model", str(model), "--input", str(stim)]
+        assert main(argv) == 0      # warm-up: the shared parser is built
+        capsys.readouterr()
+        gc.collect()
+        before = len(gc.get_objects())
+        for _ in range(50):
+            assert main(argv) == 0
+        grown = len(gc.get_objects()) - before
+        capsys.readouterr()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0
+        assert grown < 50
+
+
+class TestSharedParser:
+    # In order: an argparse failure, the table and then the csv format of
+    # one suite, and --version twice.
+    CALLS = (["categorise", "--input", "stim.txt"],
+             ["run-suite", "--suite", "xor", "--format", "table",
+              "--out", "{out}"],
+             ["run-suite", "--suite", "xor", "--out", "{out}"],
+             ["--version"],
+             ["--version"])
+
+    def _outcomes(self, tmp_path, capsys):
+        """Exit code or SystemExit code, stdout, stderr, and the written
+        results.csv and run.json of each call in CALLS."""
+        outcomes = []
+        for i, argv in enumerate(self.CALLS):
+            out = tmp_path / str(i)
+            try:
+                code = main([arg.format(out=out) for arg in argv])
+            except SystemExit as exc:
+                code = f"SystemExit {exc.code}"
+            captured = capsys.readouterr()
+            files = [(name, (out / name).read_bytes())
+                     for name in ("results.csv", "run.json")
+                     if (out / name).exists()]
+            outcomes.append((code, captured.out, captured.err, files))
+        return outcomes
+
+    def test_calls_share_one_parser_and_carry_no_state(self, tmp_path,
+                                                       capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        shared = self._outcomes(tmp_path / "shared", capsys)
+        monkeypatch.setattr(cli, "build_parser",
+                            cli.build_parser.__wrapped__)
+        fresh = self._outcomes(tmp_path / "fresh", capsys)
+        assert shared == fresh
+        failure, table, plain, version, again = shared
+        assert failure[0] == "SystemExit 2"
+        assert "required: --model" in failure[2]
+        assert table[0] == plain[0] == 0
+        assert table[1].startswith("item\t") and "correct 4/4" in table[1]
+        assert "item\t" not in plain[1] and "check " in plain[1]
+        assert [name for name, _ in plain[3]] == ["results.csv", "run.json"]
+        assert plain[3] == table[3]
+        assert version == again
+        assert version[0] == "SystemExit 0"
+        assert version[1].startswith("chunknet ")
 
 
 class TestRunSuite:

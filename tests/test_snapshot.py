@@ -384,6 +384,33 @@ def test_loaded_memory_holds_no_reference_cycles(tmp_path):
     assert gc.collect() == 0
 
 
+def test_load_promotes_what_it_built_past_the_young_generation(tmp_path):
+    rng = random.Random(5)
+    memory = MultiModalMemory()
+    net = memory.net("visual")
+    for _ in range(1500):
+        net.learn(Pattern("visual", tuple(
+            rng.choice("pqrstu") for _ in range(rng.randint(1, 6)))))
+    path = tmp_path / "model.json"
+    save_memory(path, memory)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        loaded, _ = load_memory(path)
+        # pause before anything allocates, so that no collection runs
+        # between the load and the look at what it left in generation 0
+        gc.disable()
+        young_count = gc.get_count()[0]
+        young = {id(obj) for obj in gc.get_objects(generation=0)}
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert young_count < gc.get_threshold()[0]
+    built = loaded.net("visual").nodes()
+    assert len(built) > 500
+    assert not any(id(node) in young or id(node.index) in young
+                   for node in built)
+
+
 def test_children_follow_creation_order(tmp_path):
     rng = random.Random(8)
     net = DiscriminationNet("visual")
