@@ -1,12 +1,15 @@
-"""Golden outputs of ``run-suite`` and ``train``: every built-in suite at
-two seeds, and manifest mode and ``train`` on a synthetic corpus, run
-through ``cli.main`` with each output pinned by its sha256 prefix.
+"""Golden outputs of ``run-suite``, ``train`` and ``eval-metrics``: every
+built-in suite at two seeds, with the corpus files each suite writes, manifest
+mode and ``train`` on a synthetic corpus, and ``eval-metrics`` on the shipped
+pairs file, run through ``cli.main`` with each output pinned by its sha256
+prefix.
 
 A change that alters a classification, a confidence, a training log, a
 printed line or a snapshot byte fails here; a refactor of the
 train-and-classify path must leave every hash as it is."""
 
 import hashlib
+from importlib import resources
 
 import pytest
 
@@ -54,6 +57,48 @@ def test_suite_outputs(tmp_path, capsys, suite, seed):
     assert (digest((out / "results.csv").read_bytes()),
             digest((out / "run.json").read_bytes()),
             digest(stdout)) == SUITE_HASHES[suite, seed]
+
+
+def tree_digest(root):
+    """One digest over every file under ``root``, by relative path and
+    bytes, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0"
+                 .encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()[:16]
+
+
+# (suite, seed) -> digest of every file the suite writes under out/corpus,
+# manifest.json included.
+CORPUS_HASHES = {
+    ("xor", 0): "8c24078574a7e0a2",
+    ("five-four", 0): "0deaf98f206f100e",
+    ("occlusion", 0): "d836015a8d6d6d25",
+    ("synthetic", 0): "fd31d327fe2065b1",
+    ("synthetic", 3): "9bc490d4b721de67",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(CORPUS_HASHES))
+def test_suite_corpus_files(tmp_path, capsys, suite, seed):
+    out = tmp_path / "out"
+    run_cli(capsys, "run-suite", "--suite", suite, "--seed", str(seed),
+            "--out", str(out))
+    assert tree_digest(out / "corpus") == CORPUS_HASHES[suite, seed]
+
+
+def test_eval_metrics_outputs(tmp_path, capsys):
+    pairs = resources.files("chunknet.data") / "human_model_pairs.csv"
+    out = tmp_path / "eval"
+    stdout = run_cli(capsys, "eval-metrics", "--pairs", str(pairs),
+                     "--out", str(out), "--trials", "122")
+    assert (digest((out / "metrics.csv").read_bytes()),
+            digest((out / "significance.csv").read_bytes()),
+            digest(stdout)) == ("e0fedfdf1b2797c4", "b5d169a97361a0e5",
+                                "b9e7d4f1a1e15398")
 
 
 def test_manifest_mode_and_train_outputs(tmp_path, capsys):
