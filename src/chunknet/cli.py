@@ -15,13 +15,12 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .attention import categorise, retrieve
-from .config import ConfigError, load_config, read_text
+from .config import ConfigError, load_config, read_text, write_json
 from .corpus import TOKENIZERS, CorpusError, load_manifest, tokenize
 from .harness import TrainingError, attention_config, new_memory, train, \
     train_and_evaluate
@@ -39,26 +38,23 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_NO_ACTIVATION = 4
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _write_csv(path: Path, rows) -> None:
+    """Write ``rows``, the header row first, to the CSV file at ``path``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _write_run(out_dir: Path, result, doc: dict, output_format: str) -> None:
     """A run-suite run's results.csv (one row per test item: id, one
     confidence column per label, the predicted label, and a correct flag)
     and its run.json, ``doc``; ``--format table`` prints the rows too."""
-    with open(out_dir / "results.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item", *result.labels, "predicted", "correct"])
-        for row in result.rows:
-            confs = [f"{row.classification.confidence(lbl):.6f}"
-                     for lbl in result.labels]
-            writer.writerow([row.item_id, *confs,
-                             row.predicted or "no-activation",
-                             str(row.correct).lower()])
-    _write_json(out_dir / "run.json", doc)
+    _write_csv(out_dir / "results.csv", [
+        ["item", *result.labels, "predicted", "correct"],
+        *([row.item_id, *(f"{row.classification.confidence(lbl):.6f}"
+                          for lbl in result.labels),
+           row.predicted or "no-activation", str(row.correct).lower()]
+          for row in result.rows)])
+    write_json(out_dir / "run.json", doc)
     if output_format != "table":
         return
     print("\t".join(["item", *result.labels, "predicted", "ok"]))
@@ -121,8 +117,8 @@ def cmd_train(args) -> int:
                 shuffle=False if args.no_shuffle else None)
     save_memory(out_dir / "model.json", memory,
                 _snapshot_meta(manifest, config))
-    _write_json(out_dir / "training.json", run.to_dict())
-    _write_json(out_dir / "config.json", config.to_dict())
+    write_json(out_dir / "training.json", run.to_dict())
+    write_json(out_dir / "config.json", config.to_dict())
     print(f"converged after {run.epoch_count} epochs; "
           f"nodes {run.node_counts}; "
           f"simulated {run.simulated_time_seconds:g} s")
@@ -268,23 +264,16 @@ def cmd_eval_metrics(args) -> int:
     n = len(scored) if args.trials is None else args.trials
     lines = significance_report(totals, n=n, label_count=args.labels,
                                 rule=args.rule)
-    with open(out_dir / "metrics.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["participant", "item", *METRIC_NAMES])
-        for participant, item, row in scored:
-            writer.writerow([participant, item, *row.as_tuple()])
-    with open(out_dir / "significance.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "k", "n", "chance_p", "tail_probability",
-                         "threshold", "significant"])
-        for line in lines:
-            writer.writerow([line.metric, line.k, line.n,
-                             str(line.chance_p),
-                             f"{line.tail_probability:.6g}",
-                             f"{line.threshold:g}",
-                             str(line.significant).lower()])
+    _write_csv(out_dir / "metrics.csv", [
+        ["participant", "item", *METRIC_NAMES],
+        *([participant, item, *row.as_tuple()]
+          for participant, item, row in scored)])
+    _write_csv(out_dir / "significance.csv", [
+        ["metric", "k", "n", "chance_p", "tail_probability", "threshold",
+         "significant"],
+        *([line.metric, line.k, line.n, str(line.chance_p),
+           f"{line.tail_probability:.6g}", f"{line.threshold:g}",
+           str(line.significant).lower()] for line in lines)])
     print("metric totals:",
           " ".join(f"{m}={totals[m]}" for m in METRIC_NAMES))
     for line in lines:

@@ -5,6 +5,11 @@ the reference setup.
 STM size 5 chunks; attention span 20 tokens advancing 1 token at a time;
 chunk formation probability 1; 10 simulated seconds to create a chunk and
 2 to update one.
+
+The module also holds the package's one text reader (:func:`read_text`), its
+one JSON reader (:func:`read_json`) and its one JSON writer
+(:func:`write_json`), so every input file fails with the same one-line
+errors and every pretty JSON file has the same layout.
 """
 
 from __future__ import annotations
@@ -95,18 +100,35 @@ def read_text(path, error: type[Exception], what: str = "file") -> str:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
+def read_json(path, error: type[Exception], what: str = "file") -> dict:
+    """The JSON object in the input file at ``path``, read through
+    :func:`read_text`; raises ``error`` with one line naming ``what`` the
+    file is when it is not JSON, holds ``NaN`` or an infinity, or is not an
+    object. Every JSON document the package reads comes through here."""
+    # Read outside the JSON ``try``: the ``error`` classes are ValueErrors.
+    text = read_text(path, error, what)
+    try:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except ValueError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    if type(doc) is not dict:
+        raise error(f"{what} must be a JSON object")
+    return doc
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as JSON indented by 2 with sorted keys and
+    a final newline; every such file the package writes comes through
+    here."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Read a JSON config file; absent file fields keep their defaults."""
     data: dict = {}
     if path is not None:
-        # Read outside the JSON ``try``: a ConfigError is a ValueError.
-        text = read_text(path, ConfigError, "config")
-        try:
-            raw = json.loads(text, parse_constant=reject_constant)
-        except ValueError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+        raw = read_json(path, ConfigError, "config")
         known = set(RunConfig.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:

@@ -26,12 +26,11 @@ duplicate labels or missing files are rejected before any training starts.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .config import read_text
+from .config import read_json, read_text, write_json
 from .patterns import Pattern
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -180,7 +179,6 @@ class DatasetManifest:
     split: SplitSpec
     categories: list[Category]
     attention_span: int | None = None  # dataset override, e.g. music measures
-    path: Path | None = None
 
 
 @dataclass
@@ -204,13 +202,7 @@ class TestItem:
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    text = read_text(path, CorpusError, "manifest")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise CorpusError("manifest must be a JSON object")
+    raw = read_json(path, CorpusError, "manifest")
 
     problems: list[str] = []
     if raw.get("schema_version") != MANIFEST_SCHEMA_VERSION:
@@ -280,7 +272,7 @@ def load_manifest(path) -> DatasetManifest:
         raise CorpusError("; ".join(problems))
     return DatasetManifest(name=name, tokenizer=tokenizer, split=split,
                            categories=categories,
-                           attention_span=span, path=path)
+                           attention_span=span)
 
 
 def write_manifest(path, name: str, tokenizer: str, split: SplitSpec,
@@ -305,8 +297,7 @@ def write_manifest(path, name: str, tokenizer: str, split: SplitSpec,
     }
     if attention_span is not None:
         doc["attention_span"] = attention_span
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_training_samples(manifest: DatasetManifest) -> list[Sample]:

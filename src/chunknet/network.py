@@ -364,8 +364,6 @@ class MultiModalMemory:
     def add_naming_link(self, modality: str, node_id: int,
                         label_node_id: int) -> None:
         self.label_net.node(label_node_id)  # must exist
-        if label_node_id == ROOT_ID:
-            raise NetworkError("naming links never involve a root node")
         self.net(modality).add_naming_link(node_id, label_node_id)
 
     def label_name(self, label_node_id: int) -> str:

@@ -24,11 +24,13 @@ field of the wrong JSON type, an empty non-root test link, two siblings with
 the same test link, and a naming link whose key is not a label node id of
 the label net or whose count is not a positive integer.
 
-Python's cyclic garbage collector is paused from parsing until the last
-node is built, and left as the caller had it. A load allocates tens of
-thousands of containers that all survive, which would otherwise set off
-dozens of young collections per load and a full one every few loads. A
-load that succeeds then promotes, while the collector is still paused,
+Python's cyclic garbage collector is paused from reading the file until
+the last node is built, and left as the caller had it: the file is read and
+parsed inside the paused window, and a document that is not a JSON object is
+refused there before its version is read. A load allocates tens of thousands
+of containers that all survive, which would otherwise set off dozens of
+young collections per load and a full one every few loads. A load that
+succeeds then promotes, while the collector is still paused,
 every tracked object into the oldest generation (``gc.freeze()`` then
 ``gc.unfreeze()``, two list splices) and so resets the young count: no
 young collection traverses the loaded nodes and index dicts afterwards.
@@ -51,7 +53,7 @@ import reprlib
 from pathlib import Path
 from typing import NoReturn
 
-from .config import read_text, reject_constant
+from .config import read_json
 from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
 
 SNAPSHOT_SCHEMA_VERSION = 2
@@ -223,11 +225,10 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
 
 def load_memory(path) -> tuple[MultiModalMemory, dict]:
     """Returns the rebuilt memory and the snapshot's meta block."""
-    text = read_text(path, SnapshotError, "snapshot")
     collecting = gc.isenabled()
     gc.disable()
     try:
-        loaded = _load_doc(text)
+        loaded = _load_doc(read_json(path, SnapshotError, "snapshot"))
         gc.freeze()
         gc.unfreeze()
         return loaded
@@ -236,12 +237,8 @@ def load_memory(path) -> tuple[MultiModalMemory, dict]:
             gc.enable()
 
 
-def _load_doc(text: str) -> tuple[MultiModalMemory, dict]:
-    try:
-        doc = json.loads(text, parse_constant=reject_constant)
-    except ValueError as exc:
-        raise SnapshotError(f"snapshot is not valid JSON: {exc}") from None
-    version = doc.get("schema_version") if type(doc) is dict else None
+def _load_doc(doc: dict) -> tuple[MultiModalMemory, dict]:
+    version = doc.get("schema_version")
     if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
         raise SnapshotError(
             f"snapshot schema_version {version!r} is not supported "

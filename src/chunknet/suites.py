@@ -64,29 +64,35 @@ class SuiteReport:
         return all(self.checks.values())
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _write_corpus(corpus_dir: Path, name: str, tokenizer: str,
+                  split: SplitSpec,
+                  texts: dict[str, tuple[str, dict[str, str]]]) -> Path:
+    """Write a suite's corpus and return its manifest's path. ``texts``
+    maps each label, in manifest order, to its training text and its test
+    texts by file stem; each becomes ``{label}_train.txt`` or ``{stem}.txt``
+    with a final newline, and ``manifest.json`` names them all."""
+    corpus_dir.mkdir(parents=True, exist_ok=True)
+    categories = []
+    for label, (training, tests) in texts.items():
+        train_file = corpus_dir / f"{label}_train.txt"
+        train_file.write_text(training + "\n", encoding="utf-8")
+        test_files = [corpus_dir / f"{stem}.txt" for stem in tests]
+        for test_file, text in zip(test_files, tests.values()):
+            test_file.write_text(text + "\n", encoding="utf-8")
+        categories.append(Category(label, [train_file], test_files))
+    manifest_path = corpus_dir / "manifest.json"
+    write_manifest(manifest_path, name, tokenizer, split, categories)
+    return manifest_path
 
 
 def build_xor_manifest(corpus_dir: Path) -> Path:
-    groups: dict[str, list[str]] = {"T": [], "F": []}
-    for stimulus, label in XOR_ROWS:
-        groups[label].append(stimulus)
-    categories = []
-    for label in ("T", "F"):
-        train_file = corpus_dir / f"{label}_train.txt"
-        _write(train_file, "\n".join(groups[label]) + "\n")
-        test_files = []
-        for stimulus in groups[label]:
-            test_file = corpus_dir / f"test_{stimulus.replace(' ', '')}.txt"
-            _write(test_file, stimulus + "\n")
-            test_files.append(test_file)
-        categories.append(Category(label, [train_file], test_files))
-    manifest_path = corpus_dir / "manifest.json"
-    write_manifest(manifest_path, "xor", "logic_bits",
-                   SplitSpec("words", 2), categories)
-    return manifest_path
+    rows = {label: [stimulus for stimulus, row_label in XOR_ROWS
+                    if row_label == label] for label in ("T", "F")}
+    return _write_corpus(
+        corpus_dir, "xor", "logic_bits", SplitSpec("words", 2),
+        {label: ("\n".join(stimuli),
+                 {f"test_{s.replace(' ', '')}": s for s in stimuli})
+         for label, stimuli in rows.items()})
 
 
 def run_xor(out_dir: Path, config: RunConfig) -> SuiteReport:
@@ -103,17 +109,12 @@ def run_xor(out_dir: Path, config: RunConfig) -> SuiteReport:
 
 
 def build_five_four_manifest(corpus_dir: Path) -> Path:
-    categories = []
-    for label, faces in FIVE_FOUR_TRAINING.items():
-        train_file = corpus_dir / f"{label}_train.txt"
-        _write(train_file, "\n".join(faces) + "\n")
-        categories.append(Category(label, [train_file], []))
     # Transfer items have no true category, so they are classified directly
     # rather than listed as test_files.
-    manifest_path = corpus_dir / "manifest.json"
-    write_manifest(manifest_path, "five-four", "logic_bits",
-                   SplitSpec("words", 4), categories)
-    return manifest_path
+    return _write_corpus(
+        corpus_dir, "five-four", "logic_bits", SplitSpec("words", 4),
+        {label: ("\n".join(faces), {})
+         for label, faces in FIVE_FOUR_TRAINING.items()})
 
 
 def classify_transfer(memory: MultiModalMemory, config: RunConfig) -> dict[str, str]:
@@ -169,20 +170,10 @@ def run_five_four(out_dir: Path, config: RunConfig,
 
 
 def build_occlusion_manifest(corpus_dir: Path) -> Path:
-    categories = []
-    for word, label in OCCLUSION_WORDS.items():
-        train_file = corpus_dir / f"{label}_train.txt"
-        _write(train_file, word + "\n")
-        test_files = []
-        for occluded in OCCLUSION_TESTS[label]:
-            test_file = corpus_dir / f"test_{occluded}.txt"
-            _write(test_file, occluded + "\n")
-            test_files.append(test_file)
-        categories.append(Category(label, [train_file], test_files))
-    manifest_path = corpus_dir / "manifest.json"
-    write_manifest(manifest_path, "occlusion", "chars",
-                   SplitSpec("whole"), categories)
-    return manifest_path
+    return _write_corpus(
+        corpus_dir, "occlusion", "chars", SplitSpec("whole"),
+        {label: (word, {f"test_{o}": o for o in OCCLUSION_TESTS[label]})
+         for word, label in OCCLUSION_WORDS.items()})
 
 
 def generate_occlusions(word: str, count: int,
@@ -268,24 +259,16 @@ def generate_synthetic_corpus(corpus_dir: Path, seed: int,
                 tokens.append(rng.choice(shared))
         return tokens[:token_budget]
 
-    categories = []
+    texts = {}
     for label, own in vocab.items():
         phrases = phrase_book(own)
         stream_tokens = stream_bytes // (len(own[0]) + 1)  # word + separator
-        tokens = emit(phrases, stream_tokens)
-        train_file = corpus_dir / f"{label}_train.txt"
-        _write(train_file, " ".join(tokens) + "\n")
-        test_files = []
-        for i in range(20):
-            sample = emit(phrases, 60)
-            test_file = corpus_dir / f"{label}_test_{i:02d}.txt"
-            _write(test_file, " ".join(sample) + "\n")
-            test_files.append(test_file)
-        categories.append(Category(label, [train_file], test_files))
-    manifest_path = corpus_dir / "manifest.json"
-    write_manifest(manifest_path, "synthetic", "words",
-                   SplitSpec("words", 20), categories)
-    return manifest_path
+        training = " ".join(emit(phrases, stream_tokens))
+        texts[label] = (training, {f"{label}_test_{i:02d}":
+                                   " ".join(emit(phrases, 60))
+                                   for i in range(20)})
+    return _write_corpus(corpus_dir, "synthetic", "words",
+                         SplitSpec("words", 20), texts)
 
 
 def run_synthetic(out_dir: Path, config: RunConfig) -> SuiteReport:

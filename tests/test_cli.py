@@ -402,6 +402,16 @@ def _bad_manifest(tmp_path):
     return ["train", "--manifest", str(manifest), "--out", str(tmp_path)]
 
 
+def _nan_manifest(tmp_path):
+    """An xor manifest holding NaN under a key the loader ignores."""
+    manifest = _xor_manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["note"] = float("nan")
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    return ["train", "--manifest", str(manifest), "--out",
+            str(tmp_path / "out")]
+
+
 def _config_file(text, command="train"):
     def setup(tmp_path):
         config = tmp_path / "config.json"
@@ -421,6 +431,12 @@ def _config_directory(command):
 def _v1_snapshot(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(V1_SNAPSHOT), encoding="utf-8")
+    return _query(tmp_path, model)
+
+
+def _array_snapshot(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps([V1_SNAPSHOT]), encoding="utf-8")
     return _query(tmp_path, model)
 
 
@@ -484,11 +500,16 @@ def _set_parent(doc):
 @pytest.mark.parametrize("setup, code, message", [
     pytest.param(_bad_manifest, 2, "manifest is not valid JSON",
                  id="bad_manifest"),
+    pytest.param(_nan_manifest, 2,
+                 "manifest is not valid JSON: NaN is not a JSON value",
+                 id="manifest_nan"),
     pytest.param(_config_file('{"stm_sizes": 5}'), 2, "stm_sizes",
                  id="bad_config"),
     pytest.param(_model_edit(_set_parent), 2, "node 1 names parent 999",
                  id="v2_snapshot_bad_parent"),
     pytest.param(_v1_snapshot, 2, "retrain the model", id="v1_snapshot"),
+    pytest.param(_array_snapshot, 2, "snapshot must be a JSON object",
+                 id="array_snapshot"),
     pytest.param(_meta("config", 5), 2, "'config' holds 5",
                  id="meta_config_a_number"),
     pytest.param(_meta("config", 5, "retrieve"), 2, "'config' holds 5",

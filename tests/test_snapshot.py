@@ -349,7 +349,8 @@ def test_no_collection_runs_while_a_snapshot_is_parsed_and_built(tmp_path):
     assert net.node_count > 500
     path = tmp_path / "model.json"
     save_memory(path, memory)
-    building = snapshot._load_doc.__code__
+    # the whole load: reading and parsing the file, then building the nets
+    building = snapshot.load_memory.__code__
     during = []
 
     def probe(phase, info):
