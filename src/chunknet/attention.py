@@ -14,8 +14,8 @@ split across labels in proportion to the link counts (under multiplicative
 weighting, its size times each link count). Votes normalise into confidence
 scores: C(label | stimulus) = activation_label / total activation.
 
-This read side never mutates the network, so any number of stimuli can be
-classified concurrently against one frozen model.
+This read side never mutates the memory, nor makes a net it lacks, so any
+number of stimuli can be classified concurrently against one frozen model.
 """
 
 from __future__ import annotations
@@ -70,11 +70,14 @@ def window_groups(stimulus: Pattern, cfg: AttentionConfig) -> list[range]:
 
 @dataclass(frozen=True)
 class Classification:
-    """Ranked (label, confidence) list; empty with the marker set when no
-    chunk activation occurred (uniform scores are never fabricated)."""
+    """Ranked (label, confidence) list; empty when no chunk activation
+    occurred (uniform scores are never fabricated)."""
 
     entries: tuple[tuple[str, float], ...]
-    no_activation: bool
+
+    @property
+    def no_activation(self) -> bool:
+        return not self.entries
 
     @property
     def top(self) -> str | None:
@@ -98,12 +101,12 @@ def confidence(activations: dict[int, float],
     """
     total = sum(activations.values())
     if total <= 0.0:
-        return Classification(entries=(), no_activation=True)
+        return Classification(())
     ranked = sorted(activations.items(),
                     key=lambda item: (-item[1], item[0]))
     entries = tuple((memory.label_name(label_id), a / total)
                     for label_id, a in ranked)
-    return Classification(entries=entries, no_activation=False)
+    return Classification(entries)
 
 
 def categorise(memory: MultiModalMemory, stimulus: Pattern,
@@ -135,12 +138,15 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     if link_weighting not in ("proportional", "multiplicative"):
         raise AttentionError(f"unknown link weighting {link_weighting!r}")
     proportional = link_weighting == "proportional"
-    net = memory.net(stimulus.modality)
+    groups = window_groups(stimulus, cfg)
+    net = memory.nets.get(stimulus.modality)
+    if net is None:
+        return Classification(())
     activations: dict[int, float] = {}
     # Fetch start -> its unbounded walk, shared by every window position
     # that covers the start.
     walks: dict[int, Node] = {}
-    for group in window_groups(stimulus, cfg):
+    for group in groups:
         end = min(group.start + cfg.span, len(stimulus))
         best = None
         best_size = 0

@@ -180,8 +180,8 @@ def cmd_categorise(args) -> int:
 
 def cmd_retrieve(args) -> int:
     memory, _, _, stimulus = _load_query(args)
-    chunk = retrieve(memory.net("visual"), stimulus)
-    print(chunk.to_line())
+    net = memory.nets.get(stimulus.modality)
+    print("" if net is None else retrieve(net, stimulus).to_line())
     return EXIT_OK
 
 

@@ -209,9 +209,10 @@ def load_manifest(path) -> DatasetManifest:
         problems.append(
             f"unsupported manifest schema_version {raw.get('schema_version')!r}"
             f" (expected {MANIFEST_SCHEMA_VERSION})")
-    name = raw.get("name") or path.stem
-    if type(name) is not str:
-        problems.append(f"name must be a string, got {name!r}")
+    name = raw.get("name", path.stem)
+    if type(name) is not str or not name:
+        problems.append(f"name must be a string of one or more characters, "
+                        f"got {name!r}")
     tokenizer = raw.get("tokenizer", "")
     if type(tokenizer) is not str or tokenizer not in TOKENIZERS:
         problems.append(f"unknown tokenizer {tokenizer!r}")
@@ -276,10 +277,9 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def write_manifest(path, name: str, tokenizer: str, split: SplitSpec,
-                   categories: list[Category],
-                   attention_span: int | None = None) -> None:
+                   categories: list[Category]) -> None:
     path = Path(path)
-    doc = {
+    write_json(path, {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "name": name,
         "tokenizer": tokenizer,
@@ -294,10 +294,7 @@ def write_manifest(path, name: str, tokenizer: str, split: SplitSpec,
             }
             for c in categories
         ],
-    }
-    if attention_span is not None:
-        doc["attention_span"] = attention_span
-    write_json(path, doc)
+    })
 
 
 def load_training_samples(manifest: DatasetManifest) -> list[Sample]:
@@ -309,8 +306,6 @@ def load_training_samples(manifest: DatasetManifest) -> list[Sample]:
             text = read_text(file, CorpusError, "training file")
             stream = tokenize(manifest.tokenizer, text)
             for body in split_samples(stream, manifest.split):
-                if not body:
-                    continue
                 samples.append(Sample(
                     visual=Pattern(VISUAL_MODALITY, tuple(body)),
                     label=label))

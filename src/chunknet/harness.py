@@ -75,20 +75,22 @@ class Trainer:
     memory: MultiModalMemory
     config: RunConfig
     _queues: dict[str, StmQueue] = field(default_factory=dict)
-    _rng: random.Random | None = None
+
+    def __post_init__(self):
+        self._rng = random.Random(self.config.seed)
 
     def queue(self, modality: str) -> StmQueue:
         if modality not in self._queues:
-            self._queues[modality] = StmQueue(modality, self.config.stm_size)
+            self._queues[modality] = StmQueue(self.config.stm_size)
         return self._queues[modality]
 
     def _learn_gated(self, modality: str, pattern) -> LearnEvent:
         net = self.memory.net(modality)
-        if self.config.chunk_probability < 1.0 and self._rng is not None \
+        if self.config.chunk_probability < 1.0 \
                 and self._rng.random() >= self.config.chunk_probability:
             # Chunk formation gate failed: recognise only, no structural change.
             node = net.recognise(pattern)
-            return LearnEvent(NO_CHANGE, node.node_id, 0.0)
+            return LearnEvent(NO_CHANGE, node.node_id)
         return net.learn(pattern)
 
     def present(self, sample: Sample) -> tuple[LearnEvent, LearnEvent]:

@@ -130,6 +130,10 @@ def bonferroni(alpha: float, hypothesis_count: int) -> float:
     return alpha / hypothesis_count
 
 
+# Significant tails fall below it: 0.05 split over the five metrics.
+SIGNIFICANCE_THRESHOLD = bonferroni(0.05, len(METRIC_NAMES))
+
+
 # -- chance model -------------------------------------------------------------
 
 def chance_probability(metric: str, label_count: int,
@@ -174,10 +178,8 @@ class SignificanceLine:
 
 
 def significance_report(totals: dict[str, int], n: int, label_count: int,
-                        alpha: float = 0.05,
                         rule: str = "independent_uniform") -> list[SignificanceLine]:
     """Per-metric exact binomial tail against the Bonferroni threshold."""
-    threshold = bonferroni(alpha, len(METRIC_NAMES))
     lines = []
     for metric in METRIC_NAMES:
         k = totals[metric]
@@ -185,7 +187,8 @@ def significance_report(totals: dict[str, int], n: int, label_count: int,
         tail = binomial_at_least(BinomialQuery(n=n, k=k, p=float(p)))
         lines.append(SignificanceLine(
             metric=metric, k=k, n=n, chance_p=p, tail_probability=tail,
-            threshold=threshold, significant=tail < threshold))
+            threshold=SIGNIFICANCE_THRESHOLD,
+            significant=tail < SIGNIFICANCE_THRESHOLD))
     return lines
 
 

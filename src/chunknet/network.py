@@ -40,6 +40,10 @@ surrogate). Complete images stop matching longer patterns, which is what turns
 further presentations of extensions into single-shot discriminations of new
 chunks rather than endless image growth.
 
+Every node, learned or loaded, joins the tree through ``attach``: it refuses
+an empty test link or one a sibling has, and alone sets contents lengths and
+first-token indexes. ``snapshot`` checks a file's own facts before that.
+
 Cross-modality *naming links* (counted associations from a chunk to a label
 chunk in another modality) hang off nodes here; they are created by the
 trainer when fully learned chunks co-occupy short-term memory.
@@ -72,9 +76,8 @@ class Node:
     naming_links: dict[int, int] = field(default_factory=dict)
     created_at: float = 0.0
     updated_at: float = 0.0
-    # Derived from the test links when the node is created or loaded: the
-    # length of its contents, and its children's ids keyed by the first
-    # token of their test links, in insertion order.
+    # Set by DiscriminationNet.attach: the length of the contents, and the
+    # children's ids by the first token of their test links, in order.
     contents_length: int = 0
     index: dict[str, tuple[int, ...]] = field(default_factory=dict,
                                               repr=False)
@@ -90,7 +93,6 @@ class Node:
 class LearnEvent:
     kind: str                        # created_node | familiarised | no_change
     node_id: int
-    simulated_cost_seconds: float
 
 
 class DiscriminationNet:
@@ -162,25 +164,37 @@ class DiscriminationNet:
                 f"network modality {self.modality!r}"
             )
 
+    def attach(self, nodes: list[Node]) -> None:
+        """Join ``nodes``, each with the next free id and an earlier parent,
+        in order: each goes last under its test link's first token in its
+        parent's index, and gets its contents length. A node whose test link
+        is empty or a sibling's raises :class:`NetworkError`; the nodes
+        before it stay joined."""
+        own = self._nodes
+        for node in nodes:
+            test = node.test
+            if not test:
+                raise NetworkError(f"node {node.node_id} has an empty test "
+                                   f"link")
+            parent = own[node.parent]
+            siblings = parent.index.get(test[0], ())
+            for sid in siblings:
+                if own[sid].test == test:
+                    raise NetworkError(f"sibling nodes {sid} and "
+                                       f"{node.node_id} have the same test "
+                                       f"link")
+            parent.index[test[0]] = siblings + (node.node_id,)
+            node.contents_length = parent.contents_length + len(test)
+            own.append(node)
+
     def _new_node(self, parent: Node, test: tuple[str, ...],
                   image: tuple[str, ...], complete: bool) -> Node:
-        if not test:
-            raise NetworkError("a non-root test link must be non-empty")
-        for cid in parent.index.get(test[0], ()):
-            if self._nodes[cid].test == test:
-                raise NetworkError(
-                    f"duplicate sibling test link {test!r} under node "
-                    f"{parent.node_id}"
-                )
-        self.clock_seconds += self.seconds_per_new_chunk
+        clock = self.clock_seconds + self.seconds_per_new_chunk
         node = Node(node_id=len(self._nodes), test=test, image=image,
                     image_complete=complete, parent=parent.node_id,
-                    created_at=self.clock_seconds,
-                    updated_at=self.clock_seconds,
-                    contents_length=parent.contents_length + len(test))
-        self._nodes.append(node)
-        parent.index[test[0]] = parent.index.get(test[0], ()) + \
-            (node.node_id,)
+                    created_at=clock, updated_at=clock)
+        self.attach([node])
+        self.clock_seconds = clock
         return node
 
     def _append_to_image(self, node: Node, token: str,
@@ -275,20 +289,18 @@ class DiscriminationNet:
             # add, but the end marker is now warranted if still missing.
             if node.image == tokens and not node.image_complete:
                 node.image_complete = True
-            return LearnEvent(NO_CHANGE, node.node_id, 0.0)
+            return LearnEvent(NO_CHANGE, node.node_id)
         ret = self.recognise(p, k)
         if ret.node_id == ROOT_ID:
             new = self._new_node(self.root, (tokens[k],), (), False)
-            return LearnEvent(CREATED_NODE, new.node_id,
-                              self.seconds_per_new_chunk)
+            return LearnEvent(CREATED_NODE, new.node_id)
         if not ret.image or ret.image_complete or \
                 len(ret.image) > len(tokens) - k:
             self._append_to_image(node, tokens[k], p)
-            return LearnEvent(FAMILIARISED, node.node_id,
-                              self.seconds_per_update)
+            return LearnEvent(FAMILIARISED, node.node_id)
         self._append_to_image(ret, tokens[k],
                               p if ret.node_id == node.node_id else None)
-        return LearnEvent(FAMILIARISED, ret.node_id, self.seconds_per_update)
+        return LearnEvent(FAMILIARISED, ret.node_id)
 
     def discriminate(self, node: Node, p: Pattern) -> LearnEvent:
         """Add one new node below ``node`` (or a new primitive at the root).
@@ -306,12 +318,11 @@ class DiscriminationNet:
         if start >= len(p):
             # Pattern already fully encoded by this node's path; its image
             # has simply grown past the pattern. Nothing new to store.
-            return LearnEvent(NO_CHANGE, node.node_id, 0.0)
+            return LearnEvent(NO_CHANGE, node.node_id)
         ret = self.recognise(p, start)
         if ret.node_id == ROOT_ID:
             new = self._new_node(self.root, (p.tokens[start],), (), False)
-            return LearnEvent(CREATED_NODE, new.node_id,
-                              self.seconds_per_new_chunk)
+            return LearnEvent(CREATED_NODE, new.node_id)
         if not ret.image:
             return self.familiarise(
                 ret, Pattern.derived(p.modality, p.tokens[start:]))
@@ -322,8 +333,7 @@ class DiscriminationNet:
             test = self.contents(ret.node_id).tokens
         image = self.contents(node.node_id).tokens + test
         new = self._new_node(node, test, image, image == p.tokens)
-        return LearnEvent(CREATED_NODE, new.node_id,
-                          self.seconds_per_new_chunk)
+        return LearnEvent(CREATED_NODE, new.node_id)
 
     # -- naming links -----------------------------------------------------
 

@@ -65,9 +65,6 @@ class Pattern:
     def __bool__(self) -> bool:
         return bool(self.tokens)
 
-    def __iter__(self):
-        return iter(self.tokens)
-
     def to_line(self) -> str:
         """Canonical one-line text form: tokens joined by single spaces."""
         return " ".join(self.tokens)

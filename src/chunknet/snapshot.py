@@ -15,14 +15,14 @@ identical models produce byte-identical files and a load/save round trip is
 exact. Files from other schema versions are rejected outright; a model saved
 by an older build is retrained with ``chunknet train``.
 
-Loading builds each net in one forward pass over its rows. Row 0 is the root,
-with a null parent; every other row names a parent that comes before it,
-which rules out cycles and unreachable nodes, and lets each node's contents
-length and its parent's first-token child index be set as the row is read.
-Also rejected: a document, net or row of the wrong JSON type or size, a
-field of the wrong JSON type, an empty non-root test link, two siblings with
-the same test link, and a naming link whose key is not a label node id of
-the label net or whose count is not a positive integer.
+This module checks the file's own facts in one pass over each net's rows: the
+JSON type and size of the document, each net, row and field; row 0 as the
+root, with a null parent and an empty test link; every other row naming a
+parent that comes before it, which rules out cycles and unreachable nodes;
+and each naming link, whose key must be a label node id of the label net and
+whose count a positive integer. ``DiscriminationNet.attach`` then joins the
+net's nodes to its tree, as learning does, and refuses an empty test link or
+two siblings with the same test link; its error becomes a ``SnapshotError``.
 
 Python's cyclic garbage collector is paused from reading the file until
 the last node is built, and left as the caller had it: the file is read and
@@ -54,7 +54,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from .config import read_json
-from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
+from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, \
+    NetworkError, Node
 
 SNAPSHOT_SCHEMA_VERSION = 2
 
@@ -142,35 +143,28 @@ def _naming_links(where: str, node_id: int, links: dict) -> dict[int, int]:
     return naming
 
 
-def _row_error(where: str, node_id: int, row, nodes: list) -> NoReturn:
+def _row_error(where: str, node_id: int, row) -> NoReturn:
     """Raise the exact error for row ``node_id``, which the loop in
-    :func:`_load_net` could not build on the rows before it, ``nodes``."""
+    :func:`_load_net` refused."""
     node = f"{where}: node {node_id}"
     if type(row) is not list or len(row) > len(_ROW_FIELDS):
         raise SnapshotError(f"{node} is not a list of {len(_ROW_FIELDS)} "
                             f"fields: {reprlib.repr(row)}") from None
     names = [name for name, _ in _ROW_FIELDS]
-    parent, test, _, _, links, _, _ = _fields(dict(zip(names, row)), node,
-                                              _ROW_FIELDS)
+    parent, _, _, _, links, _, _ = _fields(dict(zip(names, row)), node,
+                                           _ROW_FIELDS)
     _naming_links(where, node_id, links)
-    test = tuple(test.split())
     if node_id == ROOT_ID:
         raise SnapshotError(f"{where}: no root node (row {ROOT_ID} needs a "
                             f"null parent and an empty test link)") from None
-    if parent is None or not 0 <= parent < node_id:
-        raise SnapshotError(f"{node} names parent {parent!r}; a parent must "
-                            f"be an earlier node") from None
-    if not test:
-        raise SnapshotError(f"{node} has an empty test link") from None
-    sibling = next(sid for sid in nodes[parent].index[test[0]]
-                   if nodes[sid].test == test)
-    raise SnapshotError(f"{where}: sibling nodes {sibling} and {node_id} "
-                        f"have the same test link") from None
+    raise SnapshotError(f"{node} names parent {parent!r}; a parent must "
+                        f"be an earlier node") from None
 
 
 def _load_net(modality: str, doc, memory: MultiModalMemory,
               link_targets: set[int]) -> DiscriminationNet:
-    """Build one net in a single forward pass over its rows."""
+    """Build one net: one pass over its rows checks them and builds their
+    nodes, and the net attaches every node but the root in one call."""
     where = f"{modality!r} net"
     doc_modality, clock, rows = _fields(doc, where, _NET_FIELDS)
     if doc_modality != modality:
@@ -179,6 +173,10 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
     if not rows:
         raise SnapshotError(f"{where}: no root node (the node table is "
                             f"empty)")
+    net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
+                            memory.seconds_per_update)
+    net.clock_seconds = clock
+    root = net.root
     nodes: list[Node] = []
     # Any failure leaves the loop for _row_error, which names the problem.
     try:
@@ -192,34 +190,25 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
                     or type(updated) not in _NUMBER:
                 raise ValueError
             naming = _naming_links(where, node_id, links) if links else {}
-            test = tuple(test.split())
-            node = Node(node_id, test, tuple(image.split()), complete,
-                        parent, naming, created, updated)
-            if node_id:
-                if type(parent) is not int or not 0 <= parent < node_id \
-                        or not test:
-                    raise ValueError
-                up = nodes[parent]
-                index = up.index
-                siblings = index.get(test[0])
-                if siblings is None:
-                    index[test[0]] = (node_id,)
-                else:
-                    for sid in siblings:
-                        if nodes[sid].test == test:
-                            raise ValueError
-                    index[test[0]] = siblings + (node_id,)
-                node.contents_length = up.contents_length + len(test)
-            elif parent is not None or test:
-                raise ValueError
             link_targets.update(naming)
-            nodes.append(node)
+            if node_id:
+                if type(parent) is not int or not 0 <= parent < node_id:
+                    raise ValueError
+                nodes.append(Node(node_id, tuple(test.split()),
+                                  tuple(image.split()), complete, parent,
+                                  naming, created, updated))
+            elif parent is not None or test.split():
+                raise ValueError
+            else:
+                root.image = tuple(image.split())
+                root.image_complete, root.naming_links = complete, naming
+                root.created_at, root.updated_at = created, updated
     except (TypeError, ValueError):
-        _row_error(where, node_id, row, nodes)
-    net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
-                            memory.seconds_per_update)
-    net.clock_seconds = clock
-    net._nodes = nodes
+        _row_error(where, node_id, row)
+    try:
+        net.attach(nodes)
+    except NetworkError as exc:
+        raise SnapshotError(f"{where}: {exc}") from None
     return net
 
 

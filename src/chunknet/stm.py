@@ -18,15 +18,11 @@ class StmError(ValueError):
 
 
 class StmQueue:
-    def __init__(self, modality: str, capacity: int = 5):
+    def __init__(self, capacity: int = 5):
         if not 2 <= capacity <= 9:
             raise StmError(f"STM capacity must be in [2, 9], got {capacity}")
-        self.modality = modality
         self.capacity = capacity
         self._slots: deque[int] = deque()  # head (most recent) at index 0
-
-    def __len__(self) -> int:
-        return len(self._slots)
 
     @property
     def slots(self) -> list[int]:

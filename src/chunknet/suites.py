@@ -22,6 +22,7 @@ from .corpus import Category, SplitSpec, TestItem, load_manifest, \
     write_manifest
 from .harness import SuiteResult, TrainingRun, attention_config, \
     new_memory, run_suite, train, train_and_evaluate
+from .metrics import SIGNIFICANCE_THRESHOLD, BinomialQuery, binomial_at_least
 from .network import MultiModalMemory
 from .patterns import Pattern
 
@@ -35,6 +36,7 @@ FIVE_FOUR_TRAINING = {
     "B": ["1100", "0110", "0001", "0000"],
 }
 FIVE_FOUR_TRANSFER = ["1001", "1000", "1111", "0010", "0101", "0011", "0100"]
+FIVE_FOUR_SWEEP_SEEDS = 50  # shuffled replicas, one per seed from 0
 # Reference transfer labels the seed sweep reports agreement against.
 FIVE_FOUR_REFERENCE = {
     "1001": "A", "1000": "A", "1111": "B", "0010": "B",
@@ -128,8 +130,7 @@ def classify_transfer(memory: MultiModalMemory, config: RunConfig) -> dict[str, 
     return out
 
 
-def run_five_four(out_dir: Path, config: RunConfig,
-                  sweep_seeds: int = 50) -> SuiteReport:
+def run_five_four(out_dir: Path, config: RunConfig) -> SuiteReport:
     """Canonical-order training plus a seed sweep over shuffled replicas.
 
     The canonical run must assign A to the 1000 transfer face; the sweep
@@ -143,7 +144,7 @@ def run_five_four(out_dir: Path, config: RunConfig,
     transfer = classify_transfer(memory, config)
 
     tally: dict[str, dict[str, int]] = {f: {} for f in FIVE_FOUR_TRANSFER}
-    for seed in range(sweep_seeds):
+    for seed in range(FIVE_FOUR_SWEEP_SEEDS):
         sweep_memory = new_memory(config)
         train(sweep_memory, manifest, config, seed=seed, shuffle=True)
         for face, label in classify_transfer(sweep_memory, config).items():
@@ -164,7 +165,7 @@ def run_five_four(out_dir: Path, config: RunConfig,
         "transfer_labels": transfer,
         "sweep_modal_labels": modal,
         "sweep_agreement": f"{agreement}/{len(FIVE_FOUR_TRANSFER)}",
-        "sweep_seeds": sweep_seeds,
+        "sweep_seeds": FIVE_FOUR_SWEEP_SEEDS,
     }
     return SuiteReport("five-four", training, result, checks, extras)
 
@@ -275,22 +276,20 @@ def run_synthetic(out_dir: Path, config: RunConfig) -> SuiteReport:
     """Desk-scale two-category text classification, with the accuracy's
     significance judged by this package's own binomial machinery at the
     Bonferroni-adjusted threshold."""
-    from .metrics import BinomialQuery, binomial_at_least, bonferroni
-
     manifest = load_manifest(
         generate_synthetic_corpus(out_dir / "corpus", config.seed))
     _, training, result = train_and_evaluate(manifest, config)
 
-    threshold = bonferroni(0.05, 5)
     tail = binomial_at_least(BinomialQuery(
         n=result.total, k=result.correct_count,
         p=1.0 / len(result.labels)))
-    checks = {"accuracy_above_chance_bonferroni": tail < threshold}
+    checks = {"accuracy_above_chance_bonferroni":
+              tail < SIGNIFICANCE_THRESHOLD}
     extras = {
         "accuracy": f"{result.correct_count}/{result.total}",
         "chance_baseline": result.chance_baseline,
         "tail_probability": tail,
-        "threshold": threshold,
+        "threshold": SIGNIFICANCE_THRESHOLD,
     }
     return SuiteReport("synthetic", training, result, checks, extras)
 

@@ -8,6 +8,7 @@ from chunknet.attention import (AttentionConfig, AttentionError, categorise,
                                 confidence, retrieve, window_groups)
 from chunknet.network import DiscriminationNet, MultiModalMemory
 from chunknet.patterns import Pattern
+from chunknet.snapshot import dump_memory
 from test_recognise_oracle import per_fetch_categorise
 
 
@@ -232,6 +233,18 @@ class TestCategorise:
         categorise(memory, P("1", "0", "1", "1"), AttentionConfig())
         assert net.node_count == nodes_before
         assert {n.node_id: n.image for n in net.nodes()} == images_before
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_a_missing_net_is_not_made(self, trained):
+        # Classifying leaves the memory, missing nets included, as it was.
+        memory = MultiModalMemory()
+        if trained:
+            learn_to_fixed_point(memory.label_net, L("T"))
+        before = dump_memory(memory)
+        assert categorise(memory, P("1", "0"), AttentionConfig()) \
+            .no_activation
+        assert dump_memory(memory) == before
+        assert "visual" not in memory.nets
 
     def test_untrained_memory_yields_no_activation(self):
         memory = MultiModalMemory()

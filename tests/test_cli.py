@@ -150,6 +150,20 @@ class TestCategorise:
         assert code == 0
         assert out_text.strip() in ("1 0", "1 0 ".strip())
 
+    @pytest.mark.parametrize("command, code, printed", [
+        ("categorise", 4, ""), ("retrieve", 0, "\n")])
+    def test_a_model_with_no_visual_net(self, tmp_path, capsys, command,
+                                        code, printed):
+        # Nothing is recognised: no activation, or an empty chunk.
+        model = self._model(tmp_path, capsys)
+        doc = json.loads(model.read_text())
+        del doc["networks"]["visual"]
+        model.write_text(json.dumps(doc))
+        stim = tmp_path / "stim.txt"
+        stim.write_text("1 0", encoding="utf-8")
+        assert run(capsys, command, "--model", str(model), "--input",
+                   str(stim))[:2] == (code, printed)
+
     def test_calls_leave_no_garbage_and_no_objects_behind(self, tmp_path,
                                                           capsys):
         model = self._model(tmp_path, capsys)
@@ -412,6 +426,18 @@ def _nan_manifest(tmp_path):
             str(tmp_path / "out")]
 
 
+def _manifest_name(name):
+    """An xor manifest whose name is ``name``."""
+    def setup(tmp_path):
+        manifest = _xor_manifest(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["name"] = name
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        return ["train", "--manifest", str(manifest), "--out",
+                str(tmp_path / "out")]
+    return setup
+
+
 def _config_file(text, command="train"):
     def setup(tmp_path):
         config = tmp_path / "config.json"
@@ -503,6 +529,11 @@ def _set_parent(doc):
     pytest.param(_nan_manifest, 2,
                  "manifest is not valid JSON: NaN is not a JSON value",
                  id="manifest_nan"),
+    *(pytest.param(_manifest_name(name), 2,
+                   f"name must be a string of one or more characters, got "
+                   f"{re.escape(repr(name))}$", id=f"manifest_name_{id_}")
+      for name, id_ in ((0, "0"), (False, "false"), ([], "list"),
+                        ({}, "object"), ("", "empty"), (None, "null"))),
     pytest.param(_config_file('{"stm_sizes": 5}'), 2, "stm_sizes",
                  id="bad_config"),
     pytest.param(_model_edit(_set_parent), 2, "node 1 names parent 999",

@@ -20,19 +20,17 @@ class ReferenceNet(DiscriminationNet):
         if not d:
             if node.image == p.tokens and not node.image_complete:
                 node.image_complete = True
-            return LearnEvent(NO_CHANGE, node.node_id, 0.0)
+            return LearnEvent(NO_CHANGE, node.node_id)
         ret = self.recognise(d)
         if ret.node_id == ROOT_ID:
             new = self._new_node(self.root, (d.tokens[0],), (), False)
-            return LearnEvent(CREATED_NODE, new.node_id,
-                              self.seconds_per_new_chunk)
+            return LearnEvent(CREATED_NODE, new.node_id)
         if not ret.image or ret.image_complete or len(ret.image) > len(d):
             self._append_to_image(node, d.tokens[0], p)
-            return LearnEvent(FAMILIARISED, node.node_id,
-                              self.seconds_per_update)
+            return LearnEvent(FAMILIARISED, node.node_id)
         self._append_to_image(ret, d.tokens[0],
                               p if ret.node_id == node.node_id else None)
-        return LearnEvent(FAMILIARISED, ret.node_id, self.seconds_per_update)
+        return LearnEvent(FAMILIARISED, ret.node_id)
 
 
 def memory_of(net):
@@ -122,7 +120,7 @@ def test_a_pattern_shorter_than_the_image_is_no_change():
     for n in (net, ref):
         node = n._new_node(n.root, ("a",), ("a", "b", "c"), False)
         assert n.familiarise(node, Pattern("visual", ("a", "b"))) == \
-            LearnEvent(NO_CHANGE, node.node_id, 0.0)
+            LearnEvent(NO_CHANGE, node.node_id)
     assert dump_memory(memory_of(net)) == dump_memory(memory_of(ref))
 
 
@@ -136,7 +134,7 @@ def test_a_difference_after_a_shorter_common_prefix_is_walked_there():
         events.append(n.familiarise(node, Pattern("visual", ("a", "c"))))
         assert node.image == ("a", "b", "c", "c")
         assert c.image == ("c",)
-    assert events[0] == events[1] == LearnEvent(FAMILIARISED, 1, 2.0)
+    assert events[0] == events[1] == LearnEvent(FAMILIARISED, 1)
 
 
 def test_a_difference_as_long_as_the_retrieved_image_grows_that_image():
@@ -147,5 +145,5 @@ def test_a_difference_as_long_as_the_retrieved_image_grows_that_image():
         a = n._new_node(n.root, ("a",), ("a",), False)
         b = n._new_node(n.root, ("b",), ("b", "c"), False)
         event = n.familiarise(a, Pattern("visual", ("a", "b", "c")))
-        assert event == LearnEvent(FAMILIARISED, b.node_id, 2.0)
+        assert event == LearnEvent(FAMILIARISED, b.node_id)
         assert (a.image, b.image) == (("a",), ("b", "c", "b"))

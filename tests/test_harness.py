@@ -110,6 +110,26 @@ def test_chunk_probability_zero_never_learns_but_counts_epochs():
     assert trainer.memory.net("visual").node_count == 1
 
 
+def test_present_before_train_obeys_chunk_probability():
+    # The gate is seeded when the trainer is made, not first by train.
+    trainer = fresh_trainer(RunConfig(chunk_probability=0.0))
+    for item in XOR_SAMPLES:
+        trainer.present(item)
+    assert {m: net.node_count for m, net in trainer.memory.nets.items()} \
+        == {"visual": 1, "verbal": 1}
+
+
+def test_present_before_train_draws_from_the_config_seed():
+    def dumped(seed):
+        trainer = fresh_trainer(RunConfig(chunk_probability=0.5, seed=seed))
+        for _ in range(5):
+            for item in XOR_SAMPLES:
+                trainer.present(item)
+        return dump_memory(trainer.memory)
+    assert dumped(1) == dumped(1)
+    assert len({dumped(seed) for seed in range(4)}) > 1
+
+
 def test_manifest_train_and_evaluate(tmp_path):
     manifest = load_manifest(build_xor_manifest(tmp_path / "corpus"))
     memory, run, result = train_and_evaluate(manifest, RunConfig())

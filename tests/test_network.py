@@ -199,6 +199,30 @@ class TestStructure:
         assert node.image == ()
         assert net.chunk_size(node.node_id) == 1
 
+    @pytest.mark.parametrize("test, message", [
+        ((), "node 4 has an empty test link"),
+        (("A",), "sibling nodes 1 and 4 have the same test link"),
+    ])
+    def test_a_refused_node_leaves_the_net_unchanged(self, test, message):
+        net = example_net()
+        before = (net.node_count, dict(net.root.index), net.clock_seconds)
+        with pytest.raises(NetworkError, match=message):
+            net._new_node(net.root, test, test, False)
+        assert (net.node_count, net.root.index, net.clock_seconds) == before
+
+    def test_attach_joins_the_nodes_before_a_refused_one(self):
+        net = example_net()
+        nodes = [Node(4, ("C",), (), parent=ROOT_ID),
+                 Node(5, ("D",), (), parent=4),
+                 Node(6, ("C",), (), parent=ROOT_ID),
+                 Node(7, ("E",), (), parent=ROOT_ID)]
+        with pytest.raises(NetworkError,
+                           match="sibling nodes 4 and 6 have the same"):
+            net.attach(nodes)
+        assert net.nodes()[4:] == nodes[:2]
+        assert net.root.index["C"] == (4,) and "E" not in net.root.index
+        assert (nodes[0].contents_length, nodes[1].contents_length) == (1, 2)
+
     def test_no_duplicate_sibling_tests_after_random_training(self):
         rng = random.Random(14)
         for _ in range(20):
@@ -213,14 +237,11 @@ class TestStructure:
 
     def test_simulated_clock_charges_creation_and_update(self):
         net = DiscriminationNet("visual")
-        e1 = net.learn(P("A"))
-        assert e1.simulated_cost_seconds == 10.0
-        assert net.clock_seconds == 10.0
-        e2 = net.learn(P("A"))
-        assert e2.simulated_cost_seconds == 2.0
-        assert net.clock_seconds == 12.0
-        e3 = net.learn(P("A"))
-        assert e3.simulated_cost_seconds == 0.0
+        for kind, cost in ((CREATED_NODE, 10.0), (FAMILIARISED, 2.0),
+                           (NO_CHANGE, 0.0)):
+            before = net.clock_seconds
+            assert net.learn(P("A")).kind == kind
+            assert net.clock_seconds - before == cost
         assert net.clock_seconds == 12.0
 
 

@@ -10,7 +10,7 @@ from chunknet.stm import StmError, StmQueue, co_occupancy
 
 
 def test_fifo_eviction():
-    q = StmQueue("visual", capacity=2)
+    q = StmQueue(capacity=2)
     assert q.push(1) is None
     assert q.push(2) is None
     assert q.push(3) == 1
@@ -18,13 +18,13 @@ def test_fifo_eviction():
 
 
 def test_root_push_is_dropped():
-    q = StmQueue("visual", capacity=3)
+    q = StmQueue(capacity=3)
     assert q.push(0) is None
     assert q.slots == []
 
 
 def test_capacity_five_sixth_push_evicts_first():
-    q = StmQueue("visual", capacity=5)
+    q = StmQueue(capacity=5)
     for i in range(1, 6):
         q.push(i)
     assert q.push(6) == 1
@@ -33,16 +33,16 @@ def test_capacity_five_sixth_push_evicts_first():
 
 def test_capacity_bounds_validated():
     with pytest.raises(StmError):
-        StmQueue("visual", capacity=1)
+        StmQueue(capacity=1)
     with pytest.raises(StmError):
-        StmQueue("visual", capacity=10)
+        StmQueue(capacity=10)
 
 
 def test_capacity_bound_property_10000_random_pushes():
     rng = random.Random(3)
     for _ in range(200):
         cap = rng.randint(2, 9)
-        q = StmQueue("visual", cap)
+        q = StmQueue(cap)
         pushed = []
         evicted = []
         for _ in range(50):
@@ -52,7 +52,7 @@ def test_capacity_bound_property_10000_random_pushes():
                 pushed.append(node_id)
             if out is not None:
                 evicted.append(out)
-            assert len(q) <= cap
+            assert len(q.slots) <= cap
         # eviction order equals insertion order
         assert evicted == pushed[: len(evicted)]
 
@@ -76,7 +76,7 @@ def _nets_with_chunks():
 def test_co_occupancy_pairs_fully_learned_heads():
     visual, verbal, vis_node, verb_node = _nets_with_chunks()
     assert vis_node.image_complete and verb_node.image_complete
-    vq, bq = StmQueue("visual", 5), StmQueue("verbal", 5)
+    vq, bq = StmQueue(5), StmQueue(5)
     vq.push(vis_node.node_id)
     bq.push(verb_node.node_id)
     assert co_occupancy(vq, bq, visual, verbal) == (vis_node.node_id,
@@ -85,7 +85,7 @@ def test_co_occupancy_pairs_fully_learned_heads():
 
 def test_co_occupancy_none_when_a_queue_is_empty():
     visual, verbal, vis_node, _ = _nets_with_chunks()
-    vq, bq = StmQueue("visual", 5), StmQueue("verbal", 5)
+    vq, bq = StmQueue(5), StmQueue(5)
     vq.push(vis_node.node_id)
     assert co_occupancy(vq, bq, visual, verbal) is None
 
@@ -100,7 +100,7 @@ def test_co_occupancy_gated_on_fully_learned():
     vis_node = visual.recognise(Pattern("visual", ("1",)))
     assert not vis_node.image_complete
     verb_node = verbal.recognise(Pattern("verbal", ("T",)))
-    vq, bq = StmQueue("visual", 5), StmQueue("verbal", 5)
+    vq, bq = StmQueue(5), StmQueue(5)
     vq.push(vis_node.node_id)
     bq.push(verb_node.node_id)
     assert co_occupancy(vq, bq, visual, verbal) is None
@@ -113,7 +113,7 @@ def test_position_pairing_scans_matching_slots():
     blocker_v = visual.recognise(Pattern("visual", ("9",)))
     verbal.learn(Pattern("verbal", ("Z",)))
     blocker_b = verbal.recognise(Pattern("verbal", ("Z",)))
-    vq, bq = StmQueue("visual", 5), StmQueue("verbal", 5)
+    vq, bq = StmQueue(5), StmQueue(5)
     vq.push(vis_node.node_id)
     bq.push(verb_node.node_id)
     vq.push(blocker_v.node_id)

@@ -22,7 +22,7 @@ def test_xor_truth_table(tmp_path):
 
 
 def test_five_four_anchor_and_sweep(tmp_path):
-    report = run_five_four(tmp_path, RunConfig(), sweep_seeds=12)
+    report = run_five_four(tmp_path, RunConfig())
     assert report.checks["transfer_1000_is_A"]
     transfer = report.extras["transfer_labels"]
     assert set(transfer) == set(FIVE_FOUR_TRANSFER)
