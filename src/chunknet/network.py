@@ -74,8 +74,6 @@ class Node:
     image_complete: bool = False
     parent: int | None = None
     naming_links: dict[int, int] = field(default_factory=dict)
-    created_at: float = 0.0
-    updated_at: float = 0.0
     # Set by DiscriminationNet.attach: the length of the contents, and the
     # children's ids by the first token of their test links, in order.
     contents_length: int = 0
@@ -189,12 +187,10 @@ class DiscriminationNet:
 
     def _new_node(self, parent: Node, test: tuple[str, ...],
                   image: tuple[str, ...], complete: bool) -> Node:
-        clock = self.clock_seconds + self.seconds_per_new_chunk
         node = Node(node_id=len(self._nodes), test=test, image=image,
-                    image_complete=complete, parent=parent.node_id,
-                    created_at=clock, updated_at=clock)
+                    image_complete=complete, parent=parent.node_id)
         self.attach([node])
-        self.clock_seconds = clock
+        self.clock_seconds += self.seconds_per_new_chunk
         return node
 
     def _append_to_image(self, node: Node, token: str,
@@ -206,7 +202,6 @@ class DiscriminationNet:
         node.image = node.image + (token,)
         if learned is not None and node.image == learned.tokens:
             node.image_complete = True
-        node.updated_at = self.clock_seconds
 
     # -- retrieval --------------------------------------------------------
 
@@ -369,7 +364,13 @@ class MultiModalMemory:
 
     @property
     def label_net(self) -> DiscriminationNet:
-        return self.net(self.label_modality)
+        """The label modality's net, looked up and never made: a memory
+        without one raises :class:`NetworkError`."""
+        try:
+            return self.nets[self.label_modality]
+        except KeyError:
+            raise NetworkError(f"no {self.label_modality!r} label "
+                               f"net") from None
 
     def add_naming_link(self, modality: str, node_id: int,
                         label_node_id: int) -> None:

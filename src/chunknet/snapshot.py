@@ -2,11 +2,13 @@
 network's node table and the settings needed to classify new input
 (tokenizer, attention parameters).
 
-Each net's ``nodes`` is a list of rows
-``[parent, test, image, complete, links, created_at, updated_at]``. The row
-index is the node id: ids are dense, because nodes are never deleted, and a
-parent is always created before its children. ``test`` and ``image`` are
-their tokens joined by single spaces; tokens are non-empty and hold no
+Each net is stored under its modality as ``{"clock_seconds", "nodes"}``.
+``nodes`` lists the learned nodes only: row ``i`` holds node ``i + 1`` as
+``[parent, test, image, complete, links]``. The root, node 0, is implicit:
+every net starts with it, so an empty list is a net that has only its root,
+and no row can change it. Ids are dense, because nodes are never deleted,
+and a parent is always created before its children. ``test`` and ``image``
+are their tokens joined by single spaces; tokens are non-empty and hold no
 whitespace, so splitting gives them back. Children are not written: each
 node's ``parent`` defines the tree.
 
@@ -16,13 +18,13 @@ exact. Files from other schema versions are rejected outright; a model saved
 by an older build is retrained with ``chunknet train``.
 
 This module checks the file's own facts in one pass over each net's rows: the
-JSON type and size of the document, each net, row and field; row 0 as the
-root, with a null parent and an empty test link; every other row naming a
-parent that comes before it, which rules out cycles and unreachable nodes;
-and each naming link, whose key must be a label node id of the label net and
-whose count a positive integer. ``DiscriminationNet.attach`` then joins the
-net's nodes to its tree, as learning does, and refuses an empty test link or
-two siblings with the same test link; its error becomes a ``SnapshotError``.
+JSON type and size of the document, each net, row and field; every row's
+integer parent naming a node that comes before it (the root or an earlier
+row), which rules out cycles and unreachable nodes; and each naming link,
+whose key must be a label node id of the label net and whose count a
+positive integer. ``DiscriminationNet.attach`` then joins the net's nodes to
+its tree, as learning does, and refuses an empty test link or two siblings
+with the same test link; its error becomes a ``SnapshotError``.
 
 Python's cyclic garbage collector is paused from reading the file until
 the last node is built, and left as the caller had it: the file is read and
@@ -57,7 +59,7 @@ from .config import read_json
 from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, \
     NetworkError, Node
 
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 
 class SnapshotError(ValueError):
@@ -66,12 +68,11 @@ class SnapshotError(ValueError):
 
 def _net_doc(net: DiscriminationNet) -> dict:
     return {
-        "modality": net.modality,
         "clock_seconds": net.clock_seconds,
         "nodes": [[n.parent, " ".join(n.test), " ".join(n.image),
                    n.image_complete,
-                   {str(k): n.naming_links[k] for k in sorted(n.naming_links)},
-                   n.created_at, n.updated_at] for n in net.nodes()],
+                   {str(k): n.naming_links[k] for k in sorted(n.naming_links)}]
+                  for n in net.nodes()[ROOT_ID + 1:]],
     }
 
 
@@ -101,11 +102,9 @@ _DOC_FIELDS = (("label_modality", (str,)),
                ("seconds_per_new_chunk", _NUMBER),
                ("seconds_per_update", _NUMBER), ("networks", (dict,)),
                ("meta", (dict,)))
-_NET_FIELDS = (("modality", (str,)), ("clock_seconds", _NUMBER),
-               ("nodes", (list,)))
-_ROW_FIELDS = (("parent", (int, type(None))), ("test", (str,)),
-               ("image", (str,)), ("complete", (bool,)), ("links", (dict,)),
-               ("created_at", _NUMBER), ("updated_at", _NUMBER))
+_NET_FIELDS = (("clock_seconds", _NUMBER), ("nodes", (list,)))
+_ROW_FIELDS = (("parent", (int,)), ("test", (str,)), ("image", (str,)),
+               ("complete", (bool,)), ("links", (dict,)))
 
 
 def _fields(doc, where: str, fields) -> list:
@@ -151,12 +150,9 @@ def _row_error(where: str, node_id: int, row) -> NoReturn:
         raise SnapshotError(f"{node} is not a list of {len(_ROW_FIELDS)} "
                             f"fields: {reprlib.repr(row)}") from None
     names = [name for name, _ in _ROW_FIELDS]
-    parent, _, _, _, links, _, _ = _fields(dict(zip(names, row)), node,
-                                           _ROW_FIELDS)
+    parent, _, _, _, links = _fields(dict(zip(names, row)), node,
+                                     _ROW_FIELDS)
     _naming_links(where, node_id, links)
-    if node_id == ROOT_ID:
-        raise SnapshotError(f"{where}: no root node (row {ROOT_ID} needs a "
-                            f"null parent and an empty test link)") from None
     raise SnapshotError(f"{node} names parent {parent!r}; a parent must "
                         f"be an earlier node") from None
 
@@ -164,45 +160,27 @@ def _row_error(where: str, node_id: int, row) -> NoReturn:
 def _load_net(modality: str, doc, memory: MultiModalMemory,
               link_targets: set[int]) -> DiscriminationNet:
     """Build one net: one pass over its rows checks them and builds their
-    nodes, and the net attaches every node but the root in one call."""
+    nodes, and the net attaches them to its own root in one call."""
     where = f"{modality!r} net"
-    doc_modality, clock, rows = _fields(doc, where, _NET_FIELDS)
-    if doc_modality != modality:
-        raise SnapshotError(f"{where} is stored as modality "
-                            f"{doc_modality!r}")
-    if not rows:
-        raise SnapshotError(f"{where}: no root node (the node table is "
-                            f"empty)")
+    clock, rows = _fields(doc, where, _NET_FIELDS)
     net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
     net.clock_seconds = clock
-    root = net.root
     nodes: list[Node] = []
     # Any failure leaves the loop for _row_error, which names the problem.
     try:
-        for node_id, row in enumerate(rows):
-            # A seven-item string or object unpacks too, but its items are
-            # strings, which fail the check on ``complete``.
-            parent, test, image, complete, links, created, updated = row
-            if type(test) is not str or type(image) is not str \
-                    or type(complete) is not bool or type(links) is not dict \
-                    or type(created) not in _NUMBER \
-                    or type(updated) not in _NUMBER:
+        for node_id, row in enumerate(rows, ROOT_ID + 1):
+            # A five-item string or object unpacks too, but its items are
+            # strings, which fail the check on ``parent``.
+            parent, test, image, complete, links = row
+            if type(parent) is not int or not 0 <= parent < node_id \
+                    or type(test) is not str or type(image) is not str \
+                    or type(complete) is not bool or type(links) is not dict:
                 raise ValueError
             naming = _naming_links(where, node_id, links) if links else {}
             link_targets.update(naming)
-            if node_id:
-                if type(parent) is not int or not 0 <= parent < node_id:
-                    raise ValueError
-                nodes.append(Node(node_id, tuple(test.split()),
-                                  tuple(image.split()), complete, parent,
-                                  naming, created, updated))
-            elif parent is not None or test.split():
-                raise ValueError
-            else:
-                root.image = tuple(image.split())
-                root.image_complete, root.naming_links = complete, naming
-                root.created_at, root.updated_at = created, updated
+            nodes.append(Node(node_id, tuple(test.split()),
+                              tuple(image.split()), complete, parent, naming))
     except (TypeError, ValueError):
         _row_error(where, node_id, row)
     try:

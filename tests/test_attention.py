@@ -125,7 +125,7 @@ def build_memory(links):
     (pattern, label, count) triple."""
     memory = MultiModalMemory()
     visual = memory.net("visual")
-    verbal = memory.label_net
+    verbal = memory.net("verbal")
     for pattern, label, count in links:
         learn_to_fixed_point(visual, pattern)
         learn_to_fixed_point(verbal, L(label))
@@ -162,7 +162,7 @@ class TestAccumulate:
         # (label B); an occluded stimulus still goes to A
         memory = MultiModalMemory()
         visual = memory.net("visual")
-        verbal = memory.label_net
+        verbal = memory.net("verbal")
         word = visual._new_node(visual.root, ("L",), tuple("Liverpool"), True)
         frag = visual._new_node(visual.root, ("i",), ("L", "i", "v"), True)
         for _ in range(2):
@@ -181,7 +181,7 @@ class TestConfidence:
         memory = build_memory([(P("m", "m"), "Mozart", 1),
                                (P("b", "b"), "Beethoven", 1),
                                (P("c", "c"), "Bach", 1)])
-        verbal = memory.label_net
+        verbal = memory.net("verbal")
         ids = {memory.label_name(n.node_id): n.node_id
                for n in verbal.nodes() if n.node_id != 0}
         cls = confidence({ids["Mozart"]: 6.0, ids["Beethoven"]: 3.0,
@@ -239,7 +239,7 @@ class TestCategorise:
         # Classifying leaves the memory, missing nets included, as it was.
         memory = MultiModalMemory()
         if trained:
-            learn_to_fixed_point(memory.label_net, L("T"))
+            learn_to_fixed_point(memory.net("verbal"), L("T"))
         before = dump_memory(memory)
         assert categorise(memory, P("1", "0"), AttentionConfig()) \
             .no_activation
@@ -274,7 +274,7 @@ class TestCategorise:
         # past the window's end
         memory = MultiModalMemory()
         visual = memory.net("visual")
-        verbal = memory.label_net
+        verbal = memory.net("verbal")
         for label in ("T", "F"):
             for _ in range(2):
                 verbal.learn(L(label))
@@ -292,7 +292,7 @@ class TestCategorise:
         # back to its ancestor "x" (label X) would vote X.
         memory = MultiModalMemory()
         visual = memory.net("visual")
-        verbal = memory.label_net
+        verbal = memory.net("verbal")
         for label in ("T", "F", "X"):
             for _ in range(2):
                 verbal.learn(L(label))
@@ -324,7 +324,7 @@ def two_position_memory():
     votes at the second."""
     memory = MultiModalMemory()
     visual = memory.net("visual")
-    verbal = memory.label_net
+    verbal = memory.net("verbal")
     for label in ("T", "F"):
         for _ in range(2):
             verbal.learn(L(label))

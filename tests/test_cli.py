@@ -12,7 +12,7 @@ import pytest
 from chunknet import cli, harness
 from chunknet.cli import main
 from chunknet.suites import build_xor_manifest, generate_synthetic_corpus
-from test_snapshot import V1_SNAPSHOT
+from test_snapshot import V1_SNAPSHOT, V2_SNAPSHOT
 
 
 def run(capsys, *argv):
@@ -83,7 +83,7 @@ class TestCategorise:
     def test_malformed_snapshot_exits_2(self, tmp_path, capsys):
         model = self._model(tmp_path, capsys)
         doc = json.loads(model.read_text())
-        doc["networks"]["visual"]["nodes"][1][0] = 999    # parent of node 1
+        doc["networks"]["visual"]["nodes"][0][0] = 999    # parent of node 1
         model.write_text(json.dumps(doc))
         stim = tmp_path / "stim.txt"
         stim.write_text("1 0", encoding="utf-8")
@@ -158,6 +158,21 @@ class TestCategorise:
         model = self._model(tmp_path, capsys)
         doc = json.loads(model.read_text())
         del doc["networks"]["visual"]
+        model.write_text(json.dumps(doc))
+        stim = tmp_path / "stim.txt"
+        stim.write_text("1 0", encoding="utf-8")
+        assert run(capsys, command, "--model", str(model), "--input",
+                   str(stim))[:2] == (code, printed)
+
+    @pytest.mark.parametrize("command, code, printed", [
+        ("categorise", 4, ""), ("retrieve", 0, "\n")])
+    def test_a_visual_net_with_only_its_root(self, tmp_path, capsys, command,
+                                            code, printed):
+        # An empty node list is a net with only its root, which the code
+        # makes: it recognises nothing.
+        model = self._model(tmp_path, capsys)
+        doc = json.loads(model.read_text())
+        doc["networks"]["visual"] = {"clock_seconds": 0.0, "nodes": []}
         model.write_text(json.dumps(doc))
         stim = tmp_path / "stim.txt"
         stim.write_text("1 0", encoding="utf-8")
@@ -454,10 +469,12 @@ def _config_directory(command):
     return setup
 
 
-def _v1_snapshot(tmp_path):
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(V1_SNAPSHOT), encoding="utf-8")
-    return _query(tmp_path, model)
+def _old_snapshot(doc):
+    def setup(tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        return _query(tmp_path, model)
+    return setup
 
 
 def _array_snapshot(tmp_path):
@@ -520,7 +537,11 @@ def _out_file(command):
 
 
 def _set_parent(doc):
-    doc["networks"]["visual"]["nodes"][1][0] = 999
+    doc["networks"]["visual"]["nodes"][0][0] = 999
+
+
+def _root_row(doc):
+    doc["networks"]["visual"]["nodes"].insert(0, [None, "", "", False, {}])
 
 
 @pytest.mark.parametrize("setup, code, message", [
@@ -537,8 +558,14 @@ def _set_parent(doc):
     pytest.param(_config_file('{"stm_sizes": 5}'), 2, "stm_sizes",
                  id="bad_config"),
     pytest.param(_model_edit(_set_parent), 2, "node 1 names parent 999",
-                 id="v2_snapshot_bad_parent"),
-    pytest.param(_v1_snapshot, 2, "retrain the model", id="v1_snapshot"),
+                 id="v3_snapshot_bad_parent"),
+    pytest.param(_model_edit(_root_row, "retrieve"), 2,
+                 "'visual' net: node 1 field 'parent' holds None",
+                 id="v3_snapshot_root_row"),
+    pytest.param(_old_snapshot(V1_SNAPSHOT), 2, "retrain the model",
+                 id="v1_snapshot"),
+    pytest.param(_old_snapshot(V2_SNAPSHOT), 2, "retrain the model",
+                 id="v2_snapshot"),
     pytest.param(_array_snapshot, 2, "snapshot must be a JSON object",
                  id="array_snapshot"),
     pytest.param(_meta("config", 5), 2, "'config' holds 5",

@@ -268,7 +268,7 @@ class TestNamingLinks:
         vis = memory.net("visual")
         vis.learn(P("A"))
         vis.learn(P("A"))
-        label_net = memory.label_net
+        label_net = memory.net("verbal")
         label_net.learn(Pattern("verbal", ("T",)))
         visual_node = vis.recognise(P("A"))
         label_node = label_net.recognise(Pattern("verbal", ("T",)))
@@ -277,6 +277,19 @@ class TestNamingLinks:
         assert visual_node.naming_links == {label_node.node_id: 1}
         with pytest.raises(NetworkError):
             memory.add_naming_link("visual", visual_node.node_id, 999)
+
+    @pytest.mark.parametrize("modalities", [[], ["visual"]],
+                             ids=["no_nets", "visual_net"])
+    def test_label_lookups_do_not_make_the_label_net(self, modalities):
+        memory = MultiModalMemory()
+        for modality in modalities:
+            memory.net(modality)
+        with pytest.raises(NetworkError, match="no 'verbal' label net"):
+            memory.add_naming_link("visual", 1, 1)
+        assert sorted(memory.nets) == modalities
+        with pytest.raises(NetworkError, match="no 'verbal' label net"):
+            memory.label_name(1)
+        assert sorted(memory.nets) == modalities
 
 
 def test_node_ids_are_positions_and_unknown_ids_are_refused():

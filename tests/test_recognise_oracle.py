@@ -179,7 +179,7 @@ def built_models_and_stimuli(draw):
     # sibling fits.
     memory = MultiModalMemory()
     visual = memory.net("visual")
-    verbal = memory.label_net
+    verbal = memory.net("verbal")
     labels = [verbal._new_node(verbal.root, (name,), (name,), True).node_id
               for name in "TF"]
     nodes = [visual.root]

@@ -33,6 +33,14 @@ V1_SNAPSHOT = {
                                        "created_at": 0.0,
                                        "updated_at": 0.0}]}}}
 
+# A schema v2 document: each net repeats its modality, and row 0 is the root,
+# with the two node times that end every row.
+V2_SNAPSHOT = {
+    "schema_version": 2, "label_modality": "verbal",
+    "seconds_per_new_chunk": 10.0, "seconds_per_update": 2.0, "meta": {},
+    "networks": {"visual": {"modality": "visual", "clock_seconds": 0.0,
+                            "nodes": [[None, "", "", False, {}, 0.0, 0.0]]}}}
+
 
 def random_trained_memory(seed):
     rng = random.Random(seed)
@@ -70,6 +78,7 @@ def test_round_trip_preserves_behaviour_many_cases(tmp_path):
         path = tmp_path / f"m{seed}.json"
         save_memory(path, memory)
         restored, _ = load_memory(path)
+        assert dump_memory(restored) == dump_memory(memory)
         net, rnet = memory.net("visual"), restored.net("visual")
         assert net.node_count == rnet.node_count
         for _ in range(170):
@@ -112,12 +121,42 @@ def test_other_schema_versions_rejected(tmp_path):
         load_memory(path)
 
 
-def test_v1_snapshot_asks_for_retraining(tmp_path):
+@pytest.mark.parametrize("doc", [V1_SNAPSHOT, V2_SNAPSHOT],
+                         ids=["v1", "v2"])
+def test_old_snapshot_asks_for_retraining(tmp_path, doc):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(V1_SNAPSHOT))
-    with pytest.raises(SnapshotError, match="schema_version 1 is not "
-                       "supported .*retrain the model with 'chunknet train'"):
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SnapshotError, match=f"schema_version "
+                       f"{doc['schema_version']} is not supported .*retrain "
+                       f"the model with 'chunknet train'"):
         load_memory(path)
+
+
+def test_a_net_with_only_its_root(tmp_path):
+    # The root is never written: an empty node list is a net of one node.
+    memory = MultiModalMemory()
+    memory.net("visual")
+    path = tmp_path / "model.json"
+    save_memory(path, memory)
+    assert json.loads(path.read_text())["networks"] == {
+        "visual": {"clock_seconds": 0.0, "nodes": []}}
+    restored, _ = load_memory(path)
+    assert restored.net("visual").node_count == 1
+    assert dump_memory(restored) == path.read_text()
+
+
+def test_a_saved_file_has_no_root_row_and_no_net_modality(tmp_path):
+    memory, _ = random_trained_memory(2)
+    path = tmp_path / "model.json"
+    save_memory(path, memory)
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 3
+    for modality, net_doc in doc["networks"].items():
+        assert sorted(net_doc) == ["clock_seconds", "nodes"]
+        net = memory.net(modality)
+        assert len(net_doc["nodes"]) == net.node_count - 1
+        assert [row[0] for row in net_doc["nodes"]] == \
+            [node.parent for node in net.nodes()[1:]]
 
 
 def test_missing_and_malformed_files(tmp_path):
@@ -139,7 +178,7 @@ def _rows(doc):
 
 
 def _root_children(doc):
-    """Ids of the root's children: the rows whose parent is row 0."""
+    """Row indices of the root's children: the rows whose parent is 0."""
     return [i for i, row in enumerate(_rows(doc)) if row[0] == 0]
 
 
@@ -147,36 +186,33 @@ def _first_child(doc):
     return _rows(doc)[_root_children(doc)[0]]
 
 
-def _drop_root(doc):
-    del _rows(doc)[0]
-
-
-def _root_with_a_parent(doc):
-    _rows(doc)[0][0] = 0
+def _root_row(doc):
+    # a would-be root row in front of node 1: only the code makes the root
+    _rows(doc).insert(0, [None, "", "", False, {}])
 
 
 def _drop_field(doc):
-    _rows(doc)[1].pop()
+    _rows(doc)[0].pop()
 
 
 def _dangling_child(doc):
     # a child whose parent row does not exist
-    _rows(doc)[1][0] = 999
+    _rows(doc)[0][0] = 999
 
 
 def _wrong_parent(doc):
     # a node cannot be its own parent
-    _rows(doc)[1][0] = 1
+    _rows(doc)[0][0] = 1
 
 
 def _negative_parent(doc):
-    _rows(doc)[1][0] = -1
+    _rows(doc)[0][0] = -1
 
 
 def _unreachable_node(doc):
     # two nodes naming each other as parent form a cycle off the tree
     rows = _rows(doc)
-    rows[1][0], rows[2][0] = 2, 1
+    rows[0][0], rows[1][0] = 2, 1
 
 
 def _empty_test(doc):
@@ -227,10 +263,6 @@ def _node_not_a_list(doc):
     _rows(doc).append(5)
 
 
-def _empty_node_table(doc):
-    _rows(doc).clear()
-
-
 def _siblings_share_a_test(doc):
     first, second = _root_children(doc)[:2]
     _rows(doc)[second][1] = _rows(doc)[first][1]
@@ -246,10 +278,9 @@ def _schema_version_true(doc):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    pytest.param(_drop_root, "no root node", id="drop_root"),
-    pytest.param(_root_with_a_parent, "no root node",
-                 id="root_with_a_parent"),
-    pytest.param(_drop_field, "node 1 is missing field 'updated_at'",
+    pytest.param(_root_row, "node 1 field 'parent' holds None",
+                 id="root_row"),
+    pytest.param(_drop_field, "node 1 is missing field 'links'",
                  id="drop_field"),
     pytest.param(_dangling_child, "node 1 names parent 999",
                  id="dangling_child"),
@@ -278,9 +309,8 @@ def _schema_version_true(doc):
                  id="link_count_text"),
     pytest.param(_networks_a_list, r"field 'networks' holds \[\]",
                  id="networks_a_list"),
-    pytest.param(_node_not_a_list, "is not a list of 7 fields: 5",
+    pytest.param(_node_not_a_list, "is not a list of 5 fields: 5",
                  id="node_not_a_list"),
-    pytest.param(_empty_node_table, "no root node", id="empty_node_table"),
     pytest.param(_siblings_share_a_test, "have the same test link",
                  id="siblings_share_a_test"),
     pytest.param(_parent_false, "field 'parent' holds False",
@@ -458,8 +488,8 @@ def _mutation_sites(doc):
     drop; ``meta`` is free-form and is only replaced as a whole. Whole rows
     are not dropped: the rows after a dropped one may still form a tree."""
     sites = [(doc, key, key != "meta") for key in doc]
-    for net in doc["networks"].values():
-        sites.append((doc["networks"], net["modality"], False))
+    for modality, net in doc["networks"].items():
+        sites.append((doc["networks"], modality, False))
         sites += [(net, key, True) for key in net]
         for i, row in enumerate(net["nodes"]):
             sites.append((net["nodes"], i, False))
@@ -477,11 +507,12 @@ def test_mutated_snapshots_raise_snapshot_error(tmp_path_factory, data):
     doc = json.loads(_FUZZ_TEXT)
     action = data.draw(st.sampled_from(["drop", "swap", "parent"]))
     if action == "parent":
-        # a parent at or after its own row; null is the root's alone
+        # a parent that is the node itself or a later one: row i holds
+        # node i + 1
         rows = data.draw(st.sampled_from(
             [net["nodes"] for net in doc["networks"].values()]))
-        node_id = data.draw(st.integers(0, len(rows) - 1))
-        rows[node_id][0] = data.draw(st.integers(node_id, len(rows) + 2))
+        row = data.draw(st.integers(0, len(rows) - 1))
+        rows[row][0] = data.draw(st.integers(row + 1, len(rows) + 2))
     else:
         sites = [site for site in _mutation_sites(doc)
                  if action == "swap" or site[2]]
