@@ -40,6 +40,11 @@ surrogate). Complete images stop matching longer patterns, which is what turns
 further presentations of extensions into single-shot discriminations of new
 chunks rather than endless image growth.
 
+A learn that changes nothing is *settled*: the net keeps its end node and
+event, and answers the next learn of the same tokens without a walk until a
+child is attached where that walk could go on (``learn`` proves this
+exact). The map is derived state, never saved.
+
 Every node, learned or loaded, joins the tree through ``attach``: it refuses
 an empty test link or one a sibling has, and alone sets contents lengths and
 first-token indexes. ``snapshot`` checks a file's own facts before that.
@@ -105,6 +110,9 @@ class DiscriminationNet:
         # Indexed by node id: ids are dense, in creation order, and a node
         # is never deleted.
         self._nodes: list[Node] = [Node(node_id=ROOT_ID, test=(), image=())]
+        # Settled learns by tokens: (end node, its index entry for the next
+        # token, event). Derived state, never saved; see ``learn``.
+        self._settled: dict[tuple[str, ...], tuple] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -241,14 +249,54 @@ class DiscriminationNet:
         return p.tokens[: len(node.image)] == node.image
 
     def learn(self, p: Pattern) -> LearnEvent:
-        """One pass of the four-stage learning process for ``p``."""
+        """One pass of the four-stage learning process for ``p``.
+
+        A learn that returns ``NO_CHANGE`` is settled: the end node of its
+        walk, that node's ``index`` entry for the token after its contents
+        (``None`` when there is none, or when the contents cover the whole
+        pattern) and the event are kept under ``p.tokens``. The next learn
+        of the same tokens returns that event, without a walk, while the
+        node's entry is still the same object. That is exact:
+
+        - The end node's image either equals the pattern and is complete
+          (``familiarise`` sets ``image_complete`` before the event is
+          kept), or cannot match the pattern: its contents are the whole
+          pattern, and its image is complete and differs from it, or is
+          longer than it, or differs from it inside its own length.
+        - Neither state is ever undone by learning. A complete image never
+          grows; appending to an image never makes a non-prefix a prefix,
+          nor a too-long image shorter. So the outcome changes only if
+          ``recognise(p)`` ends somewhere else.
+        - A walk takes the first matching child in insertion order, and
+          ``attach`` lists a new sibling last, so every step of the walk
+          before its end keeps its child. Only a child attached to the end
+          node under the pattern's next token can lengthen the walk, and
+          ``attach`` replaces that index tuple, which the identity check
+          sees. A walk that consumed the whole pattern cannot lengthen.
+
+        A settled learn, like the walk it skips, charges no simulated time.
+        The trainer's chunk gate draws its random number before it calls
+        ``learn``, so the order of its draws does not change either. The map
+        holds only derived state: it is never saved, and a net loaded from a
+        snapshot starts with nothing settled.
+        """
         self._check_modality(p)
         if not p:
             raise NetworkError("cannot learn an empty pattern")
+        tokens = p.tokens
+        settled = self._settled.get(tokens)
+        if settled is not None:
+            node, branch, event = settled
+            if _next_branch(node, tokens) is branch:
+                return event
         node = self.recognise(p)
         if self._image_matches(node, p):
-            return self.familiarise(node, p)
-        return self.discriminate(node, p)
+            event = self.familiarise(node, p)
+        else:
+            event = self.discriminate(node, p)
+        if event.kind == NO_CHANGE:
+            self._settled[tokens] = (node, _next_branch(node, tokens), event)
+        return event
 
     def familiarise(self, node: Node, p: Pattern) -> LearnEvent:
         """Add information to an existing chunk (at most one primitive).
@@ -341,6 +389,14 @@ class DiscriminationNet:
             node.naming_links.get(label_node_id, 0) + 1
 
 
+def _next_branch(node: Node, tokens: tuple[str, ...]
+                 ) -> tuple[int, ...] | None:
+    """``node``'s children under the token after its contents: the only
+    ones a walk of ``tokens`` that ends at ``node`` could take next."""
+    at = node.contents_length
+    return node.index.get(tokens[at]) if at < len(tokens) else None
+
+
 class MultiModalMemory:
     """All per-modality networks of one model, plus the link convention.
 
@@ -374,8 +430,15 @@ class MultiModalMemory:
 
     def add_naming_link(self, modality: str, node_id: int,
                         label_node_id: int) -> None:
+        """Count one co-occurrence of a chunk with a label chunk. Both
+        nets are looked up and never made: a missing one raises
+        :class:`NetworkError`."""
         self.label_net.node(label_node_id)  # must exist
-        self.net(modality).add_naming_link(node_id, label_node_id)
+        try:
+            net = self.nets[modality]
+        except KeyError:
+            raise NetworkError(f"no {modality!r} net") from None
+        net.add_naming_link(node_id, label_node_id)
 
     def label_name(self, label_node_id: int) -> str:
         """Human-readable name of a label chunk (its contents)."""

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from chunknet.network import (CREATED_NODE, FAMILIARISED, NO_CHANGE,
-                              DiscriminationNet, MultiModalMemory,
-                              NetworkError, Node, ROOT_ID)
+                              DiscriminationNet, LearnEvent,
+                              MultiModalMemory, NetworkError, Node, ROOT_ID)
 from chunknet.patterns import Pattern
 
 
@@ -245,6 +245,56 @@ class TestStructure:
         assert net.clock_seconds == 12.0
 
 
+def settled_ab():
+    """A net where learning ``A B`` changes nothing: node 1 tests ``A``
+    and holds the complete image ``A B``, and node 2 tests ``B``."""
+    net = DiscriminationNet("visual")
+    assert converge(net, P("A", "B"))
+    assert net.recognise(P("A", "B")).node_id == 1
+    return net
+
+
+class TestSettledLearns:
+    def test_a_matching_child_under_the_end_node_ends_the_settled_learn(
+            self):
+        nets = settled_ab(), settled_ab()
+        for net in nets:
+            net.learn(P("A", "B"))
+            net.learn(P("A", "B", "C"))
+            assert net.learn(P("A", "B", "C")) == LearnEvent(CREATED_NODE,
+                                                             3)
+            assert (net.node(3).parent, net.node(3).test) == (1, ("B",))
+        live, fresh = nets
+        fresh._settled.clear()
+        event = live.learn(P("A", "B"))
+        assert event == fresh.learn(P("A", "B")) == LearnEvent(NO_CHANGE, 3)
+        assert live.node(3).image_complete
+
+    def test_children_the_walk_cannot_take_leave_the_settled_learn(self):
+        net = settled_ab()
+        event = net.learn(P("A", "B"))
+        assert net.learn(P("A", "B")) is event
+        # A child of the end node under another token: node 1 gets the
+        # child C, after C becomes a root primitive with a filled image.
+        for _ in range(3):
+            net.learn(P("A", "C"))
+        assert net.node(1).index == {"C": (4,)}
+        assert net.learn(P("A", "B")) is event
+        # A sibling on the path that would match, listed after node 1.
+        net._new_node(net.root, ("A", "B"), ("A", "B"), True)
+        assert net.learn(P("A", "B")) is event
+        net._settled.clear()
+        assert net.learn(P("A", "B")) == event
+
+    def test_the_first_no_change_completes_the_image(self):
+        net = DiscriminationNet("visual")
+        node = net._new_node(net.root, ("A",), ("A", "B"), False)
+        event = net.learn(P("A", "B"))
+        assert event == LearnEvent(NO_CHANGE, node.node_id)
+        assert node.image_complete
+        assert net.learn(P("A", "B")) is event
+
+
 class TestNamingLinks:
     def test_counter_initialises_and_accumulates(self):
         net = trained(P("A"), repeats=2)
@@ -290,6 +340,13 @@ class TestNamingLinks:
         with pytest.raises(NetworkError, match="no 'verbal' label net"):
             memory.label_name(1)
         assert sorted(memory.nets) == modalities
+
+    def test_a_link_from_a_missing_net_does_not_make_it(self):
+        memory = MultiModalMemory()
+        memory.net("verbal").learn(Pattern("verbal", ("T",)))
+        with pytest.raises(NetworkError, match="no 'visual' net"):
+            memory.add_naming_link("visual", 1, 1)
+        assert sorted(memory.nets) == ["verbal"]
 
 
 def test_node_ids_are_positions_and_unknown_ids_are_refused():

@@ -68,6 +68,19 @@ def test_round_trip_is_byte_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_a_loaded_net_has_nothing_settled(tmp_path):
+    memory, _ = random_trained_memory(2)
+    assert all(net._settled for net in memory.nets.values())
+    path = tmp_path / "model.json"
+    save_memory(path, memory)
+    loaded, _ = load_memory(path)
+    assert not any(net._settled for net in loaded.nets.values())
+    dumped = dump_memory(memory)
+    for net in memory.nets.values():
+        net._settled.clear()
+    assert dump_memory(memory) == dumped == dump_memory(loaded)
+
+
 def test_round_trip_preserves_behaviour_many_cases(tmp_path):
     # >= 10,000 generated probe cases across restored models
     rng = random.Random(99)
