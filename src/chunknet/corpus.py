@@ -298,7 +298,8 @@ def write_manifest(path, name: str, tokenizer: str, split: SplitSpec,
 
 
 def load_training_samples(manifest: DatasetManifest) -> list[Sample]:
-    """All labelled sample pairs, in manifest order (the canonical order)."""
+    """All labelled sample pairs, in manifest order (the canonical order);
+    a manifest whose training files yield none raises CorpusError."""
     samples: list[Sample] = []
     for category in manifest.categories:
         label = Pattern(VERBAL_MODALITY, (category.label,))
@@ -309,6 +310,9 @@ def load_training_samples(manifest: DatasetManifest) -> list[Sample]:
                 samples.append(Sample(
                     visual=Pattern(VISUAL_MODALITY, tuple(body)),
                     label=label))
+    if not samples:
+        raise CorpusError(f"manifest {manifest.name!r} has no training "
+                          f"samples")
     return samples
 
 

@@ -33,12 +33,12 @@ Learning is a four-stage process per presented pattern:
 
 Familiarisation increases how much a chunk can reproduce; discrimination
 increases how many chunks can be told apart. Exactly one structural change
-happens per learn call.
+happens per learn call; both steps take their contents from the walk.
 
 An image is *complete* when it equals a full presented pattern (the end-marker
 surrogate). Complete images stop matching longer patterns, which is what turns
 further presentations of extensions into single-shot discriminations of new
-chunks rather than endless image growth.
+chunks rather than endless image growth; no public call grows one.
 
 A learn that changes nothing is *settled*: the net keeps its end node and
 event, and answers the next learn of the same tokens without a walk until a
@@ -202,13 +202,12 @@ class DiscriminationNet:
         return node
 
     def _append_to_image(self, node: Node, token: str,
-                         learned: Pattern | None) -> None:
-        # ``learned`` is the pattern presented in full this call, when the
-        # append target is the node it was sorted to; a cross-append driven
-        # by a difference never completes an image by itself.
+                         learned: tuple[str, ...] | None) -> None:
+        # ``learned``: the tokens presented in full to ``node``, or None for
+        # a cross-append, which never completes an image. Images grow here.
         self.clock_seconds += self.seconds_per_update
         node.image = node.image + (token,)
-        if learned is not None and node.image == learned.tokens:
+        if node.image == learned:
             node.image_complete = True
 
     # -- retrieval --------------------------------------------------------
@@ -249,7 +248,9 @@ class DiscriminationNet:
         return p.tokens[: len(node.image)] == node.image
 
     def learn(self, p: Pattern) -> LearnEvent:
-        """One pass of the four-stage learning process for ``p``.
+        """One pass of the four-stage learning process for ``p``. The walk
+        to ``node`` consumes ``p.tokens[:node.contents_length]``, the node's
+        contents, and both steps take their contents as spans of ``p.tokens``.
 
         A learn that returns ``NO_CHANGE`` is settled: the end node of its
         walk, that node's ``index`` entry for the token after its contents
@@ -263,10 +264,11 @@ class DiscriminationNet:
           kept), or cannot match the pattern: its contents are the whole
           pattern, and its image is complete and differs from it, or is
           longer than it, or differs from it inside its own length.
-        - Neither state is ever undone by learning. A complete image never
-          grows; appending to an image never makes a non-prefix a prefix,
-          nor a too-long image shorter. So the outcome changes only if
-          ``recognise(p)`` ends somewhere else.
+        - Neither state is ever undone. No public call grows a complete
+          image: ``familiarise`` refuses one that is not its pattern, and
+          ``_discriminate`` appends only to an empty image. Appending never
+          makes a non-prefix a prefix, nor a too-long image shorter. So the
+          outcome changes only if ``recognise(p)`` ends somewhere else.
         - A walk takes the first matching child in insertion order, and
           ``attach`` lists a new sibling last, so every step of the walk
           before its end keeps its child. Only a child attached to the end
@@ -293,7 +295,7 @@ class DiscriminationNet:
         if self._image_matches(node, p):
             event = self.familiarise(node, p)
         else:
-            event = self.discriminate(node, p)
+            event = self._discriminate(node, p)
         if event.kind == NO_CHANGE:
             self._settled[tokens] = (node, _next_branch(node, tokens), event)
         return event
@@ -315,22 +317,25 @@ class DiscriminationNet:
            *original* node's image;
         4. otherwise the retrieved node's image is appended instead.
 
-        ``learn`` familiarises only a node whose image prefixes the pattern,
-        and ``discriminate`` only one whose image is empty, so ``k`` is the
-        image's length, confirmed by one slice compare. A direct call whose
-        image does not prefix the pattern finds ``k`` with
-        :func:`~chunknet.patterns.difference`.
+        Only ``node``'s image can complete. An empty pattern, or a complete
+        image that is not the pattern, raises :class:`NetworkError` before
+        anything changes. ``learn`` asks for neither, and familiarises only
+        a node whose image prefixes the pattern, so ``k`` is the image's
+        length, confirmed by one slice compare; a direct call whose image
+        does not prefix the pattern finds ``k`` with ``difference``.
         """
         self._check_modality(p)
         tokens = p.tokens
+        if not tokens or node.image_complete and node.image != tokens:
+            raise NetworkError(f"cannot familiarise node {node.node_id}: the "
+                               f"pattern is empty or its image complete")
         k = len(node.image)
         if tokens[:k] != node.image:
             k = len(tokens) - len(
                 difference(p, Pattern.derived(self.modality, node.image)))
         if k >= len(tokens):
-            # The image reproduces the whole presented pattern: nothing to
-            # add, but the end marker is now warranted if still missing.
-            if node.image == tokens and not node.image_complete:
+            # Nothing to add, but an image equal to the pattern is complete.
+            if node.image == tokens:
                 node.image_complete = True
             return LearnEvent(NO_CHANGE, node.node_id)
         ret = self.recognise(p, k)
@@ -339,43 +344,41 @@ class DiscriminationNet:
             return LearnEvent(CREATED_NODE, new.node_id)
         if not ret.image or ret.image_complete or \
                 len(ret.image) > len(tokens) - k:
-            self._append_to_image(node, tokens[k], p)
-            return LearnEvent(FAMILIARISED, node.node_id)
-        self._append_to_image(ret, tokens[k],
-                              p if ret.node_id == node.node_id else None)
+            ret = node
+        self._append_to_image(ret, tokens[k], tokens if ret is node else None)
         return LearnEvent(FAMILIARISED, ret.node_id)
 
-    def discriminate(self, node: Node, p: Pattern) -> LearnEvent:
-        """Add one new node below ``node`` (or a new primitive at the root).
+    def _discriminate(self, node: Node, p: Pattern) -> LearnEvent:
+        """Add one new node below ``node``, where ``p``'s walk ended.
 
-        The remainder of the pattern after ``node``'s contents is sorted
-        through the net in place. Root retrieved: the remainder's first token
-        becomes a new root primitive. A node with an empty image: the
-        remainder is familiarised into it. A node with a filled image: a new
-        child of ``node`` is created whose test link is that image with the
-        end marker dropped (falling back to the retrieved node's contents when
-        the image has grown past the remainder), and whose image is the new
-        node's own path of tests.
+        The remainder after ``node``'s contents is sorted through the net in
+        place, to ``ret``, consuming exactly ``ret``'s contents. Root
+        retrieved: the remainder's first token becomes a new root primitive.
+        ``ret`` with an empty image: that token is appended to it, and
+        completes it if it is the whole remainder, as ``familiarise`` would.
+        Otherwise a new child of ``node`` is created whose test link is
+        ``ret``'s image with the end marker dropped (falling back to
+        ``ret``'s contents when the image has grown past the remainder),
+        and whose image is the new node's own path of tests.
         """
+        tokens = p.tokens
         start = node.contents_length
-        if start >= len(p):
-            # Pattern already fully encoded by this node's path; its image
-            # has simply grown past the pattern. Nothing new to store.
+        if start >= len(tokens):
+            # The path encodes the whole pattern: nothing new to store.
             return LearnEvent(NO_CHANGE, node.node_id)
         ret = self.recognise(p, start)
         if ret.node_id == ROOT_ID:
-            new = self._new_node(self.root, (p.tokens[start],), (), False)
+            new = self._new_node(self.root, (tokens[start],), (), False)
             return LearnEvent(CREATED_NODE, new.node_id)
         if not ret.image:
-            return self.familiarise(
-                ret, Pattern.derived(p.modality, p.tokens[start:]))
+            self._append_to_image(ret, tokens[start], tokens[start:])
+            return LearnEvent(FAMILIARISED, ret.node_id)
         test = ret.image
-        if p.tokens[start:start + len(test)] != test:
-            # Retrieved image is not a prefix of the remainder (it grew past
-            # the recognised contents); the contents are, always.
-            test = self.contents(ret.node_id).tokens
-        image = self.contents(node.node_id).tokens + test
-        new = self._new_node(node, test, image, image == p.tokens)
+        if tokens[start:start + len(test)] != test:
+            # ``ret``'s image grew past the remainder; its contents fit.
+            test = tokens[start:start + ret.contents_length]
+        image = tokens[:start] + test
+        new = self._new_node(node, test, image, image == tokens)
         return LearnEvent(CREATED_NODE, new.node_id)
 
     # -- naming links -----------------------------------------------------

@@ -191,7 +191,6 @@ class TestCategorise:
         before = len(gc.get_objects())
         for _ in range(50):
             assert main(argv) == 0
-        grown = len(gc.get_objects()) - before
         capsys.readouterr()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
@@ -200,6 +199,10 @@ class TestCategorise:
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
+        # Counted after the collection: on Python 3.12 a gc.freeze() and
+        # gc.unfreeze() pair leaves tracked tuples (about 7 a pair) that
+        # the next collection untracks without finding garbage.
+        grown = len(gc.get_objects()) - before
         assert garbage == 0
         assert grown < 50
 
@@ -493,6 +496,19 @@ def _non_utf8_data_file(name, command):
     return setup
 
 
+def _blank_training_files(command):
+    """A ``command`` run on an xor manifest whose two training files hold
+    only whitespace."""
+    def setup(tmp_path):
+        manifest = _xor_manifest(tmp_path)
+        for label in ("T", "F"):
+            (manifest.parent / f"{label}_train.txt").write_text(
+                " \n\t\n", encoding="utf-8")
+        return [command, "--manifest", str(manifest), "--out",
+                str(tmp_path / "o")]
+    return setup
+
+
 def _pairs(data, *options):
     """An eval-metrics run on a pairs file holding ``data``."""
     def setup(tmp_path):
@@ -657,6 +673,12 @@ def _root_row(doc):
     pytest.param(_non_utf8_data_file("test_10.txt", "run-suite"), 2,
                  "test_10.txt is not UTF-8 text",
                  id="test_file_not_utf8_run_suite"),
+    pytest.param(_blank_training_files("train"), 2,
+                 "manifest 'xor' has no training samples$",
+                 id="train_files_blank"),
+    pytest.param(_blank_training_files("run-suite"), 2,
+                 "manifest 'xor' has no training samples$",
+                 id="train_files_blank_run_suite"),
     pytest.param(_bad_input(b" \n"), 2, "holds no tokens", id="input_empty"),
     pytest.param(_bad_input(b"1 \xff 0"), 2, "not UTF-8", id="input_not_utf8"),
     pytest.param(_input_directory, 2, "cannot read", id="input_directory"),

@@ -1,13 +1,15 @@
 """Differential tests: ``familiarise``, which walks the difference as an
 index range of the presented pattern, against a reference that copies the
-difference out with ``patterns.difference`` on every call."""
+difference out with ``patterns.difference`` on every call; and discrimination,
+which takes its contents from the walk, against one that rebuilt them from
+parent chains and familiarised an empty image's remainder again."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunknet.network import (CREATED_NODE, FAMILIARISED, NO_CHANGE, ROOT_ID,
                               DiscriminationNet, LearnEvent,
-                              MultiModalMemory)
+                              MultiModalMemory, NetworkError)
 from chunknet.patterns import Pattern, difference
 from chunknet.snapshot import dump_memory
 
@@ -16,6 +18,9 @@ class ReferenceNet(DiscriminationNet):
     """The net with the familiarise that sorted a copied difference."""
 
     def familiarise(self, node, p):
+        if not p or node.image_complete and node.image != p.tokens:
+            raise NetworkError(f"cannot familiarise node {node.node_id}: the "
+                               f"pattern is empty or its image complete")
         d = difference(p, Pattern.derived(self.modality, node.image))
         if not d:
             if node.image == p.tokens and not node.image_complete:
@@ -26,11 +31,40 @@ class ReferenceNet(DiscriminationNet):
             new = self._new_node(self.root, (d.tokens[0],), (), False)
             return LearnEvent(CREATED_NODE, new.node_id)
         if not ret.image or ret.image_complete or len(ret.image) > len(d):
-            self._append_to_image(node, d.tokens[0], p)
+            self._append_to_image(node, d.tokens[0], p.tokens)
             return LearnEvent(FAMILIARISED, node.node_id)
         self._append_to_image(ret, d.tokens[0],
-                              p if ret.node_id == node.node_id else None)
+                              p.tokens if ret.node_id == node.node_id
+                              else None)
         return LearnEvent(FAMILIARISED, ret.node_id)
+
+
+class ReenteringNet(DiscriminationNet):
+    """The net whose discrimination read contents from parent chains and
+    familiarised the remainder into a retrieved node with an empty image,
+    walking the remainder again."""
+
+    def _discriminate(self, node, p):
+        start = node.contents_length
+        if start >= len(p):
+            # Pattern already fully encoded by this node's path; its image
+            # has simply grown past the pattern. Nothing new to store.
+            return LearnEvent(NO_CHANGE, node.node_id)
+        ret = self.recognise(p, start)
+        if ret.node_id == ROOT_ID:
+            new = self._new_node(self.root, (p.tokens[start],), (), False)
+            return LearnEvent(CREATED_NODE, new.node_id)
+        if not ret.image:
+            return self.familiarise(
+                ret, Pattern.derived(p.modality, p.tokens[start:]))
+        test = ret.image
+        if p.tokens[start:start + len(test)] != test:
+            # Retrieved image is not a prefix of the remainder (it grew past
+            # the recognised contents); the contents are, always.
+            test = self.contents(ret.node_id).tokens
+        image = self.contents(node.node_id).tokens + test
+        new = self._new_node(node, test, image, image == p.tokens)
+        return LearnEvent(CREATED_NODE, new.node_id)
 
 
 def memory_of(net):
@@ -78,6 +112,16 @@ def test_learning_matches_the_copied_difference_reference(case):
     for p in order:
         assert net.learn(p) == ref.learn(p)
     assert dump_memory(memory_of(net)) == dump_memory(memory_of(ref))
+
+
+@settings(deadline=None, database=None)
+@given(learn_sequences())
+def test_learning_matches_the_reentering_discrimination(case):
+    _, order = case
+    net, old = DiscriminationNet("visual"), ReenteringNet("visual")
+    for p in order:
+        assert net.learn(p) == old.learn(p)
+        assert dump_memory(memory_of(net)) == dump_memory(memory_of(old))
 
 
 @st.composite

@@ -9,6 +9,7 @@ from chunknet.network import (CREATED_NODE, FAMILIARISED, NO_CHANGE,
                               DiscriminationNet, LearnEvent,
                               MultiModalMemory, NetworkError, Node, ROOT_ID)
 from chunknet.patterns import Pattern
+from chunknet.snapshot import dump_memory
 
 
 def P(*tokens):
@@ -293,6 +294,25 @@ class TestSettledLearns:
         assert event == LearnEvent(NO_CHANGE, node.node_id)
         assert node.image_complete
         assert net.learn(P("A", "B")) is event
+
+    def test_familiarise_refuses_to_grow_a_complete_image(self):
+        # Once, this call grew node 1's complete image "A B" into "A B C",
+        # and the next learn of "A B" returned its kept NO_CHANGE on node 1
+        # where a walk familiarised node 2.
+        live, fresh = (trained(P("A", "B"), repeats=6) for _ in range(2))
+        for net in (live, fresh):
+            for _ in range(3):
+                net.learn(P("C"))
+        memory = MultiModalMemory()
+        memory.nets["visual"] = live
+        before = dump_memory(memory)
+        for p in (P("A", "B", "C"), P("A"), P()):
+            with pytest.raises(NetworkError, match="cannot familiarise "
+                                                   "node 1"):
+                live.familiarise(live.node(1), p)
+        assert dump_memory(memory) == before
+        fresh._settled.clear()
+        assert live.learn(P("A", "B")) == fresh.learn(P("A", "B"))
 
 
 class TestNamingLinks:
