@@ -84,8 +84,7 @@ class Trainer:
             self._queues[modality] = StmQueue(self.config.stm_size)
         return self._queues[modality]
 
-    def _learn_gated(self, modality: str, pattern) -> LearnEvent:
-        net = self.memory.net(modality)
+    def _learn_gated(self, net, pattern) -> LearnEvent:
         if self.config.chunk_probability < 1.0 \
                 and self._rng.random() >= self.config.chunk_probability:
             # Chunk formation gate failed: recognise only, no structural change.
@@ -94,21 +93,26 @@ class Trainer:
         return net.learn(pattern)
 
     def present(self, sample: Sample) -> tuple[LearnEvent, LearnEvent]:
-        """One labelled presentation: learn both modalities, feed STM,
-        form a naming link on gated co-occupancy."""
-        ev_visual = self._learn_gated(sample.visual.modality, sample.visual)
-        ev_label = self._learn_gated(sample.label.modality, sample.label)
-        visual_q = self.queue(sample.visual.modality)
-        verbal_q = self.queue(sample.label.modality)
+        """One labelled presentation into ``memory`` as it is: learn both
+        modalities, feed STM, form a naming link on gated co-occupancy."""
+        visual, label = sample.visual, sample.label
+        memory = self.memory
+        try:
+            visual_net = memory.nets[visual.modality]
+            label_net = memory.nets[label.modality]
+        except KeyError:    # a modality's first presentation makes its net
+            visual_net = memory.net(visual.modality)
+            label_net = memory.net(label.modality)
+        ev_visual = self._learn_gated(visual_net, visual)
+        ev_label = self._learn_gated(label_net, label)
+        visual_q = self.queue(visual.modality)
+        verbal_q = self.queue(label.modality)
         visual_q.push(ev_visual.node_id)
         verbal_q.push(ev_label.node_id)
-        pair = co_occupancy(visual_q, verbal_q,
-                            self.memory.net(sample.visual.modality),
-                            self.memory.net(sample.label.modality),
+        pair = co_occupancy(visual_q, verbal_q, visual_net, label_net,
                             pairing=self.config.stm_pairing)
         if pair is not None:
-            self.memory.add_naming_link(sample.visual.modality,
-                                        pair[0], pair[1])
+            memory.add_naming_link(visual.modality, pair[0], pair[1])
         return ev_visual, ev_label
 
     def train(self, samples: list[Sample], seed: int | None = None,

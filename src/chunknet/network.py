@@ -40,10 +40,10 @@ surrogate). Complete images stop matching longer patterns, which is what turns
 further presentations of extensions into single-shot discriminations of new
 chunks rather than endless image growth; no public call grows one.
 
-A learn that changes nothing is *settled*: the net keeps its end node and
-event, and answers the next learn of the same tokens without a walk until a
-child is attached where that walk could go on (``learn`` proves this
-exact). The map is derived state, never saved.
+Every learn remembers where its walk ended and, read before the step, that
+node's index entry for the next token. A repeat starts there without a walk
+(returning a kept ``NO_CHANGE`` at once) while the entry is the same object
+(``learn`` proves this exact). The map is derived state, never saved.
 
 Every node, learned or loaded, joins the tree through ``attach``: it refuses
 an empty test link or one a sibling has, and alone sets contents lengths and
@@ -110,9 +110,10 @@ class DiscriminationNet:
         # Indexed by node id: ids are dense, in creation order, and a node
         # is never deleted.
         self._nodes: list[Node] = [Node(node_id=ROOT_ID, test=(), image=())]
-        # Settled learns by tokens: (end node, its index entry for the next
-        # token, event). Derived state, never saved; see ``learn``.
-        self._settled: dict[tuple[str, ...], tuple] = {}
+        # Remembered walks by tokens: (end node, the token after its
+        # contents or None, the node's index entry for it, the event if
+        # NO_CHANGE else None). Derived state, never saved; see ``learn``.
+        self._walks: dict[tuple[str, ...], tuple] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -220,7 +221,8 @@ class DiscriminationNet:
         Returns the deepest node whose path of test links prefixes the span,
         the root when nothing is recognised (including an empty span).
         """
-        self._check_modality(p)
+        if p.modality != self.modality:
+            self._check_modality(p)
         nodes = self._nodes
         node = nodes[ROOT_ID]
         tokens = p.tokens
@@ -240,64 +242,73 @@ class DiscriminationNet:
 
     # -- learning ---------------------------------------------------------
 
-    def _image_matches(self, node: Node, p: Pattern) -> bool:
-        # A complete image carries the end marker, so it only matches the
-        # pattern it equals; an incomplete image matches any extension.
-        if node.image_complete:
-            return node.image == p.tokens
-        return p.tokens[: len(node.image)] == node.image
-
     def learn(self, p: Pattern) -> LearnEvent:
         """One pass of the four-stage learning process for ``p``. The walk
         to ``node`` consumes ``p.tokens[:node.contents_length]``, the node's
         contents, and both steps take their contents as spans of ``p.tokens``.
+        A complete image carries the end marker, so it only matches the
+        pattern it equals; an incomplete image matches any extension.
 
-        A learn that returns ``NO_CHANGE`` is settled: the end node of its
-        walk, that node's ``index`` entry for the token after its contents
-        (``None`` when there is none, or when the contents cover the whole
-        pattern) and the event are kept under ``p.tokens``. The next learn
-        of the same tokens returns that event, without a walk, while the
-        node's entry is still the same object. That is exact:
+        Every learn remembers its walk under ``p.tokens``: the end node,
+        the token after its contents (``None`` when they cover the pattern),
+        the node's ``index`` entry for it, read before the step runs, and
+        the event if it is ``NO_CHANGE``. While that entry is the same
+        object, the next learn of the same tokens starts from the node
+        without a walk, and returns a kept event at once. That is exact:
 
-        - The end node's image either equals the pattern and is complete
-          (``familiarise`` sets ``image_complete`` before the event is
-          kept), or cannot match the pattern: its contents are the whole
-          pattern, and its image is complete and differs from it, or is
-          longer than it, or differs from it inside its own length.
-        - Neither state is ever undone. No public call grows a complete
-          image: ``familiarise`` refuses one that is not its pattern, and
-          ``_discriminate`` appends only to an empty image. Appending never
-          makes a non-prefix a prefix, nor a too-long image shorter. So the
-          outcome changes only if ``recognise(p)`` ends somewhere else.
         - A walk takes the first matching child in insertion order, and
           ``attach`` lists a new sibling last, so every step of the walk
-          before its end keeps its child. Only a child attached to the end
-          node under the pattern's next token can lengthen the walk, and
-          ``attach`` replaces that index tuple, which the identity check
-          sees. A walk that consumed the whole pattern cannot lengthen.
+          before its end keeps its child.
+        - Only a child attached to the end node under the pattern's next
+          token can lengthen the walk, and ``attach`` replaces that index
+          tuple, which the identity check sees. A walk that consumed the
+          whole pattern cannot lengthen.
+        - Images never steer a walk, so a familiarisation, a cross-append
+          to another node included, leaves every remembered walk valid.
+        - The entry must be read before the step: ``_discriminate`` attaches
+          its new child under exactly that token, which an entry read after
+          the step would hide.
+        - A kept ``NO_CHANGE`` stays right. The end node's image either
+          equals the pattern and is complete (``familiarise`` sets
+          ``image_complete`` before the event is kept), or cannot match the
+          pattern: its contents are the whole pattern, and its image is
+          complete and differs from it, or is longer than it, or differs
+          from it inside its own length. Neither state is ever undone. No
+          public call grows a complete image: ``familiarise`` refuses one
+          that is not its pattern, and ``_discriminate`` appends only to an
+          empty image. Appending never makes a non-prefix a prefix, nor a
+          too-long image shorter.
 
-        A settled learn, like the walk it skips, charges no simulated time.
-        The trainer's chunk gate draws its random number before it calls
-        ``learn``, so the order of its draws does not change either. The map
-        holds only derived state: it is never saved, and a net loaded from a
-        snapshot starts with nothing settled.
+        A learn answered from a kept event, like the walk it skips, charges
+        no simulated time. The trainer's chunk gate draws its random number
+        before it calls ``learn``, so the order of its draws does not change
+        either. The map is never saved, and a net loaded from a snapshot
+        starts with no walk remembered. An empty pattern is never
+        remembered, so only a learn that misses the map checks for one.
         """
-        self._check_modality(p)
-        if not p:
-            raise NetworkError("cannot learn an empty pattern")
+        if p.modality != self.modality:
+            self._check_modality(p)
         tokens = p.tokens
-        settled = self._settled.get(tokens)
-        if settled is not None:
-            node, branch, event = settled
-            if _next_branch(node, tokens) is branch:
+        walk = self._walks.get(tokens)
+        if walk is not None and walk[0].index.get(walk[1]) is walk[2]:
+            node, next_token, branch, event = walk
+            if event is not None:
                 return event
-        node = self.recognise(p)
-        if self._image_matches(node, p):
+        else:
+            if not tokens:
+                raise NetworkError("cannot learn an empty pattern")
+            node = self.recognise(p)
+            at = node.contents_length
+            next_token = tokens[at] if at < len(tokens) else None
+            branch = node.index.get(next_token)
+        image = node.image
+        if image == tokens if node.image_complete else \
+                tokens[:len(image)] == image:
             event = self.familiarise(node, p)
         else:
             event = self._discriminate(node, p)
-        if event.kind == NO_CHANGE:
-            self._settled[tokens] = (node, _next_branch(node, tokens), event)
+        self._walks[tokens] = (node, next_token, branch,
+                               event if event.kind == NO_CHANGE else None)
         return event
 
     def familiarise(self, node: Node, p: Pattern) -> LearnEvent:
@@ -317,14 +328,16 @@ class DiscriminationNet:
            *original* node's image;
         4. otherwise the retrieved node's image is appended instead.
 
-        Only ``node``'s image can complete. An empty pattern, or a complete
-        image that is not the pattern, raises :class:`NetworkError` before
-        anything changes. ``learn`` asks for neither, and familiarises only
-        a node whose image prefixes the pattern, so ``k`` is the image's
-        length, confirmed by one slice compare; a direct call whose image
-        does not prefix the pattern finds ``k`` with ``difference``.
+        Only ``node``'s image can complete. An empty pattern, a complete
+        image that is not the pattern, or an append to the root raises
+        :class:`NetworkError` before anything changes. ``learn`` asks for
+        none of these, and familiarises only a node whose image prefixes
+        the pattern, so ``k`` is the image's length, confirmed by one slice
+        compare; a direct call whose image does not prefix the pattern finds
+        ``k`` with ``difference``.
         """
-        self._check_modality(p)
+        if p.modality != self.modality:
+            self._check_modality(p)
         tokens = p.tokens
         if not tokens or node.image_complete and node.image != tokens:
             raise NetworkError(f"cannot familiarise node {node.node_id}: the "
@@ -344,6 +357,9 @@ class DiscriminationNet:
             return LearnEvent(CREATED_NODE, new.node_id)
         if not ret.image or ret.image_complete or \
                 len(ret.image) > len(tokens) - k:
+            if node.node_id == ROOT_ID:
+                raise NetworkError("cannot familiarise the root: its image "
+                                   "stays empty")
             ret = node
         self._append_to_image(ret, tokens[k], tokens if ret is node else None)
         return LearnEvent(FAMILIARISED, ret.node_id)
@@ -390,14 +406,6 @@ class DiscriminationNet:
         node = self.node(from_node_id)
         node.naming_links[label_node_id] = \
             node.naming_links.get(label_node_id, 0) + 1
-
-
-def _next_branch(node: Node, tokens: tuple[str, ...]
-                 ) -> tuple[int, ...] | None:
-    """``node``'s children under the token after its contents: the only
-    ones a walk of ``tokens`` that ends at ``node`` could take next."""
-    at = node.contents_length
-    return node.index.get(tokens[at]) if at < len(tokens) else None
 
 
 class MultiModalMemory:

@@ -28,10 +28,6 @@ class StmQueue:
     def slots(self) -> list[int]:
         return list(self._slots)
 
-    @property
-    def head(self) -> int | None:
-        return self._slots[0] if self._slots else None
-
     def push(self, node_id: int) -> int | None:
         """Put a chunk pointer at the head; returns the evicted id, if any.
 
@@ -57,14 +53,14 @@ def co_occupancy(visual_q: StmQueue, verbal_q: StmQueue,
     the head down and returns the first pair passing the fully-learned gate.
     """
     if pairing == "head":
-        candidates = [(visual_q.head, verbal_q.head)]
-    elif pairing == "position":
-        candidates = list(zip(visual_q.slots, verbal_q.slots))
-    else:
+        vis, verb = visual_q._slots, verbal_q._slots
+        if vis and verb and visual_net.is_fully_learned(vis[0]) and \
+                verbal_net.is_fully_learned(verb[0]):
+            return vis[0], verb[0]
+        return None
+    if pairing != "position":
         raise StmError(f"unknown STM pairing mode {pairing!r}")
-    for vis_id, verb_id in candidates:
-        if vis_id is None or verb_id is None:
-            continue
+    for vis_id, verb_id in zip(visual_q.slots, verbal_q.slots):
         if visual_net.is_fully_learned(vis_id) and \
                 verbal_net.is_fully_learned(verb_id):
             return vis_id, verb_id

@@ -31,6 +31,9 @@ class ReferenceNet(DiscriminationNet):
             new = self._new_node(self.root, (d.tokens[0],), (), False)
             return LearnEvent(CREATED_NODE, new.node_id)
         if not ret.image or ret.image_complete or len(ret.image) > len(d):
+            if node.node_id == ROOT_ID:
+                raise NetworkError("cannot familiarise the root: its image "
+                                   "stays empty")
             self._append_to_image(node, d.tokens[0], p.tokens)
             return LearnEvent(FAMILIARISED, node.node_id)
         self._append_to_image(ret, d.tokens[0],

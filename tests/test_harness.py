@@ -130,6 +130,22 @@ def test_present_before_train_draws_from_the_config_seed():
     assert len({dumped(seed) for seed in range(4)}) > 1
 
 
+def test_present_learns_into_a_replaced_memory():
+    # The trainer looks its nets up on every presentation: after its memory
+    # is replaced, it learns into the new one and leaves the old one be.
+    trainer = fresh_trainer()
+    for _ in range(3):
+        trainer.present(XOR_SAMPLES[1])
+    old = trainer.memory
+    kept = dump_memory(old)
+    trainer.memory = MultiModalMemory()
+    assert [ev.kind for ev in trainer.present(XOR_SAMPLES[1])] == \
+        ["created_node", "created_node"]
+    assert dump_memory(old) == kept
+    assert {m: net.node_count for m, net in trainer.memory.nets.items()} \
+        == {"visual": 2, "verbal": 2}
+
+
 def test_manifest_train_and_evaluate(tmp_path):
     manifest = load_manifest(build_xor_manifest(tmp_path / "corpus"))
     memory, run, result = train_and_evaluate(manifest, RunConfig())
@@ -182,11 +198,13 @@ def test_phrase_corpus_training_fingerprint(tmp_path):
 
 def test_phrase_corpus_training_walk_count(tmp_path, monkeypatch):
     # Counts, not times: every learn is still one call, and a learn that
-    # repeats a settled one does not walk. Before settled learns were kept,
-    # the same training made 7,911 walks for its 6,000 learns, and 3,899
-    # before discrimination stopped walking an empty image's remainder a
-    # second time through familiarise. Discrimination takes its contents
-    # from the walk, so training never rebuilds them from a parent chain.
+    # repeats an earlier one starts where its walk ended, while nothing was
+    # attached there, without a walk. Before settled learns were kept, the
+    # same training made 7,911 walks for its 6,000 learns; 3,899 before
+    # discrimination stopped walking an empty image's remainder a second
+    # time through familiarise; and 3,874 while only learns that changed
+    # nothing kept their walk. Discrimination takes its contents from the
+    # walk, so training never rebuilds them from a parent chain.
     calls = {"recognise": 0, "learn": 0, "contents": 0}
     for name in calls:
         method = getattr(DiscriminationNet, name)
@@ -197,7 +215,7 @@ def test_phrase_corpus_training_walk_count(tmp_path, monkeypatch):
         monkeypatch.setattr(DiscriminationNet, name, counted)
     config = RunConfig()
     train(new_memory(config), _phrase_corpus(tmp_path), config)
-    assert calls == {"recognise": 3874, "learn": 6000, "contents": 0}
+    assert calls == {"recognise": 2282, "learn": 6000, "contents": 0}
 
 
 def _phrase_stimuli(corpus_dir):

@@ -4,7 +4,7 @@ alphabet, checked after every step against what the docstrings of
 ``network`` and ``harness`` claim.
 
 A twin memory takes every step too. Its nets walk on every learn, never
-answering one from a settled learn, so the live memory must give the same
+starting one from a remembered walk, so the live memory must give the same
 events and dump the same bytes."""
 
 import tempfile
@@ -30,11 +30,11 @@ ATTENTION = AttentionConfig(span=3, step=1, min_fetch=2)
 
 
 class WalkingNet(DiscriminationNet):
-    """The net that forgets its settled learns before each learn, so every
-    learn walks the tree."""
+    """The net that forgets its remembered walks before each learn, so
+    every learn walks the tree."""
 
     def learn(self, p):
-        self._settled.clear()
+        self._walks.clear()
         return super().learn(p)
 
 
@@ -144,8 +144,8 @@ class LearningMachine(RuleBasedStateMachine):
                 categorise(self.memory, stimulus, ATTENTION)
             assert retrieve(loaded.nets["visual"], stimulus) == \
                 retrieve(self.memory.nets["visual"], stimulus)
-        # Learning goes on in the loaded memory, which starts with nothing
-        # settled.
+        # Learning goes on in the loaded memory, which starts with no walk
+        # remembered.
         self.trainer.memory = loaded
 
     def probes(self):

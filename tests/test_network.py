@@ -266,7 +266,7 @@ class TestSettledLearns:
                                                              3)
             assert (net.node(3).parent, net.node(3).test) == (1, ("B",))
         live, fresh = nets
-        fresh._settled.clear()
+        fresh._walks.clear()
         event = live.learn(P("A", "B"))
         assert event == fresh.learn(P("A", "B")) == LearnEvent(NO_CHANGE, 3)
         assert live.node(3).image_complete
@@ -284,7 +284,7 @@ class TestSettledLearns:
         # A sibling on the path that would match, listed after node 1.
         net._new_node(net.root, ("A", "B"), ("A", "B"), True)
         assert net.learn(P("A", "B")) is event
-        net._settled.clear()
+        net._walks.clear()
         assert net.learn(P("A", "B")) == event
 
     def test_the_first_no_change_completes_the_image(self):
@@ -311,8 +311,74 @@ class TestSettledLearns:
                                                    "node 1"):
                 live.familiarise(live.node(1), p)
         assert dump_memory(memory) == before
-        fresh._settled.clear()
+        fresh._walks.clear()
         assert live.learn(P("A", "B")) == fresh.learn(P("A", "B"))
+
+
+class TestRememberedWalks:
+    def test_a_child_the_learn_attaches_under_its_own_end_node_is_walked(
+            self):
+        # The entry is read before the step: read after it, the kept entry
+        # would be the new tuple that holds node 3, the next learn would
+        # start at node 1 and discriminate "B C" there a second time, and
+        # attach would refuse a second child testing "B".
+        live, fresh = DiscriminationNet("visual"), DiscriminationNet("visual")
+        for net in (live, fresh):
+            net._new_node(net.root, ("A",), ("A", "B"), True)
+            net._new_node(net.root, ("B",), ("B",), False)
+            assert net.learn(P("A", "B", "C")) == LearnEvent(CREATED_NODE, 3)
+            assert (net.node(3).parent, net.node(3).test) == (1, ("B",))
+        fresh._walks.clear()
+        event = live.learn(P("A", "B", "C"))
+        assert event == fresh.learn(P("A", "B", "C"))
+        # The walk went on to node 3, and "C" became a root primitive.
+        assert event == LearnEvent(CREATED_NODE, 4)
+        assert (live.node(4).parent, live.node(4).test) == (ROOT_ID, ("C",))
+
+    def test_a_repeated_changing_learn_starts_where_its_walk_ended(
+            self, monkeypatch):
+        live, fresh = DiscriminationNet("visual"), DiscriminationNet("visual")
+        p = P("A", "B", "C")
+        for net in (live, fresh):
+            # Node 1 tests "A", and then holds the image "A".
+            assert [net.learn(p).kind for _ in range(2)] == \
+                [CREATED_NODE, FAMILIARISED]
+        starts = []
+        recognise = live.recognise
+
+        def counted(p, start=0, end=None):
+            starts.append(start)
+            return recognise(p, start, end)
+        monkeypatch.setattr(live, "recognise", counted)
+        events = [live.learn(p) for _ in range(4)]
+        # Each learn changed the net, and none walked the whole pattern
+        # from the root: each sorted only the rest after node 1's image.
+        assert [e.kind for e in events] == [CREATED_NODE, FAMILIARISED] * 2
+        assert starts == [1, 1, 2, 2]
+        for event in events:
+            fresh._walks.clear()
+            assert fresh.learn(p) == event
+        assert live.node(1).image_complete
+        assert live.learn(p) == LearnEvent(NO_CHANGE, 1)
+        assert starts == [1, 1, 2, 2]
+
+    def test_familiarise_never_grows_the_root_image(self):
+        # Once, a second familiarise of the root with "A" appended "A" to
+        # the root's image and completed it, and recognising an unknown
+        # token then returned a root whose image was "A".
+        net = DiscriminationNet("visual")
+        memory = MultiModalMemory()
+        memory.nets["visual"] = net
+        assert net.familiarise(net.root, P("A")) == LearnEvent(CREATED_NODE,
+                                                               1)
+        before = dump_memory(memory)
+        with pytest.raises(NetworkError, match="cannot familiarise the "
+                                               "root"):
+            net.familiarise(net.root, P("A"))
+        assert dump_memory(memory) == before
+        assert net.root.image == () and not net.root.image_complete
+        assert net.recognise(P("Z")).image == ()
+        assert net.clock_seconds == 10.0
 
 
 class TestNamingLinks:

@@ -70,14 +70,14 @@ def test_round_trip_is_byte_exact(tmp_path):
 
 def test_a_loaded_net_has_nothing_settled(tmp_path):
     memory, _ = random_trained_memory(2)
-    assert all(net._settled for net in memory.nets.values())
+    assert all(net._walks for net in memory.nets.values())
     path = tmp_path / "model.json"
     save_memory(path, memory)
     loaded, _ = load_memory(path)
-    assert not any(net._settled for net in loaded.nets.values())
+    assert not any(net._walks for net in loaded.nets.values())
     dumped = dump_memory(memory)
     for net in memory.nets.values():
-        net._settled.clear()
+        net._walks.clear()
     assert dump_memory(memory) == dumped == dump_memory(loaded)
 
 
