@@ -158,7 +158,7 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
                 node = net.recognise(stimulus, start, end)
             if node.node_id == ROOT_ID or not node.naming_links:
                 continue
-            size = net.chunk_size(node.node_id)
+            size = node.size
             if size > best_size:
                 best_size = size
                 best = node
@@ -174,4 +174,4 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
 def retrieve(net: DiscriminationNet, stimulus: Pattern) -> Pattern:
     """The most similar stored chunk: the recognised node's image
     (empty when nothing is recognised)."""
-    return net.image(net.recognise(stimulus).node_id)
+    return Pattern.derived(net.modality, net.recognise(stimulus).image)

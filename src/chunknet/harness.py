@@ -74,7 +74,7 @@ class Trainer:
 
     memory: MultiModalMemory
     config: RunConfig
-    _queues: dict[str, StmQueue] = field(default_factory=dict)
+    _queues: dict[str, StmQueue] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         self._rng = random.Random(self.config.seed)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import takewhile
 
 
 METRIC_NAMES = ("identical", "both_match", "tops_match",
@@ -102,10 +102,12 @@ def _log_pmf(n: int, i: int, log_p: float, log_q: float) -> float:
 
 def binomial_at_least(query: BinomialQuery) -> float:
     """Exact upper-tail binomial probability, summed stably in log space.
-    The pmf falls away from its mode, so the sum runs from ``max(k, mode)``
-    up to ``n`` and down to ``k``, each way only until a term underflows to
-    0.0; ``math.fsum`` is exact in any order, so nothing changes but the
-    cost, which no longer grows with ``n``."""
+    The pmf falls away from its mode. From ``k`` at or above the mode the
+    sum runs up to ``n``; below the mode the tail is one minus the lower
+    tail, summed from ``k - 1`` down to 0. Either way it stops at the first
+    term that underflows to 0.0, so the cost does not grow with ``n``, and
+    far from the mode the terms that carry ``lgamma``'s rounding are the
+    small ones."""
     n, k, p = query.n, query.k, query.p
     if k == 0:
         return 1.0
@@ -115,13 +117,13 @@ def binomial_at_least(query: BinomialQuery) -> float:
         return 1.0
     log_p = math.log(p)
     log_q = math.log1p(-p)
-    start = max(k, min(n, math.floor((n + 1) * p)))
 
     def terms(indices):
         return takewhile(bool, (math.exp(_log_pmf(n, i, log_p, log_q))
                                 for i in indices))
-    return min(1.0, math.fsum(chain(terms(range(start, n + 1)),
-                                    terms(range(start - 1, k - 1, -1)))))
+    if k < min(n, math.floor((n + 1) * p)):
+        return 1.0 - math.fsum(terms(range(k - 1, -1, -1)))
+    return min(1.0, math.fsum(terms(range(k, n + 1))))
 
 
 def bonferroni(alpha: float, hypothesis_count: int) -> float:

@@ -40,9 +40,9 @@ surrogate). Complete images stop matching longer patterns, which is what turns
 further presentations of extensions into single-shot discriminations of new
 chunks rather than endless image growth; no public call grows one.
 
-Every learn remembers where its walk ended and, read before the step, that
-node's index entry for the next token. A repeat starts there without a walk
-(returning a kept ``NO_CHANGE`` at once) while the entry is the same object
+Every learn remembers the node where its walk ended. A repeat starts there
+without a walk (returning a kept ``NO_CHANGE`` at once) while that node lists
+no child under the pattern's next token, or the walk used up the pattern
 (``learn`` proves this exact). The map is derived state, never saved.
 
 Every node, learned or loaded, joins the tree through ``attach``: it refuses
@@ -86,6 +86,13 @@ class Node:
                                               repr=False)
 
     @property
+    def size(self) -> int:
+        """Primitive count of the chunk: its image once one has formed, its
+        contents otherwise. Root is 0. (A non-empty image is never shorter
+        than the contents, so this is the larger of the two descriptions.)"""
+        return len(self.image) or self.contents_length
+
+    @property
     def children(self) -> list[int]:
         """Child ids in creation order, read from ``index``: a parent's
         children are created with increasing ids."""
@@ -110,9 +117,8 @@ class DiscriminationNet:
         # Indexed by node id: ids are dense, in creation order, and a node
         # is never deleted.
         self._nodes: list[Node] = [Node(node_id=ROOT_ID, test=(), image=())]
-        # Remembered walks by tokens: (end node, the token after its
-        # contents or None, the node's index entry for it, the event if
-        # NO_CHANGE else None). Derived state, never saved; see ``learn``.
+        # Remembered walks by tokens: (end node, the event if NO_CHANGE
+        # else None). Derived state, never saved; see ``learn``.
         self._walks: dict[tuple[str, ...], tuple] = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -147,22 +153,6 @@ class DiscriminationNet:
         for test in reversed(chain):
             toks.extend(test)
         return Pattern.derived(self.modality, tuple(toks))
-
-    def image(self, node_id: int) -> Pattern:
-        return Pattern.derived(self.modality, self.node(node_id).image)
-
-    def chunk_size(self, node_id: int) -> int:
-        """Primitive count of the chunk: its image when one has formed, its
-        contents otherwise, read from the length stored on the node. Root
-        is 0. (A non-empty image is never shorter than the contents, so this
-        is the larger of the two descriptions.)"""
-        node = self.node(node_id)
-        return len(node.image) or node.contents_length
-
-    def is_fully_learned(self, node_id: int) -> bool:
-        """Gate used for naming-link formation: the image equals a pattern
-        that was actually presented in full."""
-        return self.node(node_id).image_complete
 
     def _check_modality(self, p: Pattern) -> None:
         if p.modality != self.modality:
@@ -249,25 +239,19 @@ class DiscriminationNet:
         A complete image carries the end marker, so it only matches the
         pattern it equals; an incomplete image matches any extension.
 
-        Every learn remembers its walk under ``p.tokens``: the end node,
-        the token after its contents (``None`` when they cover the pattern),
-        the node's ``index`` entry for it, read before the step runs, and
-        the event if it is ``NO_CHANGE``. While that entry is the same
-        object, the next learn of the same tokens starts from the node
-        without a walk, and returns a kept event at once. That is exact:
+        Every learn remembers its walk under ``p.tokens``: the end node, and
+        the event if it is ``NO_CHANGE``. The next learn of the same tokens
+        starts from the node without a walk, and returns a kept event at
+        once, when the node lists no child under the pattern's next token,
+        or no token is left after its contents; otherwise it walks again
+        from the root. That is exact:
 
-        - A walk takes the first matching child in insertion order, and
-          ``attach`` lists a new sibling last, so every step of the walk
-          before its end keeps its child.
-        - Only a child attached to the end node under the pattern's next
-          token can lengthen the walk, and ``attach`` replaces that index
-          tuple, which the identity check sees. A walk that consumed the
-          whole pattern cannot lengthen.
-        - Images never steer a walk, so a familiarisation, a cross-append
-          to another node included, leaves every remembered walk valid.
-        - The entry must be read before the step: ``_discriminate`` attaches
-          its new child under exactly that token, which an entry read after
-          the step would hide.
+        - A walk takes the first matching child in insertion order.
+          ``attach`` lists a new sibling last and removes none. So every
+          step before the end keeps its child.
+        - The walk stopped at the end node because no child there matched
+          at the next token. If no child is listed under that token, or no
+          token is left, none can match now. Images never steer a walk.
         - A kept ``NO_CHANGE`` stays right. The end node's image either
           equals the pattern and is complete (``familiarise`` sets
           ``image_complete`` before the event is kept), or cannot match the
@@ -289,25 +273,23 @@ class DiscriminationNet:
         if p.modality != self.modality:
             self._check_modality(p)
         tokens = p.tokens
-        walk = self._walks.get(tokens)
-        if walk is not None and walk[0].index.get(walk[1]) is walk[2]:
-            node, next_token, branch, event = walk
+        node, event = self._walks.get(tokens, (None, None))
+        if node is not None and (node.contents_length == len(tokens) or
+                                 tokens[node.contents_length]
+                                 not in node.index):
             if event is not None:
                 return event
         else:
             if not tokens:
                 raise NetworkError("cannot learn an empty pattern")
             node = self.recognise(p)
-            at = node.contents_length
-            next_token = tokens[at] if at < len(tokens) else None
-            branch = node.index.get(next_token)
         image = node.image
         if image == tokens if node.image_complete else \
                 tokens[:len(image)] == image:
             event = self.familiarise(node, p)
         else:
             event = self._discriminate(node, p)
-        self._walks[tokens] = (node, next_token, branch,
+        self._walks[tokens] = (node,
                                event if event.kind == NO_CHANGE else None)
         return event
 
@@ -397,16 +379,6 @@ class DiscriminationNet:
         new = self._new_node(node, test, image, image == tokens)
         return LearnEvent(CREATED_NODE, new.node_id)
 
-    # -- naming links -----------------------------------------------------
-
-    def add_naming_link(self, from_node_id: int, label_node_id: int) -> None:
-        """Count one co-occurrence between a chunk here and a label chunk."""
-        if from_node_id == ROOT_ID or label_node_id == ROOT_ID:
-            raise NetworkError("naming links never involve a root node")
-        node = self.node(from_node_id)
-        node.naming_links[label_node_id] = \
-            node.naming_links.get(label_node_id, 0) + 1
-
 
 class MultiModalMemory:
     """All per-modality networks of one model, plus the link convention.
@@ -443,13 +415,16 @@ class MultiModalMemory:
                         label_node_id: int) -> None:
         """Count one co-occurrence of a chunk with a label chunk. Both
         nets are looked up and never made: a missing one raises
-        :class:`NetworkError`."""
+        :class:`NetworkError`, and so does a root on either end."""
         self.label_net.node(label_node_id)  # must exist
         try:
             net = self.nets[modality]
         except KeyError:
             raise NetworkError(f"no {modality!r} net") from None
-        net.add_naming_link(node_id, label_node_id)
+        if node_id == ROOT_ID or label_node_id == ROOT_ID:
+            raise NetworkError("naming links never involve a root node")
+        links = net.node(node_id).naming_links
+        links[label_node_id] = links.get(label_node_id, 0) + 1
 
     def label_name(self, label_node_id: int) -> str:
         """Human-readable name of a label chunk (its contents)."""

@@ -1,9 +1,9 @@
 """Short-term memory: bounded FIFO queues of chunk pointers, one per modality.
 
 Capacity is counted in chunks, not primitives. The most recent entry sits at
-the head; overflow evicts the oldest. When fully learned chunks co-occupy the
-queues of two modalities, the trainer turns that co-occupancy into a naming
-link.
+the head; overflow evicts the oldest. When fully learned chunks (their images
+complete) co-occupy the queues of two modalities, the trainer turns that
+co-occupancy into a naming link.
 """
 
 from __future__ import annotations
@@ -50,18 +50,19 @@ def co_occupancy(visual_q: StmQueue, verbal_q: StmQueue,
 
     ``head`` pairing looks only at the two queue heads (the most recent chunk
     of each modality); ``position`` pairing scans matching slot positions from
-    the head down and returns the first pair passing the fully-learned gate.
+    the head down and returns the first pair of chunks that are both fully
+    learned (their images complete).
     """
     if pairing == "head":
         vis, verb = visual_q._slots, verbal_q._slots
-        if vis and verb and visual_net.is_fully_learned(vis[0]) and \
-                verbal_net.is_fully_learned(verb[0]):
+        if vis and verb and visual_net.node(vis[0]).image_complete and \
+                verbal_net.node(verb[0]).image_complete:
             return vis[0], verb[0]
         return None
     if pairing != "position":
         raise StmError(f"unknown STM pairing mode {pairing!r}")
     for vis_id, verb_id in zip(visual_q.slots, verbal_q.slots):
-        if visual_net.is_fully_learned(vis_id) and \
-                verbal_net.is_fully_learned(verb_id):
+        if visual_net.node(vis_id).image_complete and \
+                verbal_net.node(verb_id).image_complete:
             return vis_id, verb_id
     return None

@@ -561,6 +561,15 @@ def _out_file(command):
     return setup
 
 
+def _blank_test_file(tmp_path):
+    """A run-suite on an xor manifest whose test file ``test_10.txt``
+    holds only whitespace."""
+    manifest = _xor_manifest(tmp_path)
+    (manifest.parent / "test_10.txt").write_text(" \n", encoding="utf-8")
+    return ["run-suite", "--manifest", str(manifest), "--out",
+            str(tmp_path / "o")]
+
+
 def _set_parent(doc):
     doc["networks"]["visual"]["nodes"][0][0] = 999
 
@@ -617,6 +626,25 @@ def _root_row(doc):
     pytest.param(_config_file('{"stm_pairing": 1}'), 2,
                  "config.json: config field 'stm_pairing' must be a string, "
                  "got 1", id="config_int_for_str"),
+    *(pytest.param(_config_file(json.dumps({field: value})), 2, message,
+                   id=f"config_range_{field}")
+      for field, value, message in (
+          ("stm_size", 12, r"stm_size must be in \[2, 9\], got 12$"),
+          ("chunk_probability", 1.5,
+           r"chunk_probability must be in \[0, 1\]$"),
+          ("attention_span", 1, "attention_span must be >= 2$"),
+          ("attention_step", 0, "attention_step must be >= 1$"),
+          ("min_fetch", 30, "need 2 <= min_fetch <= attention_span$"),
+          ("stm_pairing", "diagonal", "unknown stm_pairing 'diagonal'$"),
+          ("link_weighting", "additive",
+           "unknown link_weighting 'additive'$"),
+          ("max_epochs", 0,
+           "max_epochs and node_ceiling_factor must be >= 1$"))),
+    pytest.param(_config_file('{"max_epochs": 1}'), 3,
+                 "no convergence within 1 epochs$", id="no_convergence"),
+    pytest.param(_config_file('{"max_epochs": 1}', "run-suite"), 3,
+                 "no convergence within 1 epochs$",
+                 id="no_convergence_run_suite"),
     pytest.param(_config_file('{"seconds_per_update": -5}'), 2,
                  "config.json: config field 'seconds_per_update' must be a "
                  "finite number >= 0, got -5", id="config_negative_seconds"),
@@ -688,6 +716,8 @@ def _root_row(doc):
     pytest.param(_blank_training_files("run-suite"), 2,
                  "manifest 'xor' has no training samples$",
                  id="train_files_blank_run_suite"),
+    pytest.param(_blank_test_file, 2, r"test file is empty: .*test_10\.txt$",
+                 id="test_file_empty_run_suite"),
     pytest.param(_bad_input(b" \n"), 2, "holds no tokens", id="input_empty"),
     pytest.param(_bad_input(b"1 \xff 0"), 2, "not UTF-8", id="input_not_utf8"),
     pytest.param(_input_directory, 2, "cannot read", id="input_directory"),
@@ -695,6 +725,9 @@ def _root_row(doc):
                  id="input_missing"),
     pytest.param(_pairs(b"human_top,model_top\n\xff,B\n"), 2,
                  "pairs.csv is not UTF-8 text", id="pairs_not_utf8"),
+    pytest.param(_pairs(b"human_top,human_second\nBach,Mozart\n"), 2,
+                 "pairs.csv: need columns human_top/model_top",
+                 id="pairs_without_model_top"),
     pytest.param(_pairs_directory, 2, "cannot read .*: Is a directory",
                  id="pairs_directory"),
     pytest.param(_missing_pairs, 2, r"pairs file not found: .*missing\.csv",
@@ -738,6 +771,16 @@ def test_exit_code_table(tmp_path, capsys, setup, code, message):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert re.search(message, captured.err)
+
+
+def test_a_failed_suite_check_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"chunk_probability": 0}', encoding="utf-8")
+    code, out, err = run(capsys, "run-suite", "--suite", "xor", "--config",
+                         str(config), "--out", str(tmp_path / "out"),
+                         "--check")
+    assert code == 1 and err == ""
+    assert "check truth_table_4_of_4: FAIL\n" in out
 
 
 def test_int_config_values_load_where_numbers_are_expected(tmp_path, capsys):

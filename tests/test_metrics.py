@@ -102,6 +102,11 @@ def binomial_at_least_full(query):
                               for i in range(k, n + 1)))
 
 
+def mode(n, p):
+    """The index ``binomial_at_least`` takes as the mode of the pmf."""
+    return min(n, math.floor((n + 1) * p))
+
+
 class TestBinomial:
     def test_trivial_values(self):
         assert abs(binomial_at_least(BinomialQuery(1, 1, 0.5)) - 0.5) < 1e-12
@@ -132,9 +137,26 @@ class TestBinomial:
             n = rng.randint(1, 3000)
             cases.append((n, rng.randint(1, n), rng.random()))
         for n, k, p in cases:
+            if k < mode(n, p):
+                continue
             query = BinomialQuery(n, k, p)
             assert binomial_at_least(query) == \
                 binomial_at_least_full(query), (n, k, p)
+
+    def test_below_the_mode_matches_the_exact_tail(self):
+        rng = random.Random(20)
+        cases = []
+        while len(cases) < 150:
+            n = rng.randint(2, 400)
+            p = Fraction(rng.randint(1, 15), 16)
+            if mode(n, float(p)) > 1:
+                cases.append((n, rng.randint(1, mode(n, float(p)) - 1), p))
+        for n, k, p in cases:
+            got = binomial_at_least(BinomialQuery(n, k, float(p)))
+            want = float(binomial_at_least_exact(n, k, p))
+            assert abs(got - want) <= 1e-12 * want, (n, k, p)
+        # Summed up from k, this tail read 0.9999999993521941.
+        assert binomial_at_least(BinomialQuery(1_000_000, 1, 1 / 16)) == 1.0
 
     @pytest.mark.parametrize("p", [1 / 16, 3 / 4])
     def test_cost_does_not_grow_with_n(self, monkeypatch, p):

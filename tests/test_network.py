@@ -8,7 +8,7 @@ import pytest
 from chunknet.network import (CREATED_NODE, FAMILIARISED, NO_CHANGE,
                               DiscriminationNet, LearnEvent,
                               MultiModalMemory, NetworkError, Node, ROOT_ID)
-from chunknet.patterns import Pattern
+from chunknet.patterns import Pattern, PatternError
 from chunknet.snapshot import dump_memory
 
 
@@ -185,20 +185,20 @@ class TestStructure:
 
     def test_chunk_size(self):
         net = example_net()
-        assert net.chunk_size(ROOT_ID) == 0
+        assert net.root.size == 0
         deep = net.recognise(P("A", "B"))
-        assert net.chunk_size(deep.node_id) == 2
+        assert deep.size == 2
         # image outgrows contents: size follows the image
         grown = net.recognise(P("A"))
         assert grown.image == ("A", "B", "C")
-        assert net.chunk_size(grown.node_id) == 3
+        assert grown.size == 3
 
     def test_chunk_size_empty_image_falls_back_to_contents(self):
         net = DiscriminationNet("visual")
         net.learn(P("Q"))
         node = net.recognise(P("Q"))
         assert node.image == ()
-        assert net.chunk_size(node.node_id) == 1
+        assert node.size == 1
 
     @pytest.mark.parametrize("test, message", [
         ((), "node 4 has an empty test link"),
@@ -381,23 +381,102 @@ class TestRememberedWalks:
         assert net.clock_seconds == 10.0
 
 
+def linked_memory():
+    """A memory whose visual net holds node 1 for ``A`` and whose label
+    net holds node 1 for ``T``."""
+    memory = MultiModalMemory()
+    memory.nets["visual"] = trained(P("A"), repeats=2)
+    memory.net("verbal").learn(Pattern("verbal", ("T",)))
+    return memory
+
+
+def dumped(net):
+    """``dump_memory`` of a memory holding only ``net``."""
+    memory = MultiModalMemory()
+    memory.nets[net.modality] = net
+    return dump_memory(memory)
+
+
+def recognise_starts(monkeypatch, net):
+    """The start of every ``recognise`` call made on ``net`` from now on."""
+    starts = []
+    recognise = net.recognise
+
+    def counted(p, start=0, end=None):
+        starts.append(start)
+        return recognise(p, start, end)
+    monkeypatch.setattr(net, "recognise", counted)
+    return starts
+
+
+class TestTheRepeatCheck:
+    def test_a_child_under_another_token_keeps_the_settled_learn(
+            self, monkeypatch):
+        net = settled_ab()
+        event = net.learn(P("A", "B"))
+        net._new_node(net.node(1), ("C",), ("A", "C"), False)
+        starts = recognise_starts(monkeypatch, net)
+        assert net.learn(P("A", "B")) is event
+        assert starts == []
+
+    def test_a_child_under_the_next_token_that_cannot_match_walks_once(
+            self, monkeypatch):
+        live, fresh = settled_ab(), settled_ab()
+        for net in (live, fresh):
+            net.learn(P("A", "B"))
+            # Node 1 tests "A"; its new child tests "B X", past the pattern.
+            net._new_node(net.node(1), ("B", "X"), ("A", "B", "X"), False)
+        starts = recognise_starts(monkeypatch, live)
+        event = live.learn(P("A", "B"))
+        assert starts == [0]
+        fresh._walks.clear()
+        assert event == fresh.learn(P("A", "B")) == LearnEvent(NO_CHANGE, 1)
+        assert dumped(live) == dumped(fresh)
+
+
+def test_a_pattern_of_another_modality_is_refused_and_changes_nothing():
+    net = trained(P("A", "B"), P("C"), repeats=3)
+    verbal = Pattern("verbal", ("A", "B"))
+    calls = (net.recognise, net.learn,
+             lambda p: net.familiarise(net.node(1), p))
+    for call in calls:
+        before = (dumped(net), net.clock_seconds, dict(net._walks))
+        with pytest.raises(PatternError, match="pattern modality 'verbal' "
+                                               "does not match network "
+                                               "modality 'visual'"):
+            call(verbal)
+        assert (dumped(net), net.clock_seconds, dict(net._walks)) == before
+
+
 class TestNamingLinks:
     def test_counter_initialises_and_accumulates(self):
-        net = trained(P("A"), repeats=2)
-        node = net.recognise(P("A"))
-        net.add_naming_link(node.node_id, 17)
-        assert node.naming_links == {17: 1}
+        memory = linked_memory()
+        node = memory.nets["visual"].node(1)
+        memory.add_naming_link("visual", 1, 1)
+        assert node.naming_links == {1: 1}
         for _ in range(2):
-            net.add_naming_link(node.node_id, 17)
-        assert node.naming_links == {17: 3}
+            memory.add_naming_link("visual", 1, 1)
+        assert node.naming_links == {1: 3}
 
     def test_root_never_links(self):
-        net = trained(P("A"), repeats=2)
-        with pytest.raises(NetworkError):
-            net.add_naming_link(ROOT_ID, 1)
-        node = net.recognise(P("A"))
-        with pytest.raises(NetworkError):
-            net.add_naming_link(node.node_id, ROOT_ID)
+        memory = linked_memory()
+        for node_id, label_node_id in ((ROOT_ID, 1), (1, ROOT_ID)):
+            with pytest.raises(NetworkError, match="never involve a root"):
+                memory.add_naming_link("visual", node_id, label_node_id)
+        assert memory.nets["visual"].node(1).naming_links == {}
+
+    @pytest.mark.parametrize("modality, node_id, label_node_id, message", [
+        ("visual", ROOT_ID, 999, "unknown node id 999"),
+        ("auditory", ROOT_ID, 1, "no 'auditory' net"),
+        ("visual", 99, ROOT_ID, "never involve a root"),
+    ])
+    def test_the_first_of_two_faults_is_reported(self, modality, node_id,
+                                                  label_node_id, message):
+        # The label node, then the net, then the root rule, then the
+        # linked chunk.
+        with pytest.raises(NetworkError, match=message):
+            linked_memory().add_naming_link(modality, node_id,
+                                            label_node_id)
 
     def test_memory_validates_label_node(self):
         memory = MultiModalMemory()

@@ -128,11 +128,10 @@ def per_fetch_categorise(memory, stimulus, cfg, link_weighting):
             node = linear_recognise(net, fetch)
             if node.node_id == ROOT_ID or not node.naming_links:
                 continue
-            if best is None or net.chunk_size(node.node_id) > \
-                    net.chunk_size(best.node_id):
+            if best is None or node.size > best.size:
                 best = node
         if best is not None:
-            size = net.chunk_size(best.node_id)
+            size = best.size
             links = best.naming_links
             total = sum(links.values()) \
                 if link_weighting == "proportional" else 1
