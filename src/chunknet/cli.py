@@ -262,6 +262,10 @@ def cmd_eval_metrics(args) -> int:
               for participant, item, human, model in pairs]
     totals = sum_rows([row for _, _, row in scored])
     n = len(scored) if args.trials is None else args.trials
+    for metric in METRIC_NAMES:
+        if totals[metric] > n:
+            raise MetricsError(f"--trials {n} is below the {metric} total "
+                               f"{totals[metric]}")
     lines = significance_report(totals, n=n, label_count=args.labels,
                                 rule=args.rule)
     _write_csv(out_dir / "metrics.csv", [

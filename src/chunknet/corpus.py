@@ -205,9 +205,11 @@ def load_manifest(path) -> DatasetManifest:
     raw = read_json(path, CorpusError, "manifest")
 
     problems: list[str] = []
-    if raw.get("schema_version") != MANIFEST_SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    # JSON true and 1.0 compare equal to 1 in Python; neither is version 1.
+    if type(version) is not int or version != MANIFEST_SCHEMA_VERSION:
         problems.append(
-            f"unsupported manifest schema_version {raw.get('schema_version')!r}"
+            f"unsupported manifest schema_version {version!r}"
             f" (expected {MANIFEST_SCHEMA_VERSION})")
     name = raw.get("name", path.stem)
     if type(name) is not str or not name:

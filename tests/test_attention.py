@@ -6,10 +6,11 @@ import pytest
 
 from chunknet.attention import (AttentionConfig, AttentionError, categorise,
                                 confidence, retrieve, window_groups)
+import reference
 from chunknet.network import DiscriminationNet, MultiModalMemory
 from chunknet.patterns import Pattern
 from chunknet.snapshot import dump_memory
-from test_recognise_oracle import per_fetch_categorise
+from test_reference import load_rows
 
 
 def P(*tokens):
@@ -160,18 +161,10 @@ class TestAccumulate:
     def test_larger_chunk_outvotes_fragment(self):
         # chunks: the whole word (label A) and its three-letter fragment
         # (label B); an occluded stimulus still goes to A
-        memory = MultiModalMemory()
-        visual = memory.net("visual")
-        verbal = memory.net("verbal")
-        word = visual._new_node(visual.root, ("L",), tuple("Liverpool"), True)
-        frag = visual._new_node(visual.root, ("i",), ("L", "i", "v"), True)
-        for _ in range(2):
-            verbal.learn(L("A"))
-            verbal.learn(L("B"))
-        a_id = verbal.recognise(L("A")).node_id
-        b_id = verbal.recognise(L("B")).node_id
-        memory.add_naming_link("visual", word.node_id, a_id)
-        memory.add_naming_link("visual", frag.node_id, b_id)
+        memory, _ = load_rows({
+            "visual": [[0, "L", " ".join("Liverpool"), True, {"1": 1}],
+                       [0, "i", "L i v", True, {"2": 1}]],
+            "verbal": [[0, "A", "A", True, {}], [0, "B", "B", True, {}]]})
         cls = categorise(memory, P(*"zLiverzool"), AttentionConfig())
         assert cls.top == "A"
 
@@ -272,16 +265,10 @@ class TestCategorise:
         # span 2: the first window is "a b", so the fetch there recognises
         # "a b" (label F), not the longer sibling "a b c" (label T) that runs
         # past the window's end
-        memory = MultiModalMemory()
-        visual = memory.net("visual")
-        verbal = memory.net("verbal")
-        for label in ("T", "F"):
-            for _ in range(2):
-                verbal.learn(L(label))
-        for tokens, label in [(("a", "b", "c"), "T"), (("a", "b"), "F")]:
-            node = visual._new_node(visual.root, tokens, tokens, True)
-            memory.add_naming_link("visual", node.node_id,
-                                   verbal.recognise(L(label)).node_id)
+        memory, _ = load_rows({
+            "visual": [[0, "a b c", "a b c", True, {"1": 1}],
+                       [0, "a b", "a b", True, {"2": 1}]],
+            "verbal": [[0, "T", "T", True, {}], [0, "F", "F", True, {}]]})
         cls = categorise(memory, P("a", "b", "c"), AttentionConfig(span=2))
         assert cls.entries == (("F", 1.0),)
 
@@ -290,31 +277,23 @@ class TestCategorise:
         # window's end, while the later sibling "a" and its child "b"
         # (label F) fit. Reusing the unbounded walk would vote T; cutting it
         # back to its ancestor "x" (label X) would vote X.
-        memory = MultiModalMemory()
-        visual = memory.net("visual")
-        verbal = memory.net("verbal")
-        for label in ("T", "F", "X"):
-            for _ in range(2):
-                verbal.learn(L(label))
-        x = visual._new_node(visual.root, ("x",), ("x",), True)
-        xabc = visual._new_node(x, ("a", "b", "c"), ("x", "a", "b", "c"),
-                                True)
-        xa = visual._new_node(x, ("a",), ("x", "a"), True)
-        xab = visual._new_node(xa, ("b",), ("x", "a", "b"), True)
-        for node, label in [(x, "X"), (xabc, "T"), (xab, "F")]:
-            memory.add_naming_link("visual", node.node_id,
-                                   verbal.recognise(L(label)).node_id)
+        memory, ref = load_rows({
+            "visual": [[0, "x", "x", True, {"3": 1}],
+                       [1, "a b c", "x a b c", True, {"1": 1}],
+                       [1, "a", "x a", True, {}],
+                       [3, "b", "x a b", True, {"2": 1}]],
+            "verbal": [[0, "T", "T", True, {}], [0, "F", "F", True, {}],
+                       [0, "X", "X", True, {}]]})
         cases = [(P("x", "a", "b", "c"), 3, "F"),
                  (P("x", "a", "b", "c"), 4, "T"),   # one window position
                  (P("x", "a", "b", "c", "c"), 4, "T"),
                  # the same start in a new stimulus is walked afresh
                  (P("x", "a", "b", "d", "d"), 4, "F")]
         for stimulus, span, label in cases:
-            cfg = AttentionConfig(span=span)
-            cls = categorise(memory, stimulus, cfg)
+            cls = categorise(memory, stimulus, AttentionConfig(span=span))
             assert cls.entries == ((label, 1.0),)
-            assert cls == per_fetch_categorise(memory, stimulus, cfg,
-                                               "proportional")
+            assert cls.entries == reference.categorise(
+                ref, "visual", stimulus.tokens, span)
 
 
 def two_position_memory():
@@ -322,20 +301,11 @@ def two_position_memory():
     3): "a b c" (size 3, links T:1 F:1) beats its own fragment "b c" (size
     2, links F:5) at the first position, and "d e" (size 2, links T:3)
     votes at the second."""
-    memory = MultiModalMemory()
-    visual = memory.net("visual")
-    verbal = memory.net("verbal")
-    for label in ("T", "F"):
-        for _ in range(2):
-            verbal.learn(L(label))
-    for tokens, links in [(("a", "b", "c"), {"T": 1, "F": 1}),
-                          (("b", "c"), {"F": 5}),
-                          (("d", "e"), {"T": 3})]:
-        node = visual._new_node(visual.root, tokens, tokens, True)
-        for label, count in links.items():
-            label_id = verbal.recognise(L(label)).node_id
-            for _ in range(count):
-                memory.add_naming_link("visual", node.node_id, label_id)
+    memory, _ = load_rows({
+        "visual": [[0, "a b c", "a b c", True, {"1": 1, "2": 1}],
+                   [0, "b c", "b c", True, {"2": 5}],
+                   [0, "d e", "d e", True, {"1": 3}]],
+        "verbal": [[0, "T", "T", True, {}], [0, "F", "F", True, {}]]})
     return memory
 
 
@@ -370,9 +340,9 @@ class TestLinkWeighting:
 
 class TestRetrieve:
     def test_returns_the_recognised_image(self):
-        net = DiscriminationNet("visual")
-        n1 = net._new_node(net.root, ("A",), ("A", "B", "C"), False)
-        net._new_node(n1, ("B",), ("A", "B"), False)
+        memory, _ = load_rows({"visual": [[0, "A", "A B C", False, {}],
+                                          [1, "B", "A B", False, {}]]})
+        net = memory.nets["visual"]
         assert retrieve(net, P("A", "B", "C")).tokens == ("A", "B")
 
     def test_unknown_input_returns_empty(self):

@@ -453,12 +453,12 @@ def _nan_manifest(tmp_path):
             str(tmp_path / "out")]
 
 
-def _manifest_name(name):
-    """An xor manifest whose name is ``name``."""
+def _manifest_field(field, value):
+    """An xor manifest whose ``field`` holds ``value``."""
     def setup(tmp_path):
         manifest = _xor_manifest(tmp_path)
         doc = json.loads(manifest.read_text())
-        doc["name"] = name
+        doc[field] = value
         manifest.write_text(json.dumps(doc), encoding="utf-8")
         return ["train", "--manifest", str(manifest), "--out",
                 str(tmp_path / "out")]
@@ -584,11 +584,16 @@ def _root_row(doc):
     pytest.param(_nan_manifest, 2,
                  "manifest is not valid JSON: NaN is not a JSON value",
                  id="manifest_nan"),
-    *(pytest.param(_manifest_name(name), 2,
+    *(pytest.param(_manifest_field("name", name), 2,
                    f"name must be a string of one or more characters, got "
                    f"{re.escape(repr(name))}$", id=f"manifest_name_{id_}")
       for name, id_ in ((0, "0"), (False, "false"), ([], "list"),
                         ({}, "object"), ("", "empty"), (None, "null"))),
+    # JSON true and 1.0 equal 1 in Python, and neither is version 1.
+    *(pytest.param(_manifest_field("schema_version", version), 2,
+                   f"unsupported manifest schema_version {version!r} "
+                   r"\(expected 1\)$", id=f"manifest_version_{id_}")
+      for version, id_ in ((True, "true"), (1.0, "1.0"))),
     pytest.param(_config_file('{"stm_sizes": 5}'), 2, "stm_sizes",
                  id="bad_config"),
     pytest.param(_model_edit(_set_parent), 2, "node 1 names parent 999",
@@ -751,7 +756,12 @@ def _root_row(doc):
     pytest.param(_pairs(IDENTICAL_PAIRS, "--trials", "0"), 2,
                  "--trials must be at least 1, got 0", id="trials_0"),
     pytest.param(_pairs(IDENTICAL_PAIRS, "--trials", "1"), 2,
-                 "need 0 <= k <= n, got k=2 n=1", id="trials_below_a_total"),
+                 "--trials 1 is below the identical total 2$",
+                 id="trials_below_a_total"),
+    pytest.param(_pairs(b"human_top,human_second,model_top,model_second\n"
+                        + b"Bach,Mozart,Bach,Haydn\n" * 3, "--trials", "2"),
+                 2, "--trials 2 is below the tops_match total 3$",
+                 id="trials_below_the_tops_match_total"),
     pytest.param(_out_file("train"), 2,
                  "cannot create output directory .*taken: File exists",
                  id="out_file_train"),

@@ -3,10 +3,11 @@ labelled presentations, snapshot round trips and queries over a small
 alphabet, checked after every step against what the docstrings of
 ``network`` and ``harness`` claim.
 
-A twin memory takes every step too. Its nets walk on every learn, never
-starting one from a remembered walk, so the live memory must give the same
-events and dump the same bytes."""
+The reference model of ``reference.py`` takes every step too, so the
+package must give the same events, node ids, contents, sizes, answers and
+snapshot bytes."""
 
+import json
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -16,33 +17,20 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
+import reference
 from chunknet.attention import AttentionConfig, categorise, retrieve
 from chunknet.config import RunConfig
 from chunknet.corpus import Sample
 from chunknet.harness import Trainer
 from chunknet.network import (CREATED_NODE, FAMILIARISED, NO_CHANGE,
-                              DiscriminationNet, MultiModalMemory)
+                              MultiModalMemory)
 from chunknet.patterns import Pattern
 from chunknet.snapshot import dump_memory, load_memory, save_memory
+from test_reference import WEIGHTINGS, plain
+from test_reference import event as event_of
 
 MODALITIES = ("visual", "verbal")
 ATTENTION = AttentionConfig(span=3, step=1, min_fetch=2)
-
-
-class WalkingNet(DiscriminationNet):
-    """The net that forgets its remembered walks before each learn, so
-    every learn walks the tree."""
-
-    def learn(self, p):
-        self._walks.clear()
-        return super().learn(p)
-
-
-def memory_of(net_type):
-    memory = MultiModalMemory()
-    for modality in MODALITIES:
-        memory.nets[modality] = net_type(modality)
-    return memory
 
 
 def token_lists(alphabet, max_size, min_size=1):
@@ -70,8 +58,12 @@ class LearningMachine(RuleBasedStateMachine):
         self.alphabet = ("a", "b", "c")[:letters]
         config = RunConfig(stm_size=3, stm_pairing=pairing,
                            chunk_probability=chunk_probability, seed=seed)
-        self.trainer = Trainer(memory_of(DiscriminationNet), config)
-        self.twin = Trainer(memory_of(WalkingNet), config)
+        memory, ref = MultiModalMemory(), reference.Memory()
+        for modality in MODALITIES:
+            memory.net(modality)
+            ref.net(modality)
+        self.trainer = Trainer(memory, config)
+        self.ref = reference.Trainer(ref, config.to_dict())
 
     @property
     def memory(self):
@@ -118,7 +110,8 @@ class LearningMachine(RuleBasedStateMachine):
         for _ in range(repeats):
             before = self.images()
             event = self.memory.nets[modality].learn(p)
-            assert event == self.twin.memory.nets[modality].learn(p)
+            assert event_of(event) == \
+                self.ref.memory.nets[modality].learn(p.tokens)
             self.check_change(before, modality, event)
 
     @rule(data=st.data(), label=st.sampled_from(["X", "Y"]))
@@ -128,7 +121,8 @@ class LearningMachine(RuleBasedStateMachine):
             label=Pattern("verbal", (label,)))
         before = self.images()
         events = self.trainer.present(sample)
-        assert events == self.twin.present(sample)
+        assert [event_of(e) for e in events] == \
+            self.ref.present(plain(sample))
         for modality, event in zip(MODALITIES, events):
             self.check_change(before, modality, event)
 
@@ -137,16 +131,13 @@ class LearningMachine(RuleBasedStateMachine):
         path = Path(self.files.name) / "model.json"
         save_memory(path, self.memory)
         loaded, _ = load_memory(path)
-        dumped = dump_memory(self.memory)
-        assert dump_memory(loaded) == dumped
-        for stimulus in self.probes():
-            assert categorise(loaded, stimulus, ATTENTION) == \
-                categorise(self.memory, stimulus, ATTENTION)
-            assert retrieve(loaded.nets["visual"], stimulus) == \
-                retrieve(self.memory.nets["visual"], stimulus)
-        # Learning goes on in the loaded memory, which starts with no walk
-        # remembered.
+        assert dump_memory(loaded) == path.read_text(encoding="utf-8")
+        # Learning goes on in the loaded memories, and the package's starts
+        # with no walk remembered.
         self.trainer.memory = loaded
+        self.ref.memory = reference.load(json.loads(
+            self.ref.memory.dump()))
+        self.same_answers(self.probes())
 
     def probes(self):
         return [Pattern("visual", tokens) for size in (1, 3)
@@ -157,16 +148,35 @@ class LearningMachine(RuleBasedStateMachine):
         stimulus = Pattern("visual", data.draw(token_lists(self.alphabet,
                                                            6)))
         dumped = dump_memory(self.memory)
-        twin = self.twin.memory
-        assert categorise(self.memory, stimulus, ATTENTION) == \
-            categorise(twin, stimulus, ATTENTION)
-        assert retrieve(self.memory.nets["visual"], stimulus) == \
-            retrieve(twin.nets["visual"], stimulus)
+        self.same_answers([stimulus])
         assert dump_memory(self.memory) == dumped
 
+    def same_answers(self, stimuli):
+        """The reference's contents and size for every node, and its
+        answers to every stimulus."""
+        ref = self.ref.memory
+        for modality, net in self.memory.nets.items():
+            rnet = ref.nets[modality]
+            assert [(net.contents(n.node_id).tokens, n.size)
+                    for n in net.nodes()] == \
+                [(rnet.contents(i), rnet.size(i))
+                 for i in range(len(rnet.nodes))]
+        net, rnet = self.memory.nets["visual"], ref.nets["visual"]
+        for stimulus in stimuli:
+            for weighting in WEIGHTINGS:
+                assert categorise(self.memory, stimulus, ATTENTION,
+                                  weighting).entries == \
+                    reference.categorise(ref, "visual", stimulus.tokens,
+                                         ATTENTION.span, ATTENTION.step,
+                                         ATTENTION.min_fetch, weighting)
+            assert retrieve(net, stimulus).tokens == \
+                reference.retrieve(rnet, stimulus.tokens)
+            assert net.recognise(stimulus).node_id == \
+                rnet.recognise(stimulus.tokens)
+
     @invariant()
-    def same_as_the_twin(self):
-        assert dump_memory(self.memory) == dump_memory(self.twin.memory)
+    def same_bytes_as_the_reference(self):
+        assert dump_memory(self.memory) == self.ref.memory.dump()
 
     @invariant()
     def clock_charges_each_change(self):
@@ -180,8 +190,8 @@ class LearningMachine(RuleBasedStateMachine):
         for net in self.memory.nets.values():
             for node in net.nodes():
                 if node.image:
-                    assert node.image[:node.contents_length] == \
-                        net.contents(node.node_id).tokens
+                    contents = net.contents(node.node_id).tokens
+                    assert node.image[:len(contents)] == contents
 
     @invariant()
     def complete_images_never_change(self):

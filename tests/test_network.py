@@ -10,6 +10,7 @@ from chunknet.network import (CREATED_NODE, FAMILIARISED, NO_CHANGE,
                               MultiModalMemory, NetworkError, Node, ROOT_ID)
 from chunknet.patterns import Pattern, PatternError
 from chunknet.snapshot import dump_memory
+from test_reference import learned, load_rows, round_trip
 
 
 def P(*tokens):
@@ -35,12 +36,10 @@ def converge(net, *patterns, limit=200):
 def example_net():
     """Hand-built tree: a node for A carrying a grown image, a deeper chunk
     reached by test B, and a separate root primitive for B."""
-    net = DiscriminationNet("visual")
-    root = net.root
-    n1 = net._new_node(root, ("A",), ("A", "B", "C"), False)
-    net._new_node(n1, ("B",), ("A", "B"), False)
-    net._new_node(root, ("B",), ("B",), True)
-    return net
+    memory, _ = load_rows({"visual": [[0, "A", "A B C", False, {}],
+                                      [1, "B", "A B", False, {}],
+                                      [0, "B", "B", True, {}]]})
+    return memory.nets["visual"]
 
 
 class TestRecognise:
@@ -108,9 +107,9 @@ class TestLearningTraces:
         assert net.recognise(P("A")).image == ("A", "B")
 
     def test_familiarise_zero_difference_is_no_change(self):
-        net = DiscriminationNet("visual")
-        node = net._new_node(net.root, ("A",), ("A", "B"), False)
-        event = net.familiarise(node, P("A", "B"))
+        memory, _ = load_rows({"visual": [[0, "A", "A B", False, {}]]})
+        net = memory.nets["visual"]
+        event = net.familiarise(net.node(1), P("A", "B"))
         assert event.kind == NO_CHANGE
 
     def test_familiarise_unknown_primitive_delegates_to_creation(self):
@@ -208,7 +207,7 @@ class TestStructure:
         net = example_net()
         before = (net.node_count, dict(net.root.index), net.clock_seconds)
         with pytest.raises(NetworkError, match=message):
-            net._new_node(net.root, test, test, False)
+            net.attach([Node(4, test, test, parent=ROOT_ID)])
         assert (net.node_count, net.root.index, net.clock_seconds) == before
 
     def test_attach_joins_the_nodes_before_a_refused_one(self):
@@ -440,12 +439,16 @@ def test_a_pattern_of_another_modality_is_refused_and_changes_nothing():
     calls = (net.recognise, net.learn,
              lambda p: net.familiarise(net.node(1), p))
     for call in calls:
-        before = (dumped(net), net.clock_seconds, dict(net._walks))
+        before = (dumped(net), net.clock_seconds)
         with pytest.raises(PatternError, match="pattern modality 'verbal' "
                                                "does not match network "
                                                "modality 'visual'"):
             call(verbal)
-        assert (dumped(net), net.clock_seconds, dict(net._walks)) == before
+        assert (dumped(net), net.clock_seconds) == before
+    # Learning goes on as in a net that saw none of the refused calls.
+    twin = trained(P("A", "B"), P("C"), repeats=3)
+    for p in (P("A", "B"), P("A", "B", "C"), P("A", "B")):
+        assert net.learn(p) == twin.learn(p)
 
 
 class TestNamingLinks:
@@ -521,6 +524,29 @@ def test_node_ids_are_positions_and_unknown_ids_are_refused():
     for bad in (-1, -net.node_count, net.node_count, 999, "1", None):
         with pytest.raises(NetworkError, match="unknown node id"):
             net.node(bad)
+
+
+def test_children_are_listed_in_creation_order():
+    # Siblings under one first token and under different ones, in a learned
+    # net and in a loaded one, against the reference's child lists.
+    rng = random.Random(8)
+    order = [P(*(rng.choice("pq") for _ in range(rng.randint(1, 5))))
+             for _ in range(300)]
+    live, ref = learned(order)
+    built = load_rows({"visual": [[0, "a b", "a b", True, {}],
+                                  [0, "c", "c", True, {}],
+                                  [0, "a", "a", True, {}],
+                                  [3, "c a", "a c a", True, {}],
+                                  [0, "a c", "a c", True, {}]]})
+    assert built[0].nets["visual"].root.children == [1, 2, 3, 5]
+    for memory, twin in ((live, ref), round_trip(live, ref), built):
+        net, rnet = memory.nets["visual"], twin.nets["visual"]
+        shared = 0
+        for node in net.nodes():
+            assert node.children == rnet.nodes[node.node_id].children
+            firsts = [net.node(c).test[0] for c in node.children]
+            shared += len(firsts) - len(set(firsts))
+        assert shared >= 2
 
 
 def test_node_dataclass_defaults():

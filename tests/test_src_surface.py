@@ -2,7 +2,11 @@
 ``src/chunknet`` is used by the package itself or exported in
 ``chunknet.__all__``, and every method, property and exported name is used
 by the package's own modules. Helpers that only tests call belong in
-``tests/``."""
+``tests/``.
+
+And no test reaches into the net: the reference model shares no code with
+the package, no test subclasses the package's learning classes, and only
+the unit tests of the remembered walks touch the net's private parts."""
 
 import ast
 from pathlib import Path
@@ -10,6 +14,7 @@ from pathlib import Path
 import chunknet
 
 PACKAGE = Path(chunknet.__file__).parent
+TESTS = Path(__file__).parent
 
 # Public names that no module of the package uses, each with its reason.
 USED_OUTSIDE_SRC = {
@@ -80,3 +85,57 @@ def test_every_method_property_and_export_is_used_in_src():
     assert not unused, f"only reached from outside src/: {unused}"
     stale = USED_OUTSIDE_SRC - {label for label, _ in public}
     assert not stale, f"allow-list names no definition: {stale}"
+
+
+def test_the_reference_imports_nothing_from_the_package():
+    tree = ast.parse((TESTS / "reference.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert not [name for name in imported
+                if name.split(".")[0] in ("chunknet", "")], imported
+
+
+# The net's private methods and its remembered walks, which only the unit
+# tests of the memo itself may touch: three classes of test_network.py, and
+# the ``_walks`` checks of test_snapshot.py.
+PRIVATE = {"_new_node", "_append_to_image", "_discriminate", "_walks"}
+MEMO_CLASSES = {"TestSettledLearns", "TestRememberedWalks",
+                "TestTheRepeatCheck"}
+LEARNING_CLASSES = {"DiscriminationNet", "MultiModalMemory", "Trainer"}
+
+
+def _memo_test(module, where, name):
+    return (module == "test_network.py" and where in MEMO_CLASSES) or \
+        (module == "test_snapshot.py" and name == "_walks")
+
+
+def _reaches_in(module, tree, where=None):
+    """``module:line name`` for each subclass of a learning class in
+    ``tree``, and each private use outside the memo tests; ``where`` is the
+    enclosing class."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inside = where
+        if isinstance(node, ast.ClassDef):
+            inside = node.name
+            found += [f"{module}:{node.lineno} {node.name}"
+                      for base in node.bases
+                      if ast.unparse(base).split(".")[-1] in LEARNING_CLASSES]
+        elif isinstance(node, ast.Attribute) and node.attr in PRIVATE and \
+                not _memo_test(module, where, node.attr):
+            found.append(f"{module}:{node.lineno} {node.attr}")
+        found += _reaches_in(module, node, inside)
+    return found
+
+
+def test_no_test_reaches_into_the_net():
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        found += _reaches_in(path.name, ast.parse(
+            path.read_text(encoding="utf-8")))
+    assert not found, f"tests that subclass or open the net: {found}"
