@@ -15,7 +15,7 @@ errors and every pretty JSON file has the same layout.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -72,7 +72,8 @@ class RunConfig:
             raise ConfigError("max_epochs and node_ceiling_factor must be >= 1")
         for name in ("seconds_per_new_chunk", "seconds_per_update"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            # An integer past the largest float overflows the float clock.
+            if not 0 <= value <= sys.float_info.max:
                 raise ConfigError(f"config field {name!r} must be a finite "
                                   f"number >= 0, got {value!r}")
 

@@ -18,13 +18,22 @@ exact. Files from other schema versions are rejected outright; a model saved
 by an older build is retrained with ``chunknet train``.
 
 This module checks the file's own facts in one pass over each net's rows: the
-JSON type and size of the document, each net, row and field; every row's
-integer parent naming a node that comes before it (the root or an earlier
-row), which rules out cycles and unreachable nodes; and each naming link,
-whose key must be a label node id of the label net and whose count a
-positive integer. ``DiscriminationNet.attach`` then joins the net's nodes to
-its tree, as learning does, and refuses an empty test link or two siblings
-with the same test link; its error becomes a ``SnapshotError``.
+JSON type and size of the document, each net, row and field; each timing
+field (``seconds_per_new_chunk``, ``seconds_per_update``, a net's
+``clock_seconds``) a finite number >= 0; every row's integer parent naming a
+node that comes before it (the root or an earlier row), which rules out
+cycles and unreachable nodes; and each naming link, whose key must be a label
+node id of the label net and whose count a positive integer. A net checks
+each distinct link key once and keeps its label id; a row whose keys are all
+known and whose counts are all positive integers skips the full check.
+``DiscriminationNet.attach`` then joins the net's nodes to its tree, as
+learning does, and refuses an empty test link or two siblings with the same
+test link; its error becomes a ``SnapshotError``.
+
+A loaded node is a ``LoadedNode``: its image stays the row's text, with its
+token count worked out once, until a reader asks for the tokens, since a
+query reads only the count. Only canonical text stays unsplit, so ``image``
+and ``size`` are exactly what splitting the row gives.
 
 Python's cyclic garbage collector is paused from reading the file until
 the last node is built, and left as the caller had it: the file is read and
@@ -52,12 +61,13 @@ from __future__ import annotations
 import gc
 import json
 import reprlib
+import sys
 from pathlib import Path
 from typing import NoReturn
 
 from .config import read_json
-from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, \
-    NetworkError, Node
+from .network import ROOT_ID, DiscriminationNet, LoadedNode, \
+    MultiModalMemory, NetworkError
 
 SNAPSHOT_SCHEMA_VERSION = 3
 
@@ -108,7 +118,8 @@ _ROW_FIELDS = (("parent", (int,)), ("test", (str,)), ("image", (str,)),
 
 
 def _fields(doc, where: str, fields) -> list:
-    """The values of ``fields`` in ``doc``, each checked for its type."""
+    """The values of ``fields`` in ``doc``, each checked for its type, and
+    each number for being a finite number >= 0."""
     if type(doc) is not dict:
         raise SnapshotError(f"{where} is not a JSON object: "
                             f"{reprlib.repr(doc)}") from None
@@ -121,6 +132,12 @@ def _fields(doc, where: str, fields) -> list:
         if type(value) not in kinds:
             raise SnapshotError(f"{where} field {name!r} holds "
                                 f"{reprlib.repr(value)}") from None
+        # Every number field is a time on a float clock: JSON 1e400 parses
+        # to an infinity, and an integer past the largest float overflows.
+        if kinds is _NUMBER and not 0 <= value <= sys.float_info.max:
+            raise SnapshotError(f"{where} field {name!r} must be a finite "
+                                f"number >= 0, got {reprlib.repr(value)}") \
+                from None
         values.append(value)
     return values
 
@@ -166,7 +183,9 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
     net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
     net.clock_seconds = clock
-    nodes: list[Node] = []
+    nodes: list[LoadedNode] = []
+    # Each naming-link key this net has checked, with its label node id.
+    labels: dict[str, int] = {}
     # Any failure leaves the loop for _row_error, which names the problem.
     try:
         for node_id, row in enumerate(rows, ROOT_ID + 1):
@@ -177,10 +196,19 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
                     or type(test) is not str or type(image) is not str \
                     or type(complete) is not bool or type(links) is not dict:
                 raise ValueError
-            naming = _naming_links(where, node_id, links) if links else {}
-            link_targets.update(naming)
-            nodes.append(Node(node_id, tuple(test.split()),
-                              tuple(image.split()), complete, parent, naming))
+            naming = links
+            if links:
+                naming = {}
+                for key, count in links.items():
+                    label = labels.get(key)
+                    if label is None or type(count) is not int or count < 1:
+                        naming = _naming_links(where, node_id, links)
+                        link_targets.update(naming)
+                        labels.update((str(i), i) for i in naming)
+                        break
+                    naming[label] = count
+            nodes.append(LoadedNode(node_id, tuple(test.split()), image,
+                                    complete, parent, naming))
     except (TypeError, ValueError):
         _row_error(where, node_id, row)
     try:

@@ -578,6 +578,10 @@ def _root_row(doc):
     doc["networks"]["visual"]["nodes"].insert(0, [None, "", "", False, {}])
 
 
+def _negative_clock(doc):
+    doc["networks"]["visual"]["clock_seconds"] = -5
+
+
 @pytest.mark.parametrize("setup, code, message", [
     pytest.param(_bad_manifest, 2, "manifest is not valid JSON",
                  id="bad_manifest"),
@@ -601,6 +605,9 @@ def _root_row(doc):
     pytest.param(_model_edit(_root_row, "retrieve"), 2,
                  "'visual' net: node 1 field 'parent' holds None",
                  id="v3_snapshot_root_row"),
+    pytest.param(_model_edit(_negative_clock, "inspect"), 2,
+                 "'visual' net field 'clock_seconds' must be a finite number "
+                 ">= 0, got -5$", id="v3_snapshot_negative_clock_inspect"),
     pytest.param(_old_snapshot(V1_SNAPSHOT), 2, "retrain the model",
                  id="v1_snapshot"),
     pytest.param(_old_snapshot(V2_SNAPSHOT), 2, "retrain the model",
@@ -656,6 +663,10 @@ def _root_row(doc):
     pytest.param(_config_file('{"seconds_per_new_chunk": 1e999}'), 2,
                  "config.json: config field 'seconds_per_new_chunk' must be a "
                  "finite number >= 0, got inf", id="config_seconds_overflow"),
+    pytest.param(_config_file('{"seconds_per_new_chunk": 1%s}' % ("0" * 400)),
+                 2, "config.json: config field 'seconds_per_new_chunk' must be "
+                 "a finite number >= 0, got 10{400}$",
+                 id="config_seconds_past_the_largest_float"),
     pytest.param(_config_file('{"seconds_per_new_chunk": NaN}'), 2,
                  "config is not valid JSON: NaN is not a JSON value",
                  id="config_nan"),

@@ -260,11 +260,14 @@ def phrase_model(tmp_path_factory):
 # sha256 prefix of each query's exit code and stdout, over the stimulus set;
 # recorded before the CLI parser was shared and the snapshot load promoted
 # what it built out of the young generation.
+# ``inspect --nodes`` was recorded later, before loaded images were kept
+# as text until read; it prints every image of the model.
 QUERY_HASHES = {"categorise": "60310aa9421bcc18",
-                "retrieve": "d8e9a1fbf02df242"}
+                "retrieve": "d8e9a1fbf02df242",
+                "inspect --nodes": "ba4506f956ee40e3"}
 
 
-@pytest.mark.parametrize("command", sorted(QUERY_HASHES))
+@pytest.mark.parametrize("command", ["categorise", "retrieve"])
 def test_phrase_corpus_query_outputs(tmp_path, capsys, phrase_model,
                                      command):
     model, stimuli = phrase_model
@@ -277,3 +280,14 @@ def test_phrase_corpus_query_outputs(tmp_path, capsys, phrase_model,
         record.append(f"{code}\n{capsys.readouterr().out}")
     digest = hashlib.sha256("\x00".join(record).encode()).hexdigest()[:16]
     assert digest == QUERY_HASHES[command]
+
+
+def test_phrase_corpus_inspect_nodes_output(capsys, phrase_model):
+    model, _ = phrase_model
+    capsys.readouterr()
+    code = main(["inspect", "--model", str(model), "--nodes"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") > 200
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert digest == QUERY_HASHES["inspect --nodes"]

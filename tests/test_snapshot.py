@@ -4,6 +4,8 @@ schema version rejection."""
 import gc
 import json
 import random
+import re
+import reprlib
 import sys
 
 import pytest
@@ -20,6 +22,7 @@ from chunknet.patterns import Pattern
 from chunknet import snapshot
 from chunknet.snapshot import (SnapshotError, dump_memory, load_memory,
                                save_memory)
+from test_reference import load_rows
 
 
 # A schema v1 document: nodes as objects that also list their children.
@@ -290,6 +293,53 @@ def _schema_version_true(doc):
     doc["schema_version"] = True
 
 
+def _negative_clock(doc):
+    doc["networks"]["visual"]["clock_seconds"] = -5
+
+
+def _negative_seconds_per_new_chunk(doc):
+    doc["seconds_per_new_chunk"] = -10
+
+
+def _infinite_seconds_per_update(doc):
+    # written as 1e400, which JSON parses to an infinity
+    doc["seconds_per_update"] = float("inf")
+
+
+def _clock_past_the_largest_float(doc):
+    # an integer that a float clock cannot hold
+    doc["networks"]["visual"]["clock_seconds"] = 10 ** 400
+
+
+def _linked_rows(doc):
+    """The rows that carry naming links, in order; both link to label 1."""
+    return [row for row in _rows(doc) if row[4]]
+
+
+def _link_key_01_after_1(doc):
+    # "01" is not how label 1 is written, even once "1" has been checked
+    _linked_rows(doc)[-1][4] = {"01": 1}
+
+
+def _link_count_under_checked_key(count):
+    def corrupt(doc):
+        _linked_rows(doc)[-1][4]["1"] = count
+    return corrupt
+
+
+def _link_to_unknown_label_late(doc):
+    _rows(doc)[-1][4] = {"9": 1}
+
+
+def _bad_row_after_unknown_label(doc):
+    _rows(doc)[1][4] = {"9": 1}
+    _rows(doc)[-1][0] = 999
+
+
+def _full(message):
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize("corrupt, message", [
     pytest.param(_root_row, "node 1 field 'parent' holds None",
                  id="root_row"),
@@ -330,6 +380,33 @@ def _schema_version_true(doc):
                  id="parent_false"),
     pytest.param(_schema_version_true, "schema_version True",
                  id="schema_version_true"),
+    pytest.param(_negative_clock, _full(
+        "'visual' net field 'clock_seconds' must be a finite number >= 0, "
+        "got -5"), id="negative_clock"),
+    pytest.param(_negative_seconds_per_new_chunk, _full(
+        "snapshot field 'seconds_per_new_chunk' must be a finite number "
+        ">= 0, got -10"), id="negative_seconds_per_new_chunk"),
+    pytest.param(_infinite_seconds_per_update, _full(
+        "snapshot field 'seconds_per_update' must be a finite number >= 0, "
+        "got inf"), id="infinite_seconds_per_update"),
+    pytest.param(_clock_past_the_largest_float, _full(
+        "'visual' net field 'clock_seconds' must be a finite number >= 0, "
+        f"got {reprlib.repr(10 ** 400)}"),
+        id="clock_past_the_largest_float"),
+    pytest.param(_link_key_01_after_1, _full(
+        "'visual' net: node 3 has the naming link '01': 1; a link needs a "
+        "node id and a positive count"), id="link_key_01_after_1"),
+    *(pytest.param(_link_count_under_checked_key(count), _full(
+        f"'visual' net: node 3 has the naming link '1': {count!r}; a link "
+        f"needs a node id and a positive count"),
+        id=f"link_count_{count!r}_under_checked_key")
+      for count in (True, 0, 1.0)),
+    pytest.param(_link_to_unknown_label_late, _full(
+        "naming links point at unknown label node(s) [9]"),
+        id="link_to_unknown_label_late"),
+    pytest.param(_bad_row_after_unknown_label, _full(
+        "'visual' net: node 4 names parent 999; a parent must be an earlier "
+        "node"), id="bad_row_after_unknown_label"),
 ])
 def test_malformed_nets_rejected(tmp_path, corrupt, message):
     memory, _ = random_trained_memory(2)
@@ -338,8 +415,10 @@ def test_malformed_nets_rejected(tmp_path, corrupt, message):
     path = tmp_path / "model.json"
     save_memory(path, memory)
     doc = json.loads(path.read_text())
+    assert [row[4] for row in _rows(doc)] == [{"1": 7}, {}, {"1": 2}, {}]
     corrupt(doc)
-    path.write_text(json.dumps(doc))
+    # JSON has no infinity, but a number too large for a float parses to one
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
     with pytest.raises(SnapshotError, match=message):
         load_memory(path)
 
@@ -540,3 +619,91 @@ def test_mutated_snapshots_raise_snapshot_error(tmp_path_factory, data):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SnapshotError):
         load_memory(path)
+
+
+# -- a loaded image stays text until it is read ------------------------------
+
+# Texts of one image: canonical (tokens joined by single spaces, drawn most
+# often), or split to the same tokens but not canonical, which the loader
+# splits at once. U+200B is not whitespace, so it stays inside its token.
+_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\xa0", "\u3000"])
+_ENDS = st.sampled_from(["", "", "", " ", "  ", "\t"])
+_EXTRA_TOKENS = st.lists(st.sampled_from(["a", "b", "ab", "a\u200bb"]),
+                         max_size=3)
+
+
+@st.composite
+def _image_texts(draw, count):
+    """``count`` image texts; the image of node ``i`` is empty or starts
+    with its test link ``t{i} u{i}``, so that learning the image reaches
+    it."""
+    texts = []
+    for node_id in range(1, count + 1):
+        tokens = []
+        if draw(st.integers(0, 4)):
+            tokens = [f"t{node_id}", f"u{node_id}", *draw(_EXTRA_TOKENS)]
+        text = ""
+        for token in tokens:
+            text += (draw(_SEPARATORS) if text else "") + token
+        texts.append(draw(_ENDS) + text + draw(_ENDS))
+    return texts
+
+
+def _loaded_images(texts):
+    """The package's memory and the reference, loaded from one net whose
+    node ``i`` is a root child with test link ``t{i} u{i}`` and image text
+    ``texts[i - 1]``. With two-token test links, an empty image's size
+    (its contents length, 2) differs from the 1 a miscounted ``""`` gives."""
+    rows = [[0, f"t{node_id} u{node_id}", text, False, {}]
+            for node_id, text in enumerate(texts, 1)]
+    return load_rows({"visual": rows})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(_image_texts))
+def test_a_loaded_image_is_exactly_its_split_text(texts):
+    live, ref = _loaded_images(texts)
+    net, rnet = live.net("visual"), ref.net("visual")
+    nodes = [net.node(node_id) for node_id in range(1, len(texts) + 1)]
+    # before any read of an image, then after the first (the dump reads
+    # them all), then after a second
+    for _ in range(3):
+        assert [node.size for node in nodes] == \
+            [rnet.size(node.node_id) for node in nodes]
+        assert dump_memory(live) == ref.dump()
+    for node, text in zip(nodes, texts):
+        assert node.image == tuple(text.split())
+        assert node.size == (len(node.image) or node.contents_length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(_image_texts), st.data())
+def test_a_learn_that_grows_a_loaded_image_updates_its_size(texts, data):
+    live, ref = _loaded_images(texts)
+    net, rnet = live.net("visual"), ref.net("visual")
+    node_id = data.draw(st.integers(1, len(texts)))
+    node = net.node(node_id)
+    before = len(tuple(texts[node_id - 1].split()))
+    # The first learn may make "z" a root primitive; the next grows the
+    # image, or gives it its first token.
+    tokens = (tuple(texts[node_id - 1].split()) or
+              (f"t{node_id}", f"u{node_id}")) + ("z",)
+    for _ in range(2):
+        assert net.learn(Pattern("visual", tokens)).kind == \
+            rnet.learn(tokens)[0]
+    assert len(node.image) == before + 1
+    assert node.image == rnet.nodes[node_id].image
+    assert node.size == len(node.image) == rnet.size(node_id)
+    assert [n.size for n in net.nodes()] == \
+        [rnet.size(i) for i in range(net.node_count)]
+    assert dump_memory(live) == ref.dump()
+
+
+def test_every_whitespace_character_but_the_space_is_unprintable():
+    # What lets the loader keep a printable image text unsplit: its only
+    # separators are single spaces, so its token count is its spaces + 1.
+    # Checked against the Unicode database of the running Python.
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert " " in spaces and "\u3000" in spaces and len(spaces) > 20
+    assert [c for c in spaces if c != " " and c.isprintable()] == []
+    assert "\u200b".isprintable() is False and not "\u200b".isspace()

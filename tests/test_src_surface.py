@@ -12,6 +12,8 @@ import ast
 from pathlib import Path
 
 import chunknet
+from chunknet.network import DiscriminationNet, Node
+from chunknet.patterns import Pattern
 
 PACKAGE = Path(chunknet.__file__).parent
 TESTS = Path(__file__).parent
@@ -139,3 +141,23 @@ def test_no_test_reaches_into_the_net():
         found += _reaches_in(path.name, ast.parse(
             path.read_text(encoding="utf-8")))
     assert not found, f"tests that subclass or open the net: {found}"
+
+
+def test_node_attribute_reads_stay_plain():
+    # Measured with Python 3.11 on a shared 2-CPU host: a ``__getattr__`` on
+    # ``Node`` stops the interpreter specialising attribute loads on the
+    # class, and raised build-and-query ``categorise_ms.p50`` by 25-30%; a
+    # property on every ``Node.image`` took about 253k property calls per
+    # training and raised ``train_s`` by about 12%. So only a loaded node
+    # reads its image through a property, and a learned node's image is a
+    # plain attribute.
+    tree = ast.parse((PACKAGE / "network.py").read_text(encoding="utf-8"))
+    hooks = [f"{cls.name}.{node.name}" for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("__getattr__", "__getattribute__")]
+    assert not hooks, hooks
+    net = DiscriminationNet("visual")
+    node = net.node(net.learn(Pattern("visual", ("a", "b"))).node_id)
+    assert type(node) is Node
+    assert "image" in vars(node) and not hasattr(Node, "image")
