@@ -15,6 +15,7 @@ errors and every pretty JSON file has the same layout.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -75,7 +76,7 @@ class RunConfig:
             # An integer past the largest float overflows the float clock.
             if not 0 <= value <= sys.float_info.max:
                 raise ConfigError(f"config field {name!r} must be a finite "
-                                  f"number >= 0, got {value!r}")
+                                  f"number >= 0, got {reprlib.repr(value)}")
 
     def to_dict(self) -> dict:
         return asdict(self)

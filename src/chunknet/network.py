@@ -50,10 +50,10 @@ an empty test link or one a sibling has, and alone sets contents lengths and
 first-token indexes. ``snapshot`` checks a file's own facts before that.
 
 A learned node is a ``Node``, whose ``image`` is a plain attribute. A node
-``snapshot`` loads is a ``LoadedNode``: it keeps a canonical image as the
-file's text, with its token count for ``size``, until the first read of
-``image`` splits it; a write (learning after a load) stores the tuple, and
-``size`` follows it. A query reads only ``size``, so it splits no image.
+``snapshot`` loads is a ``LoadedNode``: its image stays the file's text
+until the first read of ``image`` or ``size`` splits it; a write (learning
+after a load) stores the tuple. A query reads ``size`` only on the nodes
+that vote, so it splits few images.
 
 Cross-modality *naming links* (counted associations from a chunk to a label
 chunk in another modality) hang off nodes here; they are created by the
@@ -96,8 +96,8 @@ class Node:
         """Primitive count of the chunk: its image once one has formed, its
         contents otherwise. Root is 0. (A non-empty image is never shorter
         than the contents, so this is the larger of the two descriptions.)
-        A ``LoadedNode`` reads its image's token count, kept from the load
-        or from the last write, so that no read of ``size`` splits text."""
+        A ``LoadedNode`` splits its image text on the first read of
+        ``size`` or ``image``."""
         return len(self.image) or self.contents_length
 
     @property
@@ -108,27 +108,16 @@ class Node:
 
 
 class LoadedNode(Node):
-    """A node that ``snapshot`` built from a file row, whose image arrives
-    as the row's text. Canonical text is kept as it is, with its token
-    count: it is printable, which every whitespace character but the space
-    is not, and has no double space and no space at either end, so it
-    holds its spaces plus one tokens (none if it is ``""``). Any other text
-    is split at once. The one split rule: the first read of ``image``
-    splits the text once and keeps the tuple, and a write stores the tuple
-    and its length. ``size`` reads the count, so it is exact without a
-    split, and a query never splits an image."""
+    """A node that ``snapshot`` built from a file row. Its image stays the
+    row's text until the first read of ``image`` or ``size`` splits it once
+    and keeps the tuple; a write stores the tuple. A query reads ``size`` on
+    a few nodes only, so a load does no work per image."""
 
     def __init__(self, node_id: int, test: tuple[str, ...], image: str,
                  image_complete: bool, parent: int,
                  naming_links: dict[int, int]):
         self.node_id = node_id
         self.test = test
-        if image.isprintable() and "  " not in image and \
-                image.strip(" ") == image:
-            self._image_size = image.count(" ") + 1 if image else 0
-        else:
-            image = tuple(image.split())
-            self._image_size = len(image)
         self._image = image
         self.image_complete = image_complete
         self.parent = parent
@@ -146,11 +135,13 @@ class LoadedNode(Node):
     @image.setter
     def image(self, image: tuple[str, ...]) -> None:
         self._image = image
-        self._image_size = len(image)
 
     @property
     def size(self) -> int:
-        return self._image_size or self.contents_length
+        image = self._image
+        if type(image) is str:
+            image = self.image
+        return len(image) or self.contents_length
 
 
 @dataclass(frozen=True)

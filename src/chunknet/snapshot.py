@@ -30,10 +30,9 @@ known and whose counts are all positive integers skips the full check.
 learning does, and refuses an empty test link or two siblings with the same
 test link; its error becomes a ``SnapshotError``.
 
-A loaded node is a ``LoadedNode``: its image stays the row's text, with its
-token count worked out once, until a reader asks for the tokens, since a
-query reads only the count. Only canonical text stays unsplit, so ``image``
-and ``size`` are exactly what splitting the row gives.
+A loaded node is a ``LoadedNode``: its image stays the row's text until the
+first read of ``image`` or ``size`` splits it, since a query reads only a
+few sizes; both are exactly what splitting the row gives.
 
 Python's cyclic garbage collector is paused from reading the file until
 the last node is built, and left as the caller had it: the file is read and

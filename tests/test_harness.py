@@ -1,19 +1,22 @@
 """Training loop: convergence, determinism, event accounting."""
 
 import hashlib
+import json
 import random
 
 import pytest
 
+import reference
+from chunknet.attention import categorise
 from chunknet.cli import main
 from chunknet.config import RunConfig
 from chunknet.corpus import (Category, Sample, SplitSpec, load_manifest,
                              write_manifest)
-from chunknet.harness import (Trainer, TrainingError, new_memory, train,
-                              train_and_evaluate)
+from chunknet.harness import (Trainer, TrainingError, attention_config,
+                              new_memory, train, train_and_evaluate)
 from chunknet.network import DiscriminationNet, MultiModalMemory
 from chunknet.patterns import Pattern
-from chunknet.snapshot import dump_memory
+from chunknet.snapshot import dump_memory, load_memory
 from chunknet.suites import build_xor_manifest
 
 
@@ -291,3 +294,28 @@ def test_phrase_corpus_inspect_nodes_output(capsys, phrase_model):
     assert out.count("\n") > 200
     digest = hashlib.sha256(out.encode()).hexdigest()[:16]
     assert digest == QUERY_HASHES["inspect --nodes"]
+
+
+def test_a_query_splits_only_the_images_it_reads(phrase_model):
+    # A load keeps every image as the file's text, and ``categorise`` reads
+    # ``size`` only on nodes that carry naming links, so it splits a few of
+    # the 278 images: 7 at most over this stimulus set.
+    model, stimuli = phrase_model
+    ref = reference.load(json.loads(model.read_text(encoding="utf-8")))
+    for text in stimuli:
+        memory, meta = load_memory(model)
+        loaded = [node for net in memory.nets.values()
+                  for node in net.nodes()[1:]]
+        assert all(type(vars(node)["_image"]) is str for node in loaded)
+        categorise(memory, Pattern("visual", tuple(text.split())),
+                   attention_config(RunConfig(), meta["attention_span"]))
+        split = [node for node in loaded
+                 if type(vars(node)["_image"]) is not str]
+        assert len(split) <= 8
+        assert all(node.naming_links for node in split)
+    for modality, net in memory.nets.items():
+        rnet = ref.net(modality)
+        assert [node.size for node in net.nodes()] == \
+            [rnet.size(node_id) for node_id in range(net.node_count)]
+        assert [node.image for node in net.nodes()] == \
+            [rnode.image for rnode in rnet.nodes]

@@ -624,8 +624,9 @@ def test_mutated_snapshots_raise_snapshot_error(tmp_path_factory, data):
 # -- a loaded image stays text until it is read ------------------------------
 
 # Texts of one image: canonical (tokens joined by single spaces, drawn most
-# often), or split to the same tokens but not canonical, which the loader
-# splits at once. U+200B is not whitespace, so it stays inside its token.
+# often), or split to the same tokens but not canonical. The loader keeps
+# either as text until the first read of ``image`` or ``size`` splits it.
+# U+200B is not whitespace, so it stays inside its token.
 _SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\xa0", "\u3000"])
 _ENDS = st.sampled_from(["", "", "", " ", "  ", "\t"])
 _EXTRA_TOKENS = st.lists(st.sampled_from(["a", "b", "ab", "a\u200bb"]),
@@ -698,12 +699,3 @@ def test_a_learn_that_grows_a_loaded_image_updates_its_size(texts, data):
         [rnet.size(i) for i in range(net.node_count)]
     assert dump_memory(live) == ref.dump()
 
-
-def test_every_whitespace_character_but_the_space_is_unprintable():
-    # What lets the loader keep a printable image text unsplit: its only
-    # separators are single spaces, so its token count is its spaces + 1.
-    # Checked against the Unicode database of the running Python.
-    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
-    assert " " in spaces and "\u3000" in spaces and len(spaces) > 20
-    assert [c for c in spaces if c != " " and c.isprintable()] == []
-    assert "\u200b".isprintable() is False and not "\u200b".isspace()
