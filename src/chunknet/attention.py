@@ -7,7 +7,9 @@ one token tuple, sorted through the trained network in place; per window
 position only the largest chunk retrieved gets to vote. A fetch start is
 covered by up to ``span - min_fetch + 1`` window positions, so each start is
 walked once without the window bound, and walked again, bounded, only for a
-window whose end that first path passes.
+window whose end that first path passes. A start's walk leaves one vote, and
+a window picks its winner with one ``max`` over its starts' votes rather
+than a Python step per fetch.
 
 A chunk votes for the labels it holds naming links to, contributing its size
 split across labels in proportion to the link counts (under multiplicative
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import ROOT_ID, DiscriminationNet, MultiModalMemory, Node
+from .network import DiscriminationNet, MultiModalMemory
 from .patterns import Pattern
 
 
@@ -124,45 +126,86 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     ``total`` is its link count under ``proportional`` weighting, so its
     size is split across labels, and 1 under ``multiplicative`` weighting.
 
-    Each fetch start is walked once per call without a bound, the first
-    time a window asks for it. When that path stops inside a window's end,
-    its node is exactly what the bounded walk returns: every step on it
+    Each fetch start that some window holds is walked once per call
+    without a bound, and its *vote* is kept: the node's ``size`` if it
+    carries naming links, else 0. When that path stops inside a window's
+    end, its node is exactly what the bounded walk returns: every step on it
     fits, every sibling tried before a step failed without the bound and so
     fails with it, and the last node has no child that matches even
     unbounded. When the path passes the end, the fetch is walked again from
     the root under the bound; cutting the path back to an ancestor that fits
-    would miss a later, shorter sibling that fits too. A stimulus no longer
-    than the span is one window position, ending where the stimulus ends,
-    so no path passes that end and nothing is walked twice.
+    would miss a later, shorter sibling that fits too.
+
+    So a window's votes are the kept votes of its starts, except where a
+    start's path passes the window's end. A path from ``start`` reaches
+    ``r = start + contents_length``, never past the stimulus's end ``n``.
+    Window ``o`` ends at ``min(o + span, n)``, so the last window ends past
+    every path, and an earlier one is passed exactly when ``o + span < r``.
+    As each start is walked, it is listed under ``o + span`` for each window
+    ``o`` that holds it and ends before ``r``; those are exactly the bounded
+    re-walks a scan of every fetch would need. Every window ends at
+    ``span`` or later, or at ``n``, so a path that reaches no further than
+    ``span`` is listed nowhere, and in a stimulus no longer than the span
+    nothing is walked twice. Each window copies its slice of votes and
+    overwrites only its listed starts with their bounded walk's vote.
+
+    The winner is the first start that holds the largest vote, ``max`` then
+    ``index``: the same node a strict ``>`` scan in start order keeps. A
+    vote of 0 never wins: a non-root node's ``size`` is at least 1, since
+    its test link is not empty, and the root never holds naming links
+    (``add_naming_link`` refuses it, and no snapshot row names it).
     """
     if link_weighting not in ("proportional", "multiplicative"):
         raise AttentionError(f"unknown link weighting {link_weighting!r}")
     proportional = link_weighting == "proportional"
     groups = window_groups(stimulus, cfg)
     net = memory.nets.get(stimulus.modality)
-    if net is None:
+    if net is None or not groups:
         return Classification(())
-    activations: dict[int, float] = {}
-    # Fetch start -> its unbounded walk, shared by every window position
-    # that covers the start.
-    walks: dict[int, Node] = {}
-    for group in groups:
-        end = min(group.start + cfg.span, len(stimulus))
-        best = None
-        best_size = 0
+    recognise = net.recognise
+    span, step, min_fetch = cfg.span, cfg.step, cfg.min_fetch
+    stop = groups[-1].stop
+    walks: list = [None] * stop      # per start: its unbounded walk,
+    votes = [0] * stop               # and that walk's vote
+    passes: dict[int, dict] = {}     # window end -> {start: bounded walk}
+    # Windows leave gaps only when a step outruns a full window's starts;
+    # otherwise together they hold every start before ``stop``.
+    held = groups if step > span - min_fetch + 1 else (range(stop),)
+    for group in held:
         for start in group:
-            node = walks.get(start)
-            if node is None:
-                node = walks[start] = net.recognise(stimulus, start)
-            if start + node.contents_length > end:
-                node = net.recognise(stimulus, start, end)
-            if node.node_id == ROOT_ID or not node.naming_links:
-                continue
-            size = node.size
-            if size > best_size:
-                best_size = size
-                best = node
-        if best is not None:
+            node = walks[start] = recognise(stimulus, start)
+            if node.naming_links:
+                votes[start] = node.size
+            reach = start + node.contents_length
+            if reach > span:
+                # The windows ``o`` that hold ``start`` and end before
+                # ``reach``: multiples of ``step`` from
+                # ``start + min_fetch - span`` to ``start``, with
+                # ``o + span < reach``.
+                first = max(start + min_fetch - span, 0)
+                first += -first % step
+                for end in range(first + span, min(start + span + 1, reach),
+                                 step):
+                    passing = passes.get(end)
+                    if passing is None:
+                        passes[end] = {start: None}
+                    else:
+                        passing[start] = None
+    activations: dict[int, float] = {}
+    for group in groups:
+        first = group.start
+        window = votes[first:group.stop]
+        end = first + span
+        passing = passes.get(end)
+        if passing is not None:
+            for start in passing:
+                node = passing[start] = recognise(stimulus, start, end)
+                window[start - first] = node.size if node.naming_links else 0
+        best_size = max(window)
+        if best_size:
+            start = first + window.index(best_size)
+            best = walks[start] if passing is None \
+                else passing.get(start, walks[start])
             links = best.naming_links
             total = sum(links.values()) if proportional else 1
             for label_id, count in links.items():

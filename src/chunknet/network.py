@@ -17,11 +17,13 @@ after the image it extends) are all spans of one token tuple, so this is the
 only tree walk. Each node indexes its children by the first token of their
 test links, so a step tries only the children listed under the next token, in
 insertion order; as every non-root test link is non-empty, that picks the
-same child a scan of all children would. Bounding a span only ever rejects
-more test links, so a walk of ``tokens[start:]`` whose node's contents fit
-inside ``end`` is also the walk of ``tokens[start:end]``; attention reuses
-one unbounded walk per fetch start across its window positions that way,
-and re-walks bounded from the root only when the path runs past ``end``.
+same child a scan of all children would. A one-token test link listed there
+matches without a compare: the index key already is that token, and it fits
+in any span with a next token. Bounding a span only ever rejects more test
+links, so a walk of ``tokens[start:]`` whose node's contents fit inside
+``end`` is also the walk of ``tokens[start:end]``; attention reuses one
+unbounded walk per fetch start across its window positions that way, and
+re-walks bounded from the root only when the path runs past ``end``.
 
 Learning is a four-stage process per presented pattern:
 
@@ -53,7 +55,7 @@ A learned node is a ``Node``, whose ``image`` is a plain attribute. A node
 ``snapshot`` loads is a ``LoadedNode``: its image stays the file's text
 until the first read of ``image`` or ``size`` splits it; a write (learning
 after a load) stores the tuple. A query reads ``size`` only on the nodes
-that vote, so it splits few images.
+with naming links that its walks reach, so it splits few images.
 
 Cross-modality *naming links* (counted associations from a chunk to a label
 chunk in another modality) hang off nodes here; they are created by the
@@ -254,7 +256,9 @@ class DiscriminationNet:
         mutates the net.
 
         Returns the deepest node whose path of test links prefixes the span,
-        the root when nothing is recognised (including an empty span).
+        the root when nothing is recognised (including an empty span). A
+        child listed under the next token whose test link is one token long
+        matches without a slice compare.
         """
         if p.modality != self.modality:
             self._check_modality(p)
@@ -267,7 +271,8 @@ class DiscriminationNet:
             for cid in node.index.get(tokens[pos], ()):
                 test = nodes[cid].test
                 stop = pos + len(test)
-                if stop <= end and tokens[pos:stop] == test:
+                if stop == pos + 1 or stop <= end and \
+                        tokens[pos:stop] == test:
                     node = nodes[cid]
                     pos = stop
                     break

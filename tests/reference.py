@@ -295,6 +295,32 @@ class Trainer:
         return run
 
 
+def windows(n, span=20, step=1, min_fetch=2):
+    """Each window position of an ``n``-token stimulus, in order, as its end
+    and its fetch starts: position ``offset`` ends at ``min(offset + span,
+    n)`` and starts every fetch that leaves ``min_fetch`` tokens. The scan
+    stops after the first window that ends at ``n``."""
+    for offset in range(0, n, step):
+        end = min(offset + span, n)
+        yield end, range(offset, end - min_fetch + 1)
+        if end == n:
+            return
+
+
+def walks(net, tokens, span=20, step=1, min_fetch=2):
+    """How many walks ``categorise`` makes through ``net``: one unbounded
+    walk per fetch start that some window holds, plus one bounded walk per
+    window whose end that walk's contents pass."""
+    held = set()
+    rewalks = 0
+    for end, starts in windows(len(tokens), span, step, min_fetch):
+        for start in starts:
+            held.add(start)
+            reach = start + len(net.contents(net.recognise(tokens, start)))
+            rewalks += reach > end
+    return len(held) + rewalks
+
+
 def categorise(memory, modality, tokens, span=20, step=1, min_fetch=2,
                weighting="proportional"):
     """Ranked ``(label, confidence)`` entries: every fetch of every window
@@ -306,11 +332,9 @@ def categorise(memory, modality, tokens, span=20, step=1, min_fetch=2,
     if net is None:
         return ()
     activations = {}
-    n = len(tokens)
-    for offset in range(0, n, step):
-        end = min(offset + span, n)
+    for end, starts in windows(len(tokens), span, step, min_fetch):
         best, best_size = None, 0
-        for start in range(offset, end - min_fetch + 1):
+        for start in starts:
             node_id = net.recognise(tokens[start:end])
             if node_id and net.nodes[node_id].links \
                     and net.size(node_id) > best_size:
@@ -322,8 +346,6 @@ def categorise(memory, modality, tokens, span=20, step=1, min_fetch=2,
             for label, count in links.items():
                 activations[label] = (activations.get(label, 0.0)
                                       + best_size * (count / total))
-        if end == n:
-            break
     total = sum(activations.values())
     if total <= 0.0:
         return ()

@@ -10,7 +10,7 @@ import reference
 from chunknet.network import DiscriminationNet, MultiModalMemory
 from chunknet.patterns import Pattern
 from chunknet.snapshot import dump_memory
-from test_reference import load_rows
+from test_reference import load_rows, recognise_calls
 
 
 def P(*tokens):
@@ -294,6 +294,31 @@ class TestCategorise:
             assert cls.entries == ((label, 1.0),)
             assert cls.entries == reference.categorise(
                 ref, "visual", stimulus.tokens, span)
+
+    @pytest.mark.parametrize("tokens, min_fetch", [
+        (("a",), 2), (("a", "b"), 3)])
+    def test_a_stimulus_shorter_than_min_fetch_walks_nothing(self, tokens,
+                                                             min_fetch):
+        memory, _ = load_rows({
+            "visual": [[0, "a", "a", True, {"1": 1}],
+                       [1, "b", "a b", True, {"1": 1}]],
+            "verbal": [[0, "T", "T", True, {}]]})
+        cfg = AttentionConfig(span=4, min_fetch=min_fetch)
+        assert categorise(memory, P(*tokens), cfg).no_activation
+        assert recognise_calls(memory, P(*tokens), cfg) == 0
+
+    @pytest.mark.parametrize("tokens, label", [
+        (("a", "b", "c", "d"), "T"), (("c", "d", "a", "b"), "F")])
+    def test_the_earlier_of_two_equal_winners_votes(self, tokens, label):
+        # One window holds "a b" (label T) and "c d" (label F), both of
+        # size 2, at starts 0 and 2; the earlier start's chunk votes.
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 1}],
+                       [0, "c d", "c d", True, {"2": 1}]],
+            "verbal": [[0, "T", "T", True, {}], [0, "F", "F", True, {}]]})
+        cls = categorise(memory, P(*tokens), AttentionConfig(span=4))
+        assert cls.entries == ((label, 1.0),)
+        assert cls.entries == reference.categorise(ref, "visual", tokens, 4)
 
 
 def two_position_memory():

@@ -298,6 +298,43 @@ def test_categorise_matches_the_reference(case):
     assert_same(live, ref, stimuli, [cfg])
 
 
+def recognise_calls(memory, stimulus, cfg):
+    """How many times one ``categorise`` calls ``recognise`` on the
+    stimulus's net, counted through a wrapper on the net instance."""
+    net = memory.nets[stimulus.modality]
+    walk = net.recognise
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+    net.recognise = counted
+    try:
+        categorise(memory, stimulus, cfg)
+    finally:
+        del net.recognise
+    return len(calls)
+
+
+@settings(deadline=None, database=None)
+@given(st.one_of(models_and_stimuli(), built_models_and_stimuli()))
+def test_categorise_walks_as_the_reference_counts(case):
+    # One walk per held fetch start, and one bounded re-walk per window
+    # whose end that walk passes; also with windows that leave gaps, on
+    # stimuli no longer than the span and on ones shorter than min_fetch.
+    live, ref, cfg, stimuli = case
+    span, min_fetch = cfg.span, cfg.min_fetch
+    gapped = AttentionConfig(span=span, step=span - min_fetch + 2,
+                             min_fetch=min_fetch)
+    stimuli += [Pattern("visual", p.tokens[:n]) for p in stimuli
+                for n in (span, min_fetch - 1)]
+    for stimulus in stimuli:
+        for c in (cfg, gapped):
+            assert recognise_calls(live, stimulus, c) == reference.walks(
+                ref.nets["visual"], stimulus.tokens, c.span, c.step,
+                c.min_fetch)
+
+
 # -- corpora -----------------------------------------------------------------
 
 def phrase_corpus(corpus_dir):
