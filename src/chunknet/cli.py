@@ -221,19 +221,25 @@ def _read_pairs_csv(path):
     """Rows of (participant, item, human pair, model pair) from a CSV with
     the human_top/human_second/model_top/model_second columns; raises
     MetricsError, also for a row whose human_top or model_top is empty or
-    missing, or whose second choice repeats its top, naming its line."""
+    missing, or whose second choice repeats its top, or that the CSV reader
+    refuses, naming its line."""
     text = read_text(path, MetricsError, "pairs file")
     rows = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        records = [(reader.line_num, record) for record in reader]
+    except csv.Error as exc:    # ``reader.reader`` counts the failed line
+        raise MetricsError(f"{path} line {reader.reader.line_num}: "
+                           f"{exc}") from None
     needed = {"human_top", "model_top"}
     if reader.fieldnames is None or \
             not needed.issubset(reader.fieldnames):
         raise MetricsError(
             f"{path}: need columns human_top/model_top "
             f"(optionally human_second/model_second)")
-    for record in reader:
+    for line, record in records:
         if not record["human_top"] or not record["model_top"]:
-            raise MetricsError(f"{path} line {reader.line_num}: human_top "
+            raise MetricsError(f"{path} line {line}: human_top "
                                f"or model_top is empty")
         try:
             human = PredictionPair(record["human_top"],
@@ -241,8 +247,7 @@ def _read_pairs_csv(path):
             model = PredictionPair(record["model_top"],
                                    record.get("model_second") or None)
         except MetricsError as exc:
-            raise MetricsError(f"{path} line {reader.line_num}: {exc}") \
-                from None
+            raise MetricsError(f"{path} line {line}: {exc}") from None
         rows.append((record.get("participant", ""),
                      record.get("excerpt") or record.get("item", ""),
                      human, model))

@@ -105,13 +105,14 @@ def read_text(path, error: type[Exception], what: str = "file") -> str:
 def read_json(path, error: type[Exception], what: str = "file") -> dict:
     """The JSON object in the input file at ``path``, read through
     :func:`read_text`; raises ``error`` with one line naming ``what`` the
-    file is when it is not JSON, holds ``NaN`` or an infinity, or is not an
-    object. Every JSON document the package reads comes through here."""
+    file is when it is not JSON, holds ``NaN`` or an infinity, nests too
+    deeply to decode, or is not an object. Every JSON document the package
+    reads comes through here."""
     # Read outside the JSON ``try``: the ``error`` classes are ValueErrors.
     text = read_text(path, error, what)
     try:
         doc = json.loads(text, parse_constant=reject_constant)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
     if type(doc) is not dict:
         raise error(f"{what} must be a JSON object")

@@ -11,10 +11,10 @@ Retrieval (``recognise``) sorts a span ``tokens[start:end]`` of an input
 pattern down the tree, in place: at each node, the first child (in insertion
 order) whose test link fits in the span and equals the next tokens consumes
 them, until no child matches. The deepest node reached is returned; the root
-means "recognised as nothing". A whole pattern, an attention fetch, a
-discrimination's remainder and a familiarisation's difference (the pattern
-after the image it extends) are all spans of one token tuple, so this is the
-only tree walk. Each node indexes its children by the first token of their
+means "recognised as nothing". A whole pattern, an attention fetch and the
+rest of a learned pattern (after the image it extends, or after the contents
+it discriminates) are all spans of one token tuple, so this is the only
+tree walk. Each node indexes its children by the first token of their
 test links, so a step tries only the children listed under the next token, in
 insertion order; as every non-root test link is non-empty, that picks the
 same child a scan of all children would. A one-token test link listed there
@@ -25,7 +25,8 @@ links, so a walk of ``tokens[start:]`` whose node's contents fit inside
 unbounded walk per fetch start across its window positions that way, and
 re-walks bounded from the root only when the path runs past ``end``.
 
-Learning is a four-stage process per presented pattern:
+Learning has one entry point, ``learn``, and is a four-stage process per
+presented pattern:
 
 1. sort the pattern to a node,
 2. compare that node's image with the pattern,
@@ -34,13 +35,13 @@ Learning is a four-stage process per presented pattern:
 4. otherwise *discriminate*: add one new node (one new test link).
 
 Familiarisation increases how much a chunk can reproduce; discrimination
-increases how many chunks can be told apart. Exactly one structural change
-happens per learn call; both steps take their contents from the walk.
+increases how many chunks can be told apart. One private step does both
+after the walk, so at most one structural change happens per learn call.
 
 An image is *complete* when it equals a full presented pattern (the end-marker
 surrogate). Complete images stop matching longer patterns, which is what turns
 further presentations of extensions into single-shot discriminations of new
-chunks rather than endless image growth; no public call grows one.
+chunks rather than endless image growth; no learn grows one.
 
 Every learn remembers the node where its walk ended. A repeat starts there
 without a walk (returning a kept ``NO_CHANGE`` at once) while that node lists
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# Nothing here calls ``difference``; the benchmark's tracer patches it here.
 from .patterns import Pattern, PatternError, difference
 
 ROOT_ID = 0
@@ -283,11 +285,9 @@ class DiscriminationNet:
     # -- learning ---------------------------------------------------------
 
     def learn(self, p: Pattern) -> LearnEvent:
-        """One pass of the four-stage learning process for ``p``. The walk
+        """One pass of the four-stage learning process for ``p``: the walk
         to ``node`` consumes ``p.tokens[:node.contents_length]``, the node's
-        contents, and both steps take their contents as spans of ``p.tokens``.
-        A complete image carries the end marker, so it only matches the
-        pattern it equals; an incomplete image matches any extension.
+        contents, and ``_step`` familiarises or discriminates there.
 
         Every learn remembers its walk under ``p.tokens``: the end node, and
         the event if it is ``NO_CHANGE``. The next learn of the same tokens
@@ -303,15 +303,16 @@ class DiscriminationNet:
           at the next token. If no child is listed under that token, or no
           token is left, none can match now. Images never steer a walk.
         - A kept ``NO_CHANGE`` stays right. The end node's image either
-          equals the pattern and is complete (``familiarise`` sets
+          equals the pattern and is complete (``_step`` sets
           ``image_complete`` before the event is kept), or cannot match the
           pattern: its contents are the whole pattern, and its image is
           complete and differs from it, or is longer than it, or differs
           from it inside its own length. Neither state is ever undone. No
-          public call grows a complete image: ``familiarise`` refuses one
-          that is not its pattern, and ``_discriminate`` appends only to an
-          empty image. Appending never makes a non-prefix a prefix, nor a
-          too-long image shorter.
+          learn grows a complete image: a complete image that matches is
+          the pattern, so nothing is added; familiarising appends only to
+          an incomplete image, the end node's or the one the rest reaches;
+          discriminating appends only to an empty one. Appending never makes a non-prefix
+          a prefix, nor a too-long image shorter.
 
         A learn answered from a kept event, like the walk it skips, charges
         no simulated time. The trainer's chunk gate draws its random number
@@ -333,99 +334,63 @@ class DiscriminationNet:
             if not tokens:
                 raise NetworkError("cannot learn an empty pattern")
             node = self.recognise(p)
-        image = node.image
-        if image == tokens if node.image_complete else \
-                tokens[:len(image)] == image:
-            event = self.familiarise(node, p)
-        else:
-            event = self._discriminate(node, p)
+        event = self._step(node, p)
         self._walks[tokens] = (node,
                                event if event.kind == NO_CHANGE else None)
         return event
 
-    def familiarise(self, node: Node, p: Pattern) -> LearnEvent:
-        """Add information to an existing chunk (at most one primitive).
+    def _step(self, node: Node, p: Pattern) -> LearnEvent:
+        """Familiarise ``node``, where ``p``'s walk ended, if its image
+        matches ``p``, and discriminate it otherwise.
 
-        The difference between the pattern and the node's image is the rest
-        of the pattern from index ``k``, the length of their common prefix;
-        it is sorted through the net in place, as the span ``p.tokens[k:]``,
-        and never copied. Four outcomes:
+        A complete image carries the end marker, so it only matches the
+        pattern it equals; an incomplete image matches any extension. The
+        rest of the pattern starts at ``k``: the image's length if it
+        matches, else the contents' length. No rest: nothing to add, but a
+        matching image (then equal to the pattern) completes. Otherwise the
+        rest is sorted through the net in place, as the span
+        ``p.tokens[k:]``, to ``ret``; if that is the root, the rest's first
+        token becomes a new root primitive. Else:
 
-        1. no difference: nothing to do;
-        2. the root is retrieved: a new primitive is created for the
-           difference's first token;
-        3. the retrieved image is empty, or longer than the difference, or
-           complete (a terminated image counts its end marker and can never
-           be appended to): the difference's first token is appended to the
-           *original* node's image;
-        4. otherwise the retrieved node's image is appended instead.
-
-        Only ``node``'s image can complete. An empty pattern, a complete
-        image that is not the pattern, or an append to the root raises
-        :class:`NetworkError` before anything changes. ``learn`` asks for
-        none of these, and familiarises only a node whose image prefixes
-        the pattern, so ``k`` is the image's length, confirmed by one slice
-        compare; a direct call whose image does not prefix the pattern finds
-        ``k`` with ``difference``.
+        - *familiarise*: that token is appended to ``ret``'s image, unless
+          that image is empty, complete, or longer than the rest; then to
+          ``node``'s image, which completes if it becomes the pattern. (The
+          root is never familiarised here: its walk is the rest's walk.)
+        - *discriminate*: ``ret`` with an empty image takes that token, and
+          completes if it is the whole rest. Otherwise a new child of
+          ``node`` is created whose test link is ``ret``'s image with the
+          end marker dropped (falling back to ``ret``'s contents when the
+          image has grown past the rest), and whose image is the new node's
+          own path of tests.
         """
-        if p.modality != self.modality:
-            self._check_modality(p)
         tokens = p.tokens
-        if not tokens or node.image_complete and node.image != tokens:
-            raise NetworkError(f"cannot familiarise node {node.node_id}: the "
-                               f"pattern is empty or its image complete")
-        k = len(node.image)
-        if tokens[:k] != node.image:
-            k = len(tokens) - len(
-                difference(p, Pattern.derived(self.modality, node.image)))
+        image = node.image
+        matches = image == tokens if node.image_complete else \
+            tokens[:len(image)] == image
+        k = len(image) if matches else node.contents_length
         if k >= len(tokens):
-            # Nothing to add, but an image equal to the pattern is complete.
-            if node.image == tokens:
+            if matches:
                 node.image_complete = True
             return LearnEvent(NO_CHANGE, node.node_id)
         ret = self.recognise(p, k)
         if ret.node_id == ROOT_ID:
             new = self._new_node(self.root, (tokens[k],), (), False)
             return LearnEvent(CREATED_NODE, new.node_id)
-        if not ret.image or ret.image_complete or \
-                len(ret.image) > len(tokens) - k:
-            if node.node_id == ROOT_ID:
-                raise NetworkError("cannot familiarise the root: its image "
-                                   "stays empty")
-            ret = node
-        self._append_to_image(ret, tokens[k], tokens if ret is node else None)
-        return LearnEvent(FAMILIARISED, ret.node_id)
-
-    def _discriminate(self, node: Node, p: Pattern) -> LearnEvent:
-        """Add one new node below ``node``, where ``p``'s walk ended.
-
-        The remainder after ``node``'s contents is sorted through the net in
-        place, to ``ret``, consuming exactly ``ret``'s contents. Root
-        retrieved: the remainder's first token becomes a new root primitive.
-        ``ret`` with an empty image: that token is appended to it, and
-        completes it if it is the whole remainder, as ``familiarise`` would.
-        Otherwise a new child of ``node`` is created whose test link is
-        ``ret``'s image with the end marker dropped (falling back to
-        ``ret``'s contents when the image has grown past the remainder),
-        and whose image is the new node's own path of tests.
-        """
-        tokens = p.tokens
-        start = node.contents_length
-        if start >= len(tokens):
-            # The path encodes the whole pattern: nothing new to store.
-            return LearnEvent(NO_CHANGE, node.node_id)
-        ret = self.recognise(p, start)
-        if ret.node_id == ROOT_ID:
-            new = self._new_node(self.root, (tokens[start],), (), False)
-            return LearnEvent(CREATED_NODE, new.node_id)
+        if matches:
+            if not ret.image or ret.image_complete or \
+                    len(ret.image) > len(tokens) - k:
+                ret = node
+            self._append_to_image(ret, tokens[k],
+                                  tokens if ret is node else None)
+            return LearnEvent(FAMILIARISED, ret.node_id)
         if not ret.image:
-            self._append_to_image(ret, tokens[start], tokens[start:])
+            self._append_to_image(ret, tokens[k], tokens[k:])
             return LearnEvent(FAMILIARISED, ret.node_id)
         test = ret.image
-        if tokens[start:start + len(test)] != test:
-            # ``ret``'s image grew past the remainder; its contents fit.
-            test = tokens[start:start + ret.contents_length]
-        image = tokens[:start] + test
+        if tokens[k:k + len(test)] != test:
+            # ``ret``'s image grew past the rest; its contents fit.
+            test = tokens[k:k + ret.contents_length]
+        image = tokens[:k] + test
         new = self._new_node(node, test, image, image == tokens)
         return LearnEvent(CREATED_NODE, new.node_id)
 

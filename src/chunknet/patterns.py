@@ -6,10 +6,10 @@ prefix matching, and the suffix left over once the longest common prefix is
 removed. The first two are plain comparisons of ``Pattern.tokens`` tuples.
 The third is an index into the presented pattern: learning familiarises a
 node only when its image prefixes the pattern, so the difference starts at
-the image's length and is walked in place. :func:`difference` copies it out
-and serves only a direct ``familiarise`` call whose image does not
-prefix the pattern. Order is significant throughout: "dog bites man" and
-"man bites dog" are different patterns.
+the image's length and is walked in place. :func:`difference` copies it out;
+no program path calls it, and ``network`` binds it only for the benchmark's
+tracer. Order is significant throughout: "dog bites man" and "man bites dog"
+are different patterns.
 
 Patterns are modality-scoped (visual, verbal, ...). Comparing patterns across
 modalities is a usage error, never a silent False.

@@ -21,25 +21,20 @@ class StmQueue:
     def __init__(self, capacity: int = 5):
         if not 2 <= capacity <= 9:
             raise StmError(f"STM capacity must be in [2, 9], got {capacity}")
-        self.capacity = capacity
-        self._slots: deque[int] = deque()  # head (most recent) at index 0
+        self._slots: deque[int] = deque(maxlen=capacity)  # head at index 0
 
     @property
     def slots(self) -> list[int]:
         return list(self._slots)
 
-    def push(self, node_id: int) -> int | None:
-        """Put a chunk pointer at the head; returns the evicted id, if any.
+    def push(self, node_id: int) -> None:
+        """Put a chunk pointer at the head, evicting the oldest when full.
 
         Root pointers are dropped silently: "recognised as nothing" carries
         no chunk to hold or associate.
         """
-        if node_id == ROOT_ID:
-            return None
-        self._slots.appendleft(node_id)
-        if len(self._slots) > self.capacity:
-            return self._slots.pop()
-        return None
+        if node_id != ROOT_ID:
+            self._slots.appendleft(node_id)
 
 
 def co_occupancy(visual_q: StmQueue, verbal_q: StmQueue,

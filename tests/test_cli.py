@@ -495,6 +495,21 @@ def _array_snapshot(tmp_path):
     return _query(tmp_path, model)
 
 
+def _deep_snapshot(tmp_path):
+    """A query on a model file of 200,000 nested arrays."""
+    model = tmp_path / "deep.json"
+    model.write_text("[" * 200_000, encoding="utf-8")
+    return _query(tmp_path, model)
+
+
+def _deep_manifest(tmp_path):
+    """A train run on a manifest of 100,000 nested objects."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"a":' * 100_000, encoding="utf-8")
+    return ["train", "--manifest", str(manifest), "--out",
+            str(tmp_path / "out")]
+
+
 def _non_utf8_data_file(name, command):
     def setup(tmp_path):
         manifest = _xor_manifest(tmp_path)
@@ -588,6 +603,13 @@ def _negative_clock(doc):
     pytest.param(_nan_manifest, 2,
                  "manifest is not valid JSON: NaN is not a JSON value",
                  id="manifest_nan"),
+    pytest.param(_deep_manifest, 2, "manifest is not valid JSON: maximum "
+                 "recursion depth exceeded", id="manifest_nested_too_deeply"),
+    pytest.param(_deep_snapshot, 2, "snapshot is not valid JSON: maximum "
+                 "recursion depth exceeded", id="snapshot_nested_too_deeply"),
+    pytest.param(_config_file("[" * 200_000), 2, "config is not valid JSON: "
+                 "maximum recursion depth exceeded",
+                 id="config_nested_too_deeply"),
     *(pytest.param(_manifest_field("name", name), 2,
                    f"name must be a string of one or more characters, got "
                    f"{re.escape(repr(name))}$", id=f"manifest_name_{id_}")
@@ -744,6 +766,10 @@ def _negative_clock(doc):
     pytest.param(_pairs(b"human_top,human_second\nBach,Mozart\n"), 2,
                  "pairs.csv: need columns human_top/model_top",
                  id="pairs_without_model_top"),
+    pytest.param(_pairs(b"human_top,model_top\nBach," + b"x" * 140_000
+                        + b"\n"), 2,
+                 r"pairs\.csv line 2: field larger than field limit "
+                 r"\(131072\)$", id="pairs_field_past_the_csv_limit"),
     pytest.param(_pairs_directory, 2, "cannot read .*: Is a directory",
                  id="pairs_directory"),
     pytest.param(_missing_pairs, 2, r"pairs file not found: .*missing\.csv",

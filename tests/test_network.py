@@ -109,8 +109,8 @@ class TestLearningTraces:
     def test_familiarise_zero_difference_is_no_change(self):
         memory, _ = load_rows({"visual": [[0, "A", "A B", False, {}]]})
         net = memory.nets["visual"]
-        event = net.familiarise(net.node(1), P("A", "B"))
-        assert event.kind == NO_CHANGE
+        assert net.learn(P("A", "B")) == LearnEvent(NO_CHANGE, 1)
+        assert net.node(1).image == ("A", "B")
 
     def test_familiarise_unknown_primitive_delegates_to_creation(self):
         # image [A], pattern [A,Q] with Q unknown: the difference sorts to
@@ -294,22 +294,19 @@ class TestSettledLearns:
         assert node.image_complete
         assert net.learn(P("A", "B")) is event
 
-    def test_familiarise_refuses_to_grow_a_complete_image(self):
-        # Once, this call grew node 1's complete image "A B" into "A B C",
-        # and the next learn of "A B" returned its kept NO_CHANGE on node 1
-        # where a walk familiarised node 2.
+    def test_no_learn_grows_a_complete_image(self):
+        # Once, a direct familiarise grew node 1's complete image "A B"
+        # into "A B C", and the next learn of "A B" returned its kept
+        # NO_CHANGE on node 1 where a walk familiarised node 2.
         live, fresh = (trained(P("A", "B"), repeats=6) for _ in range(2))
+        node = live.node(1)
+        assert (node.image, node.image_complete) == (("A", "B"), True)
         for net in (live, fresh):
             for _ in range(3):
                 net.learn(P("C"))
-        memory = MultiModalMemory()
-        memory.nets["visual"] = live
-        before = dump_memory(memory)
-        for p in (P("A", "B", "C"), P("A"), P()):
-            with pytest.raises(NetworkError, match="cannot familiarise "
-                                                   "node 1"):
-                live.familiarise(live.node(1), p)
-        assert dump_memory(memory) == before
+            for p in (P("A", "B", "C"), P("A"), P("A", "B", "C")):
+                net.learn(p)
+        assert (node.image, node.image_complete) == (("A", "B"), True)
         fresh._walks.clear()
         assert live.learn(P("A", "B")) == fresh.learn(P("A", "B"))
 
@@ -364,20 +361,17 @@ class TestRememberedWalks:
     def test_familiarise_never_grows_the_root_image(self):
         # Once, a second familiarise of the root with "A" appended "A" to
         # the root's image and completed it, and recognising an unknown
-        # token then returned a root whose image was "A".
+        # token then returned a root whose image was "A". A learn
+        # familiarises the root only when its walk ends there, and then the
+        # rest's walk ends there too and makes a primitive.
         net = DiscriminationNet("visual")
-        memory = MultiModalMemory()
-        memory.nets["visual"] = net
-        assert net.familiarise(net.root, P("A")) == LearnEvent(CREATED_NODE,
-                                                               1)
-        before = dump_memory(memory)
-        with pytest.raises(NetworkError, match="cannot familiarise the "
-                                               "root"):
-            net.familiarise(net.root, P("A"))
-        assert dump_memory(memory) == before
+        events = [net.learn(p) for p in (P("A"), P("A"), P("A"), P("B", "A"),
+                                         P("A", "B"), P("B", "A"))]
+        assert [e.kind for e in events] == [CREATED_NODE, FAMILIARISED,
+                                            NO_CHANGE, CREATED_NODE,
+                                            FAMILIARISED, CREATED_NODE]
         assert net.root.image == () and not net.root.image_complete
         assert net.recognise(P("Z")).image == ()
-        assert net.clock_seconds == 10.0
 
 
 def linked_memory():
@@ -436,9 +430,7 @@ class TestTheRepeatCheck:
 def test_a_pattern_of_another_modality_is_refused_and_changes_nothing():
     net = trained(P("A", "B"), P("C"), repeats=3)
     verbal = Pattern("verbal", ("A", "B"))
-    calls = (net.recognise, net.learn,
-             lambda p: net.familiarise(net.node(1), p))
-    for call in calls:
+    for call in (net.recognise, net.learn):
         before = (dumped(net), net.clock_seconds)
         with pytest.raises(PatternError, match="pattern modality 'verbal' "
                                                "does not match network "

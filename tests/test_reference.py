@@ -1,8 +1,8 @@
 """Differential tests: the package against the plain model in
 ``reference.py``, through public calls only. Both sides learn, present,
-familiarise, recognise, categorise and retrieve the same input, and after
-each step they must give the same events, contents, sizes, node ids,
-confidences and snapshot bytes.
+recognise, categorise and retrieve the same input, and after each step
+they must give the same events, contents, sizes, node ids, confidences and
+snapshot bytes.
 
 The input comes from hypothesis strategies (patterns that share prefixes
 and extend each other, and hand-built trees whose siblings share a first
@@ -31,7 +31,7 @@ from chunknet.config import RunConfig
 from chunknet.corpus import Sample, load_manifest, load_test_items, \
     load_training_samples
 from chunknet.harness import Trainer, attention_config, new_memory
-from chunknet.network import MultiModalMemory, NetworkError
+from chunknet.network import MultiModalMemory
 from chunknet.patterns import Pattern
 from chunknet.snapshot import dump_memory, load_memory
 from chunknet.suites import (FIVE_FOUR_TRAINING, FIVE_FOUR_TRANSFER,
@@ -141,69 +141,25 @@ def learned(order, each=lambda live, ref: None):
     return live, ref
 
 
-@st.composite
-def direct_calls(draw):
-    alphabet, order = draw(learn_sequences())
-    live, ref = learned(order)
-    nodes = ref.nets["visual"].nodes
-    calls = []
-    for _ in range(draw(st.integers(1, 6))):
-        node_id = draw(st.integers(0, len(nodes) - 1))
-        image = nodes[node_id].image
-        pattern = draw(st.one_of(
-            # anything, mostly not prefixed by the image
-            tokens(alphabet + ["z"], 0, 6),
-            # a proper prefix of the image
-            st.integers(0, max(len(image) - 1, 0)).map(lambda j: image[:j]),
-            # the image cut short, then extended at random
-            st.integers(0, max(len(image) - 1, 0)).flatmap(
-                lambda j: tokens(alphabet + ["z"], 1, 4).map(
-                    lambda rest: image[:j] + rest))))
-        calls.append((node_id, Pattern("visual", pattern)))
-    return live, ref, calls
-
-
-@settings(deadline=None, database=None)
-@given(direct_calls())
-def test_direct_familiarise_calls_match_the_reference(case):
-    live, ref = case[:2]
-    net, rnet = live.nets["visual"], ref.nets["visual"]
-    for node_id, p in case[2]:
-        before = ref.dump()
-        try:
-            expected = rnet.familiarise(node_id, p.tokens)
-        except reference.Refused:
-            with pytest.raises(NetworkError, match="cannot familiarise"):
-                net.familiarise(net.node(node_id), p)
-            assert ref.dump() == before
-        else:
-            assert event(net.familiarise(net.node(node_id), p)) == expected
-        assert dump_memory(live) == ref.dump()
-
-
-@pytest.mark.parametrize("rows, node_id, tokens, expected, images", [
-    # A pattern shorter than the image: nothing to add.
-    ([[0, "a", "a b c", False, {}]], 1, "a b", ("no_change", 1),
-     {1: "a b c"}),
-    # The image "a b c" shares only "a" with "a c": the difference is "c",
-    # not the empty rest after the image's length.
-    ([[0, "a", "a b c", False, {}], [0, "c", "c", True, {}]], 1, "a c",
-     ("familiarised", 1), {1: "a b c c", 2: "c"}),
-    # The difference "b c" reaches node "b" whose incomplete image "b c" is
-    # exactly as long: the retrieved node's image grows by the difference's
+@pytest.mark.parametrize("rows, tokens, expected, images", [
+    # A pattern whose walk uses it up, shorter than the image: nothing to
+    # add.
+    ([[0, "a", "a b c", False, {}]], "a", ("no_change", 1), {1: "a b c"}),
+    # The rest "b c" reaches node "b" whose incomplete image "b c" is
+    # exactly as long: the retrieved node's image grows by the rest's
     # first token, not the original's.
-    ([[0, "a", "a", False, {}], [0, "b", "b c", False, {}]], 1, "a b c",
+    ([[0, "a", "a", False, {}], [0, "b", "b c", False, {}]], "a b c",
      ("familiarised", 2), {1: "a", 2: "b c b"}),
 ], ids=["pattern_shorter_than_the_image",
-        "difference_after_a_shorter_common_prefix",
         "difference_as_long_as_the_retrieved_image"])
-def test_hand_built_familiarise_calls(rows, node_id, tokens, expected,
-                                      images):
+def test_hand_built_familiarise_calls(rows, tokens, expected, images):
+    # Each case is one learn, which sorts the pattern to node 1 and then
+    # familiarises or discriminates there.
     live, ref = load_rows({"visual": rows})
     net = live.nets["visual"]
     p = Pattern("visual", tuple(tokens.split()))
-    assert event(net.familiarise(net.node(node_id), p)) == expected
-    assert ref.nets["visual"].familiarise(node_id, p.tokens) == expected
+    assert event(net.learn(p)) == expected
+    assert ref.nets["visual"].learn(p.tokens) == expected
     assert {i: " ".join(net.node(i).image) for i in images} == images
     assert_same(live, ref)
 

@@ -105,7 +105,7 @@ def test_the_reference_imports_nothing_from_the_package():
 # The net's private methods and its remembered walks, which only the unit
 # tests of the memo itself may touch: three classes of test_network.py, and
 # the ``_walks`` checks of test_snapshot.py.
-PRIVATE = {"_new_node", "_append_to_image", "_discriminate", "_walks"}
+PRIVATE = {"_new_node", "_append_to_image", "_step", "_walks"}
 MEMO_CLASSES = {"TestSettledLearns", "TestRememberedWalks",
                 "TestTheRepeatCheck"}
 LEARNING_CLASSES = {"DiscriminationNet", "MultiModalMemory", "Trainer"}

@@ -11,15 +11,16 @@ from chunknet.stm import StmError, StmQueue, co_occupancy
 
 def test_fifo_eviction():
     q = StmQueue(capacity=2)
-    assert q.push(1) is None
-    assert q.push(2) is None
-    assert q.push(3) == 1
+    q.push(1)
+    q.push(2)
+    assert q.slots == [2, 1]
+    q.push(3)
     assert q.slots == [3, 2]
 
 
 def test_root_push_is_dropped():
     q = StmQueue(capacity=3)
-    assert q.push(0) is None
+    q.push(0)
     assert q.slots == []
 
 
@@ -27,7 +28,8 @@ def test_capacity_five_sixth_push_evicts_first():
     q = StmQueue(capacity=5)
     for i in range(1, 6):
         q.push(i)
-    assert q.push(6) == 1
+    assert q.slots == [5, 4, 3, 2, 1]
+    q.push(6)
     assert q.slots == [6, 5, 4, 3, 2]
 
 
@@ -44,17 +46,14 @@ def test_capacity_bound_property_10000_random_pushes():
         cap = rng.randint(2, 9)
         q = StmQueue(cap)
         pushed = []
-        evicted = []
         for _ in range(50):
             node_id = rng.randint(0, 40)
-            out = q.push(node_id)
+            q.push(node_id)
             if node_id != 0:
                 pushed.append(node_id)
-            if out is not None:
-                evicted.append(out)
-            assert len(q.slots) <= cap
-        # eviction order equals insertion order
-        assert evicted == pushed[: len(evicted)]
+            # the newest ``cap`` non-root pushes, newest first: eviction
+            # order equals insertion order
+            assert q.slots == pushed[::-1][:cap]
 
 
 def _learn_to_fixed_point(net, pattern):
