@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: train, categorise, retrieve, run-suite, eval-metrics, inspect.
-Exit codes: 0 success; 2 bad input (manifest, config, file formats);
-3 training did not converge; 4 no activation for the given stimulus;
-1 failed --check assertions or internal errors.
+Exit codes: 0 success; 2 bad input (manifest, config, file formats) or an
+output directory or file that cannot be written; 3 training did not
+converge; 4 no activation for the given stimulus; 1 failed --check
+assertions or internal errors.
 
 The commands raise their errors; ``main`` is the one place an error becomes
 an exit code and a single ``error:`` line.
@@ -20,7 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .attention import categorise, retrieve
-from .config import ConfigError, load_config, read_text, write_json
+from .config import ConfigError, load_config, make_dir, read_text, \
+    write_json, write_text
 from .corpus import TOKENIZERS, CorpusError, load_manifest, tokenize
 from .harness import TrainingError, attention_config, new_memory, train, \
     train_and_evaluate
@@ -40,8 +42,9 @@ EXIT_NO_ACTIVATION = 4
 
 def _write_csv(path: Path, rows) -> None:
     """Write ``rows``, the header row first, to the CSV file at ``path``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_text(path, text.getvalue())
 
 
 def _write_run(out_dir: Path, result, doc: dict, output_format: str) -> None:
@@ -66,19 +69,6 @@ def _write_run(out_dir: Path, result, doc: dict, output_format: str) -> None:
                          "y" if row.correct else "n"]))
     print(f"correct {result.correct_count}/{result.total} "
           f"(chance baseline {result.chance_baseline:g})")
-
-
-def _out_dir(path: str) -> Path:
-    """The ``--out`` directory, created before any work so that a path
-    naming a file fails fast; raises ConfigError when it cannot be
-    created."""
-    out_dir = Path(path)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: "
-                          f"{exc.strerror}") from None
-    return out_dir
 
 
 def _run_config(args):
@@ -109,7 +99,7 @@ def _snapshot_meta(manifest, config) -> dict:
 
 
 def cmd_train(args) -> int:
-    out_dir = _out_dir(args.out)
+    out_dir = make_dir(args.out)
     config = _run_config(args)
     manifest = _load_manifest(args.manifest, config)
     memory = new_memory(config)
@@ -186,7 +176,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_run_suite(args) -> int:
-    out_dir = _out_dir(args.out)
+    out_dir = make_dir(args.out)
     config = _run_config(args)
     if args.suite:
         report = SUITES[args.suite](out_dir, config)
@@ -257,7 +247,7 @@ def _read_pairs_csv(path):
 
 
 def cmd_eval_metrics(args) -> int:
-    out_dir = _out_dir(args.out)
+    out_dir = make_dir(args.out)
     if args.labels < 2:
         raise MetricsError(f"--labels must be at least 2, got {args.labels}")
     if args.trials is not None and args.trials < 1:

@@ -6,10 +6,11 @@ STM size 5 chunks; attention span 20 tokens advancing 1 token at a time;
 chunk formation probability 1; 10 simulated seconds to create a chunk and
 2 to update one.
 
-The module also holds the package's one text reader (:func:`read_text`), its
-one JSON reader (:func:`read_json`) and its one JSON writer
-(:func:`write_json`), so every input file fails with the same one-line
-errors and every pretty JSON file has the same layout.
+The module also holds the package's file input and output: its one text
+reader (:func:`read_text`), JSON reader (:func:`read_json`), output
+directory maker (:func:`make_dir`), text writer (:func:`write_text`) and
+JSON writer (:func:`write_json`), so every input or output path fails with
+the same one-line errors and every pretty JSON file has the same layout.
 """
 
 from __future__ import annotations
@@ -119,12 +120,38 @@ def read_json(path, error: type[Exception], what: str = "file") -> dict:
     return doc
 
 
+def make_dir(path) -> Path:
+    """The output directory at ``path``, created with its parents unless it
+    exists; raises :class:`ConfigError` with one line naming it when it
+    cannot be created. Commands create ``--out`` before any work, so that a
+    path naming a file fails fast."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror}") from None
+    return out_dir
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the output file at ``path`` as UTF-8, with no
+    newline translation; raises :class:`ConfigError` with one line naming
+    the file when it cannot be written. Every file the package writes comes
+    through here."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: "
+                          f"{exc.strerror}") from None
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` to ``path`` as JSON indented by 2 with sorted keys and
     a final newline; every such file the package writes comes through
     here."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

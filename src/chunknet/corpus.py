@@ -19,6 +19,13 @@ overly large chunks form): a token count for words/rows, a measure count for
 music, or the whole stream. The final short remainder is kept; concatenating
 the split samples reproduces the token stream exactly.
 
+The training samples of one manifest share their tokens: each distinct token
+is one ``str`` object, however often it occurs, so a corpus holds its
+vocabulary once and equal tokens compare by identity. The sharing goes
+through a dict that lives for one ``load_training_samples`` call, not
+through ``sys.intern``, whose strings are never freed on some Pythons
+(3.12.1 makes them immortal).
+
 A dataset manifest is a small JSON file naming the tokenizer, the split unit
 and the per-category training and test files. Validation happens up front:
 duplicate labels or missing files are rejected before any training starts.
@@ -303,11 +310,15 @@ def load_training_samples(manifest: DatasetManifest) -> list[Sample]:
     """All labelled sample pairs, in manifest order (the canonical order);
     a manifest whose training files yield none raises CorpusError."""
     samples: list[Sample] = []
+    # Each distinct token, as the one str object every sample holds for it.
+    shared: dict[str, str] = {}
     for category in manifest.categories:
         label = Pattern(VERBAL_MODALITY, (category.label,))
         for file in category.training_files:
             text = read_text(file, CorpusError, "training file")
             stream = tokenize(manifest.tokenizer, text)
+            stream.tokens = list(map(shared.setdefault, stream.tokens,
+                                     stream.tokens))
             for body in split_samples(stream, manifest.split):
                 samples.append(Sample(
                     visual=Pattern(VISUAL_MODALITY, tuple(body)),

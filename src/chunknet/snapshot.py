@@ -12,10 +12,14 @@ are their tokens joined by single spaces; tokens are non-empty and hold no
 whitespace, so splitting gives them back. Children are not written: each
 node's ``parent`` defines the tree.
 
-Serialization is canonical (sorted keys, fixed separators, nodes by id), so
-identical models produce byte-identical files and a load/save round trip is
-exact. Files from other schema versions are rejected outright; a model saved
-by an older build is retrained with ``chunknet train``.
+Serialization is canonical (sorted keys, fixed separators, only ASCII,
+nodes by id), so identical models produce byte-identical files and a
+load/save round trip is exact: the text is ``json.dumps`` of the document
+with ``sort_keys=True`` and ``separators=(",", ":")``, then a newline. It is
+rendered one row at a time, so a save holds the rows' text and the file's
+text, not a document of every row beside them. Files from other schema
+versions are rejected outright; a model saved by an older build is
+retrained with ``chunknet train``.
 
 This module checks the file's own facts in one pass over each net's rows: the
 JSON type and size of the document, each net, row and field; each timing
@@ -32,7 +36,9 @@ test link; its error becomes a ``SnapshotError``.
 
 A loaded node is a ``LoadedNode``: its image stays the row's text until the
 first read of ``image`` or ``size`` splits it, since a query reads only a
-few sizes; both are exactly what splitting the row gives.
+few sizes; both are exactly what splitting the row gives. Each parsed row is
+dropped from the document as soon as its node is built, so a load never
+holds the whole document beside the whole net.
 
 Python's cyclic garbage collector is paused from reading the file until
 the last node is built, and left as the caller had it: the file is read and
@@ -61,12 +67,12 @@ import gc
 import json
 import reprlib
 import sys
-from pathlib import Path
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NoReturn
 
-from .config import read_json
+from .config import read_json, write_text
 from .network import ROOT_ID, DiscriminationNet, LoadedNode, \
-    MultiModalMemory, NetworkError
+    MultiModalMemory, NetworkError, Node
 
 SNAPSHOT_SCHEMA_VERSION = 3
 
@@ -75,31 +81,42 @@ class SnapshotError(ValueError):
     pass
 
 
-def _net_doc(net: DiscriminationNet) -> dict:
-    return {
-        "clock_seconds": net.clock_seconds,
-        "nodes": [[n.parent, " ".join(n.test), " ".join(n.image),
-                   n.image_complete,
-                   {str(k): n.naming_links[k] for k in sorted(n.naming_links)}]
-                  for n in net.nodes()[ROOT_ID + 1:]],
-    }
+# The canonical text of a snapshot's values: sorted keys, no spaces, and
+# only ASCII, non-ASCII characters written as JSON escapes.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _row(node: Node) -> str:
+    """``_json`` of ``node``'s row ``[parent, test, image, complete,
+    links]``, written directly: link keys sort as text, so label 10 comes
+    before label 9, as they do in ``_json`` of the row's links object."""
+    links = ",".join(f'"{key}":{count}' for key, count in
+                     sorted((str(k), c) for k, c in node.naming_links.items()))
+    return (f"[{node.parent},{_quote(' '.join(node.test))},"
+            f"{_quote(' '.join(node.image))},"
+            f"{'true' if node.image_complete else 'false'},{{{links}}}]")
 
 
 def dump_memory(memory: MultiModalMemory, meta: dict | None = None) -> str:
-    doc = {
-        "schema_version": SNAPSHOT_SCHEMA_VERSION,
-        "label_modality": memory.label_modality,
-        "seconds_per_new_chunk": memory.seconds_per_new_chunk,
-        "seconds_per_update": memory.seconds_per_update,
-        "networks": {m: _net_doc(net)
-                     for m, net in sorted(memory.nets.items())},
-        "meta": meta or {},
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """The snapshot text of ``memory``: the canonical JSON of the document
+    with its keys in sorted order, then a newline. Each net's rows are
+    rendered one at a time, so no document of every row is built."""
+    parts = ['{"label_modality":', _json(memory.label_modality),
+             ',"meta":', _json(meta or {}), ',"networks":{']
+    for i, (modality, net) in enumerate(sorted(memory.nets.items())):
+        parts += ["," if i else "", _json(modality),
+                  ':{"clock_seconds":', _json(net.clock_seconds),
+                  ',"nodes":[',
+                  ",".join(map(_row, net.nodes()[ROOT_ID + 1:])), "]}"]
+    parts += ['},"schema_version":', _json(SNAPSHOT_SCHEMA_VERSION),
+              ',"seconds_per_new_chunk":', _json(memory.seconds_per_new_chunk),
+              ',"seconds_per_update":', _json(memory.seconds_per_update),
+              "}\n"]
+    return "".join(parts)
 
 
 def save_memory(path, memory: MultiModalMemory, meta: dict | None = None) -> None:
-    Path(path).write_text(dump_memory(memory, meta), encoding="utf-8")
+    write_text(path, dump_memory(memory, meta))
 
 
 _NUMBER = (int, float)
@@ -208,6 +225,9 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
                     naming[label] = count
             nodes.append(LoadedNode(node_id, tuple(test.split()), image,
                                     complete, parent, naming))
+            # The row is built: drop it, so the document shrinks as the
+            # net grows.
+            rows[node_id - ROOT_ID - 1] = None
     except (TypeError, ValueError):
         _row_error(where, node_id, row)
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attention import categorise
-from .config import RunConfig
+from .config import RunConfig, make_dir, write_text
 from .corpus import Category, SplitSpec, TestItem, load_manifest, \
     write_manifest
 from .harness import SuiteResult, TrainingRun, attention_config, \
@@ -73,14 +73,14 @@ def _write_corpus(corpus_dir: Path, name: str, tokenizer: str,
     maps each label, in manifest order, to its training text and its test
     texts by file stem; each becomes ``{label}_train.txt`` or ``{stem}.txt``
     with a final newline, and ``manifest.json`` names them all."""
-    corpus_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(corpus_dir)
     categories = []
     for label, (training, tests) in texts.items():
         train_file = corpus_dir / f"{label}_train.txt"
-        train_file.write_text(training + "\n", encoding="utf-8")
+        write_text(train_file, training + "\n")
         test_files = [corpus_dir / f"{stem}.txt" for stem in tests]
         for test_file, text in zip(test_files, tests.values()):
-            test_file.write_text(text + "\n", encoding="utf-8")
+            write_text(test_file, text + "\n")
         categories.append(Category(label, [train_file], test_files))
     manifest_path = corpus_dir / "manifest.json"
     write_manifest(manifest_path, name, tokenizer, split, categories)

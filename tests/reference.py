@@ -160,8 +160,8 @@ class Memory:
     def label_name(self, label_id):
         return " ".join(self.nets[self.label_modality].contents(label_id))
 
-    def dump(self):
-        """The snapshot text, schema version 3."""
+    def dump(self, meta=None):
+        """The snapshot text, schema version 3, with the ``meta`` block."""
         networks = {
             modality: {"clock_seconds": net.clock, "nodes": [
                 [n.parent, " ".join(n.test), " ".join(n.image), n.complete,
@@ -171,7 +171,7 @@ class Memory:
         doc = {"schema_version": 3, "label_modality": self.label_modality,
                "seconds_per_new_chunk": self.per_chunk,
                "seconds_per_update": self.per_update,
-               "networks": networks, "meta": {}}
+               "networks": networks, "meta": meta or {}}
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

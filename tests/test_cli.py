@@ -576,6 +576,23 @@ def _out_file(command):
     return setup
 
 
+def _out_entry_taken(command, name, kind="directory"):
+    """A ``command`` run whose output path ``name`` under ``--out`` is
+    taken by a directory or a file of that name, so that writing there
+    fails once the work is done."""
+    def setup(tmp_path):
+        argv = _out_file(command)(tmp_path)
+        out = tmp_path / "out"
+        taken = out / name
+        taken.parent.mkdir(parents=True)
+        if kind == "directory":
+            taken.mkdir()
+        else:
+            taken.write_text("", encoding="utf-8")
+        return [*argv[:-1], str(out)]
+    return setup
+
+
 def _blank_test_file(tmp_path):
     """A run-suite on an xor manifest whose test file ``test_10.txt``
     holds only whitespace."""
@@ -808,6 +825,18 @@ def _negative_clock(doc):
     pytest.param(_out_file("eval-metrics"), 2,
                  "cannot create output directory .*taken: File exists",
                  id="out_file_eval_metrics"),
+    *(pytest.param(_out_entry_taken(command, name), 2,
+                   f"cannot write output file .*out/{re.escape(name)}: Is a "
+                   f"directory$", id=f"out_{id_}_a_directory")
+      for command, name, id_ in (
+          ("train", "model.json", "model_json"),
+          ("train", "training.json", "training_json"),
+          ("run-suite", "results.csv", "results_csv"),
+          ("eval-metrics", "metrics.csv", "metrics_csv"),
+          ("run-suite", "corpus/T_train.txt", "suite_training_file"))),
+    pytest.param(_out_entry_taken("run-suite", "corpus", "file"), 2,
+                 "cannot create output directory .*out/corpus: File exists$",
+                 id="out_suite_corpus_a_file"),
 ])
 def test_exit_code_table(tmp_path, capsys, setup, code, message):
     argv = setup(tmp_path)

@@ -164,6 +164,64 @@ def test_hand_built_familiarise_calls(rows, tokens, expected, images):
     assert_same(live, ref)
 
 
+# Tokens whose JSON text differs from their Python text: non-ASCII letters,
+# one outside the Basic Multilingual Plane (a surrogate pair in JSON), a
+# quote, a backslash, and control characters that are not whitespace. No
+# token holds U+2028, which ``str.split`` takes for whitespace; a modality
+# name and the meta block do.
+ODD_TOKENS = ["é", "Ωμέγα", "日本", "\U0001F600", '"', "\\", 'a"b\\c', "\x00",
+              "\b", "\x7f", "a"]
+ODD_META = {"name": "line\u2028break", "é": [1.5, None, True, "\\"],
+            "tokenizer": "words"}
+
+
+def test_hand_built_snapshot_bytes_match_json_dumps():
+    # Twelve labels, so the link key "10" sorts before "9" as text; clocks
+    # and costs that are not whole numbers, a float printed with an
+    # exponent, and a third modality whose name holds U+2028.
+    labels = [[0, f"L{i}", f"L{i}", True, {}] for i in range(1, 13)]
+    links = {"9": 2, "10": 1, "2": 3, "12": 1, "11": 4}
+    visual = [[0, token, token, True, links if i % 3 == 0 else {}]
+              for i, token in enumerate(ODD_TOKENS)]
+    visual.append([1, " ".join(ODD_TOKENS[:4]), " ".join(ODD_TOKENS[:5]),
+                   False, {"10": 7, "9": 8}])
+    doc = reference.document({"verbal": labels, "visual": visual,
+                              "sight\u2028seen": [[0, "é", "é", False, {}]]})
+    doc["seconds_per_new_chunk"], doc["seconds_per_update"] = 1 / 3, 2.5e-7
+    for net_doc, clock in zip(doc["networks"].values(),
+                              (0.1 + 0.2, 1e16, 7 / 3)):
+        net_doc["clock_seconds"] = clock
+    live = live_memory(json.dumps(doc))
+    text = dump_memory(live, ODD_META)
+    assert text == reference.load(doc).dump(ODD_META)
+    assert text.isascii() and '{"10":1,"11":4,"12":1,"2":3,"9":2}' in text
+    assert dump_memory(live_memory(text), ODD_META) == text
+
+
+@settings(deadline=None, database=None, max_examples=30)
+@given(st.data())
+def test_learned_snapshot_bytes_match_json_dumps(data):
+    # Each body is presented with every one of 10-13 labels until training
+    # converges, so learned chunks link to labels 9 and 10 and more, and
+    # the simulated clocks add up costs that are not whole numbers.
+    labels = [f"L{i}" for i in range(data.draw(st.integers(10, 13)))]
+    bodies = data.draw(st.lists(token_lists(ODD_TOKENS, 1), min_size=1,
+                                max_size=3))
+    per_chunk, per_update = data.draw(st.tuples(
+        *[st.sampled_from([1 / 3, 0.1, 2.5e-7, 1e16, 7.0])] * 2))
+    config = RunConfig(seconds_per_new_chunk=per_chunk,
+                       seconds_per_update=per_update)
+    samples = [Sample(Pattern("visual", tuple(body)),
+                      Pattern("verbal", (label,)))
+               for body in bodies for label in labels]
+    live, ref = new_memory(config), reference.Memory(per_chunk=per_chunk,
+                                                     per_update=per_update)
+    assert Trainer(live, config).train(samples).to_dict() == \
+        reference.Trainer(ref, config.to_dict()).train(
+            [plain(s) for s in samples])
+    assert dump_memory(live, ODD_META) == ref.dump(ODD_META)
+
+
 def token_lists(alphabet, min_size):
     return st.lists(st.sampled_from(alphabet), min_size=min_size, max_size=6)
 
