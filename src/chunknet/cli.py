@@ -117,9 +117,9 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path):
-    """The memory, meta block and run config of a snapshot. Raises
-    SnapshotError unless each meta field the commands read is absent or
-    usable."""
+    """The memory, config, tokenizer and attention span (or None) of a
+    snapshot, each absent meta field at its default; raises SnapshotError
+    unless each meta field the commands read is absent or usable."""
     memory, meta = load_memory(path)
     stored = meta.get("config", {})
     if type(stored) is not dict:
@@ -139,24 +139,23 @@ def _load_model(path):
         raise SnapshotError(f"snapshot meta field 'attention_span' holds "
                             f"{span!r}; it must be an integer of at least "
                             f"min_fetch {config.min_fetch}")
-    return memory, meta, config
+    return memory, config, tokenizer, span
 
 
 def _load_query(args):
-    """The model, its meta and config, and the ``--input`` stimulus of a
+    """The memory, config, attention span and ``--input`` stimulus of a
     categorise or retrieve command; raises the errors that exit 2."""
-    memory, meta, config = _load_model(args.model)
+    memory, config, tokenizer, span = _load_model(args.model)
     text = read_text(args.input, CorpusError, "input")
-    stream = tokenize(meta.get("tokenizer", "words"), text)
+    stream = tokenize(tokenizer, text)
     if not stream.tokens:
         raise CorpusError(f"{args.input} holds no tokens")
-    return memory, meta, config, Pattern("visual", tuple(stream.tokens))
+    return memory, config, span, Pattern("visual", tuple(stream.tokens))
 
 
 def cmd_categorise(args) -> int:
-    memory, meta, config, stimulus = _load_query(args)
-    cfg = attention_config(config,
-                           span_override=meta.get("attention_span"))
+    memory, config, span, stimulus = _load_query(args)
+    cfg = attention_config(config, span_override=span)
     cls = categorise(memory, stimulus, cfg,
                      link_weighting=config.link_weighting)
     if cls.no_activation:
@@ -284,9 +283,9 @@ def cmd_eval_metrics(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    memory, meta, _ = _load_model(args.model)
+    memory, _, tokenizer, _ = _load_model(args.model)
     print(f"snapshot schema v{SNAPSHOT_SCHEMA_VERSION}; "
-          f"tokenizer {meta.get('tokenizer')}; "
+          f"tokenizer {tokenizer}; "
           f"label modality {memory.label_modality}")
     for modality, net in sorted(memory.nets.items()):
         complete = sum(1 for n in net.nodes() if n.image_complete)

@@ -150,8 +150,13 @@ def write_text(path, text: str) -> None:
 def write_json(path, doc) -> None:
     """Write ``doc`` to ``path`` as JSON indented by 2 with sorted keys and
     a final newline; every such file the package writes comes through
-    here."""
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    here. A NaN or an infinity raises :class:`ConfigError` naming the file
+    and the value."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+    write_text(path, text + "\n")
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

@@ -54,9 +54,10 @@ first-token indexes. ``snapshot`` checks a file's own facts before that.
 
 A learned node is a ``Node``, whose ``image`` is a plain attribute. A node
 ``snapshot`` loads is a ``LoadedNode``: its image stays the file's text
-until the first read of ``image`` or ``size`` splits it; a write (learning
-after a load) stores the tuple. A query reads ``size`` only on the nodes
-with naming links that its walks reach, so it splits few images.
+until the first read of ``image`` splits it; a write (learning after a load)
+stores the tuple. Both classes share one ``size``, which reads ``image``. A
+query reads ``size`` only on the nodes with naming links that its walks
+reach, so it splits few images.
 
 Cross-modality *naming links* (counted associations from a chunk to a label
 chunk in another modality) hang off nodes here; they are created by the
@@ -100,8 +101,8 @@ class Node:
         """Primitive count of the chunk: its image once one has formed, its
         contents otherwise. Root is 0. (A non-empty image is never shorter
         than the contents, so this is the larger of the two descriptions.)
-        A ``LoadedNode`` splits its image text on the first read of
-        ``size`` or ``image``."""
+        It serves a ``LoadedNode`` too, whose ``image`` read splits its
+        text the first time."""
         return len(self.image) or self.contents_length
 
     @property
@@ -113,9 +114,9 @@ class Node:
 
 class LoadedNode(Node):
     """A node that ``snapshot`` built from a file row. Its image stays the
-    row's text until the first read of ``image`` or ``size`` splits it once
-    and keeps the tuple; a write stores the tuple. A query reads ``size`` on
-    a few nodes only, so a load does no work per image."""
+    row's text until the first read of ``image``, also by ``Node.size``,
+    splits it once and keeps the tuple; a write stores the tuple. A query
+    reads ``size`` on a few nodes only, so a load does no work per image."""
 
     def __init__(self, node_id: int, test: tuple[str, ...], image: str,
                  image_complete: bool, parent: int,
@@ -139,13 +140,6 @@ class LoadedNode(Node):
     @image.setter
     def image(self, image: tuple[str, ...]) -> None:
         self._image = image
-
-    @property
-    def size(self) -> int:
-        image = self._image
-        if type(image) is str:
-            image = self.image
-        return len(image) or self.contents_length
 
 
 @dataclass(frozen=True)

@@ -26,19 +26,20 @@ JSON type and size of the document, each net, row and field; each timing
 field (``seconds_per_new_chunk``, ``seconds_per_update``, a net's
 ``clock_seconds``) a finite number >= 0; every row's integer parent naming a
 node that comes before it (the root or an earlier row), which rules out
-cycles and unreachable nodes; and each naming link, whose key must be a label
-node id of the label net and whose count a positive integer. A net checks
-each distinct link key once and keeps its label id; a row whose keys are all
-known and whose counts are all positive integers skips the full check.
+cycles and unreachable nodes; and each naming link, whose count must be a
+positive integer and whose key a label node id as the file writes it: one
+table, ``"1"`` up to the label net's row count, is built before any row is
+read, so ``"01"`` is refused unparsed and a link may name a label node of a
+net listed later. The first bad row in file order is reported.
 ``DiscriminationNet.attach`` then joins the net's nodes to its tree, as
 learning does, and refuses an empty test link or two siblings with the same
 test link; its error becomes a ``SnapshotError``.
 
 A loaded node is a ``LoadedNode``: its image stays the row's text until the
-first read of ``image`` or ``size`` splits it, since a query reads only a
-few sizes; both are exactly what splitting the row gives. Each parsed row is
-dropped from the document as soon as its node is built, so a load never
-holds the whole document beside the whole net.
+first read of ``image``, by ``size`` too, splits it, since a query reads
+only a few sizes; a dump splits such a text and keeps nothing. Each parsed
+row is dropped from the document as soon as its node is built, so a load
+never holds the whole document beside the whole net.
 
 Python's cyclic garbage collector is paused from reading the file until
 the last node is built, and left as the caller had it: the file is read and
@@ -70,7 +71,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NoReturn
 
-from .config import read_json, write_text
+from .config import ConfigError, read_json, write_text
 from .network import ROOT_ID, DiscriminationNet, LoadedNode, \
     MultiModalMemory, NetworkError, Node
 
@@ -81,19 +82,30 @@ class SnapshotError(ValueError):
     pass
 
 
-# The canonical text of a snapshot's values: sorted keys, no spaces, and
-# only ASCII, non-ASCII characters written as JSON escapes.
-_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The canonical text of a snapshot's values: sorted keys, no spaces, only
+# ASCII, and no NaN or infinity. A refused value is encoded again by the
+# pure-Python encoder (``iterencode``), whose error names it before 3.13 too.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            allow_nan=False)
+
+
+def _json(value) -> str:
+    try:
+        return _ENCODER.encode(value)
+    except ValueError:
+        return "".join(_ENCODER.iterencode(value))
 
 
 def _row(node: Node) -> str:
     """``_json`` of ``node``'s row ``[parent, test, image, complete,
     links]``, written directly: link keys sort as text, so label 10 comes
-    before label 9, as they do in ``_json`` of the row's links object."""
+    before label 9, as they do in ``_json`` of the row's links object. An
+    image a load left as text is split and not kept."""
     links = ",".join(f'"{key}":{count}' for key, count in
                      sorted((str(k), c) for k, c in node.naming_links.items()))
-    return (f"[{node.parent},{_quote(' '.join(node.test))},"
-            f"{_quote(' '.join(node.image))},"
+    image = node._image if type(node) is LoadedNode else node.image
+    image = " ".join(image.split() if type(image) is str else image)
+    return (f"[{node.parent},{_quote(' '.join(node.test))},{_quote(image)},"
             f"{'true' if node.image_complete else 'false'},{{{links}}}]")
 
 
@@ -116,7 +128,13 @@ def dump_memory(memory: MultiModalMemory, meta: dict | None = None) -> str:
 
 
 def save_memory(path, memory: MultiModalMemory, meta: dict | None = None) -> None:
-    write_text(path, dump_memory(memory, meta))
+    """Write the snapshot of ``memory`` to ``path``; a NaN or an infinity
+    raises :class:`ConfigError` naming the file and the value."""
+    try:
+        text = dump_memory(memory, meta)
+    except ValueError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+    write_text(path, text)
 
 
 _NUMBER = (int, float)
@@ -158,26 +176,10 @@ def _fields(doc, where: str, fields) -> list:
     return values
 
 
-def _naming_links(where: str, node_id: int, links: dict) -> dict[int, int]:
-    """A row's naming links keyed by label node id."""
-    naming = {}
-    for key, count in links.items():
-        try:
-            label = int(key)
-        except ValueError:
-            label = None
-        if str(label) != key or type(count) is not int or count < 1:
-            raise SnapshotError(
-                f"{where}: node {node_id} has the naming link "
-                f"{reprlib.repr(key)}: {reprlib.repr(count)}; a link needs a "
-                f"node id and a positive count") from None
-        naming[label] = count
-    return naming
-
-
-def _row_error(where: str, node_id: int, row) -> NoReturn:
+def _row_error(where: str, node_id: int, row,
+               labels: dict[str, int]) -> NoReturn:
     """Raise the exact error for row ``node_id``, which the loop in
-    :func:`_load_net` refused."""
+    :func:`_load_net` refused; ``labels`` holds the label node ids."""
     node = f"{where}: node {node_id}"
     if type(row) is not list or len(row) > len(_ROW_FIELDS):
         raise SnapshotError(f"{node} is not a list of {len(_ROW_FIELDS)} "
@@ -185,13 +187,18 @@ def _row_error(where: str, node_id: int, row) -> NoReturn:
     names = [name for name, _ in _ROW_FIELDS]
     parent, _, _, _, links = _fields(dict(zip(names, row)), node,
                                      _ROW_FIELDS)
-    _naming_links(where, node_id, links)
+    for key, count in links.items():
+        if key not in labels or type(count) is not int or count < 1:
+            raise SnapshotError(
+                f"{node} has the naming link {reprlib.repr(key)}: "
+                f"{reprlib.repr(count)}; a link needs a label node id and a "
+                f"positive count") from None
     raise SnapshotError(f"{node} names parent {parent!r}; a parent must "
                         f"be an earlier node") from None
 
 
 def _load_net(modality: str, doc, memory: MultiModalMemory,
-              link_targets: set[int]) -> DiscriminationNet:
+              labels: dict[str, int]) -> DiscriminationNet:
     """Build one net: one pass over its rows checks them and builds their
     nodes, and the net attaches them to its own root in one call."""
     where = f"{modality!r} net"
@@ -200,8 +207,6 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
                             memory.seconds_per_update)
     net.clock_seconds = clock
     nodes: list[LoadedNode] = []
-    # Each naming-link key this net has checked, with its label node id.
-    labels: dict[str, int] = {}
     # Any failure leaves the loop for _row_error, which names the problem.
     try:
         for node_id, row in enumerate(rows, ROOT_ID + 1):
@@ -216,20 +221,16 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
             if links:
                 naming = {}
                 for key, count in links.items():
-                    label = labels.get(key)
-                    if label is None or type(count) is not int or count < 1:
-                        naming = _naming_links(where, node_id, links)
-                        link_targets.update(naming)
-                        labels.update((str(i), i) for i in naming)
-                        break
-                    naming[label] = count
+                    if type(count) is not int or count < 1:
+                        raise ValueError
+                    naming[labels[key]] = count
             nodes.append(LoadedNode(node_id, tuple(test.split()), image,
                                     complete, parent, naming))
             # The row is built: drop it, so the document shrinks as the
             # net grows.
             rows[node_id - ROOT_ID - 1] = None
-    except (TypeError, ValueError):
-        _row_error(where, node_id, row)
+    except (KeyError, TypeError, ValueError):
+        _row_error(where, node_id, row, labels)
     try:
         net.attach(nodes)
     except NetworkError as exc:
@@ -263,14 +264,12 @@ def _load_doc(doc: dict) -> tuple[MultiModalMemory, dict]:
     memory = MultiModalMemory(label_modality=label_modality,
                               seconds_per_new_chunk=per_chunk,
                               seconds_per_update=per_update)
-    link_targets: set[int] = set()
+    # One label node id per label-net row: none when that net is missing or
+    # malformed, which its own load or a link then reports.
+    label_doc = networks.get(label_modality)
+    rows = label_doc.get("nodes") if type(label_doc) is dict else None
+    count = len(rows) if type(rows) is list else 0
+    labels = {str(i): i for i in range(1, count + 1)}
     for modality, net_doc in networks.items():
-        memory.nets[modality] = _load_net(modality, net_doc, memory,
-                                          link_targets)
-    label_net = memory.nets.get(label_modality)
-    labels = range(1, label_net.node_count if label_net else 0)
-    unknown = sorted(t for t in link_targets if t not in labels)
-    if unknown:
-        raise SnapshotError(f"naming links point at unknown label node(s) "
-                            f"{unknown}")
+        memory.nets[modality] = _load_net(modality, net_doc, memory, labels)
     return memory, meta

@@ -11,6 +11,8 @@ import pytest
 
 from chunknet import cli, harness
 from chunknet.cli import main
+from chunknet.config import ConfigError, write_json
+from chunknet.snapshot import load_memory, save_memory
 from chunknet.suites import build_xor_manifest, generate_synthetic_corpus
 from test_snapshot import V1_SNAPSHOT, V2_SNAPSHOT
 
@@ -376,6 +378,21 @@ class TestInspect:
         assert code == 0
         assert "[visual] nodes=5" in out_text
 
+    def test_a_snapshot_without_meta_names_its_default_tokenizer(
+            self, tmp_path, capsys):
+        memory, _ = load_memory(_xor_model(tmp_path))
+        model = tmp_path / "bare.json"
+        save_memory(model, memory)
+        assert json.loads(model.read_text())["meta"] == {}
+        capsys.readouterr()
+        code, out_text, _ = run(capsys, "inspect", "--model", str(model))
+        assert code == 0
+        assert out_text.startswith("snapshot schema v3; tokenizer words; "
+                                   "label modality verbal\n")
+        # categorise tokenizes the same file with that tokenizer
+        code, out_text, _ = run(capsys, *_query(tmp_path, model))
+        assert code == 0 and out_text.startswith("T ")
+
     def test_old_snapshot_rejected(self, tmp_path, capsys):
         manifest = build_xor_manifest(tmp_path / "corpus")
         out = tmp_path / "run"
@@ -706,6 +723,12 @@ def _negative_clock(doc):
                  2, "config.json: config field 'seconds_per_new_chunk' must be "
                  r"a finite number >= 0, got 10{17}\.\.\.0{19}$",
                  id="config_seconds_past_the_largest_float"),
+    # the simulated clock overflows to an infinity, which no file may hold
+    *(pytest.param(_config_file('{"seconds_per_new_chunk": 1e308}', command),
+                   2, r"cannot write output file .*out/model\.json: Out of "
+                   r"range float values are not JSON compliant: inf$",
+                   id=f"clock_overflow_{id_}")
+      for command, id_ in (("train", "train"), ("run-suite", "run_suite"))),
     pytest.param(_config_file('{"seconds_per_new_chunk": NaN}'), 2,
                  "config is not valid JSON: NaN is not a JSON value",
                  id="config_nan"),
@@ -847,6 +870,19 @@ def test_exit_code_table(tmp_path, capsys, setup, code, message):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert re.search(message, captured.err)
+
+
+def test_no_output_file_holds_nan_or_an_infinity(tmp_path, capsys):
+    argv = _config_file('{"seconds_per_new_chunk": 1e308}')(tmp_path)
+    assert main(argv) == 2
+    assert list((tmp_path / "out").iterdir()) == []
+    for value in (float("inf"), float("-inf"), float("nan")):
+        path = tmp_path / "training.json"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot write output file {path}: Out of range float "
+                f"values are not JSON compliant: {value!r}")):
+            write_json(path, {"simulated_time_seconds": [1.5, value]})
+        assert not path.exists()
 
 
 def test_a_failed_suite_check_exits_1(tmp_path, capsys):

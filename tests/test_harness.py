@@ -353,6 +353,18 @@ def test_phrase_corpus_inspect_nodes_output(capsys, phrase_model):
     assert digest == QUERY_HASHES["inspect --nodes"]
 
 
+def test_a_dump_of_a_loaded_memory_splits_no_image_it_keeps(phrase_model):
+    # A dump renders each image that a load left as text from that text,
+    # and stores no split: every image is still text afterwards.
+    model, _ = phrase_model
+    memory, meta = load_memory(model)
+    assert dump_memory(memory, meta) == model.read_text(encoding="utf-8")
+    loaded = [node for net in memory.nets.values()
+              for node in net.nodes()[1:]]
+    assert len(loaded) > 200
+    assert all(type(vars(node)["_image"]) is str for node in loaded)
+
+
 def test_a_query_splits_only_the_images_it_reads(phrase_model):
     # A load keeps every image as the file's text, and ``categorise`` reads
     # ``size`` only on nodes that carry naming links, so it splits a few of

@@ -336,8 +336,37 @@ def _bad_row_after_unknown_label(doc):
     _rows(doc)[-1][0] = 999
 
 
+def _label_net_last(doc):
+    """The networks in the file with the label net listed after the visual
+    net."""
+    networks = doc["networks"]
+    doc["networks"] = {"visual": networks["visual"],
+                       "verbal": networks["verbal"]}
+
+
+def _link_past_the_label_net_listed_last(doc):
+    # the label net has one row, so label 2 does not exist
+    _label_net_last(doc)
+    _rows(doc)[-1][4] = {"2": 1}
+
+
+def _label_modality_missing(doc):
+    doc["label_modality"] = "auditory"
+
+
+def _label_nodes_not_a_list_listed_last(doc):
+    _label_net_last(doc)
+    doc["networks"]["verbal"]["nodes"] = 5
+
+
 def _full(message):
     return f"^{re.escape(message)}$"
+
+
+def _link_message(node_id, key, count):
+    return _full(f"'visual' net: node {node_id} has the naming link "
+                 f"{key!r}: {count!r}; a link needs a label node id and a "
+                 f"positive count")
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -360,9 +389,9 @@ def _full(message):
                  id="test_is_a_list"),
     pytest.param(_complete_not_a_bool, "field 'complete' holds 'yes'",
                  id="complete_not_a_bool"),
-    pytest.param(_link_to_unknown_label, r"label node\(s\) \[999\]",
+    pytest.param(_link_to_unknown_label, _link_message(1, "999", 1),
                  id="link_to_unknown_label"),
-    pytest.param(_link_to_label_root, r"label node\(s\) \[0\]",
+    pytest.param(_link_to_label_root, _link_message(1, "0", 1),
                  id="link_to_label_root"),
     pytest.param(_link_key_not_an_id, "naming link 'x': 1; a link needs",
                  id="link_key_not_an_id"),
@@ -393,20 +422,28 @@ def _full(message):
         "'visual' net field 'clock_seconds' must be a finite number >= 0, "
         f"got {reprlib.repr(10 ** 400)}"),
         id="clock_past_the_largest_float"),
-    pytest.param(_link_key_01_after_1, _full(
-        "'visual' net: node 3 has the naming link '01': 1; a link needs a "
-        "node id and a positive count"), id="link_key_01_after_1"),
-    *(pytest.param(_link_count_under_checked_key(count), _full(
-        f"'visual' net: node 3 has the naming link '1': {count!r}; a link "
-        f"needs a node id and a positive count"),
-        id=f"link_count_{count!r}_under_checked_key")
+    pytest.param(_link_key_01_after_1, _link_message(3, "01", 1),
+                 id="link_key_01_after_1"),
+    *(pytest.param(_link_count_under_checked_key(count),
+                   _link_message(3, "1", count),
+                   id=f"link_count_{count!r}_under_checked_key")
       for count in (True, 0, 1.0)),
-    pytest.param(_link_to_unknown_label_late, _full(
-        "naming links point at unknown label node(s) [9]"),
-        id="link_to_unknown_label_late"),
-    pytest.param(_bad_row_after_unknown_label, _full(
-        "'visual' net: node 4 names parent 999; a parent must be an earlier "
-        "node"), id="bad_row_after_unknown_label"),
+    pytest.param(_link_to_unknown_label_late, _link_message(4, "9", 1),
+                 id="link_to_unknown_label_late"),
+    # the first bad row in file order is reported
+    pytest.param(_bad_row_after_unknown_label, _link_message(2, "9", 1),
+                 id="bad_row_after_unknown_label"),
+    pytest.param(_link_past_the_label_net_listed_last,
+                 _link_message(4, "2", 1),
+                 id="link_past_the_label_net_listed_last"),
+    # no label net, so no link names a label node
+    pytest.param(_label_modality_missing, _link_message(1, "1", 7),
+                 id="label_modality_missing"),
+    # the label net's fault lies after the first link in the file, which
+    # then names no label node
+    pytest.param(_label_nodes_not_a_list_listed_last,
+                 _link_message(1, "1", 7),
+                 id="label_nodes_not_a_list_listed_last"),
 ])
 def test_malformed_nets_rejected(tmp_path, corrupt, message):
     memory, _ = random_trained_memory(2)
@@ -421,6 +458,32 @@ def test_malformed_nets_rejected(tmp_path, corrupt, message):
     path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
     with pytest.raises(SnapshotError, match=message):
         load_memory(path)
+
+
+def test_links_load_from_a_label_net_listed_last(tmp_path):
+    memory, _ = random_trained_memory(2)
+    path = tmp_path / "model.json"
+    save_memory(path, memory)
+    text = path.read_text()
+    doc = json.loads(text)
+    _label_net_last(doc)
+    assert list(doc["networks"]) == ["visual", "verbal"]
+    path.write_text(json.dumps(doc))
+    assert dump_memory(load_memory(path)[0]) == text
+
+
+def test_a_label_row_may_link_to_a_later_label_node(tmp_path):
+    memory, _ = random_trained_memory(2)
+    path = tmp_path / "model.json"
+    save_memory(path, memory)
+    doc = json.loads(path.read_text())
+    labels = doc["networks"]["verbal"]["nodes"]
+    labels.append([0, "B", "B", True, {}])
+    labels[0][4] = {"2": 1}
+    path.write_text(json.dumps(doc))
+    restored, _ = load_memory(path)
+    assert restored.label_net.node(1).naming_links == {2: 1}
+    assert json.loads(dump_memory(restored)) == doc
 
 
 def test_load_rebuilds_lengths_and_index(tmp_path):
