@@ -11,9 +11,8 @@ from .attention import (AttentionConfig, Classification, categorise,
 from .config import RunConfig, load_config
 from .corpus import DatasetManifest, Sample, load_manifest
 from .harness import SuiteResult, Trainer, TrainingRun, train
-from .metrics import (BinomialQuery, MetricRow, PredictionPair,
-                      binomial_at_least, bonferroni, chance_probability,
-                      score_pair)
+from .metrics import (MetricRow, PredictionPair, binomial_at_least,
+                      chance_probability, score_pair)
 from .network import DiscriminationNet, LearnEvent, MultiModalMemory, Node
 from .patterns import Pattern, difference
 from .snapshot import load_memory, save_memory
@@ -22,11 +21,11 @@ from .stm import StmQueue, co_occupancy
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionConfig", "BinomialQuery", "Classification", "DatasetManifest",
+    "AttentionConfig", "Classification", "DatasetManifest",
     "DiscriminationNet", "LearnEvent", "MetricRow", "MultiModalMemory",
     "Node", "Pattern", "PredictionPair", "RunConfig", "Sample", "StmQueue",
     "SuiteResult", "Trainer", "TrainingRun", "binomial_at_least",
-    "bonferroni", "categorise", "chance_probability", "co_occupancy",
+    "categorise", "chance_probability", "co_occupancy",
     "confidence", "difference", "load_config",
     "load_manifest", "load_memory", "retrieve", "save_memory",
     "score_pair", "train",

@@ -72,9 +72,12 @@ def _write_run(out_dir: Path, result, doc: dict, output_format: str) -> None:
 
 
 def _run_config(args):
-    """The ``--config`` file, or the defaults, with ``--seed`` applied."""
-    return load_config(args.config, overrides={"seed": args.seed}
-                       if args.seed is not None else None)
+    """The ``--config`` file, or the defaults, with ``--seed`` and, for
+    ``train``, ``--no-shuffle`` applied."""
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    if getattr(args, "no_shuffle", False):     # run-suite has no such flag
+        overrides["shuffle"] = False
+    return load_config(args.config, overrides)
 
 
 def _load_manifest(path, config):
@@ -103,8 +106,7 @@ def cmd_train(args) -> int:
     config = _run_config(args)
     manifest = _load_manifest(args.manifest, config)
     memory = new_memory(config)
-    run = train(memory, manifest, config,
-                shuffle=False if args.no_shuffle else None)
+    run = train(memory, manifest, config)
     save_memory(out_dir / "model.json", memory,
                 _snapshot_meta(manifest, config))
     write_json(out_dir / "training.json", run.to_dict())
@@ -264,7 +266,7 @@ def cmd_eval_metrics(args) -> int:
                                 rule=args.rule)
     _write_csv(out_dir / "metrics.csv", [
         ["participant", "item", *METRIC_NAMES],
-        *([participant, item, *row.as_tuple()]
+        *([participant, item, *row]
           for participant, item, row in scored)])
     _write_csv(out_dir / "significance.csv", [
         ["metric", "k", "n", "chance_p", "tail_probability", "threshold",
@@ -328,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-shuffle", action="store_true",
-                   help="present samples in manifest order every epoch")
+                   help="present samples in manifest order every epoch; "
+                        "recorded as \"shuffle\": false in config.json "
+                        "and in the snapshot")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -160,19 +160,16 @@ def write_json(path, doc) -> None:
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Read a JSON config file; absent file fields keep their defaults."""
-    data: dict = {}
-    if path is not None:
-        raw = read_json(path, ConfigError, "config")
-        known = set(RunConfig.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        data.update(raw)
-    if overrides:
-        data.update(overrides)
+    """Read a JSON config file, then apply ``overrides``; fields absent
+    from both keep their defaults, and a key that names no field is
+    refused."""
+    data = {} if path is None else read_json(path, ConfigError, "config")
+    data.update(overrides or {})
+    unknown = set(data) - set(RunConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         return RunConfig(**data)
-    except (TypeError, ConfigError) as exc:
+    except ConfigError as exc:
         where = f"{path}: " if path is not None else ""
         raise ConfigError(f"{where}{exc}") from None

@@ -17,11 +17,12 @@ ranked confidences, the predicted label and a correct flag per item.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, field
 
 from .attention import AttentionConfig, Classification, categorise
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .corpus import DatasetManifest, Sample, TestItem, load_test_items, \
     load_training_samples
 from .network import (CREATED_NODE, FAMILIARISED, NO_CHANGE, LearnEvent,
@@ -117,7 +118,8 @@ class Trainer:
 
     def train(self, samples: list[Sample], seed: int | None = None,
               shuffle: bool | None = None) -> TrainingRun:
-        """Epochs until a no-learning epoch; guards against runaway growth."""
+        """Epochs until a no-learning epoch; guards against runaway growth
+        and against a simulated clock that overflows to an infinity."""
         if not samples:
             raise TrainingError("no training samples")
         seed = self.config.seed if seed is None else seed
@@ -148,6 +150,13 @@ class Trainer:
                     f"epoch {run.epoch_count}: learn events rose "
                     f"{prev_epoch_events} -> {epoch_events}")
             prev_epoch_events = epoch_events
+            if not math.isfinite(self.memory.simulated_seconds):
+                raise ConfigError(
+                    f"the simulated clock overflowed in epoch "
+                    f"{run.epoch_count}; seconds_per_new_chunk "
+                    f"{self.config.seconds_per_new_chunk:g} and "
+                    f"seconds_per_update {self.config.seconds_per_update:g} "
+                    f"are too large")
             nodes_now = sum(net.node_count
                             for net in self.memory.nets.values())
             if nodes_now > node_ceiling:

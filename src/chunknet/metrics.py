@@ -13,11 +13,12 @@ single_match     the pairs share at least one label
 An absent second choice never matches a present one. The chain
 identical <= both_match <= single_match and
 identical <= tops_match <= one_matches_top <= single_match holds for every
-scored pair.
+scored pair. A score row is a tuple of five 0/1 values, one per metric in
+``METRIC_NAMES`` order.
 
 Significance of a metric total k over n comparisons uses the exact binomial
-tail P(at least k successes) at the metric's chance probability, with a
-Bonferroni-adjusted threshold across the five hypotheses. Chance
+tail P(at least k successes) at the metric's chance probability, against a
+Bonferroni-adjusted threshold: 0.05 split over the five metrics. Chance
 probabilities are exact match counts, in closed form, over the outcomes of a
 random-prediction model (independent uniform choice per slot by default;
 uniform over ordered distinct pairs as an alternative).
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
+from typing import NamedTuple
 
 
 METRIC_NAMES = ("identical", "both_match", "tops_match",
@@ -55,44 +57,26 @@ class PredictionPair:
         return frozenset((self.top, self.second))
 
 
-@dataclass(frozen=True)
-class MetricRow:
-    identical: bool
-    both_match: bool
-    tops_match: bool
-    one_matches_top: bool
-    single_match: bool
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (int(self.identical), int(self.both_match),
-                int(self.tops_match), int(self.one_matches_top),
-                int(self.single_match))
+class MetricRow(NamedTuple):
+    identical: int
+    both_match: int
+    tops_match: int
+    one_matches_top: int
+    single_match: int
 
 
 def score_pair(human: PredictionPair, model: PredictionPair) -> MetricRow:
     return MetricRow(
-        identical=(human.top == model.top and human.second == model.second),
-        both_match=(human.label_set == model.label_set),
-        tops_match=(human.top == model.top),
-        one_matches_top=(human.top in model.label_set),
-        single_match=bool(human.label_set & model.label_set),
+        identical=int(human.top == model.top
+                      and human.second == model.second),
+        both_match=int(human.label_set == model.label_set),
+        tops_match=int(human.top == model.top),
+        one_matches_top=int(human.top in model.label_set),
+        single_match=int(bool(human.label_set & model.label_set)),
     )
 
 
 # -- binomial significance ---------------------------------------------------
-
-@dataclass(frozen=True)
-class BinomialQuery:
-    n: int
-    k: int
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise MetricsError(f"probability out of range: {self.p}")
-        if not 0 <= self.k <= self.n:
-            raise MetricsError(f"need 0 <= k <= n, got k={self.k} n={self.n}")
-
 
 def _log_pmf(n: int, i: int, log_p: float, log_q: float) -> float:
     log_comb = (math.lgamma(n + 1) - math.lgamma(i + 1)
@@ -100,7 +84,7 @@ def _log_pmf(n: int, i: int, log_p: float, log_q: float) -> float:
     return log_comb + i * log_p + (n - i) * log_q
 
 
-def binomial_at_least(query: BinomialQuery) -> float:
+def binomial_at_least(n: int, k: int, p: float) -> float:
     """Exact upper-tail binomial probability, summed stably in log space.
     The pmf falls away from its mode. From ``k`` at or above the mode the
     sum runs up to ``n``; below the mode the tail is one minus the lower
@@ -108,7 +92,10 @@ def binomial_at_least(query: BinomialQuery) -> float:
     term that underflows to 0.0, so the cost does not grow with ``n``, and
     far from the mode the terms that carry ``lgamma``'s rounding are the
     small ones."""
-    n, k, p = query.n, query.k, query.p
+    if not 0.0 <= p <= 1.0:
+        raise MetricsError(f"probability out of range: {p}")
+    if not 0 <= k <= n:
+        raise MetricsError(f"need 0 <= k <= n, got k={k} n={n}")
     if k == 0:
         return 1.0
     if p == 0.0:
@@ -126,14 +113,8 @@ def binomial_at_least(query: BinomialQuery) -> float:
     return min(1.0, math.fsum(terms(range(k, n + 1))))
 
 
-def bonferroni(alpha: float, hypothesis_count: int) -> float:
-    if hypothesis_count < 1:
-        raise MetricsError("hypothesis count must be >= 1")
-    return alpha / hypothesis_count
-
-
-# Significant tails fall below it: 0.05 split over the five metrics.
-SIGNIFICANCE_THRESHOLD = bonferroni(0.05, len(METRIC_NAMES))
+# Significant tails fall below it: Bonferroni's 0.05 split over the metrics.
+SIGNIFICANCE_THRESHOLD = 0.05 / len(METRIC_NAMES)
 
 
 # -- chance model -------------------------------------------------------------
@@ -186,7 +167,7 @@ def significance_report(totals: dict[str, int], n: int, label_count: int,
     for metric in METRIC_NAMES:
         k = totals[metric]
         p = chance_probability(metric, label_count, rule)
-        tail = binomial_at_least(BinomialQuery(n=n, k=k, p=float(p)))
+        tail = binomial_at_least(n, k, float(p))
         lines.append(SignificanceLine(
             metric=metric, k=k, n=n, chance_p=p, tail_probability=tail,
             threshold=SIGNIFICANCE_THRESHOLD,
@@ -195,8 +176,5 @@ def significance_report(totals: dict[str, int], n: int, label_count: int,
 
 
 def sum_rows(rows: list[MetricRow]) -> dict[str, int]:
-    totals = {name: 0 for name in METRIC_NAMES}
-    for row in rows:
-        for name in METRIC_NAMES:
-            totals[name] += int(getattr(row, name))
-    return totals
+    return {name: sum(row[i] for row in rows)
+            for i, name in enumerate(METRIC_NAMES)}

@@ -22,7 +22,7 @@ from .corpus import Category, SplitSpec, TestItem, load_manifest, \
     write_manifest
 from .harness import SuiteResult, TrainingRun, attention_config, \
     new_memory, run_suite, train, train_and_evaluate
-from .metrics import SIGNIFICANCE_THRESHOLD, BinomialQuery, binomial_at_least
+from .metrics import SIGNIFICANCE_THRESHOLD, binomial_at_least
 from .network import MultiModalMemory
 from .patterns import Pattern
 
@@ -280,9 +280,8 @@ def run_synthetic(out_dir: Path, config: RunConfig) -> SuiteReport:
         generate_synthetic_corpus(out_dir / "corpus", config.seed))
     _, training, result = train_and_evaluate(manifest, config)
 
-    tail = binomial_at_least(BinomialQuery(
-        n=result.total, k=result.correct_count,
-        p=1.0 / len(result.labels)))
+    tail = binomial_at_least(result.total, result.correct_count,
+                             1.0 / len(result.labels))
     checks = {"accuracy_above_chance_bonferroni":
               tail < SIGNIFICANCE_THRESHOLD}
     extras = {

@@ -58,6 +58,22 @@ class TestTrain:
         assert blobs[0] == blobs[1]
 
 
+    def test_no_shuffle_is_the_shuffle_false_config(self, tmp_path, capsys):
+        manifest = build_xor_manifest(tmp_path / "corpus")
+        config = tmp_path / "config.json"
+        config.write_text('{"shuffle": false}', encoding="utf-8")
+        for name, flag in (("flag", "--no-shuffle"),
+                           ("file", f"--config={config}")):
+            code, _, _ = run(capsys, "train", "--manifest", str(manifest),
+                             flag, "--out", str(tmp_path / name))
+            assert code == 0
+        for name in ("model.json", "training.json", "config.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                (tmp_path / "file" / name).read_bytes(), name
+        assert json.loads((tmp_path / "flag" / "config.json").read_text())[
+            "shuffle"] is False
+
+
 class TestCategorise:
     def _model(self, tmp_path, capsys):
         manifest = build_xor_manifest(tmp_path / "corpus")
@@ -723,12 +739,17 @@ def _negative_clock(doc):
                  2, "config.json: config field 'seconds_per_new_chunk' must be "
                  r"a finite number >= 0, got 10{17}\.\.\.0{19}$",
                  id="config_seconds_past_the_largest_float"),
-    # the simulated clock overflows to an infinity, which no file may hold
+    # the simulated clock overflows to an infinity: training stops at the
+    # end of that epoch
     *(pytest.param(_config_file('{"seconds_per_new_chunk": 1e308}', command),
-                   2, r"cannot write output file .*out/model\.json: Out of "
-                   r"range float values are not JSON compliant: inf$",
+                   2, r"error: the simulated clock overflowed in epoch 1; "
+                   r"seconds_per_new_chunk 1e\+308 and seconds_per_update 2 "
+                   r"are too large$",
                    id=f"clock_overflow_{id_}")
       for command, id_ in (("train", "train"), ("run-suite", "run_suite"))),
+    pytest.param(_config_file('{"bogus": 1}'), 2,
+                 r"^error: unknown config keys: \['bogus'\]$",
+                 id="config_unknown_key"),
     pytest.param(_config_file('{"seconds_per_new_chunk": NaN}'), 2,
                  "config is not valid JSON: NaN is not a JSON value",
                  id="config_nan"),
@@ -765,6 +786,9 @@ def _negative_clock(doc):
     pytest.param(_meta("config", {"shuffle": "no"}, "retrieve"), 2,
                  "meta field 'config': config field 'shuffle' must be true "
                  "or false, got 'no'", id="meta_config_text_for_bool"),
+    pytest.param(_meta("config", {"bogus": 1}, "inspect"), 2,
+                 r"^error: snapshot meta field 'config': unknown config "
+                 r"keys: \['bogus'\]$", id="meta_config_unknown_key"),
     pytest.param(_meta("config", {"link_weighting": None}), 2,
                  "meta field 'config': config field 'link_weighting' must be "
                  "a string, got None", id="meta_config_null_for_str"),
@@ -883,6 +907,32 @@ def test_no_output_file_holds_nan_or_an_infinity(tmp_path, capsys):
                 f"values are not JSON compliant: {value!r}")):
             write_json(path, {"simulated_time_seconds": [1.5, value]})
         assert not path.exists()
+
+
+def test_a_suite_whose_clock_overflows_writes_only_its_corpus(tmp_path,
+                                                              capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"seconds_per_new_chunk": 1e308}', encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "run-suite", "--suite", "xor",
+                            "--config", str(config), "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: the simulated clock overflowed in epoch 1;")
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["corpus"]
+
+
+def test_a_measure_split_of_a_non_music_stream_exits_2(tmp_path, capsys):
+    manifest = _xor_manifest(tmp_path)     # the logic_bits tokenizer
+    doc = json.loads(manifest.read_text())
+    doc["split"] = {"unit": "measures", "size": 1}
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "train", "--manifest", str(manifest),
+                            "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == "error: measure splitting needs a music token stream\n"
+    assert list(out.iterdir()) == []
 
 
 def test_a_failed_suite_check_exits_1(tmp_path, capsys):

@@ -101,6 +101,12 @@ class TestChessTokenizer:
         with pytest.raises(CorpusError):
             tokenize_chess_rows("........\n........")
 
+    def test_position_cut_short_before_a_blank_line_rejected(self):
+        text = self.BOARD + "\n\n" + "........\n" * 3 + "\n" + self.BOARD
+        with pytest.raises(CorpusError, match="^position ending at line 13 "
+                                              "has 3 rows, expected 8$"):
+            tokenize_chess_rows(text)
+
 
 class TestSplitting:
     def test_word_windows_keep_the_remainder(self):

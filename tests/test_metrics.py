@@ -10,9 +10,9 @@ from importlib import resources
 import pytest
 
 from chunknet import metrics
-from chunknet.metrics import (METRIC_NAMES, BinomialQuery, MetricsError,
-                              PredictionPair, binomial_at_least,
-                              bonferroni, chance_probability,
+from chunknet.metrics import (METRIC_NAMES, SIGNIFICANCE_THRESHOLD,
+                              MetricsError, PredictionPair,
+                              binomial_at_least, chance_probability,
                               score_pair, significance_report, sum_rows)
 
 
@@ -23,15 +23,15 @@ def pair(top, second=None):
 class TestScorePair:
     def test_identical_pair_scores_all_five(self):
         row = score_pair(pair("Bach", "Beethoven"), pair("Bach", "Beethoven"))
-        assert row.as_tuple() == (1, 1, 1, 1, 1)
+        assert tuple(row) == (1, 1, 1, 1, 1)
 
     def test_swapped_pair_scores_both_match(self):
         row = score_pair(pair("Bach", "Mozart"), pair("Mozart", "Bach"))
-        assert row.as_tuple() == (0, 1, 0, 1, 1)
+        assert tuple(row) == (0, 1, 0, 1, 1)
 
     def test_disjoint_pairs_score_nothing(self):
         row = score_pair(pair("Bach", "Mozart"), pair("Haydn", "Schubert"))
-        assert row.as_tuple() == (0, 0, 0, 0, 0)
+        assert tuple(row) == (0, 0, 0, 0, 0)
 
     def test_absent_second_never_matches_a_present_one(self):
         row = score_pair(pair("Bach"), pair("Bach", "Mozart"))
@@ -41,7 +41,7 @@ class TestScorePair:
 
     def test_two_identical_singletons(self):
         row = score_pair(pair("Bach"), pair("Bach"))
-        assert row.as_tuple() == (1, 1, 1, 1, 1)
+        assert tuple(row) == (1, 1, 1, 1, 1)
 
     def test_second_equal_to_top_rejected(self):
         with pytest.raises(MetricsError):
@@ -86,10 +86,9 @@ def binomial_at_least_exact(n, k, p):
     return total
 
 
-def binomial_at_least_full(query):
+def binomial_at_least_full(n, k, p):
     """Reference for ``binomial_at_least``: every term from k to n summed
     in log space, including the terms that underflow to 0.0."""
-    n, k, p = query.n, query.k, query.p
     if k == 0:
         return 1.0
     if p == 0.0:
@@ -109,9 +108,9 @@ def mode(n, p):
 
 class TestBinomial:
     def test_trivial_values(self):
-        assert abs(binomial_at_least(BinomialQuery(1, 1, 0.5)) - 0.5) < 1e-12
-        assert abs(binomial_at_least(BinomialQuery(2, 1, 0.5)) - 0.75) < 1e-12
-        assert binomial_at_least(BinomialQuery(5, 0, 0.3)) == 1.0
+        assert abs(binomial_at_least(1, 1, 0.5) - 0.5) < 1e-12
+        assert abs(binomial_at_least(2, 1, 0.5) - 0.75) < 1e-12
+        assert binomial_at_least(5, 0, 0.3) == 1.0
 
     def test_matches_exact_oracle_below_1e12(self):
         rng = random.Random(51)
@@ -124,7 +123,7 @@ class TestBinomial:
             p = Fraction(rng.randint(1, 19), 20)
             cases.append((n, k, p))
         for n, k, p in cases:
-            got = binomial_at_least(BinomialQuery(n, k, float(p)))
+            got = binomial_at_least(n, k, float(p))
             want = float(binomial_at_least_exact(n, k, p))
             assert abs(got - want) < 1e-12, (n, k, p)
 
@@ -139,9 +138,8 @@ class TestBinomial:
         for n, k, p in cases:
             if k < mode(n, p):
                 continue
-            query = BinomialQuery(n, k, p)
-            assert binomial_at_least(query) == \
-                binomial_at_least_full(query), (n, k, p)
+            assert binomial_at_least(n, k, p) == \
+                binomial_at_least_full(n, k, p), (n, k, p)
 
     def test_below_the_mode_matches_the_exact_tail(self):
         rng = random.Random(20)
@@ -152,11 +150,11 @@ class TestBinomial:
             if mode(n, float(p)) > 1:
                 cases.append((n, rng.randint(1, mode(n, float(p)) - 1), p))
         for n, k, p in cases:
-            got = binomial_at_least(BinomialQuery(n, k, float(p)))
+            got = binomial_at_least(n, k, float(p))
             want = float(binomial_at_least_exact(n, k, p))
             assert abs(got - want) <= 1e-12 * want, (n, k, p)
         # Summed up from k, this tail read 0.9999999993521941.
-        assert binomial_at_least(BinomialQuery(1_000_000, 1, 1 / 16)) == 1.0
+        assert binomial_at_least(1_000_000, 1, 1 / 16) == 1.0
 
     @pytest.mark.parametrize("p", [1 / 16, 3 / 4])
     def test_cost_does_not_grow_with_n(self, monkeypatch, p):
@@ -168,7 +166,7 @@ class TestBinomial:
             calls += 1
             return log_pmf(*args)
         monkeypatch.setattr(metrics, "_log_pmf", counted)
-        assert abs(binomial_at_least(BinomialQuery(1_000_000, 1, p))
+        assert abs(binomial_at_least(1_000_000, 1, p)
                    - 1.0) < 1e-8
         assert calls <= 100_000
 
@@ -176,19 +174,22 @@ class TestBinomial:
         assert binomial_at_least_exact(2, 1, Fraction(1, 2)) == Fraction(3, 4)
 
     def test_query_validation(self):
-        with pytest.raises(MetricsError):
-            BinomialQuery(5, 6, 0.5)
-        with pytest.raises(MetricsError):
-            BinomialQuery(5, 2, 1.5)
+        with pytest.raises(MetricsError, match=r"^need 0 <= k <= n, "
+                                               r"got k=6 n=5$"):
+            binomial_at_least(5, 6, 0.5)
+        with pytest.raises(MetricsError,
+                           match=r"^probability out of range: 1\.5$"):
+            binomial_at_least(5, 2, 1.5)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (7, 7)])
+    def test_certain_probabilities(self, n, k):
+        assert binomial_at_least(n, k, 0.0) == 0.0
+        assert binomial_at_least(n, k, 1.0) == 1.0
 
 
 class TestBonferroni:
     def test_values(self):
-        assert bonferroni(0.05, 5) == 0.01
-        assert bonferroni(0.05, 1) == 0.05
-        assert bonferroni(0.01, 2) == 0.005
-        with pytest.raises(MetricsError):
-            bonferroni(0.05, 0)
+        assert SIGNIFICANCE_THRESHOLD == 0.01
 
 
 def _random_model_pairs(label_count, rule):
@@ -234,6 +235,11 @@ class TestChanceProbability:
         assert chance_probability("tops_match", 4, "distinct_pairs") == \
             Fraction(1, 4)
 
+    @pytest.mark.parametrize("label_count", [0, 1])
+    def test_fewer_than_two_labels_rejected(self, label_count):
+        with pytest.raises(MetricsError, match="^need at least two labels$"):
+            chance_probability("identical", label_count)
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(MetricsError):
             chance_probability("identical", 4, "dice")
@@ -264,7 +270,7 @@ class TestParticipantFixture:
         for row in load_fixture_rows():
             human = pair(row["human_top"], row["human_second"] or None)
             model = pair(row["model_top"], row["model_second"] or None)
-            got = score_pair(human, model).as_tuple()
+            got = tuple(score_pair(human, model))
             want = tuple(int(row[m]) for m in METRIC_NAMES)
             assert got == want, (row["participant"], row["excerpt"])
 

@@ -41,6 +41,15 @@ def test_token_validation():
         Pattern("visual", ("a b",))
     with pytest.raises(PatternError):
         Pattern("", ("a",))
+    with pytest.raises(PatternError, match="^pattern tokens must be "
+                                           "non-empty strings, got 7$"):
+        Pattern("visual", ("a", 7))
+
+
+def test_a_token_list_is_stored_as_a_tuple():
+    p = Pattern("visual", ["a", "b"])
+    assert p.tokens == ("a", "b") and type(p.tokens) is tuple
+    assert p == Pattern("visual", ("a", "b"))
 
 
 def test_matches_implies_empty_difference():
