@@ -350,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-suite",
                        help="run a built-in suite or a manifest end to end")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--suite", choices=SUITES)
+    group.add_argument("--suite", choices=SUITES, help="a built-in suite; "
+                       "five-four fixes its own presentation orders and "
+                       "ignores the config's shuffle")
     group.add_argument("--manifest")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)

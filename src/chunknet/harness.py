@@ -79,6 +79,7 @@ class Trainer:
 
     def __post_init__(self):
         self._rng = random.Random(self.config.seed)
+        self._gated = self.config.chunk_probability < 1.0
 
     def queue(self, modality: str) -> StmQueue:
         if modality not in self._queues:
@@ -86,28 +87,33 @@ class Trainer:
         return self._queues[modality]
 
     def _learn_gated(self, net, pattern) -> LearnEvent:
-        if self.config.chunk_probability < 1.0 \
-                and self._rng.random() >= self.config.chunk_probability:
+        if self._rng.random() >= self.config.chunk_probability:
             # Chunk formation gate failed: recognise only, no structural change.
-            node = net.recognise(pattern)
-            return LearnEvent(NO_CHANGE, node.node_id)
+            return LearnEvent(NO_CHANGE, net.recognise(pattern).node_id)
         return net.learn(pattern)
 
     def present(self, sample: Sample) -> tuple[LearnEvent, LearnEvent]:
-        """One labelled presentation into ``memory`` as it is: learn both
-        modalities, feed STM, form a naming link on gated co-occupancy."""
+        """One labelled presentation into ``memory`` as it is (nets and queues
+        looked up per call): learn both modalities, with no gate draw at a
+        ``chunk_probability`` of 1, feed STM, link on gated co-occupancy."""
         visual, label = sample.visual, sample.label
         memory = self.memory
         try:
             visual_net = memory.nets[visual.modality]
             label_net = memory.nets[label.modality]
-        except KeyError:    # a modality's first presentation makes its net
+            visual_q = self._queues[visual.modality]
+            verbal_q = self._queues[label.modality]
+        except KeyError:    # a modality's first presentation makes its parts
             visual_net = memory.net(visual.modality)
             label_net = memory.net(label.modality)
-        ev_visual = self._learn_gated(visual_net, visual)
-        ev_label = self._learn_gated(label_net, label)
-        visual_q = self.queue(visual.modality)
-        verbal_q = self.queue(label.modality)
+            visual_q = self.queue(visual.modality)
+            verbal_q = self.queue(label.modality)
+        if self._gated:
+            ev_visual = self._learn_gated(visual_net, visual)
+            ev_label = self._learn_gated(label_net, label)
+        else:
+            ev_visual = visual_net.learn(visual)
+            ev_label = label_net.learn(label)
         visual_q.push(ev_visual.node_id)
         verbal_q.push(ev_label.node_id)
         pair = co_occupancy(visual_q, verbal_q, visual_net, label_net,
@@ -128,18 +134,18 @@ class Trainer:
         run = TrainingRun(seed=seed)
         total_tokens = sum(len(s.visual) + len(s.label) for s in samples)
         node_ceiling = self.config.node_ceiling_factor * total_tokens
-        order = list(range(len(samples)))
+        order = list(samples)   # shuffled like indices: the same draws
         prev_epoch_events = None
         for _ in range(self.config.max_epochs):
             if shuffle:
                 self._rng.shuffle(order)
-            epoch_events = 0
-            for idx in order:
-                ev_v, ev_l = self.present(samples[idx])
-                for ev in (ev_v, ev_l):
-                    run.learn_events[ev.kind] += 1
-                    if ev.kind != NO_CHANGE:
-                        epoch_events += 1
+            unchanged = run.learn_events[NO_CHANGE]
+            for sample in order:
+                ev_v, ev_l = self.present(sample)
+                run.learn_events[ev_v.kind] += 1
+                run.learn_events[ev_l.kind] += 1
+            epoch_events = (2 * len(order) + unchanged
+                            - run.learn_events[NO_CHANGE])
             run.epoch_count += 1
             run.epoch_event_counts.append(epoch_events)
             if prev_epoch_events is not None and \

@@ -43,10 +43,11 @@ surrogate). Complete images stop matching longer patterns, which is what turns
 further presentations of extensions into single-shot discriminations of new
 chunks rather than endless image growth; no learn grows one.
 
-Every learn remembers the node where its walk ended. A repeat starts there
-without a walk (returning a kept ``NO_CHANGE`` at once) while that node lists
-no child under the pattern's next token, or the walk used up the pattern
-(``learn`` proves this exact). The map is derived state, never saved.
+Every learn keeps where its walk ended in its token tuple's one entry, updated
+in place, so it hashes its tokens once (twice to add the entry). A repeat
+starts there without a walk (returning a kept ``NO_CHANGE`` at once) while
+that node lists no child under the pattern's next token, or the walk used up
+the pattern (``learn`` proves this exact). The map is derived, never saved.
 
 Every node, learned or loaded, joins the tree through ``attach``: it refuses
 an empty test link or one a sibling has, and alone sets contents lengths and
@@ -67,6 +68,7 @@ trainer when fully learned chunks co-occupy short-term memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Nothing here calls ``difference``; the benchmark's tracer patches it here.
 from .patterns import Pattern, PatternError, difference
@@ -142,8 +144,7 @@ class LoadedNode(Node):
         self._image = image
 
 
-@dataclass(frozen=True)
-class LearnEvent:
+class LearnEvent(NamedTuple):
     kind: str                        # created_node | familiarised | no_change
     node_id: int
 
@@ -160,9 +161,8 @@ class DiscriminationNet:
         # Indexed by node id: ids are dense, in creation order, and a node
         # is never deleted.
         self._nodes: list[Node] = [Node(node_id=ROOT_ID, test=(), image=())]
-        # Remembered walks by tokens: (end node, the event if NO_CHANGE
-        # else None). Derived state, never saved; see ``learn``.
-        self._walks: dict[tuple[str, ...], tuple] = {}
+        # [end node, kept NO_CHANGE or None] by tokens; see ``learn``.
+        self._walks: dict[tuple[str, ...], list] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -318,19 +318,20 @@ class DiscriminationNet:
         if p.modality != self.modality:
             self._check_modality(p)
         tokens = p.tokens
-        node, event = self._walks.get(tokens, (None, None))
-        if node is not None and (node.contents_length == len(tokens) or
-                                 tokens[node.contents_length]
-                                 not in node.index):
-            if event is not None:
-                return event
-        else:
+        entry = self._walks.get(tokens)
+        if entry is None:
             if not tokens:
                 raise NetworkError("cannot learn an empty pattern")
-            node = self.recognise(p)
-        event = self._step(node, p)
-        self._walks[tokens] = (node,
-                               event if event.kind == NO_CHANGE else None)
+            entry = self._walks[tokens] = [self.recognise(p), None]
+        else:
+            node, event = entry
+            if node.contents_length != len(tokens) and \
+                    tokens[node.contents_length] in node.index:
+                entry[0] = self.recognise(p)
+            elif event is not None:
+                return event
+        event = self._step(entry[0], p)
+        entry[1] = event if event.kind == NO_CHANGE else None
         return event
 
     def _step(self, node: Node, p: Pattern) -> LearnEvent:

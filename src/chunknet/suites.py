@@ -131,7 +131,8 @@ def classify_transfer(memory: MultiModalMemory, config: RunConfig) -> dict[str, 
 
 
 def run_five_four(out_dir: Path, config: RunConfig) -> SuiteReport:
-    """Canonical-order training plus a seed sweep over shuffled replicas.
+    """Canonical-order training plus a seed sweep over shuffled replicas;
+    the suite fixes these orders, so the config's ``shuffle`` is not read.
 
     The canonical run must assign A to the 1000 transfer face; the sweep
     reports per-item modal labels against the reference transfer table

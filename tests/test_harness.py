@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import reference
+from chunknet import harness
 from chunknet.attention import categorise
 from chunknet.cli import main
 from chunknet.config import RunConfig
@@ -16,9 +17,11 @@ from chunknet.corpus import (Category, Sample, SplitSpec, load_manifest,
                              load_training_samples, write_manifest)
 from chunknet.harness import (Trainer, TrainingError, attention_config,
                               new_memory, train, train_and_evaluate)
-from chunknet.network import DiscriminationNet, MultiModalMemory
+from chunknet.network import (CREATED_NODE, FAMILIARISED, NO_CHANGE,
+                              DiscriminationNet, MultiModalMemory)
 from chunknet.patterns import Pattern
 from chunknet.snapshot import dump_memory, load_memory, save_memory
+from chunknet.stm import StmQueue
 from chunknet.suites import build_xor_manifest
 
 
@@ -210,17 +213,68 @@ def test_phrase_corpus_training_walk_count(tmp_path, monkeypatch):
     # time through familiarise; and 3,874 while only learns that changed
     # nothing kept their walk. Discrimination takes its contents from the
     # walk, so training never rebuilds them from a parent chain.
-    calls = {"recognise": 0, "learn": 0, "contents": 0}
-    for name in calls:
-        method = getattr(DiscriminationNet, name)
+    #
+    # The benchmark wraps ``Trainer.present``, ``StmQueue.push`` and
+    # ``harness.co_occupancy`` where they are looked up, so training must
+    # keep calling each of them through the class or module attribute, and
+    # every naming link goes through ``add_naming_link``.
+    calls = {"recognise": 0, "learn": 0, "contents": 0, "present": 0,
+             "push": 0, "co_occupancy": 0, "hits": 0, "add_naming_link": 0}
 
-        def counted(self, *args, _method=method, _name=name):
-            calls[_name] += 1
-            return _method(self, *args)
-        monkeypatch.setattr(DiscriminationNet, name, counted)
+    def count(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            result = method(*args, **kwargs)
+            if name == "co_occupancy":
+                calls["hits"] += result is not None
+            return result
+        monkeypatch.setattr(owner, name, counted)
+    for name in ("recognise", "learn", "contents"):
+        count(DiscriminationNet, name)
+    count(Trainer, "present")
+    count(StmQueue, "push")
+    count(harness, "co_occupancy")
+    count(MultiModalMemory, "add_naming_link")
     config = RunConfig()
     train(new_memory(config), _phrase_corpus(tmp_path), config)
-    assert calls == {"recognise": 2282, "learn": 6000, "contents": 0}
+    assert calls == {"recognise": 2282, "learn": 6000, "contents": 0,
+                     "present": 3000, "push": 6000, "co_occupancy": 3000,
+                     "hits": 1218, "add_naming_link": 1218}
+
+
+# (corpus, shuffle, chunk_probability) -> epoch count and learn events
+# (created, familiarised, unchanged), as recorded before the trainer counted
+# an epoch's changes from its unchanged learns.
+TALLIES = {
+    ("xor", True, 1.0): (4, 6, 6, 20),
+    ("xor", True, 0.6): (4, 5, 6, 21),
+    ("xor", False, 1.0): (3, 6, 6, 12),
+    ("xor", False, 0.6): (5, 5, 6, 29),
+    ("phrases", True, 1.0): (30, 278, 1608, 4114),
+    ("phrases", True, 0.6): (50, 274, 1597, 8129),
+    ("phrases", False, 1.0): (33, 285, 1602, 4713),
+    ("phrases", False, 0.6): (52, 278, 1588, 8534),
+}
+
+
+@pytest.mark.parametrize("corpus, shuffle, chunk_probability",
+                         sorted(TALLIES))
+def test_training_tallies_add_up(tmp_path, corpus, shuffle,
+                                 chunk_probability):
+    # Every presentation makes two learn events, and an epoch's count is
+    # its events that changed the net, gated ones included.
+    samples = XOR_SAMPLES if corpus == "xor" else \
+        load_training_samples(_phrase_corpus(tmp_path))
+    config = RunConfig(shuffle=shuffle, chunk_probability=chunk_probability)
+    run = Trainer(new_memory(config), config).train(samples)
+    events = run.learn_events
+    assert sum(run.epoch_event_counts) == \
+        events[CREATED_NODE] + events[FAMILIARISED]
+    assert sum(events.values()) == 2 * len(samples) * run.epoch_count
+    assert (run.epoch_count, events[CREATED_NODE], events[FAMILIARISED],
+            events[NO_CHANGE]) == TALLIES[corpus, shuffle, chunk_probability]
 
 
 def test_phrase_corpus_samples_hold_each_token_once(tmp_path):

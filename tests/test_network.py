@@ -1,6 +1,7 @@
 """Discrimination-network behaviour: retrieval, the four learning traces,
 convergence, and structural invariants."""
 
+import inspect
 import random
 
 import pytest
@@ -544,3 +545,23 @@ def test_children_are_listed_in_creation_order():
 def test_node_dataclass_defaults():
     node = Node(node_id=5, test=("A",), image=())
     assert node.children == [] and node.naming_links == {}
+
+
+def test_learn_event_contract():
+    # An event is a value of two fields: built by position or by name,
+    # compared and hashed by its fields, printed by name, and never changed.
+    event = LearnEvent(NO_CHANGE, 1)
+    assert list(inspect.signature(LearnEvent).parameters) == \
+        ["kind", "node_id"]
+    assert (event.kind, event.node_id) == (NO_CHANGE, 1)
+    assert event == LearnEvent(kind=NO_CHANGE, node_id=1)
+    assert event != LearnEvent(NO_CHANGE, 2)
+    assert event != LearnEvent(CREATED_NODE, 1)
+    assert hash(event) == hash(LearnEvent(NO_CHANGE, 1)) == \
+        hash((NO_CHANGE, 1))
+    assert len({event, LearnEvent(NO_CHANGE, 1), LearnEvent(FAMILIARISED,
+                                                             1)}) == 2
+    with pytest.raises(AttributeError):
+        event.kind = CREATED_NODE
+    assert event.kind == NO_CHANGE
+    assert repr(event) == "LearnEvent(kind='no_change', node_id=1)"

@@ -124,3 +124,21 @@ def test_manifest_mode_and_train_outputs(tmp_path, capsys):
         "model.json": "232d8fb77681c907",
         "training.json": "7a7d3c0ed39c67fe",
         "config.json": "1824966a915217ab"}
+
+
+def test_five_four_reads_no_shuffle_from_the_config(tmp_path, capsys):
+    # The suite fixes its own presentation orders, one unshuffled run and
+    # then one shuffled replica per sweep seed, so a config that turns
+    # shuffling off changes no output byte.
+    config = tmp_path / "config.json"
+    config.write_text('{"shuffle": false}', encoding="utf-8")
+    outputs = []
+    for extra in ([], ["--config", str(config)]):
+        out = tmp_path / f"out{len(outputs)}"
+        stdout = run_cli(capsys, "run-suite", "--suite", "five-four",
+                         "--out", str(out), *extra)
+        outputs.append(((out / "results.csv").read_bytes(),
+                        (out / "run.json").read_bytes(), stdout))
+    assert outputs[0] == outputs[1]
+    assert tuple(digest(data) for data in outputs[1]) == \
+        SUITE_HASHES["five-four", 0]
