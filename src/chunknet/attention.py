@@ -9,7 +9,8 @@ covered by up to ``span - min_fetch + 1`` window positions, so each start is
 walked once without the window bound, and walked again, bounded, only for a
 window whose end that first path passes. A start's walk leaves one vote, and
 a window picks its winner with one ``max`` over its starts' votes rather
-than a Python step per fetch.
+than a Python step per fetch. Past the walks, the scan's cost follows its
+voting and re-walked starts: only a window that holds one is looked at.
 
 A chunk votes for the labels it holds naming links to, contributing its size
 split across labels in proportion to the link counts (under multiplicative
@@ -143,11 +144,20 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     every path, and an earlier one is passed exactly when ``o + span < r``.
     As each start is walked, it is listed under ``o + span`` for each window
     ``o`` that holds it and ends before ``r``; those are exactly the bounded
-    re-walks a scan of every fetch would need. Every window ends at
-    ``span`` or later, or at ``n``, so a path that reaches no further than
-    ``span`` is listed nowhere, and in a stimulus no longer than the span
+    re-walks a scan of every fetch would need. Only a start whose
+    ``contents_length`` exceeds ``min_fetch`` and whose ``r`` exceeds
+    ``span`` is checked for them: the earliest window that holds ``start``
+    ends at or after ``min(start + min_fetch, n)``, and every window ends at
+    ``span`` or later, or at ``n``. So in a stimulus no longer than the span
     nothing is walked twice. Each window copies its slice of votes and
     overwrites only its listed starts with their bounded walk's vote.
+
+    The starts whose unbounded walk votes are collected in order. A window
+    with no listed start and none of those among its starts has a largest
+    vote of 0 and adds nothing, so it is skipped, found by one index into
+    the voting starts that only moves forward; with no voting start and no
+    listed start, no window is looked at. The rest run in order, so the
+    activations add up in the order of a scan of every window.
 
     The winner is the first start that holds the largest vote, ``max`` then
     ``index``: the same node a strict ``>`` scan in start order keeps. A
@@ -165,38 +175,49 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     recognise = net.recognise
     span, step, min_fetch = cfg.span, cfg.step, cfg.min_fetch
     stop = groups[-1].stop
-    walks: list = [None] * stop      # per start: its unbounded walk,
-    votes = [0] * stop               # and that walk's vote
+    walks: list = [None] * stop      # per voting start: its unbounded walk,
+    votes = [0] * stop               # and per start, that walk's vote
+    voters: list[int] = []           # the voting starts, in order
     passes: dict[int, dict] = {}     # window end -> {start: bounded walk}
     # Windows leave gaps only when a step outruns a full window's starts;
     # otherwise together they hold every start before ``stop``.
     held = groups if step > span - min_fetch + 1 else (range(stop),)
     for group in held:
         for start in group:
-            node = walks[start] = recognise(stimulus, start)
+            node = recognise(stimulus, start)
             if node.naming_links:
+                walks[start] = node
                 votes[start] = node.size
-            reach = start + node.contents_length
-            if reach > span:
+                voters.append(start)
+            length = node.contents_length
+            if length > min_fetch and start + length > span:
                 # The windows ``o`` that hold ``start`` and end before
-                # ``reach``: multiples of ``step`` from
+                # ``start + length``: multiples of ``step`` from
                 # ``start + min_fetch - span`` to ``start``, with
-                # ``o + span < reach``.
+                # ``o + span < start + length``.
                 first = max(start + min_fetch - span, 0)
                 first += -first % step
-                for end in range(first + span, min(start + span + 1, reach),
-                                 step):
+                for end in range(first + span,
+                                 min(start + span + 1, start + length), step):
                     passing = passes.get(end)
                     if passing is None:
                         passes[end] = {start: None}
                     else:
                         passing[start] = None
+    if not voters and not passes:
+        return Classification(())
+    voters.append(stop)              # a sentinel after every window's starts
+    v = 0
     activations: dict[int, float] = {}
     for group in groups:
         first = group.start
-        window = votes[first:group.stop]
+        while voters[v] < first:
+            v += 1
         end = first + span
         passing = passes.get(end)
+        if passing is None and voters[v] >= group.stop:
+            continue                 # no start here votes: its maximum is 0
+        window = votes[first:group.stop]
         if passing is not None:
             for start in passing:
                 node = passing[start] = recognise(stimulus, start, end)

@@ -186,16 +186,19 @@ class DiscriminationNet:
         return list(self._nodes)
 
     def contents(self, node_id: int) -> Pattern:
-        """Concatenated test links on the root-to-node path."""
-        toks: list[str] = []
+        """Concatenated test links on the root-to-node path: the tokens
+        ``_path`` reads, which ``MultiModalMemory.label_name`` joins."""
+        return Pattern.derived(self.modality, tuple(self._path(node_id)))
+
+    def _path(self, node_id: int) -> list[str]:
+        """The test links' tokens from the root down to ``node_id``, read in
+        one walk up the parent chain."""
         node = self.node(node_id)
-        chain = []
+        toks: list[str] = []
         while node.parent is not None:
-            chain.append(node.test)
+            toks[:0] = node.test
             node = self._nodes[node.parent]
-        for test in reversed(chain):
-            toks.extend(test)
-        return Pattern.derived(self.modality, tuple(toks))
+        return toks
 
     def _check_modality(self, p: Pattern) -> None:
         if p.modality != self.modality:
@@ -437,8 +440,9 @@ class MultiModalMemory:
         links[label_node_id] = links.get(label_node_id, 0) + 1
 
     def label_name(self, label_node_id: int) -> str:
-        """Human-readable name of a label chunk (its contents)."""
-        return self.label_net.contents(label_node_id).to_line()
+        """Human-readable name of a label chunk: its ``contents`` joined by
+        single spaces, from the same ``_path`` walk, with no ``Pattern``."""
+        return " ".join(self.label_net._path(label_node_id))
 
     @property
     def simulated_seconds(self) -> float:

@@ -321,6 +321,108 @@ class TestCategorise:
         assert cls.entries == reference.categorise(ref, "visual", tokens, 4)
 
 
+def scanned_like_the_reference(memory, ref, stimulus, cfg):
+    """``categorise``'s result, after checking that its entries and its
+    number of ``recognise`` calls equal the reference's."""
+    args = (stimulus.tokens, cfg.span, cfg.step, cfg.min_fetch)
+    cls = categorise(memory, stimulus, cfg)
+    assert cls.entries == reference.categorise(ref, "visual", *args)
+    assert recognise_calls(memory, stimulus, cfg) == \
+        reference.walks(ref.nets["visual"], *args)
+    return cls
+
+
+TF = [[0, "T", "T", True, {}], [0, "F", "F", True, {}]]
+
+
+class TestScanSkips:
+    """The scan walks every held start and re-walks every passed one, but
+    only looks at windows that hold a voting start or a re-walk."""
+
+    def test_a_re_walk_alone_votes(self):
+        # The unlinked chunk "a b c d" sits over its linked prefix "a b":
+        # no unbounded walk votes, but the first window (end 3) cuts start
+        # 0's path and its bounded re-walk stops at "a b".
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 1}],
+                       [1, "c d", "a b c d", True, {}]],
+            "verbal": TF})
+        stimulus = P("a", "b", "c", "d")
+        cls = scanned_like_the_reference(memory, ref, stimulus,
+                                         AttentionConfig(span=3))
+        assert cls.entries == (("T", 1.0),)
+        assert recognise_calls(memory, stimulus, AttentionConfig(span=3)) \
+            == 3 + 1
+        # One window, nothing passed and nothing votes.
+        assert scanned_like_the_reference(memory, ref, stimulus,
+                                          AttentionConfig(span=4)) \
+            .no_activation
+
+    def test_a_walk_one_token_past_min_fetch_is_re_walked(self):
+        # "a b c" has min_fetch + 1 tokens; from start 1 it reaches 4, past
+        # the end (3) of the one earlier window that holds start 1, whose
+        # re-walk votes "a b". Its unbounded walk never votes.
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 1}],
+                       [1, "c", "a b c", True, {}]],
+            "verbal": TF})
+        stimulus = P("x", "a", "b", "c")
+        cfg = AttentionConfig(span=3, min_fetch=2)
+        cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
+        assert cls.entries == (("T", 1.0),)
+        assert recognise_calls(memory, stimulus, cfg) == 3 + 1
+
+    @pytest.mark.parametrize("tokens, step, entries", [
+        # Windows (span 4, step 3) hold starts 0-2, 3-5 and 6. "a b" votes
+        # from the first start of the first window, "c d" from the last
+        # start of the second.
+        ("a b x x x c d y", 3, (("T", 0.5), ("F", 0.5))),
+        # "a b" from the last start of the first window, "c d" from the
+        # only start of the last.
+        ("x x a b x x c d", 3, (("T", 0.5), ("F", 0.5))),
+        # At step 1 a start is in up to three windows, and it votes in
+        # each one whose other starts it outvotes.
+        ("a b x x x c d y", 1, (("F", 2 / 3), ("T", 1 / 3))),
+        ("x a b x c d", 1, (("T", 2 / 3), ("F", 1 / 3))),
+        # Step 4 leaves start 3 in a gap (windows hold starts 0-2 and
+        # 4-6): "a b" there never votes, and "c d" does. At step 3 start 3
+        # is the first of a window, and "a b" outvotes the later "c d".
+        ("x x x a b c d y", 4, (("F", 1.0),)),
+        ("x x x a b c d y", 3, (("T", 1.0),)),
+    ])
+    def test_voting_starts_at_window_edges(self, tokens, step, entries):
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 1}],
+                       [0, "c d", "c d", True, {"2": 1}]],
+            "verbal": TF})
+        cfg = AttentionConfig(span=4, step=step, min_fetch=2)
+        cls = scanned_like_the_reference(memory, ref, P(*tokens.split()),
+                                         cfg)
+        assert cls.entries == entries
+
+
+class TestLabelNames:
+    def test_a_label_name_is_its_contents_line(self):
+        # Label nodes at depths 1 to 3, with multi-token test links.
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 2}],
+                       [0, "c d", "c d", True, {"3": 1, "4": 1}]],
+            "verbal": [[0, "al pha", "al pha", True, {}],
+                       [1, "x", "al pha x", True, {}],
+                       [2, "be ta", "al pha x be ta", True, {}],
+                       [0, "g", "g", True, {}]]})
+        names = {i: memory.label_name(i) for i in range(1, 5)}
+        assert names == {i: memory.label_net.contents(i).to_line()
+                         for i in range(1, 5)}
+        assert names == {1: "al pha", 2: "al pha x", 3: "al pha x be ta",
+                         4: "g"}
+        cfg = AttentionConfig(span=2, step=2)
+        cls = scanned_like_the_reference(memory, ref, P("a", "b", "c", "d"),
+                                         cfg)
+        assert cls.entries == ((names[1], 0.5), (names[3], 0.25),
+                               (names[4], 0.25))
+
+
 def two_position_memory():
     """Chunks voting at two window positions of "a b c d e" (span 3, step
     3): "a b c" (size 3, links T:1 F:1) beats its own fragment "b c" (size

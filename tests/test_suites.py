@@ -8,6 +8,7 @@ from chunknet.suites import (FIVE_FOUR_REFERENCE, FIVE_FOUR_TRANSFER,
                              run_five_four, run_occlusion, run_xor)
 import random
 
+from chunknet import corpus
 from chunknet.corpus import load_manifest, load_training_samples
 
 
@@ -32,6 +33,21 @@ def test_five_four_anchor_and_sweep(tmp_path):
                     for f in FIVE_FOUR_TRANSFER)
     assert report.extras["sweep_agreement"] == \
         f"{agreement}/{len(FIVE_FOUR_TRANSFER)}"
+
+
+def test_five_four_reads_each_training_file_once(tmp_path, monkeypatch):
+    # The canonical run and the 50 sweep replicas train from one loaded
+    # set of samples: each training file is read and tokenized once.
+    reads = []
+    read_text = corpus.read_text
+
+    def counted(path, *args):
+        reads.append(Path(path).name)
+        return read_text(path, *args)
+    monkeypatch.setattr(corpus, "read_text", counted)
+    run_five_four(tmp_path, RunConfig())
+    assert reads
+    assert sorted(reads) == ["A_train.txt", "B_train.txt"]
 
 
 def test_occlusion_suite(tmp_path):
