@@ -6,11 +6,13 @@ down to ``min_fetch`` tokens. Each fetch is an index range of the stimulus's
 one token tuple, sorted through the trained network in place; per window
 position only the largest chunk retrieved gets to vote. A fetch start is
 covered by up to ``span - min_fetch + 1`` window positions, so each start is
-walked once without the window bound, and walked again, bounded, only for a
-window whose end that first path passes. A start's walk leaves one vote, and
-a window picks its winner with one ``max`` over its starts' votes rather
-than a Python step per fetch. Past the walks, the scan's cost follows its
-voting and re-walked starts: only a window that holds one is looked at.
+walked once without the window bound. For a window whose end that path
+passes, the path is cut back to the node the bounded walk reaches, and the
+fetch is walked again from the root only where the tree could lead
+elsewhere. A start's walk leaves one vote, and a window picks its winner
+with one ``max`` over its starts' votes rather than a Python step per fetch.
+Past the walks, the scan's cost follows its voting starts and the cut ones
+whose vote changes: only a window that holds one is looked at.
 
 A chunk votes for the labels it holds naming links to, contributing its size
 split across labels in proportion to the link counts (under multiplicative
@@ -133,24 +135,27 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     end, its node is exactly what the bounded walk returns: every step on it
     fits, every sibling tried before a step failed without the bound and so
     fails with it, and the last node has no child that matches even
-    unbounded. When the path passes the end, the fetch is walked again from
-    the root under the bound; cutting the path back to an ancestor that fits
-    would miss a later, shorter sibling that fits too.
+    unbounded. When the path passes the end, ``recognise_within`` gives the
+    bounded walk's node: the path's deepest node that fits, unless a
+    sibling listed after the path's next node could match, when the fetch
+    is walked again from the root under the bound.
 
     So a window's votes are the kept votes of its starts, except where a
     start's path passes the window's end. A path from ``start`` reaches
     ``r = start + contents_length``, never past the stimulus's end ``n``.
     Window ``o`` ends at ``min(o + span, n)``, so the last window ends past
     every path, and an earlier one is passed exactly when ``o + span < r``.
-    As each start is walked, it is listed under ``o + span`` for each window
-    ``o`` that holds it and ends before ``r``; those are exactly the bounded
-    re-walks a scan of every fetch would need. Only a start whose
-    ``contents_length`` exceeds ``min_fetch`` and whose ``r`` exceeds
-    ``span`` is checked for them: the earliest window that holds ``start``
-    ends at or after ``min(start + min_fetch, n)``, and every window ends at
-    ``span`` or later, or at ``n``. So in a stimulus no longer than the span
-    nothing is walked twice. Each window copies its slice of votes and
-    overwrites only its listed starts with their bounded walk's vote.
+    As each start is walked, its bounded node is found for each window ``o``
+    that holds it and ends before ``r``: exactly the bounded walks a scan of
+    every fetch would need. It is listed under ``o + span`` only when the
+    start's vote changes there: its unbounded walk votes, or the bounded
+    node carries naming links; otherwise both votes are 0. Only a start
+    whose ``contents_length`` exceeds ``min_fetch`` and whose ``r`` exceeds
+    ``span`` is checked for passed windows: the earliest window that holds
+    ``start`` ends at or after ``min(start + min_fetch, n)``, and every
+    window ends at ``span`` or later, or at ``n``. So in a stimulus no
+    longer than the span nothing is cut. Each window copies its slice of
+    votes and overwrites only its listed starts with their bounded vote.
 
     The starts whose unbounded walk votes are collected in order. A window
     with no listed start and none of those among its starts has a largest
@@ -199,11 +204,13 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
                 first += -first % step
                 for end in range(first + span,
                                  min(start + span + 1, start + length), step):
-                    passing = passes.get(end)
-                    if passing is None:
-                        passes[end] = {start: None}
-                    else:
-                        passing[start] = None
+                    bounded = net.recognise_within(node, stimulus, start, end)
+                    if bounded.naming_links or node.naming_links:
+                        passing = passes.get(end)
+                        if passing is None:
+                            passes[end] = {start: bounded}
+                        else:
+                            passing[start] = bounded
     if not voters and not passes:
         return Classification(())
     voters.append(stop)              # a sentinel after every window's starts
@@ -219,8 +226,7 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
             continue                 # no start here votes: its maximum is 0
         window = votes[first:group.stop]
         if passing is not None:
-            for start in passing:
-                node = passing[start] = recognise(stimulus, start, end)
+            for start, node in passing.items():
                 window[start - first] = node.size if node.naming_links else 0
         best_size = max(window)
         if best_size:

@@ -306,14 +306,23 @@ def windows(n, span=20, step=1, min_fetch=2):
 def walks(net, tokens, span=20, step=1, min_fetch=2):
     """How many walks ``categorise`` makes through ``net``: one unbounded
     walk per fetch start that some window holds, plus one bounded walk per
-    window whose end that walk's contents pass."""
+    window whose end that walk's contents pass, when the path's deepest
+    node that fits inside the end stops short of it and lists a child after
+    the path's next node whose test link starts with the same token."""
     held = set()
     rewalks = 0
     for end, starts in windows(len(tokens), span, step, min_fetch):
         for start in starts:
             held.add(start)
-            reach = start + len(net.contents(net.recognise(tokens, start)))
-            rewalks += reach > end
+            cut, below = net.recognise(tokens, start), None
+            while start + len(net.contents(cut)) > end:
+                cut, below = net.nodes[cut].parent, cut
+            if below is None or start + len(net.contents(cut)) == end:
+                continue
+            children = net.nodes[cut].children
+            token = net.nodes[below].test[0]
+            rewalks += any(net.nodes[child].test[0] == token for child in
+                           children[children.index(below) + 1:])
     return len(held) + rewalks
 
 

@@ -336,8 +336,11 @@ TF = [[0, "T", "T", True, {}], [0, "F", "F", True, {}]]
 
 
 class TestScanSkips:
-    """The scan walks every held start and re-walks every passed one, but
-    only looks at windows that hold a voting start or a re-walk."""
+    """The scan walks every held start once. A window whose end a path
+    passes gets that path cut back to its deepest node that fits, and the
+    fetch is walked again from the root only where a later sibling could
+    lead elsewhere. Only windows that hold a voting start, or a cut start
+    whose vote changes there, are looked at."""
 
     def test_a_re_walk_alone_votes(self):
         # The unlinked chunk "a b c d" sits over its linked prefix "a b":
@@ -352,7 +355,7 @@ class TestScanSkips:
                                          AttentionConfig(span=3))
         assert cls.entries == (("T", 1.0),)
         assert recognise_calls(memory, stimulus, AttentionConfig(span=3)) \
-            == 3 + 1
+            == 3
         # One window, nothing passed and nothing votes.
         assert scanned_like_the_reference(memory, ref, stimulus,
                                           AttentionConfig(span=4)) \
@@ -370,7 +373,36 @@ class TestScanSkips:
         cfg = AttentionConfig(span=3, min_fetch=2)
         cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
         assert cls.entries == (("T", 1.0),)
+        assert recognise_calls(memory, stimulus, cfg) == 3
+
+    def test_a_later_sibling_is_walked_from_the_root(self):
+        # Start 0's path "a b c" passes the first window's end (2) and cuts
+        # back to the root, which lists the later sibling "a" after it:
+        # only a walk from the root finds "a", the one voter.
+        memory, ref = load_rows({
+            "visual": [[0, "a b c", "a b c", True, {}],
+                       [0, "a", "a", True, {"1": 1}]],
+            "verbal": TF})
+        stimulus = P("a", "b", "c", "d")
+        cfg = AttentionConfig(span=2)
+        cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
+        assert cls.entries == (("T", 1.0),)
         assert recognise_calls(memory, stimulus, cfg) == 3 + 1
+
+    def test_a_cut_that_uses_up_the_window_is_not_re_walked(self):
+        # Start 0's path "a b c d" cuts back to "a b" at the first window's
+        # end (2), and "a b" lists the later sibling "c" after "c d"; but no
+        # token is left there, so nothing is walked again.
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 1}],
+                       [1, "c d", "a b c d", True, {}],
+                       [1, "c", "a b c", True, {"2": 1}]],
+            "verbal": TF})
+        stimulus = P("a", "b", "c", "d")
+        cfg = AttentionConfig(span=2)
+        cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
+        assert cls.entries == (("T", 1.0),)
+        assert recognise_calls(memory, stimulus, cfg) == 3
 
     @pytest.mark.parametrize("tokens, step, entries", [
         # Windows (span 4, step 3) hold starts 0-2, 3-5 and 6. "a b" votes

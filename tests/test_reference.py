@@ -349,6 +349,20 @@ def test_categorise_walks_as_the_reference_counts(case):
                 c.min_fetch)
 
 
+@settings(deadline=None, database=None)
+@given(st.one_of(models_and_stimuli(), built_models_and_stimuli()))
+def test_categorise_re_walks_cut_the_unbounded_path(case):
+    # Every end a start's unbounded path passes, from the start itself.
+    live, _, _, stimuli = case
+    net = live.nets["visual"]
+    for stimulus in stimuli:
+        for start in range(len(stimulus) + 1):
+            node = net.recognise(stimulus, start)
+            for end in range(start, start + node.contents_length):
+                assert net.recognise_within(node, stimulus, start, end) \
+                    is net.recognise(stimulus, start, end)
+
+
 # -- corpora -----------------------------------------------------------------
 
 def phrase_corpus(corpus_dir):
