@@ -6,13 +6,12 @@ down to ``min_fetch`` tokens. Each fetch is an index range of the stimulus's
 one token tuple, sorted through the trained network in place; per window
 position only the largest chunk retrieved gets to vote. A fetch start is
 covered by up to ``span - min_fetch + 1`` window positions, so each start is
-walked once without the window bound. For a window whose end that path
-passes, the path is cut back to the node the bounded walk reaches, and the
-fetch is walked again from the root only where the tree could lead
-elsewhere. A start's walk leaves one vote, and a window picks its winner
-with one ``max`` over its starts' votes rather than a Python step per fetch.
-Past the walks, the scan's cost follows its voting starts and the cut ones
-whose vote changes: only a window that holds one is looked at.
+walked once without the window bound, and its vote goes straight into a
+per-window table of the largest vote so far and its node. For a window whose
+end that path passes, the path is cut back to the node the bounded walk
+reaches, and the fetch is walked again from the root only where the tree
+could lead elsewhere. Past the walks, the scan's cost follows its voting
+starts and its cut paths.
 
 A chunk votes for the labels it holds naming links to, contributing its size
 split across labels in proportion to the link counts (under multiplicative
@@ -42,6 +41,10 @@ class AttentionConfig:
     min_fetch: int = 2      # smallest shrunken fetch
 
     def __post_init__(self):
+        for name in ("span", "step", "min_fetch"):
+            if type(getattr(self, name)) is not int:
+                raise AttentionError(f"attention {name} must be an integer, "
+                                     f"got {getattr(self, name)!r}")
         if self.step < 1:
             raise AttentionError("attention step must be >= 1")
         if not 2 <= self.min_fetch <= self.span:
@@ -57,7 +60,9 @@ def window_groups(stimulus: Pattern, cfg: AttentionConfig) -> list[range]:
     of fetch starts that keep that right edge and leave ``min_fetch`` tokens.
     Window ends grow with the offset until one reaches the end of the
     stimulus; every later position would only repeat suffixes of that
-    window, so the scan stops there and no window is emitted twice.
+    window, so the scan stops there and no window is emitted twice. So
+    group ``i`` is the window at offset ``i * step``: only the last window,
+    cut short by the stimulus's end, can hold no start; it is then dropped.
     """
     if not stimulus:
         raise AttentionError("cannot scan an empty stimulus")
@@ -129,46 +134,36 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     ``total`` is its link count under ``proportional`` weighting, so its
     size is split across labels, and 1 under ``multiplicative`` weighting.
 
-    Each fetch start that some window holds is walked once per call
-    without a bound, and its *vote* is kept: the node's ``size`` if it
-    carries naming links, else 0. When that path stops inside a window's
-    end, its node is exactly what the bounded walk returns: every step on it
-    fits, every sibling tried before a step failed without the bound and so
-    fails with it, and the last node has no child that matches even
-    unbounded. When the path passes the end, ``recognise_within`` gives the
-    bounded walk's node: the path's deepest node that fits, unless a
-    sibling listed after the path's next node could match, when the fetch
-    is walked again from the root under the bound.
+    Entry ``w`` of ``sizes`` and ``winners`` is the window at offset
+    ``w * step``, group ``w`` of ``window_groups``: its largest vote so far
+    and the node that cast it. A node's vote is its ``size`` if it carries
+    naming links, else 0. Each start some window holds is walked once
+    without a bound and updates the windows that hold it. When that path
+    stops inside a window's end, its node is exactly what the bounded walk
+    returns: every step on it fits, every sibling tried before a step
+    failed without the bound and so fails with it, and the last node has no
+    child that matches even unbounded. When the path passes the end,
+    ``recognise_within`` gives the bounded walk's node: the path's deepest
+    node that fits, unless a sibling listed after the path's next node
+    could match, when the fetch is walked again from the root under the
+    bound.
 
-    So a window's votes are the kept votes of its starts, except where a
-    start's path passes the window's end. A path from ``start`` reaches
-    ``r = start + contents_length``, never past the stimulus's end ``n``.
-    Window ``o`` ends at ``min(o + span, n)``, so the last window ends past
-    every path, and an earlier one is passed exactly when ``o + span < r``.
-    As each start is walked, its bounded node is found for each window ``o``
-    that holds it and ends before ``r``: exactly the bounded walks a scan of
-    every fetch would need. It is listed under ``o + span`` only when the
-    start's vote changes there: its unbounded walk votes, or the bounded
-    node carries naming links; otherwise both votes are 0. Only a start
-    whose ``contents_length`` exceeds ``min_fetch`` and whose ``r`` exceeds
-    ``span`` is checked for passed windows: the earliest window that holds
-    ``start`` ends at or after ``min(start + min_fetch, n)``, and every
-    window ends at ``span`` or later, or at ``n``. So in a stimulus no
-    longer than the span nothing is cut. Each window copies its slice of
-    votes and overwrites only its listed starts with their bounded vote.
+    A path from ``start`` reaches ``r = start + contents_length``, never
+    past the stimulus's end ``n``. Window ``w`` ends at
+    ``min(w * step + span, n)``, so the last window ends past every path,
+    and an earlier one is passed exactly when ``w * step + span < r``. The
+    windows that hold ``start`` have offsets from ``start + min_fetch -
+    span`` to ``start``, within the first and last window's; their ends
+    grow with ``w``, so the passed ones come first and get their bounded
+    walks, exactly those a scan of every fetch would need. The rest take
+    the start's own vote, which changes nothing when it is 0.
 
-    The starts whose unbounded walk votes are collected in order. A window
-    with no listed start and none of those among its starts has a largest
-    vote of 0 and adds nothing, so it is skipped, found by one index into
-    the voting starts that only moves forward; with no voting start and no
-    listed start, no window is looked at. The rest run in order, so the
-    activations add up in the order of a scan of every window.
-
-    The winner is the first start that holds the largest vote, ``max`` then
-    ``index``: the same node a strict ``>`` scan in start order keeps. A
-    vote of 0 never wins: a non-root node's ``size`` is at least 1, since
-    its test link is not empty, and the root never holds naming links
-    (``add_naming_link`` refuses it, and no snapshot row names it).
+    Starts come in order and an entry takes only a strictly larger vote, so
+    a window keeps its first start with the largest vote, as a strict ``>``
+    scan of its fetches does. A vote of 0 never wins: a non-root node's
+    ``size`` is at least 1, since its test link is not empty, and the root
+    never holds naming links (``add_naming_link`` refuses it, and it has no
+    snapshot row). Winners add up in window order, as in a full scan.
     """
     if link_weighting not in ("proportional", "multiplicative"):
         raise AttentionError(f"unknown link weighting {link_weighting!r}")
@@ -179,65 +174,43 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
         return Classification(())
     recognise = net.recognise
     span, step, min_fetch = cfg.span, cfg.step, cfg.min_fetch
-    stop = groups[-1].stop
-    walks: list = [None] * stop      # per voting start: its unbounded walk,
-    votes = [0] * stop               # and per start, that walk's vote
-    voters: list[int] = []           # the voting starts, in order
-    passes: dict[int, dict] = {}     # window end -> {start: bounded walk}
+    sizes, winners = [0] * len(groups), [None] * len(groups)
+    slack, tail = span - min_fetch, groups[-1].start  # tail: last offset
     # Windows leave gaps only when a step outruns a full window's starts;
-    # otherwise together they hold every start before ``stop``.
-    held = groups if step > span - min_fetch + 1 else (range(stop),)
+    # otherwise together they hold every start before the last one's stop.
+    held = groups if step > slack + 1 else (range(groups[-1].stop),)
     for group in held:
         for start in group:
             node = recognise(stimulus, start)
+            reach = start + node.contents_length
+            # Windows ``first`` to ``last`` hold ``start``: conditionals and
+            # a ``while`` cost less here than ``min`` and a one-window range.
+            first = -((slack - start) // step) if start > slack else 0
+            if reach > first * step + span:
+                passed = min((reach - span - 1) // step, start // step)
+                for w in range(first, passed + 1):
+                    bounded = net.recognise_within(node, stimulus, start,
+                                                   w * step + span)
+                    if bounded.naming_links and bounded.size > sizes[w]:
+                        sizes[w] = bounded.size
+                        winners[w] = bounded
+                first = passed + 1
             if node.naming_links:
-                walks[start] = node
-                votes[start] = node.size
-                voters.append(start)
-            length = node.contents_length
-            if length > min_fetch and start + length > span:
-                # The windows ``o`` that hold ``start`` and end before
-                # ``start + length``: multiples of ``step`` from
-                # ``start + min_fetch - span`` to ``start``, with
-                # ``o + span < start + length``.
-                first = max(start + min_fetch - span, 0)
-                first += -first % step
-                for end in range(first + span,
-                                 min(start + span + 1, start + length), step):
-                    bounded = net.recognise_within(node, stimulus, start, end)
-                    if bounded.naming_links or node.naming_links:
-                        passing = passes.get(end)
-                        if passing is None:
-                            passes[end] = {start: bounded}
-                        else:
-                            passing[start] = bounded
-    if not voters and not passes:
-        return Classification(())
-    voters.append(stop)              # a sentinel after every window's starts
-    v = 0
+                size, w = node.size, first
+                last = (start if start < tail else tail) // step
+                while w <= last:
+                    if size > sizes[w]:
+                        sizes[w] = size
+                        winners[w] = node
+                    w += 1
     activations: dict[int, float] = {}
-    for group in groups:
-        first = group.start
-        while voters[v] < first:
-            v += 1
-        end = first + span
-        passing = passes.get(end)
-        if passing is None and voters[v] >= group.stop:
-            continue                 # no start here votes: its maximum is 0
-        window = votes[first:group.stop]
-        if passing is not None:
-            for start, node in passing.items():
-                window[start - first] = node.size if node.naming_links else 0
-        best_size = max(window)
-        if best_size:
-            start = first + window.index(best_size)
-            best = walks[start] if passing is None \
-                else passing.get(start, walks[start])
+    for size, best in zip(sizes, winners):
+        if size:
             links = best.naming_links
             total = sum(links.values()) if proportional else 1
             for label_id, count in links.items():
                 activations[label_id] = (activations.get(label_id, 0.0)
-                                         + best_size * (count / total))
+                                         + size * (count / total))
     return confidence(activations, memory)
 
 

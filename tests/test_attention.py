@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chunknet import attention
 from chunknet.attention import (AttentionConfig, AttentionError, categorise,
                                 confidence, retrieve, window_groups)
 import reference
@@ -104,6 +105,8 @@ class TestWindowFetches:
             groups = window_groups(stimulus, cfg)
             assert [[(start, min(g.start + cfg.span, n)) for start in g]
                     for g in groups] == expected
+            assert [g.start for g in groups] == \
+                [i * cfg.step for i in range(len(groups))]
 
     def test_config_validation(self):
         with pytest.raises(AttentionError):
@@ -112,6 +115,10 @@ class TestWindowFetches:
             AttentionConfig(step=0)
         with pytest.raises(AttentionError):
             AttentionConfig(span=5, min_fetch=1)
+        for field, value in [("span", 20.0), ("step", True), ("step", 1.0),
+                             ("min_fetch", False), ("min_fetch", "2")]:
+            with pytest.raises(AttentionError, match=field):
+                AttentionConfig(**{field: value})
 
 
 def learn_to_fixed_point(net, pattern):
@@ -320,6 +327,20 @@ class TestCategorise:
         assert cls.entries == ((label, 1.0),)
         assert cls.entries == reference.categorise(ref, "visual", tokens, 4)
 
+    def test_one_call_fetches_its_windows_once(self, monkeypatch):
+        # The benchmark counts fetches through ``window_groups``.
+        calls = []
+
+        def counted(stimulus, cfg):
+            calls.append(stimulus)
+            return window_groups(stimulus, cfg)
+        monkeypatch.setattr(attention, "window_groups", counted)
+        memory = build_memory([(P("1", "0"), "T", 2)])
+        for tokens in (("1", "0", "1", "1", "0"), ("1",)):
+            calls.clear()
+            categorise(memory, P(*tokens), AttentionConfig(span=3))
+            assert calls == [P(*tokens)]
+
 
 def scanned_like_the_reference(memory, ref, stimulus, cfg):
     """``categorise``'s result, after checking that its entries and its
@@ -336,11 +357,10 @@ TF = [[0, "T", "T", True, {}], [0, "F", "F", True, {}]]
 
 
 class TestScanSkips:
-    """The scan walks every held start once. A window whose end a path
-    passes gets that path cut back to its deepest node that fits, and the
-    fetch is walked again from the root only where a later sibling could
-    lead elsewhere. Only windows that hold a voting start, or a cut start
-    whose vote changes there, are looked at."""
+    """The scan walks every held start once, and each walk updates the
+    windows that hold its start. A window whose end a path passes gets that
+    path cut back to its deepest node that fits, and the fetch is walked
+    again from the root only where a later sibling could lead elsewhere."""
 
     def test_a_re_walk_alone_votes(self):
         # The unlinked chunk "a b c d" sits over its linked prefix "a b":
@@ -421,6 +441,9 @@ class TestScanSkips:
         # is the first of a window, and "a b" outvotes the later "c d".
         ("x x x a b c d y", 4, (("F", 1.0),)),
         ("x x x a b c d y", 3, (("T", 1.0),)),
+        # Nine tokens: the window at offset 8 holds no start and is
+        # dropped, so the last window is the one at offset 4.
+        ("x x x a b c d y z", 4, (("F", 1.0),)),
     ])
     def test_voting_starts_at_window_edges(self, tokens, step, entries):
         memory, ref = load_rows({
