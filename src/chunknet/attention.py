@@ -7,11 +7,11 @@ one token tuple, sorted through the trained network in place; per window
 position only the largest chunk retrieved gets to vote. A fetch start is
 covered by up to ``span - min_fetch + 1`` window positions, so each start is
 walked once without the window bound, and its vote goes straight into a
-per-window table of the largest vote so far and its node. For a window whose
-end that path passes, the path is cut back to the node the bounded walk
-reaches, and the fetch is walked again from the root only where the tree
-could lead elsewhere. Past the walks, the scan's cost follows its voting
-starts and its cut paths.
+per-window table of the largest vote so far and its node. One climb up
+that path cuts it back for every window whose end it passes, and the fetch
+is walked again from the root only where the tree could lead elsewhere. A
+walk that neither votes nor passes an end costs nothing more, so the scan's
+cost follows its walks.
 
 A chunk votes for the labels it holds naming links to, contributing its size
 split across labels in proportion to the link counts (under multiplicative
@@ -63,18 +63,22 @@ def window_groups(stimulus: Pattern, cfg: AttentionConfig) -> list[range]:
     window, so the scan stops there and no window is emitted twice. So
     group ``i`` is the window at offset ``i * step``: only the last window,
     cut short by the stimulus's end, can hold no start; it is then dropped.
+
+    That window is at offset ``last = ceil((n - span) / step) * step``, 0
+    when ``n <= span``, and every window before it is whole: it holds
+    ``span - min_fetch + 1`` starts.
     """
     if not stimulus:
         raise AttentionError("cannot scan an empty stimulus")
-    n = len(stimulus)
-    groups: list[range] = []
-    for offset in range(0, n, cfg.step):
-        end = min(offset + cfg.span, n)
-        group = range(offset, end - cfg.min_fetch + 1)
-        if group:
-            groups.append(group)
-        if end == n:
-            break
+    n, span, step, min_fetch = len(stimulus), cfg.span, cfg.step, cfg.min_fetch
+    whole = span - min_fetch + 1    # the starts of a whole window
+    last = -((span - n) // step) * step if n > span else 0
+    # A stimulus no longer than the span skips the comprehension's cost.
+    groups = [range(o, o + whole) for o in range(0, last, step)] \
+        if last else []
+    tail = range(last, n - min_fetch + 1)
+    if tail:
+        groups.append(tail)
     return groups
 
 
@@ -142,11 +146,7 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     stops inside a window's end, its node is exactly what the bounded walk
     returns: every step on it fits, every sibling tried before a step
     failed without the bound and so fails with it, and the last node has no
-    child that matches even unbounded. When the path passes the end,
-    ``recognise_within`` gives the bounded walk's node: the path's deepest
-    node that fits, unless a sibling listed after the path's next node
-    could match, when the fetch is walked again from the root under the
-    bound.
+    child that matches even unbounded.
 
     A path from ``start`` reaches ``r = start + contents_length``, never
     past the stimulus's end ``n``. Window ``w`` ends at
@@ -154,9 +154,24 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     and an earlier one is passed exactly when ``w * step + span < r``. The
     windows that hold ``start`` have offsets from ``start + min_fetch -
     span`` to ``start``, within the first and last window's; their ends
-    grow with ``w``, so the passed ones come first and get their bounded
-    walks, exactly those a scan of every fetch would need. The rest take
-    the start's own vote, which changes nothing when it is 0.
+    grow with ``w``, so the passed ones come first. The rest take the
+    start's own vote, which changes nothing when it is 0. The earliest
+    window that holds ``start`` ends at ``min(start + min_fetch, n)`` or
+    later, so a path of at most ``min_fetch`` tokens passes no end; without
+    naming links it has no vote either, and the scan goes to the next start.
+
+    A passed window's walk, bounded to ``bound = w * step + span - start``
+    tokens, follows the path as above while its steps fit. So it reaches
+    ``cut``, the deepest path node with ``contents_length <= bound``; the
+    path passes the end, so a path node ``below`` it exists. If ``cut``
+    uses up the bound, the walk stops there. Else the next token is
+    ``below.test[0]``: the children listed before ``below`` under it failed
+    unbounded, and ``below`` does not fit. So the walk stops at ``cut`` too,
+    unless a sibling is listed after ``below``: it was never tried, may fit
+    and match, and only then is the fetch walked again from the root.
+    Bounds fall with ``w``, so taken from the latest window down, ``cut``
+    and ``below`` only climb, once per start. A start offers each window
+    one candidate, so the order of its windows changes no result.
 
     Starts come in order and an entry takes only a strictly larger vote, so
     a window keeps its first start with the largest vote, as a strict ``>``
@@ -172,7 +187,7 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     net = memory.nets.get(stimulus.modality)
     if net is None or not groups:
         return Classification(())
-    recognise = net.recognise
+    recognise, nodes = net.recognise, net._nodes
     span, step, min_fetch = cfg.span, cfg.step, cfg.min_fetch
     sizes, winners = [0] * len(groups), [None] * len(groups)
     slack, tail = span - min_fetch, groups[-1].start  # tail: last offset
@@ -182,18 +197,29 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     for group in held:
         for start in group:
             node = recognise(stimulus, start)
-            reach = start + node.contents_length
+            length = node.contents_length
+            if length <= min_fetch and not node.naming_links:
+                continue
             # Windows ``first`` to ``last`` hold ``start``: conditionals and
             # a ``while`` cost less here than ``min`` and a one-window range.
             first = -((slack - start) // step) if start > slack else 0
-            if reach > first * step + span:
-                passed = min((reach - span - 1) // step, start // step)
-                for w in range(first, passed + 1):
-                    bounded = net.recognise_within(node, stimulus, start,
-                                                   w * step + span)
+            if start + length > first * step + span:
+                passed = (start + length - span - 1) // step
+                if passed > start // step:
+                    passed = start // step
+                cut, w = node, passed
+                while w >= first:
+                    bound = w * step + span - start
+                    while cut.contents_length > bound:
+                        below, cut = cut, nodes[cut.parent]
+                    bounded = cut
+                    if cut.contents_length != bound and \
+                            cut.index[below.test[0]][-1] != below.node_id:
+                        bounded = recognise(stimulus, start, start + bound)
                     if bounded.naming_links and bounded.size > sizes[w]:
                         sizes[w] = bounded.size
                         winners[w] = bounded
+                    w -= 1
                 first = passed + 1
             if node.naming_links:
                 size, w = node.size, first

@@ -22,10 +22,8 @@ matches without a compare: the index key already is that token, and it fits
 in any span with a next token. Bounding a span only ever rejects more test
 links, so a walk of ``tokens[start:]`` whose node's contents fit inside
 ``end`` is also the walk of ``tokens[start:end]``; attention reuses one
-unbounded walk per fetch start across its window positions that way. When
-the path runs past ``end``, ``recognise_within`` cuts it back to its deepest
-node that fits, and walks again from the root only when a sibling listed
-after the path's next node could lead elsewhere.
+unbounded walk per fetch start across its window positions that way, and
+cuts the path back where it runs past ``end`` (``attention.categorise``).
 
 Learning has one entry point, ``learn``, and is a four-stage process per
 presented pattern:
@@ -280,36 +278,6 @@ class DiscriminationNet:
             else:
                 break
         return node
-
-    def recognise_within(self, node: Node, p: Pattern, start: int,
-                         end: int) -> Node:
-        """``recognise(p, start, end)``, given ``node``, the unbounded walk
-        ``recognise(p, start)``, and ``start <= end``; read back up that
-        walk's path.
-
-        Let ``bound = end - start``. A bounded walk follows the same path
-        while its steps fit: every sibling tried before a step failed
-        without the bound, so it fails with it. So it reaches ``cut``, the
-        deepest path node whose ``contents_length <= bound`` (``node``
-        itself if that fits). If ``cut`` is not ``node``, let ``below`` be
-        the path node under it. When ``cut.contents_length == bound`` no
-        token is left, and the walk stops at ``cut``. Otherwise the next
-        token is ``below.test[0]``: the children listed before ``below``
-        under it failed unbounded, and ``below`` does not fit. So the walk
-        stops at ``cut`` too, unless a later sibling is listed after
-        ``below``; it was never tried, may fit and match, and only then is
-        the span walked again from the root.
-        """
-        nodes = self._nodes
-        bound = end - start
-        below = None
-        while node.contents_length > bound:
-            below = node
-            node = nodes[node.parent]
-        if below is None or node.contents_length == bound \
-                or node.index[below.test[0]][-1] == below.node_id:
-            return node
-        return self.recognise(p, start, end)
 
     # -- learning ---------------------------------------------------------
 

@@ -424,6 +424,42 @@ class TestScanSkips:
         assert cls.entries == (("T", 1.0),)
         assert recognise_calls(memory, stimulus, cfg) == 3
 
+    def test_passed_windows_cut_back_to_one_ancestor(self):
+        # Start 2's path "a b c d e" reaches 7, past the ends (4, 5, 6) of
+        # the three windows that hold it. One climb cuts it back to the
+        # linked "a b" for all three: at end 4 the cut uses up the window,
+        # at 5 and 6 "c d e" is the last child under "c". There "a b"
+        # outvotes the "x" (F, size 1) of starts 0 and 1. No start is
+        # walked twice.
+        memory, ref = load_rows({
+            "visual": [[0, "x", "x", True, {"2": 1}],
+                       [0, "a b", "a b", True, {"1": 1}],
+                       [2, "c d e", "a b c d e", True, {}]],
+            "verbal": TF})
+        stimulus = P("x", "x", "a", "b", "c", "d", "e")
+        cfg = AttentionConfig(span=4)
+        cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
+        assert cls.entries == (("T", 1.0),)
+        assert recognise_calls(memory, stimulus, cfg) == 6
+
+    def test_one_climb_falls_back_at_one_window_and_cuts_at_others(self):
+        # Start 2's path is "a b", "c", "d e f". At end 6 it cuts back to
+        # "a b c", which lists the later sibling "d" after "d e f", so the
+        # fetch is walked again and finds "a b c d" (T, size 4). At end 5
+        # the cut "a b c" (F, size 3) and at end 4 the cut "a b" (T, size
+        # 2) use up the window.
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 1}],
+                       [1, "c", "a b c", True, {"2": 1}],
+                       [2, "d e f", "a b c d e f", True, {}],
+                       [2, "d", "a b c d", True, {"1": 1}]],
+            "verbal": TF})
+        stimulus = P("x", "x", "a", "b", "c", "d", "e", "f")
+        cfg = AttentionConfig(span=4)
+        cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
+        assert cls.entries == (("T", 2 / 3), ("F", 1 / 3))
+        assert recognise_calls(memory, stimulus, cfg) == 7 + 1
+
     @pytest.mark.parametrize("tokens, step, entries", [
         # Windows (span 4, step 3) hold starts 0-2, 3-5 and 6. "a b" votes
         # from the first start of the first window, "c d" from the last

@@ -111,6 +111,24 @@ class TestCategorise:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "999" in err
 
+    def test_a_span_past_the_stimulus_reads_as_its_length(self, tmp_path,
+                                                           capsys):
+        # A snapshot's span may be any integer of at least min_fetch; one
+        # as long as the stimulus or longer gives the one whole window.
+        model = self._model(tmp_path, capsys)
+        stim = tmp_path / "stim.txt"
+        stim.write_text("1 0 1 1", encoding="utf-8")
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        outs = []
+        for span in (4, 10**30):
+            doc["meta"]["attention_span"] = span
+            model.write_text(json.dumps(doc), encoding="utf-8")
+            code, out_text, _ = run(capsys, "categorise", "--model",
+                                    str(model), "--input", str(stim))
+            assert code == 0
+            outs.append(out_text)
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("command", ["categorise", "retrieve"])
     @pytest.mark.parametrize("content, message", [
         pytest.param(b" \n", "holds no tokens", id="empty"),

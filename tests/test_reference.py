@@ -22,11 +22,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from chunknet.attention import AttentionConfig, categorise, retrieve
+from chunknet.attention import AttentionConfig, categorise, retrieve, \
+    window_groups
 from chunknet.config import RunConfig
 from chunknet.corpus import Sample, load_manifest, load_test_items, \
     load_training_samples
@@ -312,6 +313,23 @@ def test_categorise_matches_the_reference(case):
     assert_same(live, ref, stimuli, [cfg])
 
 
+@settings(deadline=None, database=None)
+@given(st.integers(2, 40).flatmap(lambda span: st.tuples(
+    st.integers(1, 150), st.just(span), st.integers(1, 45),
+    st.integers(2, span))))
+@example((30, 5, 9, 2))         # windows with gaps between them
+@example((12, 12, 1, 3))        # n <= span: one window
+@example((25, 10**30, 10**30, 2))
+def test_window_groups_match_the_per_offset_loop(case):
+    # ``window_groups`` computes the groups; the reference finds them
+    # offset by offset, and also yields a last window that holds no start.
+    n, span, step, min_fetch = case
+    cfg = AttentionConfig(span=span, step=step, min_fetch=min_fetch)
+    assert window_groups(Pattern("visual", ("t",) * n), cfg) == [
+        starts for _, starts in reference.windows(n, span, step, min_fetch)
+        if starts]
+
+
 def recognise_calls(memory, stimulus, cfg):
     """How many times one ``categorise`` calls ``recognise`` on the
     stimulus's net, counted through a wrapper on the net instance."""
@@ -347,20 +365,6 @@ def test_categorise_walks_as_the_reference_counts(case):
             assert recognise_calls(live, stimulus, c) == reference.walks(
                 ref.nets["visual"], stimulus.tokens, c.span, c.step,
                 c.min_fetch)
-
-
-@settings(deadline=None, database=None)
-@given(st.one_of(models_and_stimuli(), built_models_and_stimuli()))
-def test_categorise_re_walks_cut_the_unbounded_path(case):
-    # Every end a start's unbounded path passes, from the start itself.
-    live, _, _, stimuli = case
-    net = live.nets["visual"]
-    for stimulus in stimuli:
-        for start in range(len(stimulus) + 1):
-            node = net.recognise(stimulus, start)
-            for end in range(start, start + node.contents_length):
-                assert net.recognise_within(node, stimulus, start, end) \
-                    is net.recognise(stimulus, start, end)
 
 
 # -- corpora -----------------------------------------------------------------
