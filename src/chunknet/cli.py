@@ -336,16 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("categorise", help="label a stimulus with a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_categorise)
-
-    p = sub.add_parser("retrieve",
-                       help="print the most similar stored chunk")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_retrieve)
+    for name, func, summary in (
+            ("categorise", cmd_categorise, "label a stimulus with a model"),
+            ("retrieve", cmd_retrieve, "print the most similar stored chunk")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--model", required=True)
+        p.add_argument("--input", required=True)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("run-suite",
                        help="run a built-in suite or a manifest end to end")
@@ -390,12 +387,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusError, MetricsError, SnapshotError) as exc:
+    except (ConfigError, CorpusError, MetricsError, SnapshotError,
+            TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_NO_CONVERGENCE if isinstance(exc, TrainingError) \
+            else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -89,7 +89,7 @@ def reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
-def read_text(path, error: type[Exception], what: str = "file") -> str:
+def read_text(path, error: type[Exception], what: str) -> str:
     """The UTF-8 text of the input file at ``path``; raises ``error`` with
     one line naming ``what`` the file is when it is missing, unreadable or
     not UTF-8. Every input the package reads comes through here."""
@@ -103,7 +103,7 @@ def read_text(path, error: type[Exception], what: str = "file") -> str:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
-def read_json(path, error: type[Exception], what: str = "file") -> dict:
+def read_json(path, error: type[Exception], what: str) -> dict:
     """The JSON object in the input file at ``path``, read through
     :func:`read_text`; raises ``error`` with one line naming ``what`` the
     file is when it is not JSON, holds ``NaN`` or an infinity, nests too

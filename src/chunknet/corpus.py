@@ -45,7 +45,7 @@ MANIFEST_SCHEMA_VERSION = 1
 VISUAL_MODALITY = "visual"
 VERBAL_MODALITY = "verbal"
 
-_FRAME_RE = re.compile(r"^(?:[A-G][#b]?\d+)+$")
+_FRAME_RE = re.compile(r"^(?:[A-G][#b]?[0-9]+)+$")
 _CHESS_ROW_RE = re.compile(r"^[pnbrqkPNBRQK.]{8}$")
 
 
@@ -73,12 +73,7 @@ def tokenize_music_frames(text: str) -> TokenStream:
     tokens: list[str] = []
     measure_starts = [0]
     for lineno, line in enumerate(text.splitlines(), start=1):
-        col = 0
-        for raw in line.split(" "):
-            col += 1
-            item = raw.strip()
-            if not item:
-                continue
+        for col, item in enumerate(line.split(), start=1):
             if item == "|":
                 measure_starts.append(len(tokens))
                 continue

@@ -81,11 +81,6 @@ class Trainer:
         self._rng = random.Random(self.config.seed)
         self._gated = self.config.chunk_probability < 1.0
 
-    def queue(self, modality: str) -> StmQueue:
-        if modality not in self._queues:
-            self._queues[modality] = StmQueue(self.config.stm_size)
-        return self._queues[modality]
-
     def _learn_gated(self, net, pattern) -> LearnEvent:
         if self._rng.random() >= self.config.chunk_probability:
             # Chunk formation gate failed: recognise only, no structural change.
@@ -106,8 +101,10 @@ class Trainer:
         except KeyError:    # a modality's first presentation makes its parts
             visual_net = memory.net(visual.modality)
             label_net = memory.net(label.modality)
-            visual_q = self.queue(visual.modality)
-            verbal_q = self.queue(label.modality)
+            visual_q = self._queues.setdefault(
+                visual.modality, StmQueue(self.config.stm_size))
+            verbal_q = self._queues.setdefault(
+                label.modality, StmQueue(self.config.stm_size))
         if self._gated:
             ev_visual = self._learn_gated(visual_net, visual)
             ev_label = self._learn_gated(label_net, label)
@@ -211,19 +208,15 @@ def run_suite(memory: MultiModalMemory, items: list[TestItem],
               labels: list[str], cfg: AttentionConfig,
               link_weighting: str = "proportional") -> SuiteResult:
     rows: list[SuiteRow] = []
-    correct = 0
     for item in items:
         cls = categorise(memory, item.stimulus, cfg,
                          link_weighting=link_weighting)
-        predicted = cls.top
-        ok = predicted == item.true_label
-        correct += int(ok)
         rows.append(SuiteRow(item.item_id, item.true_label, cls,
-                             predicted, ok))
-    total = len(rows)
-    baseline = total / len(labels) if labels else 0.0
-    return SuiteResult(rows=rows, correct_count=correct, total=total,
-                       chance_baseline=baseline, labels=list(labels))
+                             cls.top, cls.top == item.true_label))
+    return SuiteResult(
+        rows=rows, correct_count=sum(row.correct for row in rows),
+        total=len(rows), labels=list(labels),
+        chance_baseline=len(rows) / len(labels) if labels else 0.0)
 
 
 def train_and_evaluate(manifest: DatasetManifest, config: RunConfig

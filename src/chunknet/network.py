@@ -19,11 +19,7 @@ test links, so a step tries only the children listed under the next token, in
 insertion order; as every non-root test link is non-empty, that picks the
 same child a scan of all children would. A one-token test link listed there
 matches without a compare: the index key already is that token, and it fits
-in any span with a next token. Bounding a span only ever rejects more test
-links, so a walk of ``tokens[start:]`` whose node's contents fit inside
-``end`` is also the walk of ``tokens[start:end]``; attention reuses one
-unbounded walk per fetch start across its window positions that way, and
-cuts the path back where it runs past ``end`` (``attention.categorise``).
+in any span with a next token.
 
 Learning has one entry point, ``learn``, and is a four-stage process per
 presented pattern:
@@ -43,22 +39,11 @@ surrogate). Complete images stop matching longer patterns, which is what turns
 further presentations of extensions into single-shot discriminations of new
 chunks rather than endless image growth; no learn grows one.
 
-Every learn keeps where its walk ended in its token tuple's one entry, updated
-in place, so it hashes its tokens once (twice to add the entry). A repeat
-starts there without a walk (returning a kept ``NO_CHANGE`` at once) while
-that node lists no child under the pattern's next token, or the walk used up
-the pattern (``learn`` proves this exact). The map is derived, never saved.
+Each learn remembers where its walk ended; see ``learn``.
 
-Every node, learned or loaded, joins the tree through ``attach``: it refuses
-an empty test link or one a sibling has, and alone sets contents lengths and
-first-token indexes. ``snapshot`` checks a file's own facts before that.
+Every node, learned or loaded, joins the tree through ``attach``.
 
-A learned node is a ``Node``, whose ``image`` is a plain attribute. A node
-``snapshot`` loads is a ``LoadedNode``: its image stays the file's text
-until the first read of ``image`` splits it; a write (learning after a load)
-stores the tuple. Both classes share one ``size``, which reads ``image``. A
-query reads ``size`` only on the nodes with naming links that its walks
-reach, so it splits few images.
+A node ``snapshot`` loads is a ``LoadedNode``; see its docstring.
 
 Cross-modality *naming links* (counted associations from a chunk to a label
 chunk in another modality) hang off nodes here; they are created by the
@@ -115,10 +100,12 @@ class Node:
 
 
 class LoadedNode(Node):
-    """A node that ``snapshot`` built from a file row. Its image stays the
+    """A node that ``snapshot`` built from a file row; a learned node is a
+    ``Node``, whose ``image`` is a plain attribute. Its image stays the
     row's text until the first read of ``image``, also by ``Node.size``,
-    splits it once and keeps the tuple; a write stores the tuple. A query
-    reads ``size`` on a few nodes only, so a load does no work per image."""
+    splits it once and keeps the tuple; a write (learning after a load)
+    stores the tuple. A query reads ``size`` only on the nodes with naming
+    links that its walks reach, so a load does no work per image."""
 
     def __init__(self, node_id: int, test: tuple[str, ...], image: str,
                  image_complete: bool, parent: int,
@@ -210,9 +197,11 @@ class DiscriminationNet:
     def attach(self, nodes: list[Node]) -> None:
         """Join ``nodes``, each with the next free id and an earlier parent,
         in order: each goes last under its test link's first token in its
-        parent's index, and gets its contents length. A node whose test link
-        is empty or a sibling's raises :class:`NetworkError`; the nodes
-        before it stay joined."""
+        parent's index, and gets its contents length. Every node, learned or
+        loaded, joins here, and nothing else sets contents lengths or
+        indexes; ``snapshot`` checks a file's own facts before. A node whose
+        test link is empty or a sibling's raises :class:`NetworkError`; the
+        nodes before it stay joined."""
         own = self._nodes
         for node in nodes:
             test = node.test
@@ -287,11 +276,12 @@ class DiscriminationNet:
         contents, and ``_step`` familiarises or discriminates there.
 
         Every learn remembers its walk under ``p.tokens``: the end node, and
-        the event if it is ``NO_CHANGE``. The next learn of the same tokens
-        starts from the node without a walk, and returns a kept event at
-        once, when the node lists no child under the pattern's next token,
-        or no token is left after its contents; otherwise it walks again
-        from the root. That is exact:
+        the event if it is ``NO_CHANGE``, in one entry updated in place, so
+        a learn hashes its tokens once (twice to add the entry). The next
+        learn of the same tokens starts from the node without a walk, and
+        returns a kept event at once, when the node lists no child under the
+        pattern's next token, or no token is left after its contents;
+        otherwise it walks again from the root. That is exact:
 
         - A walk takes the first matching child in insertion order.
           ``attach`` lists a new sibling last and removes none. So every
@@ -314,8 +304,8 @@ class DiscriminationNet:
         A learn answered from a kept event, like the walk it skips, charges
         no simulated time. The trainer's chunk gate draws its random number
         before it calls ``learn``, so the order of its draws does not change
-        either. The map is never saved, and a net loaded from a snapshot
-        starts with no walk remembered. An empty pattern is never
+        either. The map is derived, never saved, and a net loaded from a
+        snapshot starts with no walk remembered. An empty pattern is never
         remembered, so only a learn that misses the map checks for one.
         """
         if p.modality != self.modality:

@@ -35,11 +35,9 @@ net listed later. The first bad row in file order is reported.
 learning does, and refuses an empty test link or two siblings with the same
 test link; its error becomes a ``SnapshotError``.
 
-A loaded node is a ``LoadedNode``: its image stays the row's text until the
-first read of ``image``, by ``size`` too, splits it, since a query reads
-only a few sizes; a dump splits such a text and keeps nothing. Each parsed
-row is dropped from the document as soon as its node is built, so a load
-never holds the whole document beside the whole net.
+A loaded node is a ``LoadedNode`` (see its docstring, and ``_row`` for
+its dump). Each parsed row is dropped from the document as soon as its node
+is built, so a load never holds the whole document beside the whole net.
 
 Python's cyclic garbage collector is paused from reading the file until
 the last node is built, and left as the caller had it: the file is read and

@@ -37,6 +37,12 @@ FIVE_FOUR_TRAINING = {
     "B": ["1100", "0110", "0001", "0000"],
 }
 FIVE_FOUR_TRANSFER = ["1001", "1000", "1111", "0010", "0101", "0011", "0100"]
+# The faces as stimuli, each checked by ``Pattern`` once, at import.
+_TRANSFER_STIMULI = [(face, Pattern("visual", tuple(face)))
+                     for face in FIVE_FOUR_TRANSFER]
+_TRAINING_ITEMS = [TestItem(face, label, Pattern("visual", tuple(face)))
+                   for label, faces in FIVE_FOUR_TRAINING.items()
+                   for face in faces]
 FIVE_FOUR_SWEEP_SEEDS = 50  # shuffled replicas, one per seed from 0
 # Reference transfer labels the seed sweep reports agreement against.
 FIVE_FOUR_REFERENCE = {
@@ -122,13 +128,9 @@ def build_five_four_manifest(corpus_dir: Path) -> Path:
 
 def classify_transfer(memory: MultiModalMemory, config: RunConfig) -> dict[str, str]:
     cfg = attention_config(config)
-    out = {}
-    for face in FIVE_FOUR_TRANSFER:
-        stimulus = Pattern("visual", tuple(face))
-        cls = categorise(memory, stimulus, cfg,
-                         link_weighting=config.link_weighting)
-        out[face] = cls.top or "?"
-    return out
+    return {face: categorise(memory, stimulus, cfg,
+                             link_weighting=config.link_weighting).top or "?"
+            for face, stimulus in _TRANSFER_STIMULI}
 
 
 def run_five_four(out_dir: Path, config: RunConfig) -> SuiteReport:
@@ -154,15 +156,14 @@ def run_five_four(out_dir: Path, config: RunConfig) -> SuiteReport:
         Trainer(sweep_memory, config).train(samples, seed=seed, shuffle=True)
         for face, label in classify_transfer(sweep_memory, config).items():
             tally[face][label] = tally[face].get(label, 0) + 1
-    modal = {face: max(sorted(counts), key=counts.get) if counts else "?"
+    modal = {face: max(sorted(counts), key=counts.get)
              for face, counts in tally.items()}
     agreement = sum(modal[f] == FIVE_FOUR_REFERENCE[f]
                     for f in FIVE_FOUR_TRANSFER)
 
     # Evaluate the training faces themselves as a sanity table.
-    items = [TestItem(face, label, Pattern("visual", tuple(face)))
-             for label, faces in FIVE_FOUR_TRAINING.items() for face in faces]
-    result = run_suite(memory, items, ["A", "B"], attention_config(config),
+    result = run_suite(memory, _TRAINING_ITEMS, ["A", "B"],
+                       attention_config(config),
                        link_weighting=config.link_weighting)
 
     checks = {"transfer_1000_is_A": transfer.get("1000") == "A"}

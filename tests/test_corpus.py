@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunknet.cli import main
-from chunknet.corpus import (CorpusError, SplitSpec, load_manifest,
-                             load_test_items, load_training_samples,
-                             split_samples, tokenize, tokenize_chess_rows,
-                             tokenize_music_frames, tokenize_words)
+from chunknet.corpus import (TOKENIZERS, Category, CorpusError,
+                             DatasetManifest, Sample, SplitSpec,
+                             load_manifest, load_test_items,
+                             load_training_samples, split_samples, tokenize,
+                             tokenize_chess_rows, tokenize_music_frames,
+                             tokenize_words)
+from chunknet.patterns import Pattern, check_tokens
 from chunknet.suites import build_xor_manifest
 from test_snapshot import _JSON_VALUES, _json_kind
 
@@ -69,6 +72,27 @@ class TestMusicTokenizer:
         with pytest.raises(CorpusError) as err:
             tokenize_music_frames("A3 C4\nE4 H9")
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("line, frame, field", [
+        ("A3  C4 X9", "X9", 3),     # a run of spaces holds no field
+        (" A3 H1", "H1", 2),        # nor does a leading space
+    ])
+    def test_fields_are_counted_between_runs_of_whitespace(self, line, frame,
+                                                           field):
+        with pytest.raises(CorpusError, match=f"^malformed music frame "
+                                              f"'{frame}' at line 1, "
+                                              f"field {field}$"):
+            tokenize_music_frames(line)
+
+    def test_any_whitespace_separates_frames(self):
+        stream = tokenize_music_frames("A3\tC4\u3000|\tE4 ")
+        assert stream.tokens == ["A3", "C4", "E4"]
+        assert stream.measure_starts == [0, 2]
+
+    @pytest.mark.parametrize("frame", ["A\u0663", "C#\uff14", "B3E\u0b68"])
+    def test_octaves_are_ascii_digits(self, frame):
+        with pytest.raises(CorpusError, match="^malformed music frame"):
+            tokenize_music_frames(frame)
 
 
 class TestChessTokenizer:
@@ -135,6 +159,56 @@ class TestSplitting:
             SplitSpec("words", 0)
         with pytest.raises(CorpusError):
             SplitSpec("sentences", 3)
+
+
+class TestSample:
+    def test_an_empty_body_is_refused(self):
+        with pytest.raises(CorpusError,
+                           match="^sample body must be non-empty$"):
+            Sample(Pattern("visual", ()), Pattern("verbal", ("A",)))
+
+    def test_a_label_of_two_tokens_is_refused(self):
+        with pytest.raises(CorpusError,
+                           match="^sample label must be a single token$"):
+            Sample(Pattern("visual", ("x",)), Pattern("verbal", ("A", "B")))
+
+    def test_an_unknown_tokenizer_is_refused_when_samples_are_read(
+            self, tmp_path):
+        # load_manifest refuses it first; a manifest built in code meets
+        # the same refusal when its training files are tokenized.
+        train = tmp_path / "A_train.txt"
+        train.write_text("one two\n", encoding="utf-8")
+        manifest = DatasetManifest("hand-built", "bogus", SplitSpec("whole"),
+                                   [Category("A", [train], [])])
+        with pytest.raises(CorpusError, match="^unknown tokenizer 'bogus'$"):
+            load_training_samples(manifest)
+
+
+# Texts near what the tokenizers read: music frames, bars, chess rows and
+# whole positions, and any short text, each followed by whitespace that
+# ``str.splitlines`` may or may not break lines at.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"
+_CHESS_ROWS = st.text("pnbrqkPNBRQK.", min_size=8, max_size=8)
+_TOKENIZER_TEXT = st.lists(st.tuples(
+    st.one_of(st.from_regex(r"(?:[A-G][#b]?[0-9]{1,2}){1,3}", fullmatch=True),
+              st.just("|"), _CHESS_ROWS,
+              st.lists(_CHESS_ROWS, min_size=8, max_size=8).map("\n".join),
+              st.text(max_size=3)),
+    st.text(_WHITESPACE, min_size=1, max_size=2))).map(
+        lambda parts: "".join(item + gap for item, gap in parts))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(TOKENIZERS)),
+       text=st.one_of(_TOKENIZER_TEXT, st.text()))
+def test_a_tokenizer_refuses_or_returns_tokens_a_pattern_takes(kind, text):
+    try:
+        tokens = tokenize(kind, text).tokens
+    except CorpusError:
+        return
+    check_tokens(tuple(tokens))
+    if kind in ("music_frames", "chess_rows"):
+        assert not any(ch.isspace() for token in tokens for ch in token)
 
 
 def write_manifest_doc(tmp_path, doc):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunknet.attention import AttentionConfig, categorise
-from chunknet.config import RunConfig
+from chunknet.config import ConfigError, RunConfig
 from chunknet.corpus import Sample
 from chunknet.harness import Trainer
 from chunknet.network import CREATED_NODE, DiscriminationNet, \
@@ -187,6 +187,34 @@ def test_missing_and_malformed_files(tmp_path):
 def test_dump_is_canonical():
     memory, _ = random_trained_memory(6)
     assert dump_memory(memory) == dump_memory(memory)
+
+
+def _nan_update_cost():
+    memory, _ = random_trained_memory(7)
+    memory.seconds_per_update = float("nan")
+    return memory, "nan"
+
+
+def _infinite_clock():
+    memory, _ = random_trained_memory(7)
+    memory.net("visual").clock_seconds = float("inf")
+    return memory, "inf"
+
+
+@pytest.mark.parametrize("refused", [_nan_update_cost, _infinite_clock],
+                         ids=["seconds_per_update_nan", "clock_seconds_inf"])
+def test_a_value_json_refuses_is_named_and_nothing_is_written(tmp_path,
+                                                              refused):
+    # The fast encoder's error may not name the value; the pure-Python
+    # encoder's does, on every supported Python.
+    memory, value = refused()
+    path = tmp_path / "model.json"
+    with pytest.raises(ConfigError) as err:
+        save_memory(path, memory)
+    assert str(err.value) == (f"cannot write output file {path}: Out of "
+                              f"range float values are not JSON compliant: "
+                              f"{value}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _rows(doc):
