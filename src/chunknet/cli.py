@@ -8,6 +8,13 @@ assertions or internal errors.
 
 The commands raise their errors; ``main`` is the one place an error becomes
 an exit code and a single ``error:`` line.
+
+categorise and retrieve check the snapshot's file-level fields and meta,
+then read and tokenize the stimulus, and then build only the snapshot
+segments its tokens reach (see ``snapshot``). Each segment they build is
+checked before use, but a bad row in a segment they do not build is not
+seen: such a query exits 0 or 4 where inspect, which builds every segment,
+exits 2.
 """
 
 from __future__ import annotations
@@ -118,11 +125,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model(path):
-    """The memory, config, tokenizer and attention span (or None) of a
-    snapshot, each absent meta field at its default; raises SnapshotError
-    unless each meta field the commands read is absent or usable."""
-    memory, meta = load_memory(path)
+def _model_settings(meta: dict):
+    """The config, tokenizer and attention span (or None) in a snapshot's
+    meta, each absent field at its default; raises SnapshotError unless
+    each field the commands read is absent or usable."""
     stored = meta.get("config", {})
     if type(stored) is not dict:
         raise SnapshotError(f"snapshot meta field 'config' holds {stored!r}; "
@@ -141,18 +147,25 @@ def _load_model(path):
         raise SnapshotError(f"snapshot meta field 'attention_span' holds "
                             f"{span!r}; it must be an integer of at least "
                             f"min_fetch {config.min_fetch}")
-    return memory, config, tokenizer, span
+    return config, tokenizer, span
 
 
 def _load_query(args):
     """The memory, config, attention span and ``--input`` stimulus of a
-    categorise or retrieve command; raises the errors that exit 2."""
-    memory, config, tokenizer, span = _load_model(args.model)
-    text = read_text(args.input, CorpusError, "input")
-    stream = tokenize(tokenizer, text)
-    if not stream.tokens:
-        raise CorpusError(f"{args.input} holds no tokens")
-    return memory, config, span, Pattern("visual", tuple(stream.tokens))
+    categorise or retrieve command; raises the errors that exit 2. The
+    memory is built for that stimulus alone."""
+    query = []
+
+    def reach(meta):
+        config, tokenizer, span = _model_settings(meta)
+        text = read_text(args.input, CorpusError, "input")
+        stream = tokenize(tokenizer, text)
+        if not stream.tokens:
+            raise CorpusError(f"{args.input} holds no tokens")
+        query[:] = config, span, Pattern("visual", tuple(stream.tokens))
+        return query[-1]
+    memory, _ = load_memory(args.model, reach)
+    return (memory, *query)
 
 
 def cmd_categorise(args) -> int:
@@ -285,7 +298,8 @@ def cmd_eval_metrics(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    memory, _, tokenizer, _ = _load_model(args.model)
+    memory, meta = load_memory(args.model)
+    _, tokenizer, _ = _model_settings(meta)
     print(f"snapshot schema v{SNAPSHOT_SCHEMA_VERSION}; "
           f"tokenizer {tokenizer}; "
           f"label modality {memory.label_modality}")

@@ -195,13 +195,14 @@ class DiscriminationNet:
             )
 
     def attach(self, nodes: list[Node]) -> None:
-        """Join ``nodes``, each with the next free id and an earlier parent,
-        in order: each goes last under its test link's first token in its
-        parent's index, and gets its contents length. Every node, learned or
-        loaded, joins here, and nothing else sets contents lengths or
-        indexes; ``snapshot`` checks a file's own facts before. A node whose
-        test link is empty or a sibling's raises :class:`NetworkError`; the
-        nodes before it stay joined."""
+        """Join ``nodes``, each with a parent already joined, in order: each
+        goes last under its test link's first token in its parent's index,
+        and gets its contents length. A node with the next free id is then
+        appended to the table; ``snapshot`` puts a loaded node at its id
+        first. Every node, learned or loaded, joins here, and nothing else
+        sets contents lengths or indexes; ``snapshot`` checks a file's own
+        facts before. A node whose test link is empty or a sibling's raises
+        :class:`NetworkError`; the nodes before it stay joined."""
         own = self._nodes
         for node in nodes:
             test = node.test
@@ -217,7 +218,8 @@ class DiscriminationNet:
                                        f"link")
             parent.index[test[0]] = siblings + (node.node_id,)
             node.contents_length = parent.contents_length + len(test)
-            own.append(node)
+            if node.node_id == len(own):
+                own.append(node)
 
     def _new_node(self, parent: Node, test: tuple[str, ...],
                   image: tuple[str, ...], complete: bool) -> Node:

@@ -2,62 +2,49 @@
 network's node table and the settings needed to classify new input
 (tokenizer, attention parameters).
 
-Each net is stored under its modality as ``{"clock_seconds", "nodes"}``.
-``nodes`` lists the learned nodes only: row ``i`` holds node ``i + 1`` as
-``[parent, test, image, complete, links]``. The root, node 0, is implicit:
-every net starts with it, so an empty list is a net that has only its root,
-and no row can change it. Ids are dense, because nodes are never deleted,
-and a parent is always created before its children. ``test`` and ``image``
-are their tokens joined by single spaces; tokens are non-empty and hold no
-whitespace, so splitting gives them back. Children are not written: each
-node's ``parent`` defines the tree.
+Each net is stored under its modality as ``{"clock_seconds", "segments"}``.
+A node's row is ``[id, parent, test, image, complete, links]``, where
+``test`` and ``image`` are tokens joined by single spaces. The root, node
+0, is implicit and has no row. ``segments`` groups the rows by the first
+token of their root child's test link: a walk that starts at token ``t``
+stays under the root children listed at ``root.index[t]``, so it needs
+segment ``t`` alone. In a segment the rows ascend by id, and each parent
+is the root or an earlier row of that segment. Children are not written.
 
-Serialization is canonical (sorted keys, fixed separators, only ASCII,
-nodes by id), so identical models produce byte-identical files and a
-load/save round trip is exact: the text is ``json.dumps`` of the document
-with ``sort_keys=True`` and ``separators=(",", ":")``, then a newline. It is
-rendered one row at a time, so a save holds the rows' text and the file's
-text, not a document of every row beside them. Files from other schema
-versions are rejected outright; a model saved by an older build is
+Serialization is canonical (sorted keys, fixed separators, only ASCII, each
+segment's rows by id), so identical models give byte-identical files and a
+full load/save round trip is exact. Rows are rendered one at a time. Files
+of other schema versions are refused; a model saved by an older build is
 retrained with ``chunknet train``.
 
-This module checks the file's own facts in one pass over each net's rows: the
-JSON type and size of the document, each net, row and field; each timing
-field (``seconds_per_new_chunk``, ``seconds_per_update``, a net's
-``clock_seconds``) a finite number >= 0; every row's integer parent naming a
-node that comes before it (the root or an earlier row), which rules out
-cycles and unreachable nodes; and each naming link, whose count must be a
-positive integer and whose key a label node id as the file writes it: one
-table, ``"1"`` up to the label net's row count, is built before any row is
-read, so ``"01"`` is refused unparsed and a link may name a label node of a
-net listed later. The first bad row in file order is reported.
-``DiscriminationNet.attach`` then joins the net's nodes to its tree, as
-learning does, and refuses an empty test link or two siblings with the same
-test link; its error becomes a ``SnapshotError``.
+A load checks the file's own facts: the JSON type and size of the document,
+each net, segment, row and field; each timing field a finite number >= 0;
+each naming link's count a positive integer and its key a label node id as
+the file writes it (``"1"`` up to the label net's row count, so ``"01"`` is
+refused and a link may name a label node of a net listed later); a parent
+inside its segment; a root child's first test token its segment's key.
+``DiscriminationNet.attach`` then refuses an empty test link or two
+siblings with the same test link. Every net's fields are checked before any
+row, and the first bad row of the segments built is reported.
 
-A loaded node is a ``LoadedNode`` (see its docstring, and ``_row`` for
-its dump). Each parsed row is dropped from the document as soon as its node
-is built, so a load never holds the whole document beside the whole net.
+``load_memory(path)`` builds every segment, and refuses an id given twice
+or a gap in the ids. ``load_memory(path, reach)`` is a query's load: after
+the file-level fields it calls ``reach(meta)`` for the stimulus pattern,
+then builds the label net whole and, of the stimulus modality's net, only
+the segments keyed by a stimulus token, each checked as above. A bad row
+in a segment it does not build is not seen. The net's table holds None for
+every row not built, so that memory serves that stimulus and nothing else.
 
-Python's cyclic garbage collector is paused from reading the file until
-the last node is built, and left as the caller had it: the file is read and
-parsed inside the paused window, and a document that is not a JSON object is
-refused there before its version is read. A load allocates tens of thousands
-of containers that all survive, which would otherwise set off dozens of
-young collections per load and a full one every few loads. A load that
-succeeds then promotes, while the collector is still paused,
-every tracked object into the oldest generation (``gc.freeze()`` then
-``gc.unfreeze()``, two list splices) and so resets the young count: no
-young collection traverses the loaded nodes and index dicts afterwards.
-Both are safe because the loaded memory holds no reference cycles: parents,
-children and link targets are integer ids, the parsed document is freed by
-reference counting, and so is the memory when the caller drops it.
-Promotion also moves the caller's young objects to the oldest generation;
-any reference cycle among them then waits for a full collection, so a
-caller that loads in a loop should leave no cyclic garbage (``chunknet``
-builds its argument parser once per process for this), and objects a
-caller froze with ``gc.freeze()`` are unfrozen. A failed load promotes
-nothing, since the frames its traceback holds may form cycles.
+A loaded node is a ``LoadedNode`` (see its docstring, and ``_row`` for its
+dump). Each parsed row is dropped from the document once its node is built.
+
+Python's cyclic garbage collector is paused from reading the file until the
+last node is built, and left as the caller had it; a load that succeeds then
+promotes every tracked object into the oldest generation (``gc.freeze()``
+then ``gc.unfreeze()``), the caller's young objects too, and unfreezes what
+a caller froze. So a caller that loads in a loop should leave no cyclic
+garbage. A failed load promotes nothing. Why this is safe and what it saves:
+``test_loaded_memory_holds_no_reference_cycles`` in ``tests/test_snapshot.py``.
 """
 
 from __future__ import annotations
@@ -73,7 +60,7 @@ from .config import ConfigError, read_json, write_text
 from .network import ROOT_ID, DiscriminationNet, LoadedNode, \
     MultiModalMemory, NetworkError, Node
 
-SNAPSHOT_SCHEMA_VERSION = 3
+SNAPSHOT_SCHEMA_VERSION = 4
 
 
 class SnapshotError(ValueError):
@@ -95,7 +82,7 @@ def _json(value) -> str:
 
 
 def _row(node: Node) -> str:
-    """``_json`` of ``node``'s row ``[parent, test, image, complete,
+    """``_json`` of ``node``'s row ``[id, parent, test, image, complete,
     links]``, written directly: link keys sort as text, so label 10 comes
     before label 9, as they do in ``_json`` of the row's links object. An
     image a load left as text is split and not kept."""
@@ -103,8 +90,24 @@ def _row(node: Node) -> str:
                      sorted((str(k), c) for k, c in node.naming_links.items()))
     image = node._image if type(node) is LoadedNode else node.image
     image = " ".join(image.split() if type(image) is str else image)
-    return (f"[{node.parent},{_quote(' '.join(node.test))},{_quote(image)},"
-            f"{'true' if node.image_complete else 'false'},{{{links}}}]")
+    return (f"[{node.node_id},{node.parent},{_quote(' '.join(node.test))},"
+            f"{_quote(image)},{'true' if node.image_complete else 'false'},"
+            f"{{{links}}}]")
+
+
+def _segments(net: DiscriminationNet) -> str:
+    """The text of ``net``'s segments object, in one pass over its nodes by
+    id: a row's key is its own first test token if the root is its parent,
+    else its parent's key. Keys sort as ``_json`` sorts them."""
+    nodes = net.nodes()
+    keys = [""] * len(nodes)
+    segments: dict[str, list[str]] = {}
+    for node in nodes[ROOT_ID + 1:]:
+        key = keys[node.node_id] = node.test[0] \
+            if node.parent == ROOT_ID else keys[node.parent]
+        segments.setdefault(key, []).append(_row(node))
+    return ",".join(f"{_quote(key)}:[{','.join(rows)}]"
+                    for key, rows in sorted(segments.items()))
 
 
 def dump_memory(memory: MultiModalMemory, meta: dict | None = None) -> str:
@@ -116,8 +119,7 @@ def dump_memory(memory: MultiModalMemory, meta: dict | None = None) -> str:
     for i, (modality, net) in enumerate(sorted(memory.nets.items())):
         parts += ["," if i else "", _json(modality),
                   ':{"clock_seconds":', _json(net.clock_seconds),
-                  ',"nodes":[',
-                  ",".join(map(_row, net.nodes()[ROOT_ID + 1:])), "]}"]
+                  ',"segments":{', _segments(net), "}}"]
     parts += ['},"schema_version":', _json(SNAPSHOT_SCHEMA_VERSION),
               ',"seconds_per_new_chunk":', _json(memory.seconds_per_new_chunk),
               ',"seconds_per_update":', _json(memory.seconds_per_update),
@@ -144,9 +146,9 @@ _DOC_FIELDS = (("label_modality", (str,)),
                ("seconds_per_new_chunk", _NUMBER),
                ("seconds_per_update", _NUMBER), ("networks", (dict,)),
                ("meta", (dict,)))
-_NET_FIELDS = (("clock_seconds", _NUMBER), ("nodes", (list,)))
-_ROW_FIELDS = (("parent", (int,)), ("test", (str,)), ("image", (str,)),
-               ("complete", (bool,)), ("links", (dict,)))
+_NET_FIELDS = (("clock_seconds", _NUMBER), ("segments", (dict,)))
+_ROW_FIELDS = (("id", (int,)), ("parent", (int,)), ("test", (str,)),
+               ("image", (str,)), ("complete", (bool,)), ("links", (dict,)))
 
 
 def _fields(doc, where: str, fields) -> list:
@@ -174,61 +176,105 @@ def _fields(doc, where: str, fields) -> list:
     return values
 
 
-def _row_error(where: str, node_id: int, row,
-               labels: dict[str, int]) -> NoReturn:
-    """Raise the exact error for row ``node_id``, which the loop in
-    :func:`_load_net` refused; ``labels`` holds the label node ids."""
-    node = f"{where}: node {node_id}"
+def _row_error(where: str, key: str, position: int, row, last: int,
+               own: list, labels: dict[str, int]) -> NoReturn:
+    """Raise the exact error for row ``position`` of segment ``key``, which
+    the loop in :func:`_load_net` refused after node ``last``; ``own`` is
+    the net's table and ``labels`` holds the label node ids."""
+    node = f"{where}: node {row[0]}" if type(row) is list and row and \
+        type(row[0]) is int else \
+        f"{where}: row {position} of segment {reprlib.repr(key)}"
     if type(row) is not list or len(row) > len(_ROW_FIELDS):
         raise SnapshotError(f"{node} is not a list of {len(_ROW_FIELDS)} "
                             f"fields: {reprlib.repr(row)}") from None
     names = [name for name, _ in _ROW_FIELDS]
-    parent, _, _, _, links = _fields(dict(zip(names, row)), node,
-                                     _ROW_FIELDS)
-    for key, count in links.items():
-        if key not in labels or type(count) is not int or count < 1:
+    node_id, parent, test, _, _, links = _fields(dict(zip(names, row)), node,
+                                                 _ROW_FIELDS)
+    count = len(own) - 1
+    if not 0 < node_id <= count:
+        raise SnapshotError(f"{node} is outside 1 to {count}: a net's "
+                            f"{count} rows hold the ids 1 to {count}, each "
+                            f"once") from None
+    if node_id <= last:
+        raise SnapshotError(f"{node} comes after node {last} in its "
+                            f"segment; a segment's rows ascend by id") \
+            from None
+    if own[node_id] is not None:
+        raise SnapshotError(f"{node} appears twice") from None
+    for label, n in links.items():
+        if label not in labels or type(n) is not int or n < 1:
             raise SnapshotError(
-                f"{node} has the naming link {reprlib.repr(key)}: "
-                f"{reprlib.repr(count)}; a link needs a label node id and a "
+                f"{node} has the naming link {reprlib.repr(label)}: "
+                f"{reprlib.repr(n)}; a link needs a label node id and a "
                 f"positive count") from None
+    # Only the key can fail a root child: the root is inside every segment.
+    if parent == ROOT_ID:
+        raise SnapshotError(f"{node} is a root child testing "
+                            f"{reprlib.repr(test.split()[0])} in segment "
+                            f"{reprlib.repr(key)}; a root child's first "
+                            f"test token is its segment's key") from None
     raise SnapshotError(f"{node} names parent {parent!r}; a parent must "
-                        f"be an earlier node") from None
+                        f"be the root or an earlier node of its segment") \
+        from None
 
 
-def _load_net(modality: str, doc, memory: MultiModalMemory,
+def _load_net(modality: str, clock, segments: dict, keys,
+              memory: MultiModalMemory,
               labels: dict[str, int]) -> DiscriminationNet:
-    """Build one net: one pass over its rows checks them and builds their
-    nodes, and the net attaches them to its own root in one call."""
+    """Build the segments of one net named in ``keys``, every one when
+    ``keys`` is None: one pass over a segment's rows checks them and puts
+    each node at its id in the net's table, where a row not built leaves
+    None, and the net attaches the nodes built in one call."""
     where = f"{modality!r} net"
-    clock, rows = _fields(doc, where, _NET_FIELDS)
     net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
     net.clock_seconds = clock
+    own = net._nodes
+    own += [None] * sum(len(rows) for rows in segments.values()
+                        if type(rows) is list)
+    count = len(own) - 1
     nodes: list[LoadedNode] = []
-    # Any failure leaves the loop for _row_error, which names the problem.
-    try:
-        for node_id, row in enumerate(rows, ROOT_ID + 1):
-            # A five-item string or object unpacks too, but its items are
-            # strings, which fail the check on ``parent``.
-            parent, test, image, complete, links = row
-            if type(parent) is not int or not 0 <= parent < node_id \
-                    or type(test) is not str or type(image) is not str \
-                    or type(complete) is not bool or type(links) is not dict:
-                raise ValueError
-            naming = links
-            if links:
-                naming = {}
-                for key, count in links.items():
-                    if type(count) is not int or count < 1:
-                        raise ValueError
-                    naming[labels[key]] = count
-            nodes.append(LoadedNode(node_id, tuple(test.split()), image,
-                                    complete, parent, naming))
-            # The row is built: drop it, so the document shrinks as the
-            # net grows.
-            rows[node_id - ROOT_ID - 1] = None
-    except (KeyError, TypeError, ValueError):
-        _row_error(where, node_id, row, labels)
+    for key, rows in segments.items():
+        if keys is not None and key not in keys:
+            continue
+        if type(rows) is not list:
+            raise SnapshotError(f"{where} segment {reprlib.repr(key)} holds "
+                                f"{reprlib.repr(rows)}; a segment is a list "
+                                f"of rows")
+        inside, last = {ROOT_ID}, ROOT_ID
+        # Any failure leaves the loop for _row_error, which names the problem.
+        try:
+            for position, row in enumerate(rows):
+                # A six-item string or object unpacks too, but its items
+                # are strings, which fail the check on ``node_id``.
+                node_id, parent, test, image, complete, links = row
+                if type(node_id) is not int or not last < node_id <= count \
+                        or own[node_id] is not None \
+                        or type(parent) is not int or parent not in inside \
+                        or type(test) is not str or type(image) is not str \
+                        or type(complete) is not bool \
+                        or type(links) is not dict:
+                    raise ValueError
+                tokens = tuple(test.split())
+                if parent == ROOT_ID and tokens and tokens[0] != key:
+                    raise ValueError
+                naming = links
+                if links:
+                    naming = {}
+                    for label, n in links.items():
+                        if type(n) is not int or n < 1:
+                            raise ValueError
+                        naming[labels[label]] = n
+                node = own[node_id] = LoadedNode(node_id, tokens, image,
+                                                 complete, parent, naming)
+                nodes.append(node)
+                inside.add(node_id)
+                last = node_id
+                # The row is built: drop it, so the document shrinks as the
+                # net grows.
+                rows[position] = None
+        except (KeyError, TypeError, ValueError):
+            _row_error(where, key, position, row, last, own, labels)
     try:
         net.attach(nodes)
     except NetworkError as exc:
@@ -236,12 +282,14 @@ def _load_net(modality: str, doc, memory: MultiModalMemory,
     return net
 
 
-def load_memory(path) -> tuple[MultiModalMemory, dict]:
-    """Returns the rebuilt memory and the snapshot's meta block."""
+def load_memory(path, reach=None) -> tuple[MultiModalMemory, dict]:
+    """The rebuilt memory and the snapshot's meta block. ``reach``, if
+    given, takes the meta and returns the stimulus ``Pattern`` whose
+    queries the memory is built for (see the module docstring)."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        loaded = _load_doc(read_json(path, SnapshotError, "snapshot"))
+        loaded = _load_doc(read_json(path, SnapshotError, "snapshot"), reach)
         gc.freeze()
         gc.unfreeze()
         return loaded
@@ -250,7 +298,7 @@ def load_memory(path) -> tuple[MultiModalMemory, dict]:
             gc.enable()
 
 
-def _load_doc(doc: dict) -> tuple[MultiModalMemory, dict]:
+def _load_doc(doc: dict, reach) -> tuple[MultiModalMemory, dict]:
     version = doc.get("schema_version")
     if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
         raise SnapshotError(
@@ -262,12 +310,20 @@ def _load_doc(doc: dict) -> tuple[MultiModalMemory, dict]:
     memory = MultiModalMemory(label_modality=label_modality,
                               seconds_per_new_chunk=per_chunk,
                               seconds_per_update=per_update)
-    # One label node id per label-net row: none when that net is missing or
-    # malformed, which its own load or a link then reports.
-    label_doc = networks.get(label_modality)
-    rows = label_doc.get("nodes") if type(label_doc) is dict else None
-    count = len(rows) if type(rows) is list else 0
+    nets = {modality: _fields(net_doc, f"{modality!r} net", _NET_FIELDS)
+            for modality, net_doc in networks.items()}
+    # One label node id per label-net row: none when that net is missing,
+    # which a link then reports.
+    _, label_segments = nets.get(label_modality, (0, {}))
+    count = sum(len(rows) for rows in label_segments.values()
+                if type(rows) is list)
     labels = {str(i): i for i in range(1, count + 1)}
-    for modality, net_doc in networks.items():
-        memory.nets[modality] = _load_net(modality, net_doc, memory, labels)
+    stimulus = None if reach is None else reach(meta)
+    for modality, (clock, segments) in nets.items():
+        keys = None
+        if stimulus is not None and modality != label_modality:
+            keys = set(stimulus.tokens) \
+                if modality == stimulus.modality else ()
+        memory.nets[modality] = _load_net(modality, clock, segments, keys,
+                                          memory, labels)
     return memory, meta

@@ -161,39 +161,60 @@ class Memory:
         return " ".join(self.nets[self.label_modality].contents(label_id))
 
     def dump(self, meta=None):
-        """The snapshot text, schema version 3, with the ``meta`` block."""
+        """The snapshot text, schema version 4, with the ``meta`` block."""
         networks = {
-            modality: {"clock_seconds": net.clock, "nodes": [
+            modality: {"clock_seconds": net.clock, "segments": segments(
                 [n.parent, " ".join(n.test), " ".join(n.image), n.complete,
                  {str(k): n.links[k] for k in sorted(n.links)}]
-                for n in net.nodes[1:]]}
+                for n in net.nodes[1:])}
             for modality, net in sorted(self.nets.items())}
-        doc = {"schema_version": 3, "label_modality": self.label_modality,
+        doc = {"schema_version": 4, "label_modality": self.label_modality,
                "seconds_per_new_chunk": self.per_chunk,
                "seconds_per_update": self.per_update,
                "networks": networks, "meta": meta or {}}
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def segments(rows):
+    """Schema version 4 segments of one net's ``rows`` ``[parent, test,
+    image, complete, links]``, where row ``i`` is node ``i + 1``: each row,
+    with its id put in front, goes under the first token of the test link
+    of its root child, found by climbing its parent chain."""
+    rows = list(rows)
+    grouped = {}
+    for node_id, row in enumerate(rows, 1):
+        top = row
+        while top[0] != 0:
+            top = rows[top[0] - 1]
+        grouped.setdefault(top[1].split()[0], []).append([node_id, *row])
+    return grouped
+
+
 def document(nets, label_modality="verbal"):
-    """A schema version 3 snapshot document of hand-built ``nets``: each
-    modality's rows ``[parent, test, image, complete, links]``, with tokens
-    joined by single spaces and links keyed by label node id as text."""
-    return {"schema_version": 3, "label_modality": label_modality,
+    """A schema version 4 snapshot document of hand-built ``nets``: each
+    modality's rows ``[parent, test, image, complete, links]``, row ``i``
+    node ``i + 1``, with tokens joined by single spaces and links keyed by
+    label node id as text, grouped by :func:`segments`."""
+    return {"schema_version": 4, "label_modality": label_modality,
             "seconds_per_new_chunk": 10.0, "seconds_per_update": 2.0,
-            "networks": {m: {"clock_seconds": 0.0, "nodes": rows}
+            "networks": {m: {"clock_seconds": 0.0, "segments": segments(rows)}
                          for m, rows in nets.items()},
             "meta": {}}
 
 
 def load(doc):
-    """The memory a snapshot document holds."""
+    """The memory a snapshot document holds: every segment's rows, joined
+    in the order of their ids, which must run from 1 with no gap."""
     memory = Memory(doc["label_modality"], doc["seconds_per_new_chunk"],
                     doc["seconds_per_update"])
     for modality, net_doc in doc["networks"].items():
         net = memory.net(modality)
         net.clock = net_doc["clock_seconds"]
-        for parent, test, image, complete, links in net_doc["nodes"]:
+        rows = sorted(row for rows in net_doc["segments"].values()
+                      for row in rows)
+        for node_id, parent, test, image, complete, links in rows:
+            if node_id != len(net.nodes):
+                raise Refused(f"node {node_id} out of place")
             net.add(parent, test.split(), image.split(), complete,
                     {int(k): count for k, count in links.items()})
     return memory

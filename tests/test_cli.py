@@ -14,7 +14,7 @@ from chunknet.cli import main
 from chunknet.config import ConfigError, write_json
 from chunknet.snapshot import load_memory, save_memory
 from chunknet.suites import build_xor_manifest, generate_synthetic_corpus
-from test_snapshot import V1_SNAPSHOT, V2_SNAPSHOT
+from test_snapshot import V1_SNAPSHOT, V2_SNAPSHOT, V3_SNAPSHOT
 
 
 def run(capsys, *argv):
@@ -101,7 +101,7 @@ class TestCategorise:
     def test_malformed_snapshot_exits_2(self, tmp_path, capsys):
         model = self._model(tmp_path, capsys)
         doc = json.loads(model.read_text())
-        doc["networks"]["visual"]["nodes"][0][0] = 999    # parent of node 1
+        doc["networks"]["visual"]["segments"]["1"][0][1] = 999   # node 2
         model.write_text(json.dumps(doc))
         stim = tmp_path / "stim.txt"
         stim.write_text("1 0", encoding="utf-8")
@@ -204,11 +204,11 @@ class TestCategorise:
         ("categorise", 4, ""), ("retrieve", 0, "\n")])
     def test_a_visual_net_with_only_its_root(self, tmp_path, capsys, command,
                                             code, printed):
-        # An empty node list is a net with only its root, which the code
-        # makes: it recognises nothing.
+        # A net with no segments has only its root, which the code makes:
+        # it recognises nothing.
         model = self._model(tmp_path, capsys)
         doc = json.loads(model.read_text())
-        doc["networks"]["visual"] = {"clock_seconds": 0.0, "nodes": []}
+        doc["networks"]["visual"] = {"clock_seconds": 0.0, "segments": {}}
         model.write_text(json.dumps(doc))
         stim = tmp_path / "stim.txt"
         stim.write_text("1 0", encoding="utf-8")
@@ -421,7 +421,7 @@ class TestInspect:
         capsys.readouterr()
         code, out_text, _ = run(capsys, "inspect", "--model", str(model))
         assert code == 0
-        assert out_text.startswith("snapshot schema v3; tokenizer words; "
+        assert out_text.startswith("snapshot schema v4; tokenizer words; "
                                    "label modality verbal\n")
         # categorise tokenizes the same file with that tokenizer
         code, out_text, _ = run(capsys, *_query(tmp_path, model))
@@ -654,11 +654,13 @@ def _blank_test_file(tmp_path):
 
 
 def _set_parent(doc):
-    doc["networks"]["visual"]["nodes"][0][0] = 999
+    # node 2, the first row of segment "1", which the stimulus "1 0" reaches
+    doc["networks"]["visual"]["segments"]["1"][0][1] = 999
 
 
 def _root_row(doc):
-    doc["networks"]["visual"]["nodes"].insert(0, [None, "", "", False, {}])
+    doc["networks"]["visual"]["segments"]["1"].insert(
+        0, [0, None, "", "", False, {}])
 
 
 def _negative_clock(doc):
@@ -690,18 +692,21 @@ def _negative_clock(doc):
       for version, id_ in ((True, "true"), (1.0, "1.0"))),
     pytest.param(_config_file('{"stm_sizes": 5}'), 2, "stm_sizes",
                  id="bad_config"),
-    pytest.param(_model_edit(_set_parent), 2, "node 1 names parent 999",
-                 id="v3_snapshot_bad_parent"),
+    pytest.param(_model_edit(_set_parent), 2, "node 2 names parent 999",
+                 id="snapshot_bad_parent"),
     pytest.param(_model_edit(_root_row, "retrieve"), 2,
-                 "'visual' net: node 1 field 'parent' holds None",
-                 id="v3_snapshot_root_row"),
+                 "'visual' net: node 0 field 'parent' holds None",
+                 id="snapshot_root_row"),
     pytest.param(_model_edit(_negative_clock, "inspect"), 2,
                  "'visual' net field 'clock_seconds' must be a finite number "
-                 ">= 0, got -5$", id="v3_snapshot_negative_clock_inspect"),
+                 ">= 0, got -5$", id="snapshot_negative_clock_inspect"),
     pytest.param(_old_snapshot(V1_SNAPSHOT), 2, "retrain the model",
                  id="v1_snapshot"),
     pytest.param(_old_snapshot(V2_SNAPSHOT), 2, "retrain the model",
                  id="v2_snapshot"),
+    pytest.param(_old_snapshot(V3_SNAPSHOT), 2, "snapshot schema_version 3 "
+                 r"is not supported \(this build reads version 4\); retrain "
+                 "the model with 'chunknet train'$", id="v3_snapshot"),
     pytest.param(_array_snapshot, 2, "snapshot must be a JSON object",
                  id="array_snapshot"),
     pytest.param(_meta("config", 5), 2, "'config' holds 5",

@@ -1,16 +1,21 @@
 """Training loop: convergence, determinism, event accounting."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
-from chunknet import harness
-from chunknet.attention import categorise
+from chunknet import cli, harness, snapshot
+from chunknet.attention import categorise, retrieve
 from chunknet.cli import main
 from chunknet.config import RunConfig
 from chunknet.corpus import (Category, Sample, SplitSpec, load_manifest,
@@ -191,8 +196,8 @@ def _phrase_corpus(corpus_dir, seed=3, words=600):
 def test_phrase_corpus_training_fingerprint(tmp_path):
     # Recorded before learning walked index ranges of the presented
     # pattern; any change to what learning stores shows here. The snapshot
-    # hash was re-recorded for schema v3, whose file is the v2 file without
-    # the root row, the node times and each net's modality.
+    # hash was re-recorded for schema v4, whose file is the v3 file with
+    # each row's id in front and each net's rows grouped into segments.
     config = RunConfig()
     memory = new_memory(config)
     run = train(memory, _phrase_corpus(tmp_path), config)
@@ -200,8 +205,8 @@ def test_phrase_corpus_training_fingerprint(tmp_path):
     assert run.learn_events == {"created_node": 278, "familiarised": 1608,
                                 "no_change": 4114}
     digest = hashlib.sha256(dump_memory(memory).encode()).hexdigest()
-    assert digest == ("4fc74963d442d470da9aca10846af0c0"
-                      "421d428efdbaa3c5008f0500699c8d28")
+    assert digest == ("0d9e0b95fc5663d511a4d9f0cb8c0f58"
+                      "179f66cff65a97f0e25edcaeaab51a98")
 
 
 def test_phrase_corpus_training_walk_count(tmp_path, monkeypatch):
@@ -375,10 +380,12 @@ def phrase_model(tmp_path_factory):
 # recorded before the CLI parser was shared and the snapshot load promoted
 # what it built out of the young generation.
 # ``inspect --nodes`` was recorded later, before loaded images were kept
-# as text until read; it prints every image of the model.
+# as text until read; it prints every image of the model. It was
+# re-recorded for schema v4, whose number its first line prints; every
+# other line is unchanged.
 QUERY_HASHES = {"categorise": "60310aa9421bcc18",
                 "retrieve": "d8e9a1fbf02df242",
-                "inspect --nodes": "ba4506f956ee40e3"}
+                "inspect --nodes": "86a33467ec893272"}
 
 
 @pytest.mark.parametrize("command", ["categorise", "retrieve"])
@@ -405,6 +412,63 @@ def test_phrase_corpus_inspect_nodes_output(capsys, phrase_model):
     assert out.count("\n") > 200
     digest = hashlib.sha256(out.encode()).hexdigest()[:16]
     assert digest == QUERY_HASHES["inspect --nodes"]
+
+
+def _full_load(path, reach=None):
+    """``load_memory`` building every segment; ``reach`` is still called,
+    for the stimulus the command reads through it."""
+    memory, meta = snapshot.load_memory(path)
+    if reach is not None:
+        reach(meta)
+    return memory, meta
+
+
+def _cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@st.composite
+def _phrase_queries(draw, stimuli):
+    """Token lists from the phrase corpus's words and tokens it never saw:
+    a run of any of them, or a span of a fixed stimulus with some put in."""
+    vocabulary = sorted({token for text in stimuli for token in text.split()}
+                        | {"unseen", "never", "0"})
+    words = st.sampled_from(vocabulary)
+    if draw(st.booleans()):
+        return draw(st.lists(words, min_size=1, max_size=40))
+    tokens = draw(st.sampled_from(stimuli)).split()
+    start = draw(st.integers(0, len(tokens) - 1))
+    tokens = tokens[start:start + draw(st.integers(1, 40))]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(words))
+    return tokens
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_a_query_built_for_its_stimulus_answers_as_a_full_load(phrase_model,
+                                                                data):
+    model, stimuli = phrase_model
+    tokens = data.draw(_phrase_queries(stimuli))
+    stimulus = Pattern("visual", tuple(tokens))
+    full, meta = load_memory(model)
+    reached, _ = load_memory(model, lambda meta: stimulus)
+    cfg = attention_config(RunConfig(), meta["attention_span"])
+    assert categorise(reached, stimulus, cfg) == \
+        categorise(full, stimulus, cfg)
+    assert retrieve(reached.net("visual"), stimulus) == \
+        retrieve(full.net("visual"), stimulus)
+    stim = model.parent / "query.txt"
+    stim.write_text(" ".join(tokens), encoding="utf-8")
+    for command in ("categorise", "retrieve"):
+        argv = [command, "--model", str(model), "--input", str(stim)]
+        answer = _cli(argv)
+        with mock.patch.object(cli, "load_memory", _full_load):
+            assert answer == _cli(argv)
 
 
 def test_a_dump_of_a_loaded_memory_splits_no_image_it_keeps(phrase_model):

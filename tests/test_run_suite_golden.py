@@ -112,16 +112,16 @@ def test_manifest_mode_and_train_outputs(tmp_path, capsys):
     assert digest(table) == "be4cb3b656f58281"
     train_out = tmp_path / "train"
     run_cli(capsys, "train", "--manifest", manifest, "--out", str(train_out))
-    # model.json was re-recorded for snapshot schema v3: the v2 file without
-    # the root row, the node times and each net's modality.
+    # model.json was re-recorded for snapshot schema v4: the v3 file with
+    # each row's id in front and each net's rows grouped into segments.
     assert {name: digest((suite_out / name).read_bytes())
             for name in ("model.json", "results.csv", "run.json")} == {
-        "model.json": "232d8fb77681c907",
+        "model.json": "496c585f2e65416b",
         "results.csv": "ccce25bb24c77caf",
         "run.json": "2d12c40b69170d28"}
     assert {name: digest((train_out / name).read_bytes())
             for name in ("model.json", "training.json", "config.json")} == {
-        "model.json": "232d8fb77681c907",
+        "model.json": "496c585f2e65416b",
         "training.json": "7a7d3c0ed39c67fe",
         "config.json": "1824966a915217ab"}
 

@@ -1,7 +1,9 @@
 """Snapshot round trips: byte-exact files, behaviour-preserving models,
 schema version rejection."""
 
+import contextlib
 import gc
+import io
 import json
 import random
 import re
@@ -19,7 +21,7 @@ from chunknet.harness import Trainer
 from chunknet.network import CREATED_NODE, DiscriminationNet, \
     MultiModalMemory
 from chunknet.patterns import Pattern
-from chunknet import snapshot
+from chunknet import cli, snapshot
 from chunknet.snapshot import (SnapshotError, dump_memory, load_memory,
                                save_memory)
 from test_reference import load_rows
@@ -43,6 +45,16 @@ V2_SNAPSHOT = {
     "seconds_per_new_chunk": 10.0, "seconds_per_update": 2.0, "meta": {},
     "networks": {"visual": {"modality": "visual", "clock_seconds": 0.0,
                             "nodes": [[None, "", "", False, {}, 0.0, 0.0]]}}}
+
+# A schema v3 document: each net's rows in one list, row ``i`` node ``i + 1``
+# as ``[parent, test, image, complete, links]``.
+V3_SNAPSHOT = {
+    "schema_version": 3, "label_modality": "verbal",
+    "seconds_per_new_chunk": 10.0, "seconds_per_update": 2.0, "meta": {},
+    "networks": {"verbal": {"clock_seconds": 10.0,
+                            "nodes": [[0, "T", "T", True, {}]]},
+                 "visual": {"clock_seconds": 10.0,
+                            "nodes": [[0, "1", "1 0", True, {"1": 1}]]}}}
 
 
 def random_trained_memory(seed):
@@ -137,8 +149,8 @@ def test_other_schema_versions_rejected(tmp_path):
         load_memory(path)
 
 
-@pytest.mark.parametrize("doc", [V1_SNAPSHOT, V2_SNAPSHOT],
-                         ids=["v1", "v2"])
+@pytest.mark.parametrize("doc", [V1_SNAPSHOT, V2_SNAPSHOT, V3_SNAPSHOT],
+                         ids=["v1", "v2", "v3"])
 def test_old_snapshot_asks_for_retraining(tmp_path, doc):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -155,24 +167,31 @@ def test_a_net_with_only_its_root(tmp_path):
     path = tmp_path / "model.json"
     save_memory(path, memory)
     assert json.loads(path.read_text())["networks"] == {
-        "visual": {"clock_seconds": 0.0, "nodes": []}}
+        "visual": {"clock_seconds": 0.0, "segments": {}}}
     restored, _ = load_memory(path)
     assert restored.net("visual").node_count == 1
     assert dump_memory(restored) == path.read_text()
 
 
 def test_a_saved_file_has_no_root_row_and_no_net_modality(tmp_path):
+    # Each row goes under the first test token of its root child, and a
+    # segment lists its rows by id.
     memory, _ = random_trained_memory(2)
     path = tmp_path / "model.json"
     save_memory(path, memory)
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     for modality, net_doc in doc["networks"].items():
-        assert sorted(net_doc) == ["clock_seconds", "nodes"]
+        assert sorted(net_doc) == ["clock_seconds", "segments"]
         net = memory.net(modality)
-        assert len(net_doc["nodes"]) == net.node_count - 1
-        assert [row[0] for row in net_doc["nodes"]] == \
-            [node.parent for node in net.nodes()[1:]]
+        rows = [row for rows in net_doc["segments"].values() for row in rows]
+        assert sorted(row[:2] for row in rows) == \
+            [[node.node_id, node.parent] for node in net.nodes()[1:]]
+        for key, rows in net_doc["segments"].items():
+            assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+            for node_id, *_ in rows:
+                assert net.contents(node_id).tokens[0] == key
+    assert list(_segments(doc)) == ["p", "q", "r"]
 
 
 def test_missing_and_malformed_files(tmp_path):
@@ -217,86 +236,83 @@ def test_a_value_json_refuses_is_named_and_nothing_is_written(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
-def _rows(doc):
-    return doc["networks"]["visual"]["nodes"]
+def _segments(doc, modality="visual"):
+    return doc["networks"][modality]["segments"]
 
 
-def _root_children(doc):
-    """Row indices of the root's children: the rows whose parent is 0."""
-    return [i for i, row in enumerate(_rows(doc)) if row[0] == 0]
+def _node(doc, node_id):
+    """The visual row of node ``node_id``: ``[id, parent, test, image,
+    complete, links]``."""
+    return next(row for rows in _segments(doc).values() for row in rows
+                if row[0] == node_id)
 
 
-def _first_child(doc):
-    return _rows(doc)[_root_children(doc)[0]]
+# The visual net of ``random_trained_memory(2)``: node 1 "r" and its child
+# node 3 "q" in segment "r", node 2 "q" in segment "q", node 4 "p" in
+# segment "p". Each corruption returns the segments a query must reach to
+# meet its fault, or None when every load meets it.
+VISUAL_KEYS = ["p", "q", "r"]
 
 
 def _root_row(doc):
     # a would-be root row in front of node 1: only the code makes the root
-    _rows(doc).insert(0, [None, "", "", False, {}])
+    _segments(doc)["r"].insert(0, [0, None, "", "", False, {}])
+    return ["r"]
 
 
 def _drop_field(doc):
-    _rows(doc)[0].pop()
+    _node(doc, 1).pop()
+    return ["r"]
 
 
-def _dangling_child(doc):
-    # a child whose parent row does not exist
-    _rows(doc)[0][0] = 999
+def _set_parent(node_id, parent):
+    def corrupt(doc):
+        _node(doc, node_id)[1] = parent
+        return ["r"]
+    return corrupt
 
 
-def _wrong_parent(doc):
-    # a node cannot be its own parent
-    _rows(doc)[0][0] = 1
-
-
-def _negative_parent(doc):
-    _rows(doc)[0][0] = -1
+# a child whose parent row does not exist
+_dangling_child = _set_parent(1, 999)
+# a node cannot be its own parent
+_wrong_parent = _set_parent(1, 1)
+_negative_parent = _set_parent(1, -1)
+# false == 0, so only the type check tells it from the root's id
+_parent_false = _set_parent(1, False)
 
 
 def _unreachable_node(doc):
     # two nodes naming each other as parent form a cycle off the tree
-    rows = _rows(doc)
-    rows[0][0], rows[1][0] = 2, 1
+    _node(doc, 1)[1], _node(doc, 3)[1] = 3, 1
+    return ["r"]
 
 
-def _empty_test(doc):
-    _first_child(doc)[1] = ""
+def _set_field(field, value, node_id=1):
+    def corrupt(doc):
+        _node(doc, node_id)[field] = value
+        return ["r"]
+    return corrupt
 
 
-def _whitespace_test(doc):
-    _first_child(doc)[1] = " \t "
+_empty_test = _set_field(2, "")
+_whitespace_test = _set_field(2, " \t ")
+_non_string_token = _set_field(3, [7])
+_test_is_a_list = _set_field(2, ["a", "b"])
+_complete_not_a_bool = _set_field(4, "yes")
 
 
-def _non_string_token(doc):
-    _first_child(doc)[2] = [7]
+def _add_link(key, count, node_id=1):
+    def corrupt(doc):
+        _node(doc, node_id)[5][key] = count
+        return ["r"]
+    return corrupt
 
 
-def _test_is_a_list(doc):
-    _first_child(doc)[1] = ["a", "b"]
-
-
-def _complete_not_a_bool(doc):
-    _first_child(doc)[3] = "yes"
-
-
-def _link_to_unknown_label(doc):
-    _first_child(doc)[4]["999"] = 1
-
-
-def _link_to_label_root(doc):
-    _first_child(doc)[4]["0"] = 1
-
-
-def _link_key_not_an_id(doc):
-    _first_child(doc)[4]["x"] = 1
-
-
-def _link_count_zero(doc):
-    _first_child(doc)[4]["1"] = 0
-
-
-def _link_count_text(doc):
-    _first_child(doc)[4]["1"] = "a"
+_link_to_unknown_label = _add_link("999", 1)
+_link_to_label_root = _add_link("0", 1)
+_link_key_not_an_id = _add_link("x", 1)
+_link_count_zero = _add_link("1", 0)
+_link_count_text = _add_link("1", "a")
 
 
 def _networks_a_list(doc):
@@ -304,17 +320,16 @@ def _networks_a_list(doc):
 
 
 def _node_not_a_list(doc):
-    _rows(doc).append(5)
+    _segments(doc)["r"].append(5)
+    return ["r"]
 
 
 def _siblings_share_a_test(doc):
-    first, second = _root_children(doc)[:2]
-    _rows(doc)[second][1] = _rows(doc)[first][1]
-
-
-def _parent_false(doc):
-    # false == 0, so only the type check tells it from the root's id
-    _rows(doc)[_root_children(doc)[0]][0] = False
+    # node 2 tests "r" beside node 1, in node 1's segment
+    row = _segments(doc).pop("q")[0]
+    row[2] = "r"
+    _segments(doc)["r"].insert(1, row)
+    return ["r"]
 
 
 def _schema_version_true(doc):
@@ -339,29 +354,25 @@ def _clock_past_the_largest_float(doc):
     doc["networks"]["visual"]["clock_seconds"] = 10 ** 400
 
 
-def _linked_rows(doc):
-    """The rows that carry naming links, in order; both link to label 1."""
-    return [row for row in _rows(doc) if row[4]]
-
-
 def _link_key_01_after_1(doc):
     # "01" is not how label 1 is written, even once "1" has been checked
-    _linked_rows(doc)[-1][4] = {"01": 1}
+    _node(doc, 3)[5] = {"01": 1}
+    return ["r"]
 
 
 def _link_count_under_checked_key(count):
-    def corrupt(doc):
-        _linked_rows(doc)[-1][4]["1"] = count
-    return corrupt
+    return _set_field(5, {"1": count}, node_id=3)
 
 
 def _link_to_unknown_label_late(doc):
-    _rows(doc)[-1][4] = {"9": 1}
+    _node(doc, 4)[5] = {"9": 1}
+    return ["p"]
 
 
 def _bad_row_after_unknown_label(doc):
-    _rows(doc)[1][4] = {"9": 1}
-    _rows(doc)[-1][0] = 999
+    _node(doc, 2)[5] = {"9": 1}
+    _node(doc, 3)[1] = 999
+    return ["q"]
 
 
 def _label_net_last(doc):
@@ -375,16 +386,48 @@ def _label_net_last(doc):
 def _link_past_the_label_net_listed_last(doc):
     # the label net has one row, so label 2 does not exist
     _label_net_last(doc)
-    _rows(doc)[-1][4] = {"2": 1}
+    _node(doc, 4)[5] = {"2": 1}
+    return ["p"]
 
 
 def _label_modality_missing(doc):
     doc["label_modality"] = "auditory"
+    return ["r"]
 
 
 def _label_nodes_not_a_list_listed_last(doc):
     _label_net_last(doc)
-    doc["networks"]["verbal"]["nodes"] = 5
+    doc["networks"]["verbal"]["segments"] = 5
+
+
+def _duplicate_id_across_segments(doc):
+    _node(doc, 4)[0] = 2
+    return ["p", "q"]
+
+
+def _gap_in_the_ids(doc):
+    _node(doc, 4)[0] = 5
+    return ["p"]
+
+
+def _root_child_under_the_wrong_key(doc):
+    # node 2, testing "q", moved in front of node 4 in segment "p"
+    _segments(doc)["p"].insert(0, _segments(doc).pop("q")[0])
+    return ["p"]
+
+
+def _rows_out_of_order(doc):
+    # node 2, now a root child testing "r s", after node 3 in segment "r"
+    row = _segments(doc).pop("q")[0]
+    row[2] = "r s"
+    _segments(doc)["r"].append(row)
+    return ["r"]
+
+
+def _parent_outside_its_segment(doc):
+    # node 3, in segment "r", under node 2 of segment "q"
+    _node(doc, 3)[1] = 2
+    return ["r"]
 
 
 def _full(message):
@@ -397,8 +440,8 @@ def _link_message(node_id, key, count):
                  f"positive count")
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    pytest.param(_root_row, "node 1 field 'parent' holds None",
+MALFORMED = [
+    pytest.param(_root_row, "node 0 field 'parent' holds None",
                  id="root_row"),
     pytest.param(_drop_field, "node 1 is missing field 'links'",
                  id="drop_field"),
@@ -407,7 +450,7 @@ def _link_message(node_id, key, count):
     pytest.param(_wrong_parent, "node 1 names parent 1", id="wrong_parent"),
     pytest.param(_negative_parent, "node 1 names parent -1",
                  id="negative_parent"),
-    pytest.param(_unreachable_node, "node 1 names parent 2",
+    pytest.param(_unreachable_node, "node 1 names parent 3",
                  id="unreachable_node"),
     pytest.param(_empty_test, "empty test link", id="empty_test"),
     pytest.param(_whitespace_test, "empty test link", id="whitespace_test"),
@@ -429,11 +472,12 @@ def _link_message(node_id, key, count):
                  id="link_count_text"),
     pytest.param(_networks_a_list, r"field 'networks' holds \[\]",
                  id="networks_a_list"),
-    pytest.param(_node_not_a_list, "is not a list of 5 fields: 5",
-                 id="node_not_a_list"),
+    pytest.param(_node_not_a_list, _full(
+        "'visual' net: row 2 of segment 'r' is not a list of 6 fields: 5"),
+        id="node_not_a_list"),
     pytest.param(_siblings_share_a_test, "have the same test link",
                  id="siblings_share_a_test"),
-    pytest.param(_parent_false, "field 'parent' holds False",
+    pytest.param(_parent_false, "node 1 field 'parent' holds False",
                  id="parent_false"),
     pytest.param(_schema_version_true, "schema_version True",
                  id="schema_version_true"),
@@ -467,25 +511,102 @@ def _link_message(node_id, key, count):
     # no label net, so no link names a label node
     pytest.param(_label_modality_missing, _link_message(1, "1", 7),
                  id="label_modality_missing"),
-    # the label net's fault lies after the first link in the file, which
-    # then names no label node
-    pytest.param(_label_nodes_not_a_list_listed_last,
-                 _link_message(1, "1", 7),
-                 id="label_nodes_not_a_list_listed_last"),
-])
-def test_malformed_nets_rejected(tmp_path, corrupt, message):
+    # every net's fields are checked before any row, so the label net's
+    # fault is reported though a link comes before it in the file
+    pytest.param(_label_nodes_not_a_list_listed_last, _full(
+        "'verbal' net field 'segments' holds 5"),
+        id="label_nodes_not_a_list_listed_last"),
+    pytest.param(_duplicate_id_across_segments,
+                 _full("'visual' net: node 2 appears twice"),
+                 id="duplicate_id_across_segments"),
+    pytest.param(_gap_in_the_ids, _full(
+        "'visual' net: node 5 is outside 1 to 4: a net's 4 rows hold the ids "
+        "1 to 4, each once"), id="gap_in_the_ids"),
+    pytest.param(_root_child_under_the_wrong_key, _full(
+        "'visual' net: node 2 is a root child testing 'q' in segment 'p'; a "
+        "root child's first test token is its segment's key"),
+        id="root_child_under_the_wrong_key"),
+    pytest.param(_rows_out_of_order, _full(
+        "'visual' net: node 2 comes after node 3 in its segment; a "
+        "segment's rows ascend by id"), id="rows_out_of_order"),
+    pytest.param(_parent_outside_its_segment, _full(
+        "'visual' net: node 3 names parent 2; a parent must be the root or "
+        "an earlier node of its segment"), id="parent_outside_its_segment"),
+]
+
+
+def _corrupted(tmp_path, corrupt):
+    """A snapshot of ``random_trained_memory(2)`` that ``corrupt`` edits,
+    and the segments a query must reach to meet its fault."""
     memory, _ = random_trained_memory(2)
     assert len(memory.net("visual").root.children) >= 2
     assert memory.net("visual").node_count >= 3
     path = tmp_path / "model.json"
     save_memory(path, memory)
     doc = json.loads(path.read_text())
-    assert [row[4] for row in _rows(doc)] == [{"1": 7}, {}, {"1": 2}, {}]
-    corrupt(doc)
+    assert [_node(doc, node_id)[5] for node_id in range(1, 5)] == \
+        [{"1": 7}, {}, {"1": 2}, {}]
+    keys = corrupt(doc) or VISUAL_KEYS
     # JSON has no infinity, but a number too large for a float parses to one
     path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
-    with pytest.raises(SnapshotError, match=message):
+    return path, keys
+
+
+def _query(tmp_path, path, command, tokens):
+    """Exit code, stdout and stderr of ``command`` on ``path``, with
+    ``tokens`` as the stimulus of a categorise or retrieve."""
+    argv = [command, "--model", str(path)]
+    if command != "inspect":
+        stimulus = tmp_path / "stimulus.txt"
+        stimulus.write_text(" ".join(tokens), encoding="utf-8")
+        argv += ["--input", str(stimulus)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("corrupt, message", MALFORMED)
+def test_malformed_nets_rejected(tmp_path, corrupt, message):
+    # A full load and inspect refuse every case, and so does a query whose
+    # stimulus reaches the bad segment, with the same message.
+    path, keys = _corrupted(tmp_path, corrupt)
+    with pytest.raises(SnapshotError, match=message) as refused:
         load_memory(path)
+    line = f"error: {refused.value}\n"
+    assert _query(tmp_path, path, "inspect", ()) == (2, "", line)
+    for reached in (keys, VISUAL_KEYS):
+        with pytest.raises(SnapshotError) as reach_refused:
+            load_memory(path, lambda meta: Pattern("visual", tuple(reached)))
+        assert str(reach_refused.value) == str(refused.value)
+        for command in ("categorise", "retrieve"):
+            assert _query(tmp_path, path, command, reached) == (2, "", line)
+
+
+@pytest.mark.parametrize("corrupt, tokens", [
+    pytest.param(_dangling_child, "p q", id="dangling_child"),
+    pytest.param(_parent_outside_its_segment, "q p q",
+                 id="parent_outside_its_segment"),
+    pytest.param(_duplicate_id_across_segments, "q r",
+                 id="duplicate_id_across_segments"),
+    pytest.param(_gap_in_the_ids, "r q r q", id="gap_in_the_ids"),
+    pytest.param(_link_to_unknown_label_late, "r q r",
+                 id="link_to_unknown_label_late"),
+])
+def test_a_query_builds_only_the_segments_its_stimulus_reaches(
+        tmp_path, corrupt, tokens):
+    # A bad row in a segment the stimulus does not reach is never built, so
+    # the query answers as on the sound file; inspect still refuses it.
+    memory, _ = random_trained_memory(2)
+    sound = tmp_path / "sound" / "model.json"
+    sound.parent.mkdir()
+    save_memory(sound, memory)
+    path, _ = _corrupted(tmp_path, corrupt)
+    assert _query(tmp_path, path, "inspect", ())[0] == 2
+    for command in ("categorise", "retrieve"):
+        answer = _query(tmp_path, path, command, tokens.split())
+        assert answer[0] in (0, 4)
+        assert answer == _query(tmp_path, sound, command, tokens.split())
 
 
 def test_links_load_from_a_label_net_listed_last(tmp_path):
@@ -505,9 +626,9 @@ def test_a_label_row_may_link_to_a_later_label_node(tmp_path):
     path = tmp_path / "model.json"
     save_memory(path, memory)
     doc = json.loads(path.read_text())
-    labels = doc["networks"]["verbal"]["nodes"]
-    labels.append([0, "B", "B", True, {}])
-    labels[0][4] = {"2": 1}
+    labels = _segments(doc, "verbal")
+    labels["B"] = [[2, 0, "B", "B", True, {}]]
+    labels["A"][0][5] = {"2": 1}
     path.write_text(json.dumps(doc))
     restored, _ = load_memory(path)
     assert restored.label_net.node(1).naming_links == {2: 1}
@@ -551,17 +672,27 @@ def test_load_leaves_the_collector_as_it_was(tmp_path, enabled, corrupt):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_no_collection_runs_while_a_snapshot_is_parsed_and_built(tmp_path):
-    rng = random.Random(3)
+def _learned_memory(seed):
+    """A visual net of 1,500 learns over six tokens: thousands of
+    containers, far past the young generation's threshold."""
+    rng = random.Random(seed)
     memory = MultiModalMemory()
     net = memory.net("visual")
     for _ in range(1500):
         net.learn(Pattern("visual", tuple(
             rng.choice("pqrstu") for _ in range(rng.randint(1, 6)))))
-    # thousands of containers, far past the young generation's threshold
     assert net.node_count > 500
+    return memory
+
+
+# A full load, and a query's load, which builds the segments of three of
+# the six tokens.
+_REACHES = [None, lambda meta: Pattern("visual", ("p", "q", "r"))]
+
+
+def test_no_collection_runs_while_a_snapshot_is_parsed_and_built(tmp_path):
     path = tmp_path / "model.json"
-    save_memory(path, memory)
+    save_memory(path, _learned_memory(3))
     # the whole load: reading and parsing the file, then building the nets
     building = snapshot.load_memory.__code__
     during = []
@@ -578,7 +709,8 @@ def test_no_collection_runs_while_a_snapshot_is_parsed_and_built(tmp_path):
     gc.enable()
     gc.callbacks.append(probe)
     try:
-        load_memory(path)
+        for reach in _REACHES:
+            load_memory(path, reach)
     finally:
         gc.callbacks.remove(probe)
         (gc.enable if was_enabled else gc.disable)()
@@ -586,43 +718,64 @@ def test_no_collection_runs_while_a_snapshot_is_parsed_and_built(tmp_path):
 
 
 def test_loaded_memory_holds_no_reference_cycles(tmp_path):
-    # What makes pausing the collector during a load safe: everything the
-    # load builds is freed by reference counting alone.
+    """What makes pausing the collector during a load safe: everything the
+    load builds is freed by reference counting alone.
+
+    A load allocates tens of thousands of containers that all survive,
+    which would otherwise set off dozens of young collections per load and
+    a full one every few loads. So ``load_memory`` pauses the collector
+    from reading the file until the last node is built: the file is read
+    and parsed inside the paused window, and a document that is not a JSON
+    object is refused there. That is safe because the loaded memory holds
+    no reference cycles: parents, children and link targets are integer
+    ids, the parsed document is freed by reference counting, and so is the
+    memory when the caller drops it. A query's load, which leaves None for
+    the rows it does not build, holds none either. What a load that
+    succeeds promotes: see the next test."""
     memory, _ = random_trained_memory(2)
     path = tmp_path / "model.json"
     save_memory(path, memory, {"note": "x"})
-    gc.collect()
-    loaded = load_memory(path)
-    assert loaded[0].net("visual").node_count > 1
-    del loaded
-    assert gc.collect() == 0
+    for reach in _REACHES:
+        gc.collect()
+        loaded = load_memory(path, reach)
+        assert loaded[0].net("visual").node_count > 1
+        del loaded
+        assert gc.collect() == 0
 
 
 def test_load_promotes_what_it_built_past_the_young_generation(tmp_path):
-    rng = random.Random(5)
-    memory = MultiModalMemory()
-    net = memory.net("visual")
-    for _ in range(1500):
-        net.learn(Pattern("visual", tuple(
-            rng.choice("pqrstu") for _ in range(rng.randint(1, 6)))))
+    """A load that succeeds promotes, while the collector is still paused,
+    every tracked object into the oldest generation (``gc.freeze()`` then
+    ``gc.unfreeze()``, two list splices), and so resets the young count: no
+    young collection traverses the loaded nodes and index dicts afterwards.
+
+    Promotion also moves the caller's young objects to the oldest
+    generation; any reference cycle among them then waits for a full
+    collection, so a caller that loads in a loop should leave no cyclic
+    garbage (``chunknet`` builds its argument parser once per process for
+    this), and objects a caller froze with ``gc.freeze()`` are unfrozen. A
+    failed load promotes nothing, since the frames its traceback holds may
+    form cycles."""
     path = tmp_path / "model.json"
-    save_memory(path, memory)
-    was_enabled = gc.isenabled()
-    gc.enable()
-    try:
-        loaded, _ = load_memory(path)
-        # pause before anything allocates, so that no collection runs
-        # between the load and the look at what it left in generation 0
-        gc.disable()
-        young_count = gc.get_count()[0]
-        young = {id(obj) for obj in gc.get_objects(generation=0)}
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-    assert young_count < gc.get_threshold()[0]
-    built = loaded.net("visual").nodes()
-    assert len(built) > 500
-    assert not any(id(node) in young or id(node.index) in young
-                   for node in built)
+    save_memory(path, _learned_memory(5))
+    for reach, least in zip(_REACHES, (500, 250)):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            loaded, _ = load_memory(path, reach)
+            # pause before anything allocates, so that no collection runs
+            # between the load and the look at what it left in generation 0
+            gc.disable()
+            young_count = gc.get_count()[0]
+            young = {id(obj) for obj in gc.get_objects(generation=0)}
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert young_count < gc.get_threshold()[0]
+        built = [node for node in loaded.net("visual").nodes()
+                 if node is not None]
+        assert len(built) > least
+        assert not any(id(node) in young or id(node.index) in young
+                       for node in built)
 
 
 def test_children_follow_creation_order(tmp_path):
@@ -669,15 +822,17 @@ _JSON_VALUES = st.one_of(
 def _mutation_sites(doc):
     """(container, key, can_drop) for every value a mutation may replace or
     drop; ``meta`` is free-form and is only replaced as a whole. Whole rows
-    are not dropped: the rows after a dropped one may still form a tree."""
+    and segments are not dropped: the rows left may still form a tree."""
     sites = [(doc, key, key != "meta") for key in doc]
     for modality, net in doc["networks"].items():
         sites.append((doc["networks"], modality, False))
         sites += [(net, key, True) for key in net]
-        for i, row in enumerate(net["nodes"]):
-            sites.append((net["nodes"], i, False))
-            sites += [(row, j, True) for j in range(len(row))]
-            sites += [(row[4], key, False) for key in row[4]]
+        for key, rows in net["segments"].items():
+            sites.append((net["segments"], key, False))
+            for i, row in enumerate(rows):
+                sites.append((rows, i, False))
+                sites += [(row, j, True) for j in range(len(row))]
+                sites += [(row[5], link, False) for link in row[5]]
     return sites
 
 
@@ -690,12 +845,11 @@ def test_mutated_snapshots_raise_snapshot_error(tmp_path_factory, data):
     doc = json.loads(_FUZZ_TEXT)
     action = data.draw(st.sampled_from(["drop", "swap", "parent"]))
     if action == "parent":
-        # a parent that is the node itself or a later one: row i holds
-        # node i + 1
-        rows = data.draw(st.sampled_from(
-            [net["nodes"] for net in doc["networks"].values()]))
-        row = data.draw(st.integers(0, len(rows) - 1))
-        rows[row][0] = data.draw(st.integers(row + 1, len(rows) + 2))
+        # a parent that is the node itself or a later one
+        row = data.draw(st.sampled_from(
+            [row for net in doc["networks"].values()
+             for rows in net["segments"].values() for row in rows]))
+        row[1] = data.draw(st.integers(row[0], row[0] + 4))
     else:
         sites = [site for site in _mutation_sites(doc)
                  if action == "swap" or site[2]]
