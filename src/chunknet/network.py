@@ -105,7 +105,8 @@ class LoadedNode(Node):
     row's text until the first read of ``image``, also by ``Node.size``,
     splits it once and keeps the tuple; a write (learning after a load)
     stores the tuple. A query reads ``size`` only on the nodes with naming
-    links that its walks reach, so a load does no work per image."""
+    links that its walks reach, so a load does no work per image. Its
+    contents length is the class default, 0, until ``attach`` sets it."""
 
     def __init__(self, node_id: int, test: tuple[str, ...], image: str,
                  image_complete: bool, parent: int,
@@ -116,7 +117,6 @@ class LoadedNode(Node):
         self.image_complete = image_complete
         self.parent = parent
         self.naming_links = naming_links
-        self.contents_length = 0
         self.index = {}
 
     @property

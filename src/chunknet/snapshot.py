@@ -195,12 +195,12 @@ def _row_error(where: str, key: str, position: int, row, last: int,
         raise SnapshotError(f"{node} is outside 1 to {count}: a net's "
                             f"{count} rows hold the ids 1 to {count}, each "
                             f"once") from None
+    if own[node_id] is not None:
+        raise SnapshotError(f"{node} appears twice") from None
     if node_id <= last:
         raise SnapshotError(f"{node} comes after node {last} in its "
                             f"segment; a segment's rows ascend by id") \
             from None
-    if own[node_id] is not None:
-        raise SnapshotError(f"{node} appears twice") from None
     for label, n in links.items():
         if label not in labels or type(n) is not int or n < 1:
             raise SnapshotError(
@@ -218,21 +218,19 @@ def _row_error(where: str, key: str, position: int, row, last: int,
         from None
 
 
-def _load_net(modality: str, clock, segments: dict, keys,
+def _load_net(modality: str, clock, segments: dict, count: int, keys,
               memory: MultiModalMemory,
               labels: dict[str, int]) -> DiscriminationNet:
-    """Build the segments of one net named in ``keys``, every one when
-    ``keys`` is None: one pass over a segment's rows checks them and puts
-    each node at its id in the net's table, where a row not built leaves
-    None, and the net attaches the nodes built in one call."""
+    """Build the segments of one net of ``count`` rows named in ``keys``,
+    every one when ``keys`` is None: one pass over a segment's rows checks
+    them and puts each node at its id in the net's table, where a row not
+    built leaves None, and the net attaches the nodes built in one call."""
     where = f"{modality!r} net"
     net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
     net.clock_seconds = clock
     own = net._nodes
-    own += [None] * sum(len(rows) for rows in segments.values()
-                        if type(rows) is list)
-    count = len(own) - 1
+    own += [None] * count
     nodes: list[LoadedNode] = []
     for key, rows in segments.items():
         if keys is not None and key not in keys:
@@ -242,13 +240,14 @@ def _load_net(modality: str, clock, segments: dict, keys,
                                 f"{reprlib.repr(rows)}; a segment is a list "
                                 f"of rows")
         inside, last = {ROOT_ID}, ROOT_ID
-        # Any failure leaves the loop for _row_error, which names the problem.
+        # Any failure leaves the loop for _row_error, which names the
+        # problem; an id past the table fails its lookup there.
         try:
-            for position, row in enumerate(rows):
+            for row in rows:
                 # A six-item string or object unpacks too, but its items
                 # are strings, which fail the check on ``node_id``.
                 node_id, parent, test, image, complete, links = row
-                if type(node_id) is not int or not last < node_id <= count \
+                if type(node_id) is not int or node_id <= last \
                         or own[node_id] is not None \
                         or type(parent) is not int or parent not in inside \
                         or type(test) is not str or type(image) is not str \
@@ -256,7 +255,8 @@ def _load_net(modality: str, clock, segments: dict, keys,
                         or type(links) is not dict:
                     raise ValueError
                 tokens = tuple(test.split())
-                if parent == ROOT_ID and tokens and tokens[0] != key:
+                # Parent 0, the root: the first test token is the key.
+                if not parent and tokens and tokens[0] != key:
                     raise ValueError
                 naming = links
                 if links:
@@ -270,11 +270,11 @@ def _load_net(modality: str, clock, segments: dict, keys,
                 nodes.append(node)
                 inside.add(node_id)
                 last = node_id
-                # The row is built: drop it, so the document shrinks as the
-                # net grows.
-                rows[position] = None
-        except (KeyError, TypeError, ValueError):
-            _row_error(where, key, position, row, last, own, labels)
+        except (IndexError, KeyError, TypeError, ValueError):
+            _row_error(where, key, rows.index(row), row, last, own, labels)
+        # The segment is built: drop its rows, so the document shrinks as
+        # the net grows.
+        segments[key] = None
     try:
         net.attach(nodes)
     except NetworkError as exc:
@@ -310,20 +310,25 @@ def _load_doc(doc: dict, reach) -> tuple[MultiModalMemory, dict]:
     memory = MultiModalMemory(label_modality=label_modality,
                               seconds_per_new_chunk=per_chunk,
                               seconds_per_update=per_update)
-    nets = {modality: _fields(net_doc, f"{modality!r} net", _NET_FIELDS)
-            for modality, net_doc in networks.items()}
+    # Each net's clock, segments and row count: its table's size.
+    nets = {}
+    for modality, net_doc in networks.items():
+        clock, segments = _fields(net_doc, f"{modality!r} net", _NET_FIELDS)
+        count = 0
+        for rows in segments.values():
+            if type(rows) is list:
+                count += len(rows)
+        nets[modality] = clock, segments, count
     # One label node id per label-net row: none when that net is missing,
     # which a link then reports.
-    _, label_segments = nets.get(label_modality, (0, {}))
-    count = sum(len(rows) for rows in label_segments.values()
-                if type(rows) is list)
+    _, _, count = nets.get(label_modality, (0, None, 0))
     labels = {str(i): i for i in range(1, count + 1)}
     stimulus = None if reach is None else reach(meta)
-    for modality, (clock, segments) in nets.items():
+    for modality, (clock, segments, count) in nets.items():
         keys = None
         if stimulus is not None and modality != label_modality:
             keys = set(stimulus.tokens) \
                 if modality == stimulus.modality else ()
-        memory.nets[modality] = _load_net(modality, clock, segments, keys,
-                                          memory, labels)
+        memory.nets[modality] = _load_net(modality, clock, segments, count,
+                                          keys, memory, labels)
     return memory, meta

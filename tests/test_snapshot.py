@@ -405,6 +405,11 @@ def _duplicate_id_across_segments(doc):
     return ["p", "q"]
 
 
+def _row_given_twice(doc):
+    _segments(doc)["r"].insert(1, list(_node(doc, 1)))
+    return ["r"]
+
+
 def _gap_in_the_ids(doc):
     _node(doc, 4)[0] = 5
     return ["p"]
@@ -519,6 +524,8 @@ MALFORMED = [
     pytest.param(_duplicate_id_across_segments,
                  _full("'visual' net: node 2 appears twice"),
                  id="duplicate_id_across_segments"),
+    pytest.param(_row_given_twice, _full("'visual' net: node 1 appears twice"),
+                 id="row_given_twice"),
     pytest.param(_gap_in_the_ids, _full(
         "'visual' net: node 5 is outside 1 to 4: a net's 4 rows hold the ids "
         "1 to 4, each once"), id="gap_in_the_ids"),
