@@ -24,8 +24,9 @@ the file writes it (``"1"`` up to the label net's row count, so ``"01"`` is
 refused and a link may name a label node of a net listed later); a parent
 inside its segment; a root child's first test token its segment's key.
 ``DiscriminationNet.attach`` then refuses an empty test link or two
-siblings with the same test link. Every net's fields are checked before any
-row, and the first bad row of the segments built is reported.
+siblings with the same test link. Every net's fields, and each segment
+being a list, are checked before any row, and the first bad row of the
+segments built is reported.
 
 ``load_memory(path)`` builds every segment, and refuses an id given twice
 or a gap in the ids. ``load_memory(path, reach)`` is a query's load: after
@@ -235,10 +236,6 @@ def _load_net(modality: str, clock, segments: dict, count: int, keys,
     for key, rows in segments.items():
         if keys is not None and key not in keys:
             continue
-        if type(rows) is not list:
-            raise SnapshotError(f"{where} segment {reprlib.repr(key)} holds "
-                                f"{reprlib.repr(rows)}; a segment is a list "
-                                f"of rows")
         inside, last = {ROOT_ID}, ROOT_ID
         # Any failure leaves the loop for _row_error, which names the
         # problem; an id past the table fails its lookup there.
@@ -313,11 +310,15 @@ def _load_doc(doc: dict, reach) -> tuple[MultiModalMemory, dict]:
     # Each net's clock, segments and row count: its table's size.
     nets = {}
     for modality, net_doc in networks.items():
-        clock, segments = _fields(net_doc, f"{modality!r} net", _NET_FIELDS)
+        where = f"{modality!r} net"
+        clock, segments = _fields(net_doc, where, _NET_FIELDS)
         count = 0
-        for rows in segments.values():
-            if type(rows) is list:
-                count += len(rows)
+        for key, rows in segments.items():
+            if type(rows) is not list:
+                raise SnapshotError(f"{where} segment {reprlib.repr(key)} "
+                                    f"holds {reprlib.repr(rows)}; a segment "
+                                    f"is a list of rows")
+            count += len(rows)
         nets[modality] = clock, segments, count
     # One label node id per label-net row: none when that net is missing,
     # which a link then reports.

@@ -400,6 +400,11 @@ def _label_nodes_not_a_list_listed_last(doc):
     doc["networks"]["verbal"]["segments"] = 5
 
 
+def _segment_not_a_list(doc):
+    # a file-level fact, checked before any row, whatever a query reaches
+    _segments(doc)["p"] = 5
+
+
 def _duplicate_id_across_segments(doc):
     _node(doc, 4)[0] = 2
     return ["p", "q"]
@@ -521,6 +526,9 @@ MALFORMED = [
     pytest.param(_label_nodes_not_a_list_listed_last, _full(
         "'verbal' net field 'segments' holds 5"),
         id="label_nodes_not_a_list_listed_last"),
+    pytest.param(_segment_not_a_list, _full(
+        "'visual' net segment 'p' holds 5; a segment is a list of rows"),
+        id="segment_not_a_list"),
     pytest.param(_duplicate_id_across_segments,
                  _full("'visual' net: node 2 appears twice"),
                  id="duplicate_id_across_segments"),
