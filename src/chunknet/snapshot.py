@@ -17,22 +17,13 @@ full load/save round trip is exact. Rows are rendered one at a time. Files
 of other schema versions are refused; a model saved by an older build is
 retrained with ``chunknet train``.
 
-A load checks the file's own facts: the JSON type and size of the document,
-each net, segment, row and field; each timing field a finite number >= 0;
-each naming link's count a positive integer and its key a label node id as
-the file writes it (``"1"`` up to the label net's row count, so ``"01"`` is
-refused and a link may name a label node of a net listed later); a parent
-inside its segment; a root child's first test token its segment's key.
-``DiscriminationNet.attach`` then refuses an empty test link or two
-siblings with the same test link. Every net's fields, and each segment
-being a list, are checked before any row, and the first bad row of the
-segments built is reported.
+What a load checks: see ``_load_doc`` (the file) and ``_load_net`` (rows).
 
 ``load_memory(path)`` builds every segment, and refuses an id given twice
 or a gap in the ids. ``load_memory(path, reach)`` is a query's load: after
 the file-level fields it calls ``reach(meta)`` for the stimulus pattern,
 then builds the label net whole and, of the stimulus modality's net, only
-the segments keyed by a stimulus token, each checked as above. A bad row
+the segments keyed by a stimulus token, each checked in full. A bad row
 in a segment it does not build is not seen. The net's table holds None for
 every row not built, so that memory serves that stimulus and nothing else.
 
@@ -140,16 +131,23 @@ def save_memory(path, memory: MultiModalMemory, meta: dict | None = None) -> Non
 
 _NUMBER = (int, float)
 
-# The fields of each JSON object or row in a snapshot and their JSON types,
+# The fields of each JSON object in a snapshot and their JSON types,
 # compared by ``type(...) in`` so that JSON true is not taken for a number.
-# The row loop in :func:`_load_net` checks the same types inline.
 _DOC_FIELDS = (("label_modality", (str,)),
                ("seconds_per_new_chunk", _NUMBER),
                ("seconds_per_update", _NUMBER), ("networks", (dict,)),
                ("meta", (dict,)))
 _NET_FIELDS = (("clock_seconds", _NUMBER), ("segments", (dict,)))
-_ROW_FIELDS = (("id", (int,)), ("parent", (int,)), ("test", (str,)),
-               ("image", (str,)), ("complete", (bool,)), ("links", (dict,)))
+
+# The value of a field a JSON object or a short row lacks.
+_MISSING = object()
+
+
+def _holds(name: str, value) -> str:
+    """The fault of field ``name`` holding ``value``, of the wrong type or
+    ``_MISSING``."""
+    return f"is missing field {name!r}" if value is _MISSING else \
+        f"field {name!r} holds {reprlib.repr(value)}"
 
 
 def _fields(doc, where: str, fields) -> list:
@@ -157,66 +155,19 @@ def _fields(doc, where: str, fields) -> list:
     each number for being a finite number >= 0."""
     if type(doc) is not dict:
         raise SnapshotError(f"{where} is not a JSON object: "
-                            f"{reprlib.repr(doc)}") from None
+                            f"{reprlib.repr(doc)}")
     values = []
     for name, kinds in fields:
-        if name not in doc:
-            raise SnapshotError(f"{where} is missing field {name!r}") \
-                from None
-        value = doc[name]
+        value = doc.get(name, _MISSING)
         if type(value) not in kinds:
-            raise SnapshotError(f"{where} field {name!r} holds "
-                                f"{reprlib.repr(value)}") from None
+            raise SnapshotError(f"{where} {_holds(name, value)}")
         # Every number field is a time on a float clock: JSON 1e400 parses
         # to an infinity, and an integer past the largest float overflows.
         if kinds is _NUMBER and not 0 <= value <= sys.float_info.max:
             raise SnapshotError(f"{where} field {name!r} must be a finite "
-                                f"number >= 0, got {reprlib.repr(value)}") \
-                from None
+                                f"number >= 0, got {reprlib.repr(value)}")
         values.append(value)
     return values
-
-
-def _row_error(where: str, key: str, position: int, row, last: int,
-               own: list, labels: dict[str, int]) -> NoReturn:
-    """Raise the exact error for row ``position`` of segment ``key``, which
-    the loop in :func:`_load_net` refused after node ``last``; ``own`` is
-    the net's table and ``labels`` holds the label node ids."""
-    node = f"{where}: node {row[0]}" if type(row) is list and row and \
-        type(row[0]) is int else \
-        f"{where}: row {position} of segment {reprlib.repr(key)}"
-    if type(row) is not list or len(row) > len(_ROW_FIELDS):
-        raise SnapshotError(f"{node} is not a list of {len(_ROW_FIELDS)} "
-                            f"fields: {reprlib.repr(row)}") from None
-    names = [name for name, _ in _ROW_FIELDS]
-    node_id, parent, test, _, _, links = _fields(dict(zip(names, row)), node,
-                                                 _ROW_FIELDS)
-    count = len(own) - 1
-    if not 0 < node_id <= count:
-        raise SnapshotError(f"{node} is outside 1 to {count}: a net's "
-                            f"{count} rows hold the ids 1 to {count}, each "
-                            f"once") from None
-    if own[node_id] is not None:
-        raise SnapshotError(f"{node} appears twice") from None
-    if node_id <= last:
-        raise SnapshotError(f"{node} comes after node {last} in its "
-                            f"segment; a segment's rows ascend by id") \
-            from None
-    for label, n in links.items():
-        if label not in labels or type(n) is not int or n < 1:
-            raise SnapshotError(
-                f"{node} has the naming link {reprlib.repr(label)}: "
-                f"{reprlib.repr(n)}; a link needs a label node id and a "
-                f"positive count") from None
-    # Only the key can fail a root child: the root is inside every segment.
-    if parent == ROOT_ID:
-        raise SnapshotError(f"{node} is a root child testing "
-                            f"{reprlib.repr(test.split()[0])} in segment "
-                            f"{reprlib.repr(key)}; a root child's first "
-                            f"test token is its segment's key") from None
-    raise SnapshotError(f"{node} names parent {parent!r}; a parent must "
-                        f"be the root or an earlier node of its segment") \
-        from None
 
 
 def _load_net(modality: str, clock, segments: dict, count: int, keys,
@@ -225,8 +176,22 @@ def _load_net(modality: str, clock, segments: dict, count: int, keys,
     """Build the segments of one net of ``count`` rows named in ``keys``,
     every one when ``keys`` is None: one pass over a segment's rows checks
     them and puts each node at its id in the net's table, where a row not
-    built leaves None, and the net attaches the nodes built in one call."""
+    built leaves None, and the net attaches the nodes built in one call.
+
+    A row is refused by the first rule it breaks, in the order they are
+    checked below, and the first bad row of the segments built is the one
+    reported. ``labels`` maps each label node id, as the file writes it, to
+    the id."""
     where = f"{modality!r} net"
+
+    def refuse(fault: str) -> NoReturn:
+        """Raise ``fault`` for the row at ``position`` of segment ``key``,
+        named by its id when that is an integer."""
+        name = f"node {row[0]}" if type(row) is list and row and \
+            type(row[0]) is int else \
+            f"row {position} of segment {reprlib.repr(key)}"
+        raise SnapshotError(f"{where}: {name} {fault}")
+
     net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
     net.clock_seconds = clock
@@ -237,41 +202,68 @@ def _load_net(modality: str, clock, segments: dict, count: int, keys,
         if keys is not None and key not in keys:
             continue
         inside, last = {ROOT_ID}, ROOT_ID
-        # Any failure leaves the loop for _row_error, which names the
-        # problem; an id past the table fails its lookup there.
-        try:
-            for row in rows:
-                # A six-item string or object unpacks too, but its items
-                # are strings, which fail the check on ``node_id``.
+        for position, row in enumerate(rows):
+            try:
                 node_id, parent, test, image, complete, links = row
-                if type(node_id) is not int or node_id <= last \
-                        or own[node_id] is not None \
-                        or type(parent) is not int or parent not in inside \
-                        or type(test) is not str or type(image) is not str \
-                        or type(complete) is not bool \
-                        or type(links) is not dict:
-                    raise ValueError
-                tokens = tuple(test.split())
-                # Parent 0, the root: the first test token is the key.
-                if not parent and tokens and tokens[0] != key:
-                    raise ValueError
-                naming = links
-                if links:
-                    naming = {}
-                    for label, n in links.items():
-                        if type(n) is not int or n < 1:
-                            raise ValueError
-                        naming[labels[label]] = n
-                node = own[node_id] = LoadedNode(node_id, tokens, image,
-                                                 complete, parent, naming)
-                nodes.append(node)
-                inside.add(node_id)
-                last = node_id
-        except (IndexError, KeyError, TypeError, ValueError):
-            _row_error(where, key, rows.index(row), row, last, own, labels)
+            except (TypeError, ValueError):
+                # A list too short is checked field by field, with _MISSING
+                # for each field it lacks; any other row has no id.
+                short = type(row) is list and len(row) < 6
+                node_id, parent, test, image, complete, links = \
+                    row + [_MISSING] * (6 - len(row)) if short else [None] * 6
+            if type(node_id) is not int:
+                # A six-item string or object unpacks too, into strings.
+                if type(row) is not list or len(row) > 6:
+                    refuse(f"is not a list of 6 fields: {reprlib.repr(row)}")
+                refuse(_holds("id", node_id))
+            if type(parent) is not int:
+                refuse(_holds("parent", parent))
+            if type(test) is not str:
+                refuse(_holds("test", test))
+            if type(image) is not str:
+                refuse(_holds("image", image))
+            if type(complete) is not bool:
+                refuse(_holds("complete", complete))
+            if type(links) is not dict:
+                refuse(_holds("links", links))
+            if not 0 < node_id <= count:
+                refuse(f"is outside 1 to {count}: a net's {count} rows hold "
+                       f"the ids 1 to {count}, each once")
+            if own[node_id] is not None:
+                refuse("appears twice")
+            if node_id <= last:
+                refuse(f"comes after node {last} in its segment; a "
+                       f"segment's rows ascend by id")
+            naming = links
+            if links:
+                naming = {}
+                for label, n in links.items():
+                    # The key as the file writes it, so "01" is refused.
+                    if label not in labels or type(n) is not int or n < 1:
+                        refuse(f"has the naming link {reprlib.repr(label)}: "
+                               f"{reprlib.repr(n)}; a link needs a label "
+                               f"node id and a positive count")
+                    naming[labels[label]] = n
+            tokens = tuple(test.split())
+            # Parent 0 is the root, which is inside every segment. An empty
+            # test is left for ``attach`` to refuse.
+            if not parent and tokens and tokens[0] != key:
+                refuse(f"is a root child testing {reprlib.repr(tokens[0])} "
+                       f"in segment {reprlib.repr(key)}; a root child's "
+                       f"first test token is its segment's key")
+            if parent not in inside:
+                refuse(f"names parent {parent!r}; a parent must be the root "
+                       f"or an earlier node of its segment")
+            node = own[node_id] = LoadedNode(node_id, tokens, image,
+                                             complete, parent, naming)
+            nodes.append(node)
+            inside.add(node_id)
+            last = node_id
         # The segment is built: drop its rows, so the document shrinks as
         # the net grows.
         segments[key] = None
+    # ``attach`` refuses an empty test link or two siblings with the same
+    # test link.
     try:
         net.attach(nodes)
     except NetworkError as exc:
@@ -307,7 +299,9 @@ def _load_doc(doc: dict, reach) -> tuple[MultiModalMemory, dict]:
     memory = MultiModalMemory(label_modality=label_modality,
                               seconds_per_new_chunk=per_chunk,
                               seconds_per_update=per_update)
-    # Each net's clock, segments and row count: its table's size.
+    # Each net's clock, segments and row count (its table's size): every
+    # net's fields and segments are checked before any row is built, so a
+    # query meets such a fault whatever segments it reaches.
     nets = {}
     for modality, net_doc in networks.items():
         where = f"{modality!r} net"
@@ -320,8 +314,10 @@ def _load_doc(doc: dict, reach) -> tuple[MultiModalMemory, dict]:
                                     f"is a list of rows")
             count += len(rows)
         nets[modality] = clock, segments, count
-    # One label node id per label-net row: none when that net is missing,
-    # which a link then reports.
+    # The label node ids as the file writes them, "1" up to the label net's
+    # row count, known before any net is built, so a link may name a node of
+    # a label net listed later. With no label net there are none, and any
+    # link is refused.
     _, _, count = nets.get(label_modality, (0, None, 0))
     labels = {str(i): i for i in range(1, count + 1)}
     stimulus = None if reach is None else reach(meta)

@@ -2,7 +2,8 @@
 a stimulus file, mutated one or two values at a time or cut short, run
 through ``cli.main`` in-process by the commands that read it. Whatever the
 input, the exit code is a documented one and a failure is one line on
-stderr, never a traceback."""
+stderr, never a traceback. A mutated snapshot that ``inspect`` accepts
+answers ``categorise`` and ``retrieve`` as ``tests/reference.py`` does."""
 
 import contextlib
 import io
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from chunknet.cli import main
+from chunknet.config import RunConfig
 from chunknet.suites import build_xor_manifest
 
 # The commands that read each kind of file.
@@ -95,6 +98,42 @@ def _mutated_text(draw, text):
     return text[:at] + draw(st.text(max_size=4)) + text[at:]
 
 
+# The xor model's tokenizer and "words", the one other tokenizer name
+# _JSON_VALUES can draw, written out here.
+_TOKENIZERS = {"words": str.split,
+               "logic_bits": lambda text: [c for c in text if not c.isspace()]}
+
+
+def _reference_answers(text, stimulus):
+    """The stdout of ``categorise`` and ``retrieve`` on the snapshot
+    ``text`` and the stimulus file text ``stimulus``, from
+    ``reference.load`` of the document, with the settings its meta holds:
+    each config field absent from it at its default, and its attention
+    span, if any, in place of the config's."""
+    doc = json.loads(text)
+    meta = doc.get("meta", {})
+    config = {**RunConfig().to_dict(), **meta.get("config", {})}
+    tokens = tuple(_TOKENIZERS[meta.get("tokenizer", "words")](stimulus))
+    memory = reference.load(doc)
+    entries = reference.categorise(
+        memory, "visual", tokens,
+        meta.get("attention_span") or config["attention_span"],
+        config["attention_step"], config["min_fetch"],
+        config["link_weighting"])
+    net = memory.nets.get("visual")
+    image = () if net is None else reference.retrieve(net, tokens)
+    return ("".join(f"{label} {conf:.3f}\n" for label, conf in entries),
+            " ".join(image) + "\n")
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(deadline=None, database=None)
 @given(st.data())
 def test_a_mutated_input_exits_with_its_code_and_one_line(xor_files, data):
@@ -116,17 +155,23 @@ def test_a_mutated_input_exits_with_its_code_and_one_line(xor_files, data):
         text = path.read_text(encoding="utf-8")
         mutate = _mutated_text if target == "stimulus" else _mutated_json
         path.write_text(mutate(data.draw, text), encoding="utf-8")
+        query = ["--model", str(model), "--input", str(stimulus)]
         if command in ("categorise", "retrieve"):
-            argv = [command, "--model", str(model), "--input", str(stimulus)]
+            argv = [command, *query]
         elif command == "inspect":
             argv = [command, "--model", str(model), "--nodes"]
         else:
             argv = [command, "--manifest", str(manifest), "--config",
                     str(config), "--out", str(work / "out")]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    err = err.getvalue()
+        code, _, err = _run(argv)
+        if target == "snapshot" and \
+                _run(["inspect", "--model", str(model)])[0] == 0:
+            categorised, retrieved = _reference_answers(
+                model.read_text(encoding="utf-8"),
+                stimulus.read_text(encoding="utf-8"))
+            assert _run(["categorise", *query])[:2] == \
+                (0 if categorised else 4, categorised)
+            assert _run(["retrieve", *query]) == (0, retrieved, "")
     assert code in (0, 2, 3, 4)
     if code == 0:
         assert err == ""

@@ -440,6 +440,76 @@ def _parent_outside_its_segment(doc):
     return ["r"]
 
 
+def _copy_of_node_1_with_id(node_id):
+    # JSON 1.0 and true compare equal to 1, so only the position tells the
+    # copy from node 1, the row in front of it
+    def corrupt(doc):
+        _segments(doc)["r"].insert(1, [node_id, *_node(doc, 1)[1:]])
+        return ["r"]
+    return corrupt
+
+
+def _six_letter_row(doc):
+    # unpacks into six fields, each a one-letter string
+    _segments(doc)["r"].insert(1, "abcdef")
+    return ["r"]
+
+
+# Rows that break two rules, each reported by the rule checked first:
+# shape, the field types in field order (or a missing field), id range,
+# duplicate id, ascending ids, naming links, root-child key, parent.
+
+def _long_row_with_a_text_id(doc):
+    _segments(doc)["r"][0] = ["1", *_node(doc, 1)[1:], "extra"]
+    return ["r"]
+
+
+def _short_row_with_a_bad_test(doc):
+    del _node(doc, 1)[3:]
+    _node(doc, 1)[2] = 5
+    return ["r"]
+
+
+def _bad_parent_and_complete(doc):
+    _node(doc, 1)[1], _node(doc, 1)[4] = "0", "yes"
+    return ["r"]
+
+
+def _id_past_the_table_and_links_not_an_object(doc):
+    _node(doc, 3)[5], _node(doc, 3)[0] = "x", 9
+    return ["r"]
+
+
+def _id_past_the_table_and_parent_outside_its_segment(doc):
+    # node 3, in segment "r", renumbered 9 and put under node 2 of "q"
+    _node(doc, 3)[1], _node(doc, 3)[0] = 2, 9
+    return ["r"]
+
+
+def _the_root_id_given_again(doc):
+    # id 0 is outside the rows' ids before it repeats the root's
+    _node(doc, 1)[0] = 0
+    return ["r"]
+
+
+def _rows_out_of_order_with_a_bad_link(doc):
+    _rows_out_of_order(doc)
+    _node(doc, 2)[5] = {"9": 1}
+    return ["r"]
+
+
+def _root_child_under_the_wrong_key_with_a_bad_link(doc):
+    _root_child_under_the_wrong_key(doc)
+    _node(doc, 2)[5] = {"9": 1}
+    return ["p"]
+
+
+def _parent_outside_its_segment_with_a_bad_link(doc):
+    _parent_outside_its_segment(doc)
+    _node(doc, 3)[5] = {"0": 1}
+    return ["r"]
+
+
 def _full(message):
     return f"^{re.escape(message)}$"
 
@@ -547,6 +617,45 @@ MALFORMED = [
     pytest.param(_parent_outside_its_segment, _full(
         "'visual' net: node 3 names parent 2; a parent must be the root or "
         "an earlier node of its segment"), id="parent_outside_its_segment"),
+    pytest.param(_copy_of_node_1_with_id(1.0), _full(
+        "'visual' net: row 1 of segment 'r' field 'id' holds 1.0"),
+        id="copy_of_node_1_with_id_1.0"),
+    pytest.param(_copy_of_node_1_with_id(True), _full(
+        "'visual' net: row 1 of segment 'r' field 'id' holds True"),
+        id="copy_of_node_1_with_id_true"),
+    pytest.param(_long_row_with_a_text_id, _full(
+        "'visual' net: row 0 of segment 'r' is not a list of 6 fields: "
+        + reprlib.repr(["1", 0, "r", "r", True, {"1": 7}, "extra"])),
+        id="long_row_with_a_text_id"),
+    pytest.param(_six_letter_row, _full(
+        "'visual' net: row 1 of segment 'r' is not a list of 6 fields: "
+        "'abcdef'"), id="six_letter_row"),
+    pytest.param(_short_row_with_a_bad_test,
+                 _full("'visual' net: node 1 field 'test' holds 5"),
+                 id="short_row_with_a_bad_test"),
+    pytest.param(_bad_parent_and_complete,
+                 _full("'visual' net: node 1 field 'parent' holds '0'"),
+                 id="bad_parent_and_complete"),
+    pytest.param(_id_past_the_table_and_links_not_an_object,
+                 _full("'visual' net: node 9 field 'links' holds 'x'"),
+                 id="id_past_the_table_and_links_not_an_object"),
+    pytest.param(_id_past_the_table_and_parent_outside_its_segment, _full(
+        "'visual' net: node 9 is outside 1 to 4: a net's 4 rows hold the ids "
+        "1 to 4, each once"),
+        id="id_past_the_table_and_parent_outside_its_segment"),
+    pytest.param(_the_root_id_given_again, _full(
+        "'visual' net: node 0 is outside 1 to 4: a net's 4 rows hold the ids "
+        "1 to 4, each once"), id="the_root_id_given_again"),
+    pytest.param(_rows_out_of_order_with_a_bad_link, _full(
+        "'visual' net: node 2 comes after node 3 in its segment; a "
+        "segment's rows ascend by id"),
+        id="rows_out_of_order_with_a_bad_link"),
+    pytest.param(_root_child_under_the_wrong_key_with_a_bad_link,
+                 _link_message(2, "9", 1),
+                 id="root_child_under_the_wrong_key_with_a_bad_link"),
+    pytest.param(_parent_outside_its_segment_with_a_bad_link,
+                 _link_message(3, "0", 1),
+                 id="parent_outside_its_segment_with_a_bad_link"),
 ]
 
 
