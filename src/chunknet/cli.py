@@ -10,11 +10,11 @@ The commands raise their errors; ``main`` is the one place an error becomes
 an exit code and a single ``error:`` line.
 
 categorise and retrieve check the snapshot's file-level fields and meta,
-then read and tokenize the stimulus, and then build only the snapshot
-segments its tokens reach (see ``snapshot``). Each segment they build is
-checked before use, but a bad row in a segment they do not build is not
-seen: such a query exits 0 or 4 where inspect, which builds every segment,
-exits 2.
+then read and tokenize the stimulus, and then decode and build only the
+snapshot segments its tokens reach (see ``snapshot``). Each segment they
+build is checked before use, but a segment they do not build is not even
+decoded: a bad row in it, or text in it that is not JSON, is seen only by
+inspect and full loads, so such a query exits 0 or 4 where inspect exits 2.
 """
 
 from __future__ import annotations

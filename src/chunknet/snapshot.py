@@ -13,30 +13,30 @@ is the root or an earlier row of that segment. Children are not written.
 
 Serialization is canonical (sorted keys, fixed separators, only ASCII, each
 segment's rows by id), so identical models give byte-identical files and a
-full load/save round trip is exact. Rows are rendered one at a time. Files
-of other schema versions are refused; a model saved by an older build is
-retrained with ``chunknet train``.
+full load/save round trip is exact. Each segment starts a line, ``"t":[``,
+a tab before each row, and a net's closing braces start the next. JSON
+allows no raw newline or tab in a string, so a line that starts with ``"``
+after a line ending in ``"segments":{`` is a segment line, and its tabs
+count its rows. Other schema versions are refused: retrain the model.
 
-What a load checks: see ``_load_doc`` (the file) and ``_load_net`` (rows).
+``load_memory(path)`` decodes and builds every segment, and refuses an id
+given twice, a gap in the ids, or a segment line whose tabs are not its
+rows. ``load_memory(path, reach)`` is a query's load: it decodes the text
+but the segment lines, calls ``reach(meta)`` for the stimulus pattern, then
+decodes and builds the label net whole and, of the stimulus modality's
+net, only the segments keyed by a stimulus token, each checked in full. A
+segment it does not build is not decoded: a bad row, or text that is not
+JSON, in it is not seen, and its tabs alone size the net's table, which
+holds None for every row not built. A text with no segment line (one-line
+or pretty-printed JSON) is decoded whole. What a load checks: ``_load_doc``
+(the file) and ``_load_net`` (rows). A loaded node is a ``LoadedNode``, and
+each decoded row is dropped once its node is built.
 
-``load_memory(path)`` builds every segment, and refuses an id given twice
-or a gap in the ids. ``load_memory(path, reach)`` is a query's load: after
-the file-level fields it calls ``reach(meta)`` for the stimulus pattern,
-then builds the label net whole and, of the stimulus modality's net, only
-the segments keyed by a stimulus token, each checked in full. A bad row
-in a segment it does not build is not seen. The net's table holds None for
-every row not built, so that memory serves that stimulus and nothing else.
-
-A loaded node is a ``LoadedNode`` (see its docstring, and ``_row`` for its
-dump). Each parsed row is dropped from the document once its node is built.
-
-Python's cyclic garbage collector is paused from reading the file until the
-last node is built, and left as the caller had it; a load that succeeds then
-promotes every tracked object into the oldest generation (``gc.freeze()``
-then ``gc.unfreeze()``), the caller's young objects too, and unfreezes what
-a caller froze. So a caller that loads in a loop should leave no cyclic
-garbage. A failed load promotes nothing. Why this is safe and what it saves:
-``test_loaded_memory_holds_no_reference_cycles`` in ``tests/test_snapshot.py``.
+The cyclic garbage collector is paused from reading the file until the last
+node is built, and left as the caller had it; a load that succeeds then
+promotes every tracked object, the caller's young ones too, into the oldest
+generation, and unfreezes what a caller froze; a failed load promotes
+nothing. Why, and what it saves: ``tests/test_snapshot.py``.
 """
 
 from __future__ import annotations
@@ -45,10 +45,12 @@ import gc
 import json
 import reprlib
 import sys
+from json.decoder import scanstring as _scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NoReturn
 
-from .config import ConfigError, read_json, write_text
+from .config import ConfigError, parse_json, read_text, reject_constant, \
+    write_text
 from .network import ROOT_ID, DiscriminationNet, LoadedNode, \
     MultiModalMemory, NetworkError, Node
 
@@ -88,9 +90,10 @@ def _row(node: Node) -> str:
 
 
 def _segments(net: DiscriminationNet) -> str:
-    """The text of ``net``'s segments object, in one pass over its nodes by
-    id: a row's key is its own first test token if the root is its parent,
-    else its parent's key. Keys sort as ``_json`` sorts them."""
+    """The members of ``net``'s segments object, each on a line of its own
+    with a tab before each row, in one pass over its nodes by id: a row's
+    key is its own first test token if the root is its parent, else its
+    parent's key. Keys sort as ``_json`` sorts them."""
     nodes = net.nodes()
     keys = [""] * len(nodes)
     segments: dict[str, list[str]] = {}
@@ -98,20 +101,21 @@ def _segments(net: DiscriminationNet) -> str:
         key = keys[node.node_id] = node.test[0] \
             if node.parent == ROOT_ID else keys[node.parent]
         segments.setdefault(key, []).append(_row(node))
-    return ",".join(f"{_quote(key)}:[{','.join(rows)}]"
+    return ",".join("\n" + _quote(key) + ":[\t" + ",\t".join(rows) + "]"
                     for key, rows in sorted(segments.items()))
 
 
 def dump_memory(memory: MultiModalMemory, meta: dict | None = None) -> str:
     """The snapshot text of ``memory``: the canonical JSON of the document
-    with its keys in sorted order, then a newline. Each net's rows are
-    rendered one at a time, so no document of every row is built."""
+    with its keys in sorted order, laid out as the module docstring says,
+    then a newline. Each net's rows are rendered one at a time, so no
+    document of every row is built."""
     parts = ['{"label_modality":', _json(memory.label_modality),
              ',"meta":', _json(meta or {}), ',"networks":{']
     for i, (modality, net) in enumerate(sorted(memory.nets.items())):
         parts += ["," if i else "", _json(modality),
                   ':{"clock_seconds":', _json(net.clock_seconds),
-                  ',"segments":{', _segments(net), "}}"]
+                  ',"segments":{', _segments(net), "\n}}"]
     parts += ['},"schema_version":', _json(SNAPSHOT_SCHEMA_VERSION),
               ',"seconds_per_new_chunk":', _json(memory.seconds_per_new_chunk),
               ',"seconds_per_update":', _json(memory.seconds_per_update),
@@ -129,6 +133,17 @@ def save_memory(path, memory: MultiModalMemory, meta: dict | None = None) -> Non
     write_text(path, text)
 
 
+# The end of the line before a net's first segment line.
+_OPENING = '"segments":{\n'
+
+
+class _Lines(dict):
+    """A net's segment lines, not decoded: each key's ``(start, end)``, where
+    its rows' text starts and its line ends in the snapshot's text, in file
+    order; ``tabs``, the lines' tab count; and ``close``, where the ``}``
+    that starts the line after them is."""
+
+
 _NUMBER = (int, float)
 
 # The fields of each JSON object in a snapshot and their JSON types,
@@ -137,7 +152,7 @@ _DOC_FIELDS = (("label_modality", (str,)),
                ("seconds_per_new_chunk", _NUMBER),
                ("seconds_per_update", _NUMBER), ("networks", (dict,)),
                ("meta", (dict,)))
-_NET_FIELDS = (("clock_seconds", _NUMBER), ("segments", (dict,)))
+_NET_FIELDS = (("clock_seconds", _NUMBER), ("segments", (dict, _Lines)))
 
 # The value of a field a JSON object or a short row lacks.
 _MISSING = object()
@@ -170,13 +185,97 @@ def _fields(doc, where: str, fields) -> list:
     return values
 
 
-def _load_net(modality: str, clock, segments: dict, count: int, keys,
+def _segment_lines(text: str, start: int) -> _Lines | None:
+    """The segment lines of ``text`` from ``start``, the start of a line
+    after one ending in ``"segments":{``, up to a line that starts with
+    ``}``; None if a line between does not start with a key and ``:[``, or
+    a key is given twice."""
+    lines, first = _Lines(), start
+    while text.startswith('"', start):
+        try:
+            key, at = _scanstring(text, start + 1)
+        except ValueError:
+            return None
+        end = text.find("\n", at)
+        if key in lines or end < 0 or not text.startswith(":[", at):
+            return None
+        lines[key] = at + 1, end
+        start = end + 1
+    if not text.startswith("}", start):
+        return None
+    lines.tabs, lines.close = text.count("\t", first, start), start
+    return lines
+
+
+def _skeleton(text: str) -> dict:
+    """The document a snapshot's ``text`` holds, each net's segment lines
+    left as ``_Lines``: the rest is decoded as one JSON text, with ``NaN``
+    in place of each net's segments object. A text with no segment line, or
+    whose segment lines are not laid out as ``dump_memory`` writes them or
+    not all a net's segments, is decoded whole."""
+    runs, pieces, done = [], [], 0
+    start = text.find(_OPENING)
+    while start >= 0:
+        lines = _segment_lines(text, start + len(_OPENING))
+        if lines is None:
+            return parse_json(text, SnapshotError, "snapshot")
+        runs.append(lines)
+        pieces.append(text[done:start + len(_OPENING) - 2])
+        done = lines.close + 1
+        start = text.find(_OPENING, done)
+    pieces.append(text[done:])
+    left = iter(runs)
+
+    def segments(name: str) -> _Lines:
+        lines = next(left, None)
+        if name != "NaN" or lines is None:
+            reject_constant(name)
+        return lines
+    try:
+        doc = json.JSONDecoder(parse_constant=segments).decode(
+            "NaN".join(pieces))
+    except (ValueError, RecursionError):
+        doc = None
+    # Segment lines after a "segments":{ that is not a net's, say in the
+    # meta, send the text whole.
+    nets = doc.get("networks") if type(doc) is dict else None
+    placed = sum(type(net) is dict and type(net.get("segments")) is _Lines
+                 for net in nets.values()) if type(nets) is dict else 0
+    if type(doc) is dict and placed == len(runs):
+        return doc
+    return parse_json(text, SnapshotError, "snapshot")
+
+
+# Decodes a segment line's rows, where NaN and the infinities are not JSON.
+_ROWS = json.JSONDecoder(parse_constant=reject_constant)
+
+
+def _rows(text: str, lines: _Lines, key: str, where: str) -> list:
+    """The rows of segment ``key``, decoded from its line of ``text`` (see
+    ``_Lines``): they fill the line, but for a comma after them on every
+    line but the last, with one tab before each row. A line they do not fill
+    gets the whole text's JSON error, if the text has one."""
+    start, end = lines[key]
+    tail = "," if end + 1 < lines.close else ""
+    try:
+        rows, stop = _ROWS.raw_decode(text, start)
+    except (ValueError, RecursionError):
+        rows, stop = None, None
+    if stop != end - len(tail) or not text.startswith(tail, stop):
+        parse_json(text, SnapshotError, "snapshot")
+    elif len(rows) == text.count("\t", start, end):
+        return rows
+    raise SnapshotError(f"{where} segment {reprlib.repr(key)} is not one "
+                        f"line with a tab before each row")
+
+
+def _load_net(modality: str, clock, segments: dict, count: int,
               memory: MultiModalMemory,
               labels: dict[str, int]) -> DiscriminationNet:
-    """Build the segments of one net of ``count`` rows named in ``keys``,
-    every one when ``keys`` is None: one pass over a segment's rows checks
-    them and puts each node at its id in the net's table, where a row not
-    built leaves None, and the net attaches the nodes built in one call.
+    """Build the decoded ``segments`` of one net of ``count`` rows, but
+    those left None: one pass over a segment's rows checks them and puts
+    each node at its id in the net's table, where a row not built leaves
+    None, and the net attaches the nodes built in one call.
 
     A row is refused by the first rule it breaks, in the order they are
     checked below, and the first bad row of the segments built is the one
@@ -199,7 +298,7 @@ def _load_net(modality: str, clock, segments: dict, count: int, keys,
     own += [None] * count
     nodes: list[LoadedNode] = []
     for key, rows in segments.items():
-        if keys is not None and key not in keys:
+        if rows is None:
             continue
         inside, last = {ROOT_ID}, ROOT_ID
         for position, row in enumerate(rows):
@@ -278,7 +377,7 @@ def load_memory(path, reach=None) -> tuple[MultiModalMemory, dict]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        loaded = _load_doc(read_json(path, SnapshotError, "snapshot"), reach)
+        loaded = _load_doc(path, reach)
         gc.freeze()
         gc.unfreeze()
         return loaded
@@ -287,7 +386,9 @@ def load_memory(path, reach=None) -> tuple[MultiModalMemory, dict]:
             gc.enable()
 
 
-def _load_doc(doc: dict, reach) -> tuple[MultiModalMemory, dict]:
+def _load_doc(path, reach) -> tuple[MultiModalMemory, dict]:
+    text = read_text(path, SnapshotError, "snapshot")
+    doc = _skeleton(text)
     version = doc.get("schema_version")
     if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
         raise SnapshotError(
@@ -301,13 +402,15 @@ def _load_doc(doc: dict, reach) -> tuple[MultiModalMemory, dict]:
                               seconds_per_update=per_update)
     # Each net's clock, segments and row count (its table's size): every
     # net's fields and segments are checked before any row is built, so a
-    # query meets such a fault whatever segments it reaches.
+    # query meets such a fault whatever segments it reaches. Segment lines
+    # count their rows by their tabs.
     nets = {}
     for modality, net_doc in networks.items():
         where = f"{modality!r} net"
         clock, segments = _fields(net_doc, where, _NET_FIELDS)
-        count = 0
-        for key, rows in segments.items():
+        lines = type(segments) is _Lines
+        count = segments.tabs if lines else 0
+        for key, rows in () if lines else segments.items():
             if type(rows) is not list:
                 raise SnapshotError(f"{where} segment {reprlib.repr(key)} "
                                     f"holds {reprlib.repr(rows)}; a segment "
@@ -321,11 +424,24 @@ def _load_doc(doc: dict, reach) -> tuple[MultiModalMemory, dict]:
     _, _, count = nets.get(label_modality, (0, None, 0))
     labels = {str(i): i for i in range(1, count + 1)}
     stimulus = None if reach is None else reach(meta)
+    # Every segment built is decoded, and its line checked, before any row;
+    # a segment not built is dropped. The text goes before any node is
+    # built, as each row goes once its node is.
     for modality, (clock, segments, count) in nets.items():
         keys = None
         if stimulus is not None and modality != label_modality:
             keys = set(stimulus.tokens) \
                 if modality == stimulus.modality else ()
+        where = f"{modality!r} net"
+        lines = type(segments) is _Lines
+        for key, rows in segments.items():
+            if keys is not None and key not in keys:
+                rows = None
+            elif lines:
+                rows = _rows(text, segments, key, where)
+            segments[key] = rows
+    del text
+    for modality, (clock, segments, count) in nets.items():
         memory.nets[modality] = _load_net(modality, clock, segments, count,
-                                          keys, memory, labels)
+                                          memory, labels)
     return memory, meta

@@ -172,7 +172,39 @@ class Memory:
                "seconds_per_new_chunk": self.per_chunk,
                "seconds_per_update": self.per_update,
                "networks": networks, "meta": meta or {}}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return layout(doc, sort_keys=True)
+
+
+def layout(doc, sort_keys=False):
+    """The snapshot text of ``doc``, any JSON value, laid out as the
+    package writes a snapshot: compact JSON in ``doc``'s own key order, or
+    sorted with ``sort_keys``, then a newline, except that each net's
+    segments object puts each of its members, and its closing brace, at the
+    start of a line, and a tab before each item of a list member."""
+    def compact(value):
+        return json.dumps(value, sort_keys=sort_keys, separators=(",", ":"))
+
+    def members(value, write, newline=""):
+        """``value`` as an object whose member ``key`` is written by
+        ``write(key, item)``, each after ``newline``; any other value
+        compact."""
+        if type(value) is not dict:
+            return compact(value)
+        items = sorted(value.items()) if sort_keys else value.items()
+        return "{" + ",".join(newline + compact(key) + ":" + write(key, item)
+                              for key, item in items) + newline + "}"
+
+    def rows(key, value):
+        if type(value) is not list:
+            return compact(value)
+        return "[" + ",".join("\t" + compact(row) for row in value) + "]"
+
+    def net(modality, value):
+        return members(value, lambda key, item: members(item, rows, "\n")
+                       if key == "segments" else compact(item))
+
+    return members(doc, lambda key, item: members(item, net)
+                   if key == "networks" else compact(item)) + "\n"
 
 
 def segments(rows):

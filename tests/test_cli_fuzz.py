@@ -1,9 +1,10 @@
 """Malformed inputs end to end: a trained snapshot, a config, a manifest or
 a stimulus file, mutated one or two values at a time or cut short, run
-through ``cli.main`` in-process by the commands that read it. Whatever the
-input, the exit code is a documented one and a failure is one line on
-stderr, never a traceback. A mutated snapshot that ``inspect`` accepts
-answers ``categorise`` and ``retrieve`` as ``tests/reference.py`` does."""
+through ``cli.main`` in-process by the commands that read it; a snapshot is
+also written in either layout, or has text put in. Whatever the input, the
+exit code is a documented one and a failure is one line on stderr, never a
+traceback. A mutated snapshot that ``inspect`` accepts answers
+``categorise`` and ``retrieve`` as ``tests/reference.py`` does."""
 
 import contextlib
 import io
@@ -67,9 +68,9 @@ def _sites(value, sites):
     return sites
 
 
-def _mutated_json(draw, text):
+def _mutated_json(draw, text, write=json.dumps):
     """``text`` with one or two of its values dropped, replaced or
-    doubled, or the whole text cut short."""
+    doubled, written by ``write``, or the whole text cut short."""
     if draw(st.integers(0, 9)) == 0:
         return text[:draw(st.integers(0, len(text) - 1))]
     doc = json.loads(text)
@@ -87,7 +88,17 @@ def _mutated_json(draw, text):
             container.insert(key, json.loads(json.dumps(container[key])))
         else:
             container[key] = [container[key], container[key]]
-    return json.dumps(doc)
+    return write(doc)
+
+
+def _mutated_snapshot(draw, text):
+    """The snapshot ``text`` with values mutated, written on one line or,
+    as often, laid out as the package writes it; or with text put in or
+    cut, as a stimulus is."""
+    if draw(st.integers(0, 2)) == 0:
+        return _mutated_text(draw, text)
+    return _mutated_json(draw, text,
+                         draw(st.sampled_from([json.dumps, reference.layout])))
 
 
 def _mutated_text(draw, text):
@@ -153,7 +164,8 @@ def test_a_mutated_input_exits_with_its_code_and_one_line(xor_files, data):
         path = {"snapshot": model, "stimulus": stimulus, "config": config,
                 "manifest": manifest}[target]
         text = path.read_text(encoding="utf-8")
-        mutate = _mutated_text if target == "stimulus" else _mutated_json
+        mutate = {"stimulus": _mutated_text,
+                  "snapshot": _mutated_snapshot}.get(target, _mutated_json)
         path.write_text(mutate(data.draw, text), encoding="utf-8")
         query = ["--model", str(model), "--input", str(stimulus)]
         if command in ("categorise", "retrieve"):

@@ -11,7 +11,7 @@ import reprlib
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chunknet.attention import AttentionConfig, categorise
@@ -24,6 +24,7 @@ from chunknet.patterns import Pattern
 from chunknet import cli, snapshot
 from chunknet.snapshot import (SnapshotError, dump_memory, load_memory,
                                save_memory)
+from reference import layout
 from test_reference import load_rows
 
 
@@ -455,6 +456,20 @@ def _six_letter_row(doc):
     return ["r"]
 
 
+def _laid_out_with(old, new):
+    """A laid-out file with ``old`` replaced by ``new``, which breaks the
+    layout of segment 'p', node 4's; so the file is laid out whatever the
+    writer."""
+    def corrupt(doc):
+        return ["p"]
+
+    def edit(text):
+        assert old in text
+        return text.replace(old, new)
+    corrupt.edit = edit
+    return corrupt
+
+
 # Rows that break two rules, each reported by the rule checked first:
 # shape, the field types in field order (or a missing field), id range,
 # duplicate id, ascending ids, naming links, root-child key, parent.
@@ -656,12 +671,20 @@ MALFORMED = [
     pytest.param(_parent_outside_its_segment_with_a_bad_link,
                  _link_message(3, "0", 1),
                  id="parent_outside_its_segment_with_a_bad_link"),
+    *(pytest.param(_laid_out_with(old, new), _full(
+        "'visual' net segment 'p' is not one line with a tab before each "
+        "row"), id=name) for name, old, new in [
+            ("segment_line_with_a_tab_dropped", '"p":[\t[4,', '"p":[[4,'),
+            ("segment_line_with_a_tab_added", '"p":[\t[4,', '"p":[\t\t[4,'),
+            # segment 'q' after 'p' on its line, without its tab
+            ("two_segments_on_one_line", ',\n"q":[\t[2,', ',"q":[[2,')]),
 ]
 
 
-def _corrupted(tmp_path, corrupt):
+def _corrupted(tmp_path, corrupt, write=json.dumps):
     """A snapshot of ``random_trained_memory(2)`` that ``corrupt`` edits,
-    and the segments a query must reach to meet its fault."""
+    written by ``write``, and the segments a query must reach to meet its
+    fault."""
     memory, _ = random_trained_memory(2)
     assert len(memory.net("visual").root.children) >= 2
     assert memory.net("visual").node_count >= 3
@@ -671,8 +694,10 @@ def _corrupted(tmp_path, corrupt):
     assert [_node(doc, node_id)[5] for node_id in range(1, 5)] == \
         [{"1": 7}, {}, {"1": 2}, {}]
     keys = corrupt(doc) or VISUAL_KEYS
+    edit = getattr(corrupt, "edit", None)
+    text = write(doc) if edit is None else edit(layout(doc))
     # JSON has no infinity, but a number too large for a float parses to one
-    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    path.write_text(text.replace("Infinity", "1e400"))
     return path, keys
 
 
@@ -690,21 +715,29 @@ def _query(tmp_path, path, command, tokens):
     return code, out.getvalue(), err.getvalue()
 
 
+# A snapshot written on one line, and laid out as ``dump_memory`` writes it.
+WRITERS = (json.dumps, layout)
+
+
 @pytest.mark.parametrize("corrupt, message", MALFORMED)
 def test_malformed_nets_rejected(tmp_path, corrupt, message):
     # A full load and inspect refuse every case, and so does a query whose
-    # stimulus reaches the bad segment, with the same message.
-    path, keys = _corrupted(tmp_path, corrupt)
-    with pytest.raises(SnapshotError, match=message) as refused:
-        load_memory(path)
-    line = f"error: {refused.value}\n"
-    assert _query(tmp_path, path, "inspect", ()) == (2, "", line)
-    for reached in (keys, VISUAL_KEYS):
-        with pytest.raises(SnapshotError) as reach_refused:
-            load_memory(path, lambda meta: Pattern("visual", tuple(reached)))
-        assert str(reach_refused.value) == str(refused.value)
-        for command in ("categorise", "retrieve"):
-            assert _query(tmp_path, path, command, reached) == (2, "", line)
+    # stimulus reaches the bad segment, with the same message, whether the
+    # file is written on one line or laid out.
+    for write in WRITERS:
+        path, keys = _corrupted(tmp_path, corrupt, write)
+        with pytest.raises(SnapshotError, match=message) as refused:
+            load_memory(path)
+        line = f"error: {refused.value}\n"
+        assert _query(tmp_path, path, "inspect", ()) == (2, "", line)
+        for reached in (keys, VISUAL_KEYS):
+            with pytest.raises(SnapshotError) as reach_refused:
+                load_memory(path,
+                            lambda meta: Pattern("visual", tuple(reached)))
+            assert str(reach_refused.value) == str(refused.value)
+            for command in ("categorise", "retrieve"):
+                assert _query(tmp_path, path, command, reached) == \
+                    (2, "", line)
 
 
 @pytest.mark.parametrize("corrupt, tokens", [
@@ -725,12 +758,13 @@ def test_a_query_builds_only_the_segments_its_stimulus_reaches(
     sound = tmp_path / "sound" / "model.json"
     sound.parent.mkdir()
     save_memory(sound, memory)
-    path, _ = _corrupted(tmp_path, corrupt)
-    assert _query(tmp_path, path, "inspect", ())[0] == 2
-    for command in ("categorise", "retrieve"):
-        answer = _query(tmp_path, path, command, tokens.split())
-        assert answer[0] in (0, 4)
-        assert answer == _query(tmp_path, sound, command, tokens.split())
+    for write in WRITERS:
+        path, _ = _corrupted(tmp_path, corrupt, write)
+        assert _query(tmp_path, path, "inspect", ())[0] == 2
+        for command in ("categorise", "retrieve"):
+            answer = _query(tmp_path, path, command, tokens.split())
+            assert answer[0] in (0, 4)
+            assert answer == _query(tmp_path, sound, command, tokens.split())
 
 
 def test_links_load_from_a_label_net_listed_last(tmp_path):
@@ -988,6 +1022,142 @@ def test_mutated_snapshots_raise_snapshot_error(tmp_path_factory, data):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SnapshotError):
         load_memory(path)
+
+
+# -- the layout: any text JSON reads loads; a broken one gets JSON's error ---
+
+# A JSON string, a run of other non-space characters (a number, true, false,
+# null), or one punctuation character.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[^\s"{}\[\],:]+|[{}\[\],:]')
+_GAPS = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\n\t", "\t\n", "\n\n"])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_a_text_json_reads_is_never_refused_as_not_json(tmp_path_factory,
+                                                        data):
+    # The dumped text with the whitespace between some of its tokens
+    # changed: JSON reads the same document, so a full load either gives
+    # the dumped memory or refuses a line that looks like a segment line
+    # and does not fill its line or count its rows by tabs. A query's load
+    # may meet other faults of such a line, but never JSON's.
+    tokens = _JSON_TOKEN.findall(_FUZZ_TEXT)
+    gaps = re.split(_JSON_TOKEN, _FUZZ_TEXT)
+    assert "".join(gap + token for gap, token in zip(gaps, tokens + [""])) \
+        == _FUZZ_TEXT
+    for at, gap in data.draw(st.lists(
+            st.tuples(st.integers(0, len(tokens)), _GAPS), max_size=12)):
+        gaps[at] = gap
+    text = "".join(gap + token for gap, token in zip(gaps, tokens + [""]))
+    assert json.loads(text) == json.loads(_FUZZ_TEXT)
+    path = tmp_path_factory.getbasetemp() / "laid-out-model.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        memory, meta = load_memory(path)
+    except SnapshotError as exc:
+        assert re.fullmatch(r"'(visual|verbal)' net segment '\w' is not one "
+                            r"line with a tab before each row", str(exc))
+        memory = None
+    else:
+        assert dump_memory(memory, meta) == _FUZZ_TEXT
+    stimulus = Pattern("visual", tuple(data.draw(st.lists(
+        st.sampled_from(VISUAL_KEYS), min_size=1, max_size=4))))
+    try:
+        reached, _ = load_memory(path, lambda meta: stimulus)
+    except SnapshotError as exc:
+        assert memory is None and "JSON" not in str(exc)
+    else:
+        if memory is not None:
+            cfg = AttentionConfig(span=6)
+            assert categorise(reached, stimulus, cfg) == \
+                categorise(memory, stimulus, cfg)
+
+
+@pytest.mark.parametrize("old, new", [
+    # a "segments" object in the meta, laid out as a net's
+    ('"meta":{"note":"x"}',
+     '"meta":{"note":"x","segments":{\n"k":[\t[1]],\n"m":[\t2]\n}}'),
+    # segment 'q' given twice, as JSON reads it: the later one holds
+    ('\n"q":[', '\n"q":[\t[9,0,"q","q",false,{}],\t[5]],\n"q":['),
+], ids=["segments_in_the_meta", "segment_key_given_twice"])
+def test_segment_lines_that_are_not_a_nets_segments_are_read_whole(
+        tmp_path, old, new):
+    # Lines that start with '"' after a "segments":{ that is not a net's,
+    # or a key given twice, send the text to be decoded whole.
+    text = _FUZZ_TEXT.replace(old, new)
+    assert text != _FUZZ_TEXT
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    meta = json.loads(text)["meta"]
+    for reach in _REACHES:
+        assert load_memory(path, reach)[1] == meta
+    assert dump_memory(load_memory(path)[0], {"note": "x"}) == _FUZZ_TEXT
+
+
+def _segment_line_keys(text):
+    """The key of each line of ``text`` that is a segment line, else
+    None."""
+    keys, opened = [], False
+    for line in text.split("\n"):
+        segment = opened and line.startswith('"')
+        keys.append(json.loads(line[:line.index('":[') + 1])
+                    if segment else None)
+        opened = segment or line.endswith('"segments":{')
+    return keys
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.booleans(), st.data())
+def test_a_broken_character_gets_the_json_error_of_the_whole_file(
+        tmp_path_factory, in_segment, data):
+    # One character of the dumped text replaced, on a line outside the
+    # segment lines or on a segment line the query reaches: a full load and
+    # the query's load give JSON's own message for the whole text, with its
+    # line and column.
+    lines = _FUZZ_TEXT.split("\n")
+    keys = _segment_line_keys(_FUZZ_TEXT)
+    index = data.draw(st.sampled_from(
+        [i for i, key in enumerate(keys)
+         if (key is not None) == in_segment and lines[i]]))
+    line = lines[index]
+    column = data.draw(st.integers(0, len(line) - 1))
+    lines[index] = line[:column] + data.draw(st.sampled_from(
+        '{}[],:"\\x\t ')) + line[column + 1:]
+    text = "\n".join(lines)
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        message = f"snapshot is not valid JSON: {exc}"
+    else:
+        assume(False)
+    path = tmp_path_factory.getbasetemp() / "broken-model.json"
+    path.write_text(text, encoding="utf-8")
+    reached = (keys[index],) if keys[index] in VISUAL_KEYS else ("p",)
+    for reach in (None, lambda meta: Pattern("visual", reached)):
+        with pytest.raises(SnapshotError) as refused:
+            load_memory(path, reach)
+        assert str(refused.value) == message
+
+
+def test_a_query_does_not_decode_a_segment_it_does_not_reach(tmp_path):
+    # Text that is not JSON in segment 'p': inspect refuses it with JSON's
+    # message, and a query that does not reach 'p' answers as on the sound
+    # file.
+    sound = tmp_path / "sound" / "model.json"
+    sound.parent.mkdir()
+    sound.write_text(_FUZZ_TEXT)
+    path = tmp_path / "model.json"
+    text = _FUZZ_TEXT.replace('\n"p":[\t[4,', '\n"p":[\t[4;')
+    assert text != _FUZZ_TEXT
+    path.write_text(text)
+    with pytest.raises(ValueError) as not_json:
+        json.loads(text)
+    assert _query(tmp_path, path, "inspect", ()) == \
+        (2, "", f"error: snapshot is not valid JSON: {not_json.value}\n")
+    for command in ("categorise", "retrieve"):
+        answer = _query(tmp_path, path, command, ["q", "r", "q"])
+        assert answer[0] in (0, 4)
+        assert answer == _query(tmp_path, sound, command, ["q", "r", "q"])
 
 
 # -- a loaded image stays text until it is read ------------------------------
