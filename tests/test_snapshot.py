@@ -457,8 +457,8 @@ def _six_letter_row(doc):
 
 
 def _laid_out_with(old, new):
-    """A laid-out file with ``old`` replaced by ``new``, which breaks the
-    layout of segment 'p', node 4's; so the file is laid out whatever the
+    """A laid-out file with ``old`` replaced by ``new``: a fault in the
+    layout of segment 'p', node 4's, so the file is laid out whatever the
     writer."""
     def corrupt(doc):
         return ["p"]
