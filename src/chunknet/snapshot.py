@@ -28,9 +28,9 @@ net, only the segments keyed by a stimulus token, each checked in full. A
 segment it does not build is not decoded: a bad row, or text that is not
 JSON, in it is not seen, and its tabs alone size the net's table, which
 holds None for every row not built. A text with no segment line (one-line
-or pretty-printed JSON) is decoded whole. What a load checks: ``_load_doc``
-(the file) and ``_load_net`` (rows). A loaded node is a ``LoadedNode``, and
-each decoded row is dropped once its node is built.
+or pretty-printed JSON) is decoded whole. Checks: ``_load_doc`` (the file),
+``_rows`` (a segment line), ``_load_net`` (rows). A loaded node is a
+``LoadedNode``; each decoded row is dropped once its node is built.
 
 The cyclic garbage collector is paused from reading the file until the last
 node is built, and left as the caller had it; a load that succeeds then
