@@ -132,7 +132,10 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     that carries naming links) among that position's fetches is selected:
     bigger chunks are rewarded, smaller knowledge structures are penalised,
     and nested sub-chunks of one span never double-vote. Chunks without
-    links are not voters and never block a position.
+    links are not voters and never block a position. A fetch start whose
+    token is not in the net's ``linked_tokens`` is not walked: it could
+    reach no voter (why: ``test_starts_into_linkless_subtrees_are_not_walked``
+    in ``tests/test_attention.py``).
 
     The winner adds ``size * (count / total)`` to each label it links to:
     ``total`` is its link count under ``proportional`` weighting, so its
@@ -188,6 +191,7 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     if net is None or not groups:
         return Classification(())
     recognise, nodes = net.recognise, net._nodes
+    tokens, linked = stimulus.tokens, net.linked_tokens
     span, step, min_fetch = cfg.span, cfg.step, cfg.min_fetch
     sizes, winners = [0] * len(groups), [None] * len(groups)
     slack, tail = span - min_fetch, groups[-1].start  # tail: last offset
@@ -196,6 +200,8 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     held = groups if step > slack + 1 else (range(groups[-1].stop),)
     for group in held:
         for start in group:
+            if tokens[start] not in linked:
+                continue
             node = recognise(stimulus, start)
             length = node.contents_length
             if length <= min_fetch and not node.naming_links:

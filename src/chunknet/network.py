@@ -48,6 +48,11 @@ A node ``snapshot`` loads is a ``LoadedNode``; see its docstring.
 Cross-modality *naming links* (counted associations from a chunk to a label
 chunk in another modality) hang off nodes here; they are created by the
 trainer when fully learned chunks co-occupy short-term memory.
+
+Each net keeps ``linked_tokens``: the first tokens under which its root
+lists a child whose subtree holds a naming link. Links are made in two
+places only, and both keep it: ``MultiModalMemory.add_naming_link`` and
+``snapshot``'s row loop. ``attention.categorise`` walks from no other token.
 """
 
 from __future__ import annotations
@@ -150,6 +155,7 @@ class DiscriminationNet:
         self._nodes: list[Node] = [Node(node_id=ROOT_ID, test=(), image=())]
         # [end node, kept NO_CHANGE or None] by tokens; see ``learn``.
         self._walks: dict[tuple[str, ...], list] = {}
+        self.linked_tokens: set[str] = set()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -420,7 +426,8 @@ class MultiModalMemory:
                         label_node_id: int) -> None:
         """Count one co-occurrence of a chunk with a label chunk. Both
         nets are looked up and never made: a missing one raises
-        :class:`NetworkError`, and so does a root on either end."""
+        :class:`NetworkError`, and so does a root on either end. A chunk's
+        first link puts its root child's first token in ``linked_tokens``."""
         self.label_net.node(label_node_id)  # must exist
         try:
             net = self.nets[modality]
@@ -428,7 +435,12 @@ class MultiModalMemory:
             raise NetworkError(f"no {modality!r} net") from None
         if node_id == ROOT_ID or label_node_id == ROOT_ID:
             raise NetworkError("naming links never involve a root node")
-        links = net.node(node_id).naming_links
+        node = net.node(node_id)
+        links = node.naming_links
+        if not links:
+            while node.parent != ROOT_ID:
+                node = net._nodes[node.parent]
+            net.linked_tokens.add(node.test[0])
         links[label_node_id] = links.get(label_node_id, 0) + 1
 
     def label_name(self, label_node_id: int) -> str:

@@ -27,8 +27,10 @@ decodes and builds the label net whole and, of the stimulus modality's
 net, only the segments keyed by a stimulus token, each checked in full. A
 segment it does not build is not decoded: a bad row, or text that is not
 JSON, in it is not seen, and its tabs alone size the net's table, which
-holds None for every row not built. A text with no segment line (one-line
-or pretty-printed JSON) is decoded whole. Checks: ``_load_doc`` (the file),
+holds None for every row not built; a reached row whose id is past that
+table has the query refuse the file as a full load does, which names a
+faulty segment line first. A text with no segment line (one-line or
+pretty-printed JSON) is decoded whole. Checks: ``_load_doc`` (the file),
 ``_rows`` (a segment line), ``_load_net`` (rows). A loaded node is a
 ``LoadedNode``; each decoded row is dropped once its node is built.
 
@@ -59,6 +61,11 @@ SNAPSHOT_SCHEMA_VERSION = 4
 
 class SnapshotError(ValueError):
     pass
+
+
+class _PastTheTable(SnapshotError):
+    """A row id past its net's table, which a query may have sized short
+    from the tabs of segment lines it did not decode; see ``_load_doc``."""
 
 
 # The canonical text of a snapshot's values: sorted keys, no spaces, only
@@ -283,13 +290,13 @@ def _load_net(modality: str, clock, segments: dict, count: int,
     the id."""
     where = f"{modality!r} net"
 
-    def refuse(fault: str) -> NoReturn:
-        """Raise ``fault`` for the row at ``position`` of segment ``key``,
-        named by its id when that is an integer."""
+    def refuse(fault: str, error=SnapshotError) -> NoReturn:
+        """Raise ``error`` with ``fault`` for the row at ``position`` of
+        segment ``key``, named by its id when that is an integer."""
         name = f"node {row[0]}" if type(row) is list and row and \
             type(row[0]) is int else \
             f"row {position} of segment {reprlib.repr(key)}"
-        raise SnapshotError(f"{where}: {name} {fault}")
+        raise error(f"{where}: {name} {fault}")
 
     net = DiscriminationNet(modality, memory.seconds_per_new_chunk,
                             memory.seconds_per_update)
@@ -327,7 +334,8 @@ def _load_net(modality: str, clock, segments: dict, count: int,
                 refuse(_holds("links", links))
             if not 0 < node_id <= count:
                 refuse(f"is outside 1 to {count}: a net's {count} rows hold "
-                       f"the ids 1 to {count}, each once")
+                       f"the ids 1 to {count}, each once",
+                       _PastTheTable if node_id > count else SnapshotError)
             if own[node_id] is not None:
                 refuse("appears twice")
             if node_id <= last:
@@ -335,6 +343,7 @@ def _load_net(modality: str, clock, segments: dict, count: int,
                        f"segment's rows ascend by id")
             naming = links
             if links:
+                net.linked_tokens.add(key)
                 naming = {}
                 for label, n in links.items():
                     # The key as the file writes it, so "01" is refused.
@@ -441,7 +450,15 @@ def _load_doc(path, reach) -> tuple[MultiModalMemory, dict]:
                 rows = _rows(text, segments, key, where)
             segments[key] = rows
     del text
-    for modality, (clock, segments, count) in nets.items():
-        memory.nets[modality] = _load_net(modality, clock, segments, count,
-                                          memory, labels)
+    try:
+        for modality, (clock, segments, count) in nets.items():
+            memory.nets[modality] = _load_net(modality, clock, segments,
+                                              count, memory, labels)
+    except _PastTheTable:
+        # The tabs of a line this query did not decode may be at fault. A
+        # full load decodes every line before it builds a row, so it
+        # refuses the first faulty one.
+        if stimulus is not None:
+            _load_doc(path, None)
+        raise
     return memory, meta

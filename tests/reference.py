@@ -356,16 +356,27 @@ def windows(n, span=20, step=1, min_fetch=2):
             return
 
 
+def linked_tokens(net):
+    """The first tokens of the root children whose subtrees hold a naming
+    link: the first token of each linked node's contents."""
+    return {net.contents(i)[0] for i, node in enumerate(net.nodes)
+            if node.links}
+
+
 def walks(net, tokens, span=20, step=1, min_fetch=2):
     """How many walks ``categorise`` makes through ``net``: one unbounded
-    walk per fetch start that some window holds, plus one bounded walk per
-    window whose end that walk's contents pass, when the path's deepest
-    node that fits inside the end stops short of it and lists a child after
-    the path's next node whose test link starts with the same token."""
+    walk per fetch start that some window holds and whose token is in
+    :func:`linked_tokens`, plus one bounded walk per window whose end that
+    walk's contents pass, when the path's deepest node that fits inside the
+    end stops short of it and lists a child after the path's next node
+    whose test link starts with the same token."""
     held = set()
     rewalks = 0
+    linked = linked_tokens(net)
     for end, starts in windows(len(tokens), span, step, min_fetch):
         for start in starts:
+            if tokens[start] not in linked:
+                continue
             held.add(start)
             cut, below = net.recognise(tokens, start), None
             while start + len(net.contents(cut)) > end:

@@ -357,15 +357,18 @@ TF = [[0, "T", "T", True, {}], [0, "F", "F", True, {}]]
 
 
 class TestScanSkips:
-    """The scan walks every held start once, and each walk updates the
-    windows that hold its start. A window whose end a path passes gets that
-    path cut back to its deepest node that fits, and the fetch is walked
-    again from the root only where a later sibling could lead elsewhere."""
+    """The scan walks once each held start whose token is in the net's
+    ``linked_tokens``, and each walk updates the windows that hold its
+    start. A window whose end a path passes gets that path cut back to its
+    deepest node that fits, and the fetch is walked again from the root only
+    where a later sibling could lead elsewhere. Starts at tokens that lead
+    into no root subtree, such as "x" below, are not walked."""
 
     def test_a_re_walk_alone_votes(self):
         # The unlinked chunk "a b c d" sits over its linked prefix "a b":
         # no unbounded walk votes, but the first window (end 3) cuts start
-        # 0's path and its bounded re-walk stops at "a b".
+        # 0's path and its bounded re-walk stops at "a b". Starts 1 and 2
+        # ("b", "c") lead into no root subtree and are not walked.
         memory, ref = load_rows({
             "visual": [[0, "a b", "a b", True, {"1": 1}],
                        [1, "c d", "a b c d", True, {}]],
@@ -375,7 +378,7 @@ class TestScanSkips:
                                          AttentionConfig(span=3))
         assert cls.entries == (("T", 1.0),)
         assert recognise_calls(memory, stimulus, AttentionConfig(span=3)) \
-            == 3
+            == 1
         # One window, nothing passed and nothing votes.
         assert scanned_like_the_reference(memory, ref, stimulus,
                                           AttentionConfig(span=4)) \
@@ -384,7 +387,8 @@ class TestScanSkips:
     def test_a_walk_one_token_past_min_fetch_is_re_walked(self):
         # "a b c" has min_fetch + 1 tokens; from start 1 it reaches 4, past
         # the end (3) of the one earlier window that holds start 1, whose
-        # re-walk votes "a b". Its unbounded walk never votes.
+        # re-walk votes "a b". Its unbounded walk never votes. Start 1 is
+        # the only one walked: "x" and "b" start no root child.
         memory, ref = load_rows({
             "visual": [[0, "a b", "a b", True, {"1": 1}],
                        [1, "c", "a b c", True, {}]],
@@ -393,12 +397,13 @@ class TestScanSkips:
         cfg = AttentionConfig(span=3, min_fetch=2)
         cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
         assert cls.entries == (("T", 1.0),)
-        assert recognise_calls(memory, stimulus, cfg) == 3
+        assert recognise_calls(memory, stimulus, cfg) == 1
 
     def test_a_later_sibling_is_walked_from_the_root(self):
         # Start 0's path "a b c" passes the first window's end (2) and cuts
         # back to the root, which lists the later sibling "a" after it:
-        # only a walk from the root finds "a", the one voter.
+        # only a walk from the root finds "a", the one voter. Starts 1 and
+        # 2 ("b", "c") start no root child and are not walked.
         memory, ref = load_rows({
             "visual": [[0, "a b c", "a b c", True, {}],
                        [0, "a", "a", True, {"1": 1}]],
@@ -407,12 +412,13 @@ class TestScanSkips:
         cfg = AttentionConfig(span=2)
         cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
         assert cls.entries == (("T", 1.0),)
-        assert recognise_calls(memory, stimulus, cfg) == 3 + 1
+        assert recognise_calls(memory, stimulus, cfg) == 1 + 1
 
     def test_a_cut_that_uses_up_the_window_is_not_re_walked(self):
         # Start 0's path "a b c d" cuts back to "a b" at the first window's
         # end (2), and "a b" lists the later sibling "c" after "c d"; but no
-        # token is left there, so nothing is walked again.
+        # token is left there, so nothing is walked again. Only start 0 is
+        # walked: "b" and "c" start no root child.
         memory, ref = load_rows({
             "visual": [[0, "a b", "a b", True, {"1": 1}],
                        [1, "c d", "a b c d", True, {}],
@@ -422,7 +428,7 @@ class TestScanSkips:
         cfg = AttentionConfig(span=2)
         cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
         assert cls.entries == (("T", 1.0),)
-        assert recognise_calls(memory, stimulus, cfg) == 3
+        assert recognise_calls(memory, stimulus, cfg) == 1
 
     def test_passed_windows_cut_back_to_one_ancestor(self):
         # Start 2's path "a b c d e" reaches 7, past the ends (4, 5, 6) of
@@ -430,7 +436,8 @@ class TestScanSkips:
         # linked "a b" for all three: at end 4 the cut uses up the window,
         # at 5 and 6 "c d e" is the last child under "c". There "a b"
         # outvotes the "x" (F, size 1) of starts 0 and 1. No start is
-        # walked twice.
+        # walked twice, and starts 3 to 5 ("b", "c", "d") start no root
+        # child, so only starts 0 to 2 are walked.
         memory, ref = load_rows({
             "visual": [[0, "x", "x", True, {"2": 1}],
                        [0, "a b", "a b", True, {"1": 1}],
@@ -440,14 +447,15 @@ class TestScanSkips:
         cfg = AttentionConfig(span=4)
         cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
         assert cls.entries == (("T", 1.0),)
-        assert recognise_calls(memory, stimulus, cfg) == 6
+        assert recognise_calls(memory, stimulus, cfg) == 3
 
     def test_one_climb_falls_back_at_one_window_and_cuts_at_others(self):
         # Start 2's path is "a b", "c", "d e f". At end 6 it cuts back to
         # "a b c", which lists the later sibling "d" after "d e f", so the
         # fetch is walked again and finds "a b c d" (T, size 4). At end 5
         # the cut "a b c" (F, size 3) and at end 4 the cut "a b" (T, size
-        # 2) use up the window.
+        # 2) use up the window. No other start is walked: only "a" starts a
+        # root child.
         memory, ref = load_rows({
             "visual": [[0, "a b", "a b", True, {"1": 1}],
                        [1, "c", "a b c", True, {"2": 1}],
@@ -458,7 +466,52 @@ class TestScanSkips:
         cfg = AttentionConfig(span=4)
         cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
         assert cls.entries == (("T", 2 / 3), ("F", 1 / 3))
-        assert recognise_calls(memory, stimulus, cfg) == 7 + 1
+        assert recognise_calls(memory, stimulus, cfg) == 1 + 1
+
+    def test_starts_into_linkless_subtrees_are_not_walked(self):
+        """A start is walked only if its token ``t`` is in the net's
+        ``linked_tokens``: some root child listed at ``root.index[t]`` has a
+        naming link in its subtree. The skip is exact. A walk from the
+        start consumes ``t`` first, so it stops at the root or ends in the
+        subtree of a root child listed at ``root.index[t]``; so does every
+        node of its path, and so every cut of that path. A bounded re-walk
+        of one of its fetches starts at the same token, so it ends there
+        too. With ``t`` not in the set none of these nodes carries a naming
+        link, and the root never does. So the start's walks change no entry
+        of ``sizes`` or ``winners``: it casts no vote, cuts no window's, and
+        skipping it drops walks only. Here every token leads into a root
+        subtree without a link, or into none."""
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 1}],
+                       [0, "c", "c", True, {}],
+                       [2, "d e", "c d e", True, {}],
+                       [0, "f", "f", True, {}]],
+            "verbal": TF})
+        assert memory.nets["visual"].linked_tokens == {"a"}
+        stimulus = P("c", "d", "e", "f", "c", "d")
+        cfg = AttentionConfig(span=4)
+        assert scanned_like_the_reference(memory, ref, stimulus, cfg) \
+            .no_activation
+        assert recognise_calls(memory, stimulus, cfg) == 0
+
+    def test_a_link_added_after_a_load_makes_its_subtree_vote(self):
+        # Node 3 "c d e" gets its first link after the load: the climb from
+        # it puts "c", its root child's token, in the set, and start 0 walks
+        # to it and votes. The starts at "d" and "e" are still not walked.
+        memory, ref = load_rows({
+            "visual": [[0, "a b", "a b", True, {"1": 1}],
+                       [0, "c", "c", True, {}],
+                       [2, "d e", "c d e", True, {}]],
+            "verbal": TF})
+        stimulus = P("c", "d", "e")
+        cfg = AttentionConfig(span=4)
+        assert recognise_calls(memory, stimulus, cfg) == 0
+        memory.add_naming_link("visual", 3, 2)
+        ref.nets["visual"].nodes[3].links[2] = 1
+        assert memory.nets["visual"].linked_tokens == {"a", "c"}
+        cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
+        assert cls.entries == (("F", 1.0),)
+        assert recognise_calls(memory, stimulus, cfg) == 1
 
     @pytest.mark.parametrize("tokens, step, entries", [
         # Windows (span 4, step 3) hold starts 0-2, 3-5 and 6. "a b" votes

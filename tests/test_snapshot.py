@@ -25,7 +25,8 @@ from chunknet import cli, snapshot
 from chunknet.snapshot import (SnapshotError, dump_memory, load_memory,
                                save_memory)
 from reference import layout
-from test_reference import load_rows
+from test_reference import built_models_and_stimuli, load_rows, \
+    models_and_stimuli
 
 
 # A schema v1 document: nodes as objects that also list their children.
@@ -457,9 +458,9 @@ def _six_letter_row(doc):
 
 
 def _laid_out_with(old, new):
-    """A laid-out file with ``old`` replaced by ``new``: a fault in the
-    layout of segment 'p', node 4's, so the file is laid out whatever the
-    writer."""
+    """A laid-out file with ``old`` replaced by ``new``, so the file is laid
+    out whatever the writer; a query that reaches segment 'p', node 4's,
+    meets its fault."""
     def corrupt(doc):
         return ["p"]
 
@@ -678,6 +679,12 @@ MALFORMED = [
             ("segment_line_with_a_tab_added", '"p":[\t[4,', '"p":[\t\t[4,'),
             # segment 'q' after 'p' on its line, without its tab
             ("two_segments_on_one_line", ',\n"q":[\t[2,', ',"q":[[2,')]),
+    # A query that reaches only 'p' sizes the table from the tabs of the
+    # lines it does not decode, 3, so node 4 is past it; the query then
+    # refuses the file as a full load does, which names 'r'.
+    pytest.param(_laid_out_with('"r":[\t[1,', '"r":[[1,'), _full(
+        "'visual' net segment 'r' is not one line with a tab before each "
+        "row"), id="unreached_segment_line_with_a_tab_dropped"),
 ]
 
 
@@ -804,6 +811,54 @@ def test_load_rebuilds_lengths_and_index(tmp_path):
             rnode = rnet.node(node.node_id)
             assert rnode.contents_length == node.contents_length
             assert rnode.index == node.index
+
+
+def _linked_from_the_table(net):
+    """The first token of the contents of each node in ``net``'s table that
+    holds a naming link; a query's load leaves None for a row not built."""
+    return {net.contents(node.node_id).tokens[0] for node in net.nodes()
+            if node is not None and node.naming_links}
+
+
+def _assert_linked_tokens(memory):
+    for net in memory.nets.values():
+        assert net.linked_tokens == _linked_from_the_table(net)
+
+
+_TOKENS = st.lists(st.sampled_from("abcpqrsz"), min_size=1,
+                   max_size=6).map(tuple)
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_linked_tokens_follow_the_node_table(tmp_path_factory, data):
+    # Each net's ``linked_tokens`` equals the set derived from its node
+    # table: after training, after a full load and after a query's load,
+    # and after more presentations on a loaded memory add links.
+    memory, stimuli = data.draw(st.one_of(
+        st.integers(0, 10**4).map(
+            lambda seed: (random_trained_memory(seed)[0], [])),
+        models_and_stimuli().map(lambda case: (case[0], case[3])),
+        built_models_and_stimuli().map(lambda case: (case[0], case[3]))))
+    _assert_linked_tokens(memory)
+    path = tmp_path_factory.getbasetemp() / "linked-model.json"
+    save_memory(path, memory)
+    loaded, _ = load_memory(path)
+    _assert_linked_tokens(loaded)
+    stimuli = [p.tokens for p in stimuli] + data.draw(
+        st.lists(_TOKENS, min_size=1, max_size=3))
+    for tokens in stimuli:
+        _assert_linked_tokens(load_memory(
+            path, lambda meta: Pattern("visual", tokens))[0])
+    samples = [Sample(Pattern("visual", body), Pattern("verbal", (label,)))
+               for body, label in data.draw(st.lists(st.tuples(
+                   _TOKENS, st.sampled_from("ABTF")), min_size=1,
+                   max_size=4))]
+    trainer = Trainer(loaded, RunConfig())
+    for _ in range(data.draw(st.integers(1, 8))):
+        for sample in samples:
+            trainer.present(sample)
+    _assert_linked_tokens(loaded)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
