@@ -427,7 +427,8 @@ class MultiModalMemory:
         """Count one co-occurrence of a chunk with a label chunk. Both
         nets are looked up and never made: a missing one raises
         :class:`NetworkError`, and so does a root on either end. A chunk's
-        first link puts its root child's first token in ``linked_tokens``."""
+        first link puts the first token of its contents, its root child's,
+        in ``linked_tokens``."""
         self.label_net.node(label_node_id)  # must exist
         try:
             net = self.nets[modality]
@@ -435,12 +436,9 @@ class MultiModalMemory:
             raise NetworkError(f"no {modality!r} net") from None
         if node_id == ROOT_ID or label_node_id == ROOT_ID:
             raise NetworkError("naming links never involve a root node")
-        node = net.node(node_id)
-        links = node.naming_links
+        links = net.node(node_id).naming_links
         if not links:
-            while node.parent != ROOT_ID:
-                node = net._nodes[node.parent]
-            net.linked_tokens.add(node.test[0])
+            net.linked_tokens.add(net._path(node_id)[0])
         links[label_node_id] = links.get(label_node_id, 0) + 1
 
     def label_name(self, label_node_id: int) -> str:

@@ -814,10 +814,16 @@ def test_load_rebuilds_lengths_and_index(tmp_path):
 
 
 def _linked_from_the_table(net):
-    """The first token of the contents of each node in ``net``'s table that
-    holds a naming link; a query's load leaves None for a row not built."""
-    return {net.contents(node.node_id).tokens[0] for node in net.nodes()
-            if node is not None and node.naming_links}
+    """The first test token of the root child above each node in ``net``'s
+    table that holds a naming link; a query's load leaves None for a row
+    not built."""
+    tokens = set()
+    for node in net.nodes():
+        if node is not None and node.naming_links:
+            while node.parent:
+                node = net.node(node.parent)
+            tokens.add(node.test[0])
+    return tokens
 
 
 def _assert_linked_tokens(memory):
