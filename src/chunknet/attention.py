@@ -132,10 +132,11 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     that carries naming links) among that position's fetches is selected:
     bigger chunks are rewarded, smaller knowledge structures are penalised,
     and nested sub-chunks of one span never double-vote. Chunks without
-    links are not voters and never block a position. A fetch start whose
-    token is not in the net's ``linked_tokens`` is not walked: it could
-    reach no voter (why: ``test_starts_into_linkless_subtrees_are_not_walked``
-    in ``tests/test_attention.py``).
+    links are not voters and never block a position. A fetch start is
+    walked only if the net's ``linked_tokens`` maps its token to None or to
+    the next token: else it could reach no voter (why:
+    ``test_starts_into_linkless_subtrees_are_not_walked`` in
+    ``tests/test_attention.py``).
 
     The winner adds ``size * (count / total)`` to each label it links to:
     ``total`` is its link count under ``proportional`` weighting, so its
@@ -200,7 +201,9 @@ def categorise(memory: MultiModalMemory, stimulus: Pattern,
     held = groups if step > slack + 1 else (range(groups[-1].stop),)
     for group in held:
         for start in group:
-            if tokens[start] not in linked:
+            seconds = linked.get(tokens[start])
+            if seconds is None or tokens[start + 1] not in seconds and \
+                    None not in seconds:
                 continue
             node = recognise(stimulus, start)
             length = node.contents_length

@@ -49,10 +49,13 @@ Cross-modality *naming links* (counted associations from a chunk to a label
 chunk in another modality) hang off nodes here; they are created by the
 trainer when fully learned chunks co-occupy short-term memory.
 
-Each net keeps ``linked_tokens``: the first tokens under which its root
-lists a child whose subtree holds a naming link. Links are made in two
-places only, and both keep it: ``MultiModalMemory.add_naming_link`` and
-``snapshot``'s row loop. ``attention.categorise`` walks from no other token.
+Each net keeps ``linked_tokens``: the first token of each linked chunk's
+contents, mapped to the set of their second tokens, with None for a linked
+chunk whose contents are that token alone. Links are made in two places
+only, and both keep it: ``MultiModalMemory.add_naming_link`` and
+``snapshot``'s row loop (test: ``test_linked_tokens_follow_the_node_table``
+in ``tests/test_snapshot.py``). ``attention.categorise`` walks a start
+only if the map lists its token with None or with the token after it.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ class DiscriminationNet:
         self._nodes: list[Node] = [Node(node_id=ROOT_ID, test=(), image=())]
         # [end node, kept NO_CHANGE or None] by tokens; see ``learn``.
         self._walks: dict[tuple[str, ...], list] = {}
-        self.linked_tokens: set[str] = set()
+        self.linked_tokens: dict[str, set[str | None]] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -427,8 +430,9 @@ class MultiModalMemory:
         """Count one co-occurrence of a chunk with a label chunk. Both
         nets are looked up and never made: a missing one raises
         :class:`NetworkError`, and so does a root on either end. A chunk's
-        first link puts the first token of its contents, its root child's,
-        in ``linked_tokens``."""
+        first link enters the first two tokens of its contents in
+        ``linked_tokens``: the second, or None if there is none, under the
+        first."""
         self.label_net.node(label_node_id)  # must exist
         try:
             net = self.nets[modality]
@@ -438,7 +442,9 @@ class MultiModalMemory:
             raise NetworkError("naming links never involve a root node")
         links = net.node(node_id).naming_links
         if not links:
-            net.linked_tokens.add(net._path(node_id)[0])
+            path = net._path(node_id)
+            net.linked_tokens.setdefault(path[0], set()).add(
+                path[1] if len(path) > 1 else None)
         links[label_node_id] = links.get(label_node_id, 0) + 1
 
     def label_name(self, label_node_id: int) -> str:

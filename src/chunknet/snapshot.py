@@ -2,14 +2,15 @@
 network's node table and the settings needed to classify new input
 (tokenizer, attention parameters).
 
-Each net is stored under its modality as ``{"clock_seconds", "segments"}``.
-A node's row is ``[id, parent, test, image, complete, links]``, where
-``test`` and ``image`` are tokens joined by single spaces. The root, node
-0, is implicit and has no row. ``segments`` groups the rows by the first
-token of their root child's test link: a walk that starts at token ``t``
-stays under the root children listed at ``root.index[t]``, so it needs
-segment ``t`` alone. In a segment the rows ascend by id, and each parent
-is the root or an earlier row of that segment. Children are not written.
+Schema v5 stores each net under its modality as ``{"clock_seconds",
+"rows", "segments"}``, ``rows`` being its row count. A node's row is ``[id,
+parent, test, image, complete, links]``, where ``test`` and ``image`` are
+tokens joined by single spaces. The root, node 0, is implicit and has no
+row. ``segments`` groups the rows by the first token of their root child's
+test link: a walk that starts at token ``t`` stays under the root children
+listed at ``root.index[t]``, so it needs segment ``t`` alone. In a segment
+the rows ascend by id, and each parent is the root or an earlier row of
+that segment. Children are not written.
 
 Serialization is canonical (sorted keys, fixed separators, only ASCII, each
 segment's rows by id), so identical models give byte-identical files and a
@@ -19,20 +20,23 @@ allows no raw newline or tab in a string, so a line that starts with ``"``
 after a line ending in ``"segments":{`` is a segment line, and its tabs
 count its rows. Other schema versions are refused: retrain the model.
 
-``load_memory(path)`` decodes and builds every segment, and refuses an id
-given twice, a gap in the ids, or a segment line whose tabs are not its
-rows. ``load_memory(path, reach)`` is a query's load: it decodes the text
-but the segment lines, calls ``reach(meta)`` for the stimulus pattern, then
+``rows`` sizes a net's table, so no load counts the rows of a segment it
+does not decode. ``load_memory(path)`` decodes and builds every segment,
+and refuses an id given twice, an id past ``rows``, rows that do not fill
+the table, or a segment line whose tabs are not its rows.
+``load_memory(path, reach)`` is a query's load: it decodes the text but
+the segment lines, calls ``reach(meta)`` for the stimulus pattern, then
 decodes and builds the label net whole and, of the stimulus modality's
-net, only the segments keyed by a stimulus token, each checked in full. A
-segment it does not build is not decoded: a bad row, or text that is not
-JSON, in it is not seen, and its tabs alone size the net's table, which
-holds None for every row not built; a reached row whose id is past that
-table has the query refuse the file as a full load does, which names a
-faulty segment line first. A text with no segment line (one-line or
-pretty-printed JSON) is decoded whole. Checks: ``_load_doc`` (the file),
-``_rows`` (a segment line), ``_load_net`` (rows). A loaded node is a
-``LoadedNode``; each decoded row is dropped once its node is built.
+net, only the segments keyed by a stimulus token, each checked in full;
+their rows must fill the table only if they are every segment. A segment it
+does not build is not decoded: a bad row, or text that is not JSON, in it
+is not seen, and the table holds None for each of its rows. A reached row
+whose id is past ``rows`` has the query refuse the file as a full load
+does, which names a faulty segment line first. A
+text with no segment line (one-line or pretty-printed JSON) is decoded
+whole. Checks: ``_load_doc`` (the file), ``_rows`` (a segment line),
+``_load_net`` (rows). A loaded node is a ``LoadedNode``; each decoded row
+is dropped once its node is built.
 
 The cyclic garbage collector is paused from reading the file until the last
 node is built, and left as the caller had it; a load that succeeds then
@@ -56,7 +60,7 @@ from .config import ConfigError, parse_json, read_text, reject_constant, \
 from .network import ROOT_ID, DiscriminationNet, LoadedNode, \
     MultiModalMemory, NetworkError, Node
 
-SNAPSHOT_SCHEMA_VERSION = 4
+SNAPSHOT_SCHEMA_VERSION = 5
 
 
 class SnapshotError(ValueError):
@@ -64,8 +68,7 @@ class SnapshotError(ValueError):
 
 
 class _PastTheTable(SnapshotError):
-    """A row id past its net's table, which a query may have sized short
-    from the tabs of segment lines it did not decode; see ``_load_doc``."""
+    """A row id past its net's table; see ``_load_doc``."""
 
 
 # The canonical text of a snapshot's values: sorted keys, no spaces, only
@@ -122,6 +125,7 @@ def dump_memory(memory: MultiModalMemory, meta: dict | None = None) -> str:
     for i, (modality, net) in enumerate(sorted(memory.nets.items())):
         parts += ["," if i else "", _json(modality),
                   ':{"clock_seconds":', _json(net.clock_seconds),
+                  ',"rows":', str(net.node_count - 1),
                   ',"segments":{', _segments(net), "\n}}"]
     parts += ['},"schema_version":', _json(SNAPSHOT_SCHEMA_VERSION),
               ',"seconds_per_new_chunk":', _json(memory.seconds_per_new_chunk),
@@ -147,8 +151,8 @@ _OPENING = '"segments":{\n'
 class _Lines(dict):
     """A net's segment lines, not decoded: each key's ``(start, end)``, where
     its rows' text starts and its line ends in the snapshot's text, in file
-    order; ``tabs``, the lines' tab count; and ``close``, where the ``}``
-    that starts the line after them is."""
+    order; and ``close``, where the ``}`` that starts the line after them
+    is."""
 
 
 _NUMBER = (int, float)
@@ -159,7 +163,8 @@ _DOC_FIELDS = (("label_modality", (str,)),
                ("seconds_per_new_chunk", _NUMBER),
                ("seconds_per_update", _NUMBER), ("networks", (dict,)),
                ("meta", (dict,)))
-_NET_FIELDS = (("clock_seconds", _NUMBER), ("segments", (dict, _Lines)))
+_NET_FIELDS = (("clock_seconds", _NUMBER), ("rows", (int,)),
+               ("segments", (dict, _Lines)))
 
 # The value of a field a JSON object or a short row lacks.
 _MISSING = object()
@@ -197,7 +202,7 @@ def _segment_lines(text: str, start: int) -> _Lines | None:
     after one ending in ``"segments":{``, up to a line that starts with
     ``}``; None if a line between does not start with a key and ``:[``, or
     a key is given twice."""
-    lines, first = _Lines(), start
+    lines = _Lines()
     while text.startswith('"', start):
         try:
             key, at = _scanstring(text, start + 1)
@@ -210,7 +215,7 @@ def _segment_lines(text: str, start: int) -> _Lines | None:
         start = end + 1
     if not text.startswith("}", start):
         return None
-    lines.tabs, lines.close = text.count("\t", first, start), start
+    lines.close = start
     return lines
 
 
@@ -282,12 +287,15 @@ def _load_net(modality: str, clock, segments: dict, count: int,
     """Build the decoded ``segments`` of one net of ``count`` rows, but
     those left None: one pass over a segment's rows checks them and puts
     each node at its id in the net's table, where a row not built leaves
-    None, and the net attaches the nodes built in one call.
+    None, and the net attaches the nodes built in one call. If no segment
+    was left None, the rows must number ``count``.
 
     A row is refused by the first rule it breaks, in the order they are
     checked below, and the first bad row of the segments built is the one
     reported. ``labels`` maps each label node id, as the file writes it, to
-    the id."""
+    the id. The pass also keeps each node's second contents token, or None
+    if its contents are one token; those of the nodes with links go in
+    ``linked_tokens`` under the segment's key."""
     where = f"{modality!r} net"
 
     def refuse(fault: str, error=SnapshotError) -> NoReturn:
@@ -304,10 +312,14 @@ def _load_net(modality: str, clock, segments: dict, count: int,
     own = net._nodes
     own += [None] * count
     nodes: list[LoadedNode] = []
+    whole = True
     for key, rows in segments.items():
         if rows is None:
+            whole = False
             continue
-        inside, last = {ROOT_ID}, ROOT_ID
+        # The second contents token of each node of the segment, and those
+        # of its nodes with links.
+        inside, last, seconds = {}, ROOT_ID, set()
         for position, row in enumerate(rows):
             try:
                 node_id, parent, test, image, complete, links = row
@@ -343,7 +355,6 @@ def _load_net(modality: str, clock, segments: dict, count: int,
                        f"segment's rows ascend by id")
             naming = links
             if links:
-                net.linked_tokens.add(key)
                 naming = {}
                 for label, n in links.items():
                     # The key as the file writes it, so "01" is refused.
@@ -355,18 +366,29 @@ def _load_net(modality: str, clock, segments: dict, count: int,
             tokens = tuple(test.split())
             # Parent 0 is the root, which is inside every segment. An empty
             # test is left for ``attach`` to refuse.
-            if not parent and tokens and tokens[0] != key:
-                refuse(f"is a root child testing {reprlib.repr(tokens[0])} "
-                       f"in segment {reprlib.repr(key)}; a root child's "
-                       f"first test token is its segment's key")
-            if parent not in inside:
-                refuse(f"names parent {parent!r}; a parent must be the root "
-                       f"or an earlier node of its segment")
+            if not parent:
+                if tokens and tokens[0] != key:
+                    refuse(f"is a root child testing "
+                           f"{reprlib.repr(tokens[0])} in segment "
+                           f"{reprlib.repr(key)}; a root child's first test "
+                           f"token is its segment's key")
+                second = tokens[1] if len(tokens) > 1 else None
+            else:
+                second = inside.get(parent, _MISSING)
+                if second is _MISSING:
+                    refuse(f"names parent {parent!r}; a parent must be the "
+                           f"root or an earlier node of its segment")
+                if second is None:
+                    second = tokens[0] if tokens else None
+            if links:
+                seconds.add(second)
             node = own[node_id] = LoadedNode(node_id, tokens, image,
                                              complete, parent, naming)
             nodes.append(node)
-            inside.add(node_id)
+            inside[node_id] = second
             last = node_id
+        if seconds:
+            net.linked_tokens[key] = seconds
         # The segment is built: drop its rows, so the document shrinks as
         # the net grows.
         segments[key] = None
@@ -376,6 +398,9 @@ def _load_net(modality: str, clock, segments: dict, count: int,
         net.attach(nodes)
     except NetworkError as exc:
         raise SnapshotError(f"{where}: {exc}") from None
+    if whole and len(nodes) != count:
+        raise SnapshotError(f"{where} field 'rows' holds {count}, but its "
+                            f"segments hold {len(nodes)} rows")
     return net
 
 
@@ -411,20 +436,22 @@ def _load_doc(path, reach) -> tuple[MultiModalMemory, dict]:
                               seconds_per_update=per_update)
     # Each net's clock, segments and row count (its table's size): every
     # net's fields and segments are checked before any row is built, so a
-    # query meets such a fault whatever segments it reaches. Segment lines
-    # count their rows by their tabs.
+    # query meets such a fault whatever segments it reaches. A row takes
+    # more than one character, so a count past the text's length is refused
+    # before a table of that size is made.
     nets = {}
     for modality, net_doc in networks.items():
         where = f"{modality!r} net"
-        clock, segments = _fields(net_doc, where, _NET_FIELDS)
-        lines = type(segments) is _Lines
-        count = segments.tabs if lines else 0
-        for key, rows in () if lines else segments.items():
+        clock, count, segments = _fields(net_doc, where, _NET_FIELDS)
+        if not 0 <= count <= len(text):
+            raise SnapshotError(f"{where} field 'rows' must be from 0 to "
+                                f"{len(text)}, the snapshot's length, got "
+                                f"{reprlib.repr(count)}")
+        for key, rows in () if type(segments) is _Lines else segments.items():
             if type(rows) is not list:
                 raise SnapshotError(f"{where} segment {reprlib.repr(key)} "
                                     f"holds {reprlib.repr(rows)}; a segment "
                                     f"is a list of rows")
-            count += len(rows)
         nets[modality] = clock, segments, count
     # The label node ids as the file writes them, "1" up to the label net's
     # row count, known before any net is built, so a link may name a node of
@@ -455,9 +482,9 @@ def _load_doc(path, reach) -> tuple[MultiModalMemory, dict]:
             memory.nets[modality] = _load_net(modality, clock, segments,
                                               count, memory, labels)
     except _PastTheTable:
-        # The tabs of a line this query did not decode may be at fault. A
-        # full load decodes every line before it builds a row, so it
-        # refuses the first faulty one.
+        # A line or a row this query did not decode may be at fault first.
+        # A full load decodes every line before it builds a row, and builds
+        # every row, so it refuses the first faulty one.
         if stimulus is not None:
             _load_doc(path, None)
         raise

@@ -161,14 +161,15 @@ class Memory:
         return " ".join(self.nets[self.label_modality].contents(label_id))
 
     def dump(self, meta=None):
-        """The snapshot text, schema version 4, with the ``meta`` block."""
+        """The snapshot text, schema version 5, with the ``meta`` block."""
         networks = {
-            modality: {"clock_seconds": net.clock, "segments": segments(
+            modality: {"clock_seconds": net.clock,
+                       "rows": len(net.nodes) - 1, "segments": segments(
                 [n.parent, " ".join(n.test), " ".join(n.image), n.complete,
                  {str(k): n.links[k] for k in sorted(n.links)}]
                 for n in net.nodes[1:])}
             for modality, net in sorted(self.nets.items())}
-        doc = {"schema_version": 4, "label_modality": self.label_modality,
+        doc = {"schema_version": 5, "label_modality": self.label_modality,
                "seconds_per_new_chunk": self.per_chunk,
                "seconds_per_update": self.per_update,
                "networks": networks, "meta": meta or {}}
@@ -208,7 +209,7 @@ def layout(doc, sort_keys=False):
 
 
 def segments(rows):
-    """Schema version 4 segments of one net's ``rows`` ``[parent, test,
+    """Schema version 5 segments of one net's ``rows`` ``[parent, test,
     image, complete, links]``, where row ``i`` is node ``i + 1``: each row,
     with its id put in front, goes under the first token of the test link
     of its root child, found by climbing its parent chain."""
@@ -223,20 +224,22 @@ def segments(rows):
 
 
 def document(nets, label_modality="verbal"):
-    """A schema version 4 snapshot document of hand-built ``nets``: each
+    """A schema version 5 snapshot document of hand-built ``nets``: each
     modality's rows ``[parent, test, image, complete, links]``, row ``i``
     node ``i + 1``, with tokens joined by single spaces and links keyed by
-    label node id as text, grouped by :func:`segments`."""
-    return {"schema_version": 4, "label_modality": label_modality,
+    label node id as text, grouped by :func:`segments`, and their count."""
+    return {"schema_version": 5, "label_modality": label_modality,
             "seconds_per_new_chunk": 10.0, "seconds_per_update": 2.0,
-            "networks": {m: {"clock_seconds": 0.0, "segments": segments(rows)}
+            "networks": {m: {"clock_seconds": 0.0, "rows": len(rows),
+                             "segments": segments(rows)}
                          for m, rows in nets.items()},
             "meta": {}}
 
 
 def load(doc):
     """The memory a snapshot document holds: every segment's rows, joined
-    in the order of their ids, which must run from 1 with no gap."""
+    in the order of their ids, which must run from 1 to the net's ``rows``
+    with no gap."""
     memory = Memory(doc["label_modality"], doc["seconds_per_new_chunk"],
                     doc["seconds_per_update"])
     for modality, net_doc in doc["networks"].items():
@@ -249,6 +252,8 @@ def load(doc):
                 raise Refused(f"node {node_id} out of place")
             net.add(parent, test.split(), image.split(), complete,
                     {int(k): count for k, count in links.items()})
+        if len(rows) != net_doc["rows"]:
+            raise Refused(f"{len(rows)} rows, not {net_doc['rows']}")
     return memory
 
 
@@ -357,25 +362,32 @@ def windows(n, span=20, step=1, min_fetch=2):
 
 
 def linked_tokens(net):
-    """The first tokens of the root children whose subtrees hold a naming
-    link: the first token of each linked node's contents."""
-    return {net.contents(i)[0] for i, node in enumerate(net.nodes)
-            if node.links}
+    """The first token of each linked node's contents, mapped to the set of
+    their second tokens, with None for contents of one token."""
+    linked = {}
+    for i, node in enumerate(net.nodes):
+        if node.links:
+            contents = net.contents(i)
+            linked.setdefault(contents[0], set()).add(
+                contents[1] if len(contents) > 1 else None)
+    return linked
 
 
 def walks(net, tokens, span=20, step=1, min_fetch=2):
     """How many walks ``categorise`` makes through ``net``: one unbounded
-    walk per fetch start that some window holds and whose token is in
-    :func:`linked_tokens`, plus one bounded walk per window whose end that
-    walk's contents pass, when the path's deepest node that fits inside the
-    end stops short of it and lists a child after the path's next node
-    whose test link starts with the same token."""
+    walk per fetch start that some window holds and whose token
+    :func:`linked_tokens` maps to None or to the next token, plus one
+    bounded walk per window whose end that walk's contents pass, when the
+    path's deepest node that fits inside the end stops short of it and
+    lists a child after the path's next node whose test link starts with
+    the same token."""
     held = set()
     rewalks = 0
     linked = linked_tokens(net)
     for end, starts in windows(len(tokens), span, step, min_fetch):
         for start in starts:
-            if tokens[start] not in linked:
+            seconds = linked.get(tokens[start], set())
+            if None not in seconds and tokens[start + 1] not in seconds:
                 continue
             held.add(start)
             cut, below = net.recognise(tokens, start), None

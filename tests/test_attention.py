@@ -357,12 +357,16 @@ TF = [[0, "T", "T", True, {}], [0, "F", "F", True, {}]]
 
 
 class TestScanSkips:
-    """The scan walks once each held start whose token is in the net's
-    ``linked_tokens``, and each walk updates the windows that hold its
-    start. A window whose end a path passes gets that path cut back to its
-    deepest node that fits, and the fetch is walked again from the root only
-    where a later sibling could lead elsewhere. Starts at tokens that lead
-    into no root subtree, such as "x" below, are not walked."""
+    """The scan walks once each held start whose token the net's
+    ``linked_tokens`` maps to None or to the next token, and each walk
+    updates the windows that hold its start. A window whose end a path
+    passes gets that path cut back to its deepest node that fits, and the
+    fetch is walked again from the root only where a later sibling could
+    lead elsewhere. Starts at tokens that lead into no root subtree, such as
+    "x" below, are not walked. In the tests before
+    ``test_starts_whose_second_token_leads_to_no_link_are_not_walked``,
+    every start whose token leads to a link is followed by a token that
+    does too, so their walk counts are those of the first-token rule."""
 
     def test_a_re_walk_alone_votes(self):
         # The unlinked chunk "a b c d" sits over its linked prefix "a b":
@@ -469,25 +473,27 @@ class TestScanSkips:
         assert recognise_calls(memory, stimulus, cfg) == 1 + 1
 
     def test_starts_into_linkless_subtrees_are_not_walked(self):
-        """A start is walked only if its token ``t`` is in the net's
-        ``linked_tokens``: some root child listed at ``root.index[t]`` has a
-        naming link in its subtree. The skip is exact. A walk from the
-        start consumes ``t`` first, so it stops at the root or ends in the
-        subtree of a root child listed at ``root.index[t]``; so does every
-        node of its path, and so every cut of that path. A bounded re-walk
-        of one of its fetches starts at the same token, so it ends there
-        too. With ``t`` not in the set none of these nodes carries a naming
-        link, and the root never does. So the start's walks change no entry
-        of ``sizes`` or ``winners``: it casts no vote, cuts no window's, and
-        skipping it drops walks only. Here every token leads into a root
-        subtree without a link, or into none."""
+        """A start at ``t``, followed by ``u``, is walked only if the net's
+        ``linked_tokens`` maps ``t`` to None (a linked chunk's contents are
+        ``t`` alone) or to a set holding ``u`` (a linked chunk's contents
+        start ``t u``). The skip is exact. A walk from the start consumes
+        the tokens from ``t`` on, so every node of its path has contents
+        that prefix them; so has every cut of that path, and so has the end
+        of a bounded re-walk of one of its fetches, which starts at the same
+        token. Such contents are the root's, ``t`` alone, or start ``t u``.
+        Unless the map says so, none of these nodes carries a naming link,
+        and the root never does. So the start's walks change no entry of
+        ``sizes`` or ``winners``: it casts no vote, cuts no window's, and
+        skipping it drops walks only. A start leaves ``min_fetch`` >= 2
+        tokens, so ``u`` exists. Here every token leads into a root subtree
+        without a link, or into none."""
         memory, ref = load_rows({
             "visual": [[0, "a b", "a b", True, {"1": 1}],
                        [0, "c", "c", True, {}],
                        [2, "d e", "c d e", True, {}],
                        [0, "f", "f", True, {}]],
             "verbal": TF})
-        assert memory.nets["visual"].linked_tokens == {"a"}
+        assert memory.nets["visual"].linked_tokens == {"a": {"b"}}
         stimulus = P("c", "d", "e", "f", "c", "d")
         cfg = AttentionConfig(span=4)
         assert scanned_like_the_reference(memory, ref, stimulus, cfg) \
@@ -496,8 +502,8 @@ class TestScanSkips:
 
     def test_a_link_added_after_a_load_makes_its_subtree_vote(self):
         # Node 3 "c d e" gets its first link after the load: the climb from
-        # it puts "c", its root child's token, in the set, and start 0 walks
-        # to it and votes. The starts at "d" and "e" are still not walked.
+        # it maps "c", its root child's token, to "d", and start 0 walks to
+        # it and votes. The starts at "d" and "e" are still not walked.
         memory, ref = load_rows({
             "visual": [[0, "a b", "a b", True, {"1": 1}],
                        [0, "c", "c", True, {}],
@@ -508,10 +514,46 @@ class TestScanSkips:
         assert recognise_calls(memory, stimulus, cfg) == 0
         memory.add_naming_link("visual", 3, 2)
         ref.nets["visual"].nodes[3].links[2] = 1
-        assert memory.nets["visual"].linked_tokens == {"a", "c"}
+        assert memory.nets["visual"].linked_tokens == {"a": {"b"},
+                                                       "c": {"d"}}
         cls = scanned_like_the_reference(memory, ref, stimulus, cfg)
         assert cls.entries == (("F", 1.0),)
         assert recognise_calls(memory, stimulus, cfg) == 1
+
+    def test_starts_whose_second_token_leads_to_no_link_are_not_walked(self):
+        # Root child "t" holds the linked "t u" and the linkless "t w x", so
+        # "t" maps to "u" alone: a start at "t" before "w" cannot vote and
+        # is not walked, and one before "u" is walked and votes.
+        memory, ref = load_rows({
+            "visual": [[0, "t", "t", True, {}],
+                       [1, "u", "t u", True, {"1": 1}],
+                       [1, "w x", "t w x", True, {}]],
+            "verbal": TF})
+        net = memory.nets["visual"]
+        assert net.linked_tokens == {"t": {"u"}}
+        cfg = AttentionConfig(span=4)
+        unlinked = P("t", "w", "x", "t", "w", "x")
+        assert scanned_like_the_reference(memory, ref, unlinked, cfg) \
+            .no_activation
+        assert recognise_calls(memory, unlinked, cfg) == 0
+        linked = P("t", "w", "x", "t", "u", "x")
+        cls = scanned_like_the_reference(memory, ref, linked, cfg)
+        assert cls.entries == (("T", 1.0),)
+        assert recognise_calls(memory, linked, cfg) == 1
+        # A link on the one-token chunk "t" maps "t" to None as well, so
+        # every start at "t" walks: starts 0 and 3 of each stimulus. Start
+        # 3's path "t w x" passes the end of the window at offset 1, which
+        # cuts it back to "t", now a voter; start 0's path ends inside
+        # every window that holds it, at the linkless "t w x".
+        memory.add_naming_link("visual", 1, 2)
+        ref.nets["visual"].nodes[1].links[2] = 1
+        assert net.linked_tokens == {"t": {"u", None}}
+        cls = scanned_like_the_reference(memory, ref, unlinked, cfg)
+        assert cls.entries == (("F", 1.0),)
+        assert recognise_calls(memory, unlinked, cfg) == 2
+        cls = scanned_like_the_reference(memory, ref, linked, cfg)
+        assert cls.entries == (("T", 1.0),)
+        assert recognise_calls(memory, linked, cfg) == 2
 
     @pytest.mark.parametrize("tokens, step, entries", [
         # Windows (span 4, step 3) hold starts 0-2, 3-5 and 6. "a b" votes

@@ -14,7 +14,8 @@ from chunknet.cli import main
 from chunknet.config import ConfigError, write_json
 from chunknet.snapshot import load_memory, save_memory
 from chunknet.suites import build_xor_manifest, generate_synthetic_corpus
-from test_snapshot import V1_SNAPSHOT, V2_SNAPSHOT, V3_SNAPSHOT
+from test_snapshot import V1_SNAPSHOT, V2_SNAPSHOT, V3_SNAPSHOT, \
+    V4_SNAPSHOT
 
 
 def run(capsys, *argv):
@@ -208,7 +209,8 @@ class TestCategorise:
         # it recognises nothing.
         model = self._model(tmp_path, capsys)
         doc = json.loads(model.read_text())
-        doc["networks"]["visual"] = {"clock_seconds": 0.0, "segments": {}}
+        doc["networks"]["visual"] = {"clock_seconds": 0.0, "rows": 0,
+                                     "segments": {}}
         model.write_text(json.dumps(doc))
         stim = tmp_path / "stim.txt"
         stim.write_text("1 0", encoding="utf-8")
@@ -421,7 +423,7 @@ class TestInspect:
         capsys.readouterr()
         code, out_text, _ = run(capsys, "inspect", "--model", str(model))
         assert code == 0
-        assert out_text.startswith("snapshot schema v4; tokenizer words; "
+        assert out_text.startswith("snapshot schema v5; tokenizer words; "
                                    "label modality verbal\n")
         # categorise tokenizes the same file with that tokenizer
         code, out_text, _ = run(capsys, *_query(tmp_path, model))
@@ -705,8 +707,11 @@ def _negative_clock(doc):
     pytest.param(_old_snapshot(V2_SNAPSHOT), 2, "retrain the model",
                  id="v2_snapshot"),
     pytest.param(_old_snapshot(V3_SNAPSHOT), 2, "snapshot schema_version 3 "
-                 r"is not supported \(this build reads version 4\); retrain "
+                 r"is not supported \(this build reads version 5\); retrain "
                  "the model with 'chunknet train'$", id="v3_snapshot"),
+    pytest.param(_old_snapshot(V4_SNAPSHOT), 2, "snapshot schema_version 4 "
+                 r"is not supported \(this build reads version 5\); retrain "
+                 "the model with 'chunknet train'$", id="v4_snapshot"),
     pytest.param(_array_snapshot, 2, "snapshot must be a JSON object",
                  id="array_snapshot"),
     pytest.param(_meta("config", 5), 2, "'config' holds 5",

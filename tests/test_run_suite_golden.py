@@ -115,15 +115,16 @@ def test_manifest_mode_and_train_outputs(tmp_path, capsys):
     # model.json was re-recorded for snapshot schema v4: the v3 file with
     # each row's id in front and each net's rows grouped into segments; and
     # again when each segment went on a line of its own, a tab before each
-    # row, which leaves the document as it was.
+    # row, which leaves the document as it was; and for schema v5, which
+    # adds each net's row count.
     assert {name: digest((suite_out / name).read_bytes())
             for name in ("model.json", "results.csv", "run.json")} == {
-        "model.json": "28a35cff9dd68272",
+        "model.json": "2018e936b6415e10",
         "results.csv": "ccce25bb24c77caf",
         "run.json": "2d12c40b69170d28"}
     assert {name: digest((train_out / name).read_bytes())
             for name in ("model.json", "training.json", "config.json")} == {
-        "model.json": "28a35cff9dd68272",
+        "model.json": "2018e936b6415e10",
         "training.json": "7a7d3c0ed39c67fe",
         "config.json": "1824966a915217ab"}
 

@@ -58,6 +58,17 @@ V3_SNAPSHOT = {
                  "visual": {"clock_seconds": 10.0,
                             "nodes": [[0, "1", "1 0", True, {"1": 1}]]}}}
 
+# A schema v4 document: the v3 rows with each row's id in front, grouped into
+# segments by the first test token of their root child, with no row count.
+V4_SNAPSHOT = {
+    "schema_version": 4, "label_modality": "verbal",
+    "seconds_per_new_chunk": 10.0, "seconds_per_update": 2.0, "meta": {},
+    "networks": {"verbal": {"clock_seconds": 10.0,
+                            "segments": {"T": [[1, 0, "T", "T", True, {}]]}},
+                 "visual": {"clock_seconds": 10.0,
+                            "segments": {"1": [[1, 0, "1", "1 0", True,
+                                                {"1": 1}]]}}}}
+
 
 def random_trained_memory(seed):
     rng = random.Random(seed)
@@ -151,8 +162,8 @@ def test_other_schema_versions_rejected(tmp_path):
         load_memory(path)
 
 
-@pytest.mark.parametrize("doc", [V1_SNAPSHOT, V2_SNAPSHOT, V3_SNAPSHOT],
-                         ids=["v1", "v2", "v3"])
+@pytest.mark.parametrize("doc", [V1_SNAPSHOT, V2_SNAPSHOT, V3_SNAPSHOT,
+                                 V4_SNAPSHOT], ids=["v1", "v2", "v3", "v4"])
 def test_old_snapshot_asks_for_retraining(tmp_path, doc):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -169,24 +180,25 @@ def test_a_net_with_only_its_root(tmp_path):
     path = tmp_path / "model.json"
     save_memory(path, memory)
     assert json.loads(path.read_text())["networks"] == {
-        "visual": {"clock_seconds": 0.0, "segments": {}}}
+        "visual": {"clock_seconds": 0.0, "rows": 0, "segments": {}}}
     restored, _ = load_memory(path)
     assert restored.net("visual").node_count == 1
     assert dump_memory(restored) == path.read_text()
 
 
 def test_a_saved_file_has_no_root_row_and_no_net_modality(tmp_path):
-    # Each row goes under the first test token of its root child, and a
-    # segment lists its rows by id.
+    # Each row goes under the first test token of its root child, a
+    # segment lists its rows by id, and a net counts its rows.
     memory, _ = random_trained_memory(2)
     path = tmp_path / "model.json"
     save_memory(path, memory)
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     for modality, net_doc in doc["networks"].items():
-        assert sorted(net_doc) == ["clock_seconds", "segments"]
+        assert sorted(net_doc) == ["clock_seconds", "rows", "segments"]
         net = memory.net(modality)
         rows = [row for rows in net_doc["segments"].values() for row in rows]
+        assert net_doc["rows"] == len(rows)
         assert sorted(row[:2] for row in rows) == \
             [[node.node_id, node.parent] for node in net.nodes()[1:]]
         for key, rows in net_doc["segments"].items():
@@ -315,6 +327,17 @@ _link_to_label_root = _add_link("0", 1)
 _link_key_not_an_id = _add_link("x", 1)
 _link_count_zero = _add_link("1", 0)
 _link_count_text = _add_link("1", "a")
+
+
+def _set_rows(rows, keys=None):
+    def corrupt(doc):
+        doc["networks"]["visual"]["rows"] = rows
+        return keys
+    return corrupt
+
+
+def _rows_missing(doc):
+    del doc["networks"]["visual"]["rows"]
 
 
 def _networks_a_list(doc):
@@ -457,11 +480,14 @@ def _six_letter_row(doc):
     return ["r"]
 
 
-def _laid_out_with(old, new):
-    """A laid-out file with ``old`` replaced by ``new``, so the file is laid
-    out whatever the writer; a query that reaches segment 'p', node 4's,
-    meets its fault."""
+def _laid_out_with(old, new, rows=None):
+    """A laid-out file with ``old`` replaced by ``new``, and ``rows``, if
+    given, as the visual net's row count, so the file is laid out whatever
+    the writer; a query that reaches segment 'p', node 4's, meets its
+    fault."""
     def corrupt(doc):
+        if rows is not None:
+            _set_rows(rows)(doc)
         return ["p"]
 
     def edit(text):
@@ -679,12 +705,35 @@ MALFORMED = [
             ("segment_line_with_a_tab_added", '"p":[\t[4,', '"p":[\t\t[4,'),
             # segment 'q' after 'p' on its line, without its tab
             ("two_segments_on_one_line", ',\n"q":[\t[2,', ',"q":[[2,')]),
-    # A query that reaches only 'p' sizes the table from the tabs of the
-    # lines it does not decode, 3, so node 4 is past it; the query then
-    # refuses the file as a full load does, which names 'r'.
-    pytest.param(_laid_out_with('"r":[\t[1,', '"r":[[1,'), _full(
+    # A query that reaches only 'p' does not decode line 'r', but the
+    # table is one row short, so node 4 is past it; the query then refuses
+    # the file as a full load does, which names 'r'.
+    pytest.param(_laid_out_with('"r":[\t[1,', '"r":[[1,', rows=3), _full(
         "'visual' net segment 'r' is not one line with a tab before each "
-        "row"), id="unreached_segment_line_with_a_tab_dropped"),
+        "row"), id="rows_one_too_few_and_an_unreached_line_with_a_tab_dropped"),
+    # The row count sizes a net's table before any segment is decoded.
+    pytest.param(_rows_missing, _full("'visual' net is missing field 'rows'"),
+                 id="rows_missing"),
+    pytest.param(_set_rows(True), _full("'visual' net field 'rows' holds "
+                                        "True"), id="rows_true"),
+    pytest.param(_set_rows(4.0), _full("'visual' net field 'rows' holds "
+                                       "4.0"), id="rows_a_float"),
+    pytest.param(_set_rows(-1), r"^'visual' net field 'rows' must be from 0 "
+                 r"to \d+, the snapshot's length, got -1$", id="rows_negative"),
+    # a table this large is refused before it is made
+    pytest.param(_set_rows(10 ** 12), r"^'visual' net field 'rows' must be "
+                 r"from 0 to \d+, the snapshot's length, got 1000000000000$",
+                 id="rows_past_the_snapshot_length"),
+    # Node 4, in segment 'p', is past the table; a query that reaches 'p'
+    # meets it.
+    pytest.param(_set_rows(3, ["p"]), _full(
+        "'visual' net: node 4 is outside 1 to 3: a net's 3 rows hold the ids "
+        "1 to 3, each once"), id="rows_one_too_few"),
+    # Every row fits the table, which only a load that builds every
+    # segment sees is not filled.
+    pytest.param(_set_rows(5, VISUAL_KEYS), _full(
+        "'visual' net field 'rows' holds 5, but its segments hold 4 rows"),
+        id="rows_one_too_many"),
 ]
 
 
@@ -749,6 +798,9 @@ def test_malformed_nets_rejected(tmp_path, corrupt, message):
 
 @pytest.mark.parametrize("corrupt, tokens", [
     pytest.param(_dangling_child, "p q", id="dangling_child"),
+    pytest.param(_laid_out_with('"r":[\t[1,', '"r":[[1,'), "p q",
+                 id="unreached_segment_line_with_a_tab_dropped"),
+    pytest.param(_set_rows(5), "p q", id="rows_one_too_many"),
     pytest.param(_parent_outside_its_segment, "q p q",
                  id="parent_outside_its_segment"),
     pytest.param(_duplicate_id_across_segments, "q r",
@@ -793,6 +845,7 @@ def test_a_label_row_may_link_to_a_later_label_node(tmp_path):
     doc = json.loads(path.read_text())
     labels = _segments(doc, "verbal")
     labels["B"] = [[2, 0, "B", "B", True, {}]]
+    doc["networks"]["verbal"]["rows"] = 2
     labels["A"][0][5] = {"2": 1}
     path.write_text(json.dumps(doc))
     restored, _ = load_memory(path)
@@ -814,16 +867,20 @@ def test_load_rebuilds_lengths_and_index(tmp_path):
 
 
 def _linked_from_the_table(net):
-    """The first test token of the root child above each node in ``net``'s
-    table that holds a naming link; a query's load leaves None for a row
+    """The first token of the contents of each node in ``net``'s table that
+    holds a naming link, mapped to the set of their second tokens, with
+    None for contents of one token; a query's load leaves None for a row
     not built."""
-    tokens = set()
+    linked = {}
     for node in net.nodes():
         if node is not None and node.naming_links:
+            contents = node.test
             while node.parent:
                 node = net.node(node.parent)
-            tokens.add(node.test[0])
-    return tokens
+                contents = node.test + contents
+            linked.setdefault(contents[0], set()).add(
+                contents[1] if len(contents) > 1 else None)
+    return linked
 
 
 def _assert_linked_tokens(memory):
@@ -838,7 +895,7 @@ _TOKENS = st.lists(st.sampled_from("abcpqrsz"), min_size=1,
 @settings(deadline=None, database=None)
 @given(st.data())
 def test_linked_tokens_follow_the_node_table(tmp_path_factory, data):
-    # Each net's ``linked_tokens`` equals the set derived from its node
+    # Each net's ``linked_tokens`` equals the map derived from its node
     # table: after training, after a full load and after a query's load,
     # and after more presentations on a loaded memory add links.
     memory, stimuli = data.draw(st.one_of(
