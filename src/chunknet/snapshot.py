@@ -317,8 +317,8 @@ def _load_net(modality: str, clock, segments: dict, count: int,
         if rows is None:
             whole = False
             continue
-        # The second contents token of each node of the segment, and those
-        # of its nodes with links.
+        # The second contents token of each node of the segment by id, None
+        # for contents of one token, and those of its nodes with links.
         inside, last, seconds = {}, ROOT_ID, set()
         for position, row in enumerate(rows):
             try:
@@ -364,8 +364,10 @@ def _load_net(modality: str, clock, segments: dict, count: int,
                                f"node id and a positive count")
                     naming[labels[label]] = n
             tokens = tuple(test.split())
-            # Parent 0 is the root, which is inside every segment. An empty
-            # test is left for ``attach`` to refuse.
+            # Parent 0 is the root, a parent in every segment. A root child's
+            # second contents token is its test's second, a child of a
+            # one-token node's its test's first, any other node's its
+            # parent's. An empty test is left for ``attach`` to refuse.
             if not parent:
                 if tokens and tokens[0] != key:
                     refuse(f"is a root child testing "
