@@ -32,11 +32,10 @@ their rows must fill the table only if they are every segment. A segment it
 does not build is not decoded: a bad row, or text that is not JSON, in it
 is not seen, and the table holds None for each of its rows. A reached row
 whose id is past ``rows`` has the query refuse the file as a full load
-does, which names a faulty segment line first. A
-text with no segment line (one-line or pretty-printed JSON) is decoded
-whole. Checks: ``_load_doc`` (the file), ``_rows`` (a segment line),
-``_load_net`` (rows). A loaded node is a ``LoadedNode``; each decoded row
-is dropped once its node is built.
+does, which names a faulty segment line first. A text with no segment line
+(one-line or pretty-printed JSON) is decoded whole. Checks: ``_load_doc``
+(the file), ``_rows`` (a segment line), ``_load_net`` (rows). A loaded node
+is a ``LoadedNode``; each decoded row is dropped once its node is built.
 
 The cyclic garbage collector is paused from reading the file until the last
 node is built, and left as the caller had it; a load that succeeds then
